@@ -1,6 +1,7 @@
 """Exhaustive zip-group machinery over a small finite field: the group of
 determinant-matched 2x2 tuples, the Frobenius-coupled Borel pairs acting on
-it by (a, b) . g = a g b^(-1), orbit partition, and the Bruhat cell census.
+it by (a, b) . g = a g b^(-1) and a small generating set of them, orbit
+partition, and the Bruhat cell census.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
-from .field import FieldCtx
+from .field import TABLE_LIMIT, FieldCtx, FieldElem
 from .linalg import Matrix
 from .schubert import GroupElem, bruhat_word, stratum_label
 from .weyl import CocharDatum, WeylElem, all_weyl_elems
@@ -130,6 +131,60 @@ def enumerate_E(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[
     return out
 
 
+def _multiplicative_generator(ctx: FieldCtx) -> FieldElem:
+    """The lowest-index element generating the cyclic group F_q^x."""
+    mul = ctx._mul
+    for idx in range(1, ctx.q):
+        acc, order = idx, 1
+        while acc != 1:
+            acc, order = mul[acc][idx], order + 1
+        if order == ctx.q - 1:
+            return ctx.from_index(idx)
+    raise AssertionError("F_q^x is cyclic")  # unreachable
+
+
+def zip_group_generators(ctx: FieldCtx, n: int) -> list[ZipGroupElem]:
+    """A generating set of the group of Frobenius-coupled Borel pairs.
+
+    The kernel of the map to the coupled diagonal is the product of the
+    lower unipotents on the left and the upper unipotents on the right; each
+    factor's unipotents are generated by the F_p-basis 1, u, ..., u^(k-1) of
+    F_q.  The coupled diagonal is {(d0_i, d1_i) : all d0_i d1_i equal}, whose
+    exponent lattice over a generator gamma of F_q^x is generated by
+    diag(gamma, gamma^(-1)) in one factor and diag(gamma, 1) in every factor;
+    it is trivial when q = 2.  That gives 2nk + n + 1 generators (2n over F_2).
+    """
+    if ctx._mul is None:
+        raise ValueError(f"zip-group generators need a field of at most "
+                         f"{TABLE_LIMIT} elements")
+    zero, one = ctx.zero(), ctx.one()
+    identity = GroupElem.identity(ctx, n)
+    eye = Matrix.identity(ctx, 2)
+
+    def at(i: int, m: Matrix) -> GroupElem:
+        return GroupElem(tuple(m if j == i else eye for j in range(n)))
+
+    def coupled_diagonal(diags) -> ZipGroupElem:
+        a = GroupElem(tuple(Matrix(ctx, 2, 2, (d0, zero, zero, d1)) for d0, d1 in diags))
+        b = GroupElem(tuple(Matrix(ctx, 2, 2, (d0.frobenius(), zero, zero, d1.frobenius()))
+                            for d0, d1 in diags))
+        return ZipGroupElem(a, b)
+
+    gens = []
+    for i in range(n):
+        for j in range(ctx.k):
+            t = ctx.from_index(ctx.p ** j)  # u^j
+            gens.append(ZipGroupElem(at(i, Matrix(ctx, 2, 2, (one, zero, t, one))), identity))
+            gens.append(ZipGroupElem(identity, at(i, Matrix(ctx, 2, 2, (one, t, zero, one)))))
+    if ctx.q > 2:
+        gamma = _multiplicative_generator(ctx)
+        for i in range(n):
+            gens.append(coupled_diagonal([(gamma, gamma.inverse()) if j == i else (one, one)
+                                          for j in range(n)]))
+        gens.append(coupled_diagonal([(gamma, one)] * n))
+    return gens
+
+
 @dataclass(frozen=True)
 class OrbitPartition:
     """Disjoint orbit classes covering the enumerated group, each with the
@@ -163,8 +218,13 @@ def _mm(x, y, mul, add):
 
 
 def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> OrbitPartition:
-    """Orbit partition of the enumerated group under the full list of acting
-    pairs, by union-find over every (element, pair) combination.
+    """Orbit partition of the enumerated group under the group the acting
+    pairs generate, by union-find over every (element, pair) combination.
+
+    The orbits of a finite group are the connected components of the graph
+    joining g to e . g for e in any generating list, so
+    ``zip_group_generators`` and the full ``enumerate_E`` give the same
+    partition; the scan costs len(g_list) * len(e_list) actions.
 
     Every class is labeled by the stratum label shared by its members; a
     non-constant label raises OrbitLabelError.
@@ -173,26 +233,22 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
         raise ValueError("need non-empty group and acting lists")
     ctx = g_list[0].ctx
     n = g_list[0].n
+    if ctx._mul is None:
+        raise ValueError(f"the orbit scan needs a field of at most {TABLE_LIMIT} elements")
     g_keys = [tuple(_mat_key(f) for f in g.factors) for g in g_list]
     idx_of = {key: i for i, key in enumerate(g_keys)}
     uf = UnionFind(len(g_list))
     mul, add = ctx._mul, ctx._add
     factor_range = range(n)
-    if mul is not None:
-        e_pairs = [(tuple(_mat_key(f) for f in e.a.factors),
-                    tuple(_mat_key(f.inverse()) for f in e.b.factors))
-                   for e in e_list]
-        union = uf.union
-        for a_key, binv_key in e_pairs:
-            for gi, gkey in enumerate(g_keys):
-                out = tuple(_mm(_mm(a_key[f], gkey[f], mul, add), binv_key[f], mul, add)
-                            for f in factor_range)
-                union(gi, idx_of[out])
-    else:  # contexts beyond the table limit: act with full objects
-        for e in e_list:
-            for gi, g in enumerate(g_list):
-                out = tuple(_mat_key(f) for f in zip_act(e, g).factors)
-                uf.union(gi, idx_of[out])
+    e_pairs = [(tuple(_mat_key(f) for f in e.a.factors),
+                tuple(_mat_key(f.inverse()) for f in e.b.factors))
+               for e in e_list]
+    union = uf.union
+    for a_key, binv_key in e_pairs:
+        for gi, gkey in enumerate(g_keys):
+            out = tuple(_mm(_mm(a_key[f], gkey[f], mul, add), binv_key[f], mul, add)
+                        for f in factor_range)
+            union(gi, idx_of[out])
     members: dict[int, list[int]] = {}
     for i in range(len(g_list)):
         members.setdefault(uf.find(i), []).append(i)

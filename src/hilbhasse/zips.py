@@ -203,12 +203,45 @@ def zip_to_json_obj(z: HilbertZip) -> dict:
             "conj": [_line_to_json(line, i) for i, line in enumerate(z.conj)]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_lines(name: str, lines, n: int):
+    """Shape and types only; the field rejects too many coefficients."""
+    if not isinstance(lines, list) or len(lines) != n:
+        raise ValueError(f"{name!r} must be a list of {n} coordinate pairs")
+    for i, pair in enumerate(lines):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{name}[{i}] must be a pair of field elements")
+        for c in pair:
+            if not (_is_int(c) or isinstance(c, list) and all(_is_int(x) for x in c)):
+                raise ValueError(f"{name}[{i}] holds {c!r}, not an int or a list of ints")
+
+
 def zip_from_json_obj(obj: dict) -> HilbertZip:
     """Parse {"p", "k", "n", "perm", "omega", "conj"}; each line is a pair of
-    field elements given as coefficient arrays (plain ints also accepted)."""
-    ctx = FieldCtx(obj["p"], obj.get("k", 1))
-    n = obj["n"]
-    perm = tuple(obj.get("perm", split_perm(n)))
+    field elements given as coefficient arrays (plain ints also accepted).
+
+    Any departure from that schema raises ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("a zip must be a JSON object")
+    for key in ("p", "n", "omega", "conj"):
+        if key not in obj:
+            raise ValueError(f"zip is missing {key!r}")
+    p, k, n = obj["p"], obj.get("k", 1), obj["n"]
+    for key, value in (("p", p), ("k", k), ("n", n)):
+        if not _is_int(value):
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if n < 1:
+        raise ValueError(f"'n' must be at least 1, got {n}")
+    perm = obj.get("perm", split_perm(n))
+    if not isinstance(perm, (list, tuple)) or not all(_is_int(x) for x in perm):
+        raise ValueError(f"'perm' must be a list of integers, got {perm!r}")
+    _check_lines("omega", obj["omega"], n)
+    _check_lines("conj", obj["conj"], n)
+    ctx = FieldCtx(p, k)
     omega = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["omega"])]
     conj = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["conj"])]
-    return HilbertZip(ctx, n, perm, tuple(omega), tuple(conj))
+    return HilbertZip(ctx, n, tuple(perm), tuple(omega), tuple(conj))

@@ -1,7 +1,7 @@
 import pytest
 
 from hilbhasse.field import FieldCtx
-from hilbhasse.zips import check_equivalence, enumerate_zips, inert_perm, split_perm
+from test_acceptance import make_sweep
 
 
 @pytest.fixture(scope="session")
@@ -26,15 +26,4 @@ def zip_reports():
     Returns a dict mapping (omega lines, conj lines) to the ZipReport, so
     several criteria can share one exhaustive enumeration.
     """
-    cache = {}
-
-    def sweep(p: int, n: int, perm_name: str):
-        key = (p, n, perm_name)
-        if key not in cache:
-            ctx = FieldCtx(p)
-            perm = split_perm(n) if perm_name == "split" else inert_perm(n)
-            cache[key] = {(z.omega, z.conj): check_equivalence(z)
-                          for z in enumerate_zips(ctx, n, perm)}
-        return cache[key]
-
-    return sweep
+    return make_sweep()

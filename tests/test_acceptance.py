@@ -15,16 +15,19 @@ from hilbhasse.schubert import (hasse_section, stratum_label,
                                 torus_weight_space, vanishing_order_on_stratum)
 from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
                             hodge_character, weyl_act, zipflag_pullback)
-from hilbhasse.zipgroup import bruhat_census, enumerate_E, enumerate_G, orbits
+from hilbhasse.zipgroup import bruhat_census, enumerate_G, orbits, zip_group_generators
 from hilbhasse.zips import check_equivalence, enumerate_zips, inert_perm, split_perm
 
 EQUIVALENCE_SCALE = [(p, n, perm) for p in (2, 3) for n in (1, 2, 3)
                      for perm in ("split", "inert")]
-ORBIT_SCALE = [(q, n) for q in (2, 3) for n in (1, 2)]
+# (p, k, n): F_4 with n = 2 is the first case where the Frobenius coupling of
+# the diagonals acts nontrivially at more than one factor.
+ORBIT_SCALE = [(p, 1, n) for p in (2, 3) for n in (1, 2)] + [(2, 2, 2)]
 
 
 def make_sweep():
-    """Standalone replacement for the session fixture in conftest."""
+    """Memoized sweeps keyed by (p, n, perm name); conftest serves it as the
+    session fixture ``zip_reports``."""
     cache = {}
 
     def sweep(p, n, perm_name):
@@ -87,30 +90,31 @@ def run_pullback_identity():
 
 def run_census():
     """5: Bruhat cells partition the group with sizes q^l(w) |B|."""
-    for q, n in ORBIT_SCALE:
-        ctx = FieldCtx(q)
+    for p, k, n in ORBIT_SCALE:
+        ctx = FieldCtx(p, k)
         g_list = enumerate_G(ctx, n)
         borel_size = sum(1 for g in g_list
                          if all(not f.entry(0, 1) for f in g.factors))
         counts = dict((w.signs, c) for w, c in bruhat_census(ctx, n))
-        assert sum(counts.values()) == len(g_list), (q, n)
+        assert sum(counts.values()) == len(g_list), (p, k, n)
         for w in all_weyl_elems(n):
-            assert counts[w.signs] == q ** w.length() * borel_size, (q, n, w)
+            assert counts[w.signs] == ctx.q ** w.length() * borel_size, (p, k, n, w)
 
 
 def run_orbit_refinement():
     """6: orbits respect stratum labels and labels carry the right order."""
-    for q, n in ORBIT_SCALE:
-        ctx = FieldCtx(q)
-        partition = orbits(enumerate_G(ctx, n), enumerate_E(ctx, n))
+    for p, k, n in ORBIT_SCALE:
+        ctx = FieldCtx(p, k)
+        g_list = enumerate_G(ctx, n)
+        partition = orbits(g_list, zip_group_generators(ctx, n))
         h = hasse_section(ctx, n)
-        assert sum(partition.sizes()) == len(enumerate_G(ctx, n))
+        assert sum(partition.sizes()) == len(g_list)
         for label in partition.labels:
             assert vanishing_order_on_stratum(h, label) == n - label.length()
         # constancy of labels is enforced inside orbits(); make it explicit
-        datum = CocharDatum.split(n, q)
+        datum = CocharDatum.split(n, p)
         for cls, label in zip(partition.classes, partition.labels):
-            assert all(stratum_label(g, datum) == label for g in cls), (q, n)
+            assert all(stratum_label(g, datum) == label for g in cls), (p, k, n)
 
 
 def run_graded_dimensions():

@@ -158,3 +158,75 @@ def test_failed_equivalence_prints_replayable_counterexample(capsys, monkeypatch
     first = json.loads(lines[0].split("\t")[1])
     assert set(first) == {"p", "k", "n", "perm", "omega", "conj"}
     assert zip_from_json_obj(first) is not None
+
+
+@pytest.mark.parametrize("text", [
+    '{"p": 3, "n": 1, "omega": 5, "conj": [[1, 0]]}',
+    '[1, 2]',
+    '{"p": 3, "n": 1, "omega": [[1.5, 0]], "conj": [[1, 0]]}',
+])
+def test_malformed_zip_json_is_a_usage_error(capsys, tmp_path, text):
+    path = tmp_path / "zip.json"
+    path.write_text(text)
+    code = main(["zip-check", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_orbit_scan_refusal(capsys):
+    # 48^2 = 2,304 tuples pass the group bound; 1,152 x 7 generator actions do not
+    code = main(["orbits", "--p", "3", "--n", "2", "--bound", "5000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "orbit scan" in captured.err
+
+
+def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
+    # no real orbit carries two labels, so make the label depend on an entry
+    # that varies along every orbit of more than one element
+    import hilbhasse.zipgroup as zipgroup_mod
+    from hilbhasse.weyl import all_weyl_elems
+
+    def broken(g, datum):
+        return all_weyl_elems(g.n)[bool(g.factors[0].entry(1, 0))]
+
+    monkeypatch.setattr(zipgroup_mod, "stratum_label", broken)
+    code = main(["orbits", "--p", "2", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("orbit label inconsistency: orbit of size ")
+
+
+def test_census_json(capsys):
+    code, out = run_cli(capsys, ["census", "--p", "3", "--n", "1", "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == {
+        "rows": [{"w": "+", "length": 0, "cell_size": 12, "expected": 12},
+                 {"w": "-", "length": 1, "cell_size": 36, "expected": 36}],
+        "total": 48, "group_size": 48, "ok": True}
+
+
+def test_census_mismatch_exits_1(capsys, monkeypatch):
+    # the census is compared with closed forms for |B| and |G|, so counts
+    # that are wrong by a common factor still fail
+    import hilbhasse.cli as cli_mod
+    real = cli_mod.bruhat_census
+
+    def doubled(ctx, n, bound):
+        return [(w, 2 * count) for w, count in real(ctx, n, bound)]
+
+    monkeypatch.setattr(cli_mod, "bruhat_census", doubled)
+    code, out = run_cli(capsys, ["census", "--p", "2", "--n", "1"])
+    assert code == 1
+    assert out.endswith("total\t12\tgroup\t6\tMISMATCH\n")
+
+
+def test_orbits_frobenius_coupled_n2(capsys):
+    code, out = run_cli(capsys, ["orbits", "--p", "2", "--k", "2", "--n", "2"])
+    assert code == 0
+    sizes = [int(line.split("\t")[2]) for line in out.strip().split("\n")[1:]]
+    assert sizes == [432, 1728, 1728, 6912]  # q^l(w) |B| with |B| = 3 * 12^2

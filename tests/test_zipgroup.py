@@ -12,7 +12,7 @@ from hilbhasse.schubert import (GroupElem, hasse_section, stratum_label,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, WeylElem, all_weyl_elems
 from hilbhasse.zipgroup import (ZipGroupElem, bruhat_census, enumerate_E,
-                                enumerate_G, orbits, zip_act)
+                                enumerate_G, orbits, zip_act, zip_group_generators)
 
 
 def test_group_sizes_match_the_counting_formula(F2, F3):
@@ -169,3 +169,57 @@ def test_orbit_labels_agree_with_stratum_orders(p, n):
     h = hasse_section(ctx, n)
     for label in partition.labels:
         assert vanishing_order_on_stratum(h, label) == n - label.length()
+
+
+# -- the generating set ----------------------------------------------------------
+
+GENERATOR_SCALE = [(2, 1, 1), (2, 1, 2), (3, 1, 1), (3, 1, 2), (2, 2, 1)]
+
+
+def closure(gens, identity):
+    """Every product of generators, by breadth-first search from the identity."""
+    seen = {ZipGroupElem(identity, identity)}
+    frontier = list(seen)
+    while frontier:
+        step = []
+        for e in frontier:
+            for s in gens:
+                prod = ZipGroupElem(e.a * s.a, e.b * s.b)
+                if prod not in seen:
+                    seen.add(prod)
+                    step.append(prod)
+        frontier = step
+    return seen
+
+
+@pytest.mark.parametrize("p,k,n", GENERATOR_SCALE)
+def test_generators_generate_the_full_group(p, k, n):
+    ctx = FieldCtx(p, k)
+    gens = zip_group_generators(ctx, n)
+    assert len(gens) == 2 * n * k + (n + 1 if ctx.q > 2 else 0)
+    assert closure(gens, GroupElem.identity(ctx, n)) == set(enumerate_E(ctx, n))
+
+
+@pytest.mark.parametrize("p,k,n", GENERATOR_SCALE + [(5, 1, 1), (2, 1, 3)])
+def test_generator_orbits_equal_full_group_orbits(p, k, n):
+    ctx = FieldCtx(p, k)
+    g_list = enumerate_G(ctx, n)
+    assert orbits(g_list, zip_group_generators(ctx, n)) == orbits(g_list, enumerate_E(ctx, n))
+
+
+def test_generators_in_f4_carry_frobenius_coupled_diagonals(F4):
+    # over F_4 the coupling is not the identity: some diagonal entry d of a
+    # generator has d^2 != d on the right
+    pairs = [(fa.entry(i, i), fb.entry(i, i)) for e in zip_group_generators(F4, 2)
+             for fa, fb in zip(e.a.factors, e.b.factors) for i in (0, 1)]
+    assert all(db == da ** 2 for da, db in pairs)
+    assert any(db != da for da, db in pairs)
+
+
+def test_fields_without_tables_are_refused():
+    big = FieldCtx(257)
+    identity = GroupElem.identity(big, 1)
+    with pytest.raises(ValueError):
+        zip_group_generators(big, 1)
+    with pytest.raises(ValueError):
+        orbits([identity], [ZipGroupElem(identity, identity)])

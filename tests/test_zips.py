@@ -236,6 +236,34 @@ def test_json_accepts_plain_int_coefficients():
     assert z.conj[0] == line_in_block(z.ctx, 1, 0, (1, 1))
 
 
+GOOD_OBJ = {"p": 2, "k": 1, "n": 1, "perm": [0], "omega": [[1, 0]], "conj": [[1, 1]]}
+
+
+@pytest.mark.parametrize("change", [
+    {"p": True},                        # bools are not integers
+    {"n": 1.0},
+    {"k": "2"},
+    {"n": 0, "omega": [], "conj": []},
+    {"perm": 0},
+    {"perm": ["0"]},
+    {"omega": [[1, 0], [1, 0]]},        # more lines than n
+    {"omega": [[1, 0, 1]]},             # not a pair
+    {"omega": [[[1, 1], 0]]},           # more coefficients than k
+    {"conj": [[1, None]]},
+    {"conj": {"0": [1, 0]}},
+])
+def test_json_schema_violations_raise_value_error(change):
+    with pytest.raises(ValueError):
+        zip_from_json_obj({**GOOD_OBJ, **change})
+
+
+@pytest.mark.parametrize("obj", [[1, 2], "zip", None,
+                                 {key: v for key, v in GOOD_OBJ.items() if key != "conj"}])
+def test_json_that_is_no_zip_object_raises_value_error(obj):
+    with pytest.raises(ValueError):
+        zip_from_json_obj(obj)
+
+
 def test_report_serialization(F2):
     z = HilbertZip(F2, 2, split_perm(2), first_lines(F2, 2), first_lines(F2, 2))
     r = check_equivalence(z)
