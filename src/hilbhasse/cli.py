@@ -156,9 +156,12 @@ def _cmd_census(config: RunConfig) -> int:
 def _cmd_orbits(config: RunConfig) -> int:
     ctx = FieldCtx(config.p, config.k)
     gens = zip_group_generators(ctx, config.n)
+    q = ctx.q
+    # |G| x |generators|, with |G| in closed form so a refusal costs nothing
+    actions = (q - 1) * (q * (q * q - 1)) ** config.n * len(gens)
+    if actions > config.bound:
+        raise BoundExceededError(actions, config.bound, "orbit scan")
     g_list = enumerate_G(ctx, config.n, bound=config.bound)
-    if len(g_list) * len(gens) > config.bound:
-        raise BoundExceededError(len(g_list) * len(gens), config.bound, "orbit scan")
     try:
         partition = orbits(g_list, gens)
     except OrbitLabelError as exc:

@@ -3,13 +3,14 @@
 Elements are written on the polynomial basis 1, u, ..., u^(k-1), where u is a
 root of a fixed monic irreducible modulus over F_p.  The modulus is chosen as
 the lexicographically smallest irreducible candidate (coefficients compared
-from the constant term up), so a context is reproducible across runs and two
-contexts with the same (p, k) are interchangeable.
+from the constant term up), so a context is reproducible across runs.
 
-Contexts with at most ``TABLE_LIMIT`` elements intern all their elements and
-precompute index tables for add/mul/neg/inv/frobenius; arithmetic is then a
-couple of list lookups, which the exhaustive enumeration modules rely on.
-Larger contexts fall back to per-operation polynomial arithmetic.
+A context interns all its elements and precomputes index tables for
+add/mul/neg/inv/frobenius, so arithmetic is a couple of list lookups; hot
+loops elsewhere work on element indices through these tables directly.
+Fields with more than ``TABLE_LIMIT`` elements are refused.  ``FieldCtx(p, k)``
+returns one shared context per (p, k) for the life of the process, so the
+tables are built once however many callers ask for the field.
 """
 
 from __future__ import annotations
@@ -89,36 +90,48 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldCtx:
     """The finite field F_{p^k}.
 
-    A context owns its modulus and, for small fields, the interned element
-    pool and arithmetic tables.  Contexts compare equal iff they describe the
-    same field model (same p, k and modulus).
+    A context owns its modulus, the interned element pool and the arithmetic
+    tables.  ``FieldCtx(p, k)`` hands out one shared instance per (p, k);
+    contexts are never mutated after construction, so sharing is safe.
+    Equality is identity: no two contexts describe the same field.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_key", "_hash", "_elems",
+    __slots__ = ("p", "k", "q", "modulus", "_hash", "_elems",
                  "_add", "_mul", "_neg", "_inv", "_frob")
 
-    def __init__(self, p: int, k: int = 1):
-        if not isinstance(p, int) or not _is_prime(p):
-            raise ValueError(f"p must be a prime integer, got {p!r}")
+    _shared: dict[tuple[int, int], "FieldCtx"] = {}
+
+    def __new__(cls, p: int, k: int = 1):
         if not isinstance(k, int) or k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k!r}")
-        self.p = p
-        self.k = k
-        self.q = p ** k
-        self.modulus = _smallest_irreducible(p, k)
-        self._key = (p, k, self.modulus)
-        self._hash = hash(self._key)
-        self._elems = None
-        self._add = self._mul = self._neg = self._inv = self._frob = None
-        if self.q <= TABLE_LIMIT:
-            self._build_tables()
+        # checked before primality and the modulus search, so it costs O(1);
+        # 2^k > TABLE_LIMIT once k exceeds its bit length, so p^k stays small
+        if isinstance(p, int) and (k > TABLE_LIMIT.bit_length() or p ** k > TABLE_LIMIT):
+            raise ValueError(f"fields above {TABLE_LIMIT} elements are not "
+                             f"supported, got {p}^{k}")
+        if not isinstance(p, int) or not _is_prime(p):
+            raise ValueError(f"p must be a prime integer, got {p!r}")
+        ctx = cls._shared.get((p, k))
+        if ctx is None:
+            ctx = super().__new__(cls)
+            ctx.p, ctx.k, ctx.q = p, k, p ** k
+            ctx.modulus = _smallest_irreducible(p, k)
+            ctx._hash = hash((p, k, ctx.modulus))
+            ctx._build_tables()
+            # setdefault: racing threads all end up with the same instance
+            ctx = cls._shared.setdefault((p, k), ctx)
+        return ctx
+
+    def __reduce__(self):
+        # copies and unpickled contexts resolve to the shared instance
+        return FieldCtx, (self.p, self.k)
 
     # -- construction of elements ------------------------------------------
 
     def __call__(self, value) -> "FieldElem":
         """Coerce an int (prime-subfield value) or coefficient sequence."""
         if isinstance(value, FieldElem):
-            if not self._same(value._ctx):
+            if value._ctx is not self:
                 raise ContextMismatchError("element belongs to a different field")
             return value
         if isinstance(value, int):
@@ -132,9 +145,7 @@ class FieldCtx:
         return self.from_index(self._index_of(coeffs))
 
     def from_index(self, idx: int) -> "FieldElem":
-        if self._elems is not None:
-            return self._elems[idx]
-        return FieldElem(self, idx, self._coeffs_of(idx))
+        return self._elems[idx]
 
     def zero(self) -> "FieldElem":
         return self.from_index(0)
@@ -177,46 +188,28 @@ class FieldCtx:
         self._add = [[self._index_of([(x + y) % p for x, y in zip(a, b)])
                       for b in coeffs] for a in coeffs]
         self._neg = [self._index_of([(-x) % p for x in a]) for a in coeffs]
-        mul = []
-        for a in coeffs:
-            row = []
-            for b in coeffs:
-                r = _poly_rem(_poly_mul(a, b, p), self.modulus, p)
-                r += [0] * (self.k - len(r))
-                row.append(self._index_of(r))
-            mul.append(row)
-        self._mul = mul
-        inv: list[int | None] = [None] * q
-        for i in range(1, q):
-            if inv[i] is None:
-                row = mul[i]
-                j = row.index(1)
-                inv[i], inv[j] = j, i
-        self._inv = inv
-        frob = []
-        for i in range(q):
-            acc = i
-            for _ in range(p - 1):
-                acc = mul[acc][i]
-            frob.append(acc)
-        self._frob = frob
 
-    # -- slow-path polynomial arithmetic (large contexts) --------------------
+        def times(x: int, y: int) -> int:
+            r = _poly_rem(_poly_mul(coeffs[x], coeffs[y], p), self.modulus, p)
+            return self._index_of(r + [0] * (self.k - len(r)))
 
-    def _raw_add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _raw_mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        r = _poly_rem(_poly_mul(a, b, self.p), self.modulus, self.p)
-        return tuple(r) + (0,) * (self.k - len(r))
-
-    def _same(self, other: "FieldCtx") -> bool:
-        return other is self or other._key == self._key
-
-    def __eq__(self, other):
-        return isinstance(other, FieldCtx) and other._key == self._key
+        # exp/log tables over the lowest-index generator g of the cyclic
+        # group F_q^x: exp[i] = g^i, log[exp[i]] = i
+        for g in range(1, q):
+            exp = [1]
+            while (x := times(exp[-1], g)) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
+        log = {x: i for i, x in enumerate(exp)}
+        exp += exp
+        self._mul = [[0] * q] + [[0] + [exp[log[x] + log[y]] for y in range(1, q)]
+                                 for x in range(1, q)]
+        self._inv = [None] + [exp[q - 1 - log[x]] for x in range(1, q)]
+        self._frob = [0] + [exp[log[x] * p % (q - 1)] for x in range(1, q)]
 
     def __hash__(self):
+        # from (p, k, modulus), not the address, so hash order is reproducible
         return self._hash
 
     def __repr__(self):
@@ -261,7 +254,7 @@ class FieldElem:
 
     def _coerce(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
-            if not self._ctx._same(other._ctx):
+            if other._ctx is not self._ctx:
                 raise ContextMismatchError(
                     f"cannot combine elements of {self._ctx!r} and {other._ctx!r}")
             return other
@@ -274,19 +267,13 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         ctx = self._ctx
-        if ctx._add is not None:
-            return ctx._elems[ctx._add[self._idx][other._idx]]
-        c = ctx._raw_add(self.coeffs, other.coeffs)
-        return FieldElem(ctx, ctx._index_of(c), c)
+        return ctx._elems[ctx._add[self._idx][other._idx]]
 
     __radd__ = __add__
 
     def __neg__(self):
         ctx = self._ctx
-        if ctx._neg is not None:
-            return ctx._elems[ctx._neg[self._idx]]
-        c = tuple((-x) % ctx.p for x in self.coeffs)
-        return FieldElem(ctx, ctx._index_of(c), c)
+        return ctx._elems[ctx._neg[self._idx]]
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -302,10 +289,7 @@ class FieldElem:
         if other is NotImplemented:
             return NotImplemented
         ctx = self._ctx
-        if ctx._mul is not None:
-            return ctx._elems[ctx._mul[self._idx][other._idx]]
-        c = ctx._raw_mul(self.coeffs, other.coeffs)
-        return FieldElem(ctx, ctx._index_of(c), c)
+        return ctx._elems[ctx._mul[self._idx][other._idx]]
 
     __rmul__ = __mul__
 
@@ -313,9 +297,7 @@ class FieldElem:
         if self._idx == 0:
             raise ZeroDivisionError("inverse of zero")
         ctx = self._ctx
-        if ctx._inv is not None:
-            return ctx._elems[ctx._inv[self._idx]]
-        return self ** (ctx.q - 2)
+        return ctx._elems[ctx._inv[self._idx]]
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -342,14 +324,11 @@ class FieldElem:
         """Apply x -> x^p the given number of times (identity every k steps)."""
         if times < 0:
             raise ValueError("Frobenius twist must be non-negative")
-        times %= self._ctx.k
         ctx = self._ctx
-        if ctx._frob is not None:
-            idx = self._idx
-            for _ in range(times):
-                idx = ctx._frob[idx]
-            return ctx._elems[idx]
-        return self ** (ctx.p ** times)
+        idx = self._idx
+        for _ in range(times % ctx.k):
+            idx = ctx._frob[idx]
+        return ctx._elems[idx]
 
     def __bool__(self):
         return self._idx != 0
@@ -358,7 +337,7 @@ class FieldElem:
         if other is self:
             return True
         if isinstance(other, FieldElem):
-            return self._idx == other._idx and self._ctx._same(other._ctx)
+            return self._idx == other._idx and self._ctx is other._ctx
         if isinstance(other, int):
             return self == self._ctx(other)
         return NotImplemented

@@ -1,20 +1,22 @@
 """Exact linear algebra over a field context.
 
 Matrices are dense, immutable tuples of field elements.  Subspaces are kept
-as reduced row echelon bases, so two equal subspaces have identical
-representations and containment reduces to pivot elimination.  The wedge
-helpers coordinatize the n-th exterior power of a 2n-dimensional space by
-colexicographic rank of n-element index subsets.
+as reduced row echelon bases of element indices, so two equal subspaces have
+identical representations and containment reduces to pivot elimination on
+the context's integer tables.  The wedge helpers coordinatize the n-th
+exterior power of a 2n-dimensional space by colexicographic rank of n-element
+index subsets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .field import FieldCtx, FieldElem
+from .field import ContextMismatchError, FieldCtx, FieldElem
 
 Vector = tuple[FieldElem, ...]
 
@@ -123,22 +125,26 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
-def _rref_rows(rows: list[list[FieldElem]], ncols: int) -> tuple[list[list[FieldElem]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _rref_rows(rows: list[list[int]], ncols: int,
+               ctx: FieldCtx) -> tuple[list[list[int]], list[int]]:
+    """In-place reduced row echelon form of rows of element indices;
+    returns (rows, pivot columns)."""
+    add, mul, neg, inv = ctx._add, ctx._mul, ctx._neg, ctx._inv
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], lead)]
+        scale = mul[inv[rows[r][c]]]
+        lead = rows[r] = [scale[x] for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                minus_f = mul[neg[row[c]]]
+                rows[i] = [add[x][minus_f[y]] for x, y in zip(row, lead)]
         pivots.append(c)
         r += 1
     return rows, pivots
@@ -146,8 +152,9 @@ def _rref_rows(rows: list[list[FieldElem]], ncols: int) -> tuple[list[list[Field
 
 def rref(m: Matrix) -> tuple[Matrix, int]:
     """Reduced row echelon form and rank of a matrix."""
-    rows, pivots = _rref_rows([list(m.row(r)) for r in range(m.rows)], m.cols)
-    return Matrix.from_rows(m.ctx, rows) if rows else m, len(pivots)
+    rows = [[e.index for e in m.row(r)] for r in range(m.rows)]
+    rows, pivots = _rref_rows(rows, m.cols, m.ctx)
+    return Matrix(m.ctx, m.rows, m.cols, [m.ctx._elems[x] for r in rows for x in r]), len(pivots)
 
 
 def _det_rows(rows: list[list[FieldElem]], ctx: FieldCtx) -> FieldElem:
@@ -171,25 +178,34 @@ def _det_rows(rows: list[list[FieldElem]], ctx: FieldCtx) -> FieldElem:
 
 
 class Subspace:
-    """A subspace of F^d held by its canonical reduced row echelon basis."""
+    """A subspace of F^d held by its canonical reduced row echelon basis,
+    stored as rows of element indices; ``basis`` rebuilds the elements."""
 
-    __slots__ = ("ctx", "ambient_dim", "basis", "pivots", "_h")
+    __slots__ = ("ctx", "ambient_dim", "index_basis", "pivots", "_h")
 
     def __init__(self, ctx: FieldCtx, ambient_dim: int,
-                 basis: tuple[Vector, ...], pivots: tuple[int, ...]):
+                 index_basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
         self.ctx = ctx
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.index_basis = index_basis
         self.pivots = pivots
-        self._h = hash((ctx, ambient_dim, basis))
+        self._h = hash((ctx, ambient_dim, index_basis))
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, ambient_dim: int,
                      vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [[ctx(e) for e in v] for v in vectors]
+        return cls.from_index_rows(ctx, ambient_dim,
+                                   [[ctx(e)._idx for e in v] for v in vectors])
+
+    @classmethod
+    def from_index_rows(cls, ctx: FieldCtx, ambient_dim: int,
+                        rows: Iterable[Sequence[int]]) -> "Subspace":
+        """The span of vectors given as element indices of ``ctx``, each in
+        range(ctx.q) (unchecked, like ``FieldCtx.from_index``)."""
+        rows = list(rows)
         if any(len(r) != ambient_dim for r in rows):
             raise ValueError("vector length differs from ambient dimension")
-        reduced, pivots = _rref_rows(rows, ambient_dim)
+        reduced, pivots = _rref_rows(rows, ambient_dim, ctx)
         basis = tuple(tuple(r) for r in reduced[:len(pivots)])
         return cls(ctx, ambient_dim, basis, tuple(pivots))
 
@@ -203,21 +219,27 @@ class Subspace:
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.index_basis)
 
-    def reduce(self, v: Sequence[FieldElem]) -> Vector:
-        """Residual of v after eliminating along the basis pivots."""
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        elems = self.ctx._elems
+        return tuple(tuple(elems[x] for x in row) for row in self.index_basis)
+
+    def reduce(self, row: Sequence[int]) -> Sequence[int]:
+        """Residual of a vector of element indices (unchecked) after
+        eliminating along the basis pivots, as element indices."""
+        add, mul, neg = self.ctx._add, self.ctx._mul, self.ctx._neg
+        for brow, c in zip(self.index_basis, self.pivots):
+            if row[c]:
+                minus_f = mul[neg[row[c]]]
+                row = [add[x][minus_f[y]] for x, y in zip(row, brow)]
+        return row
+
+    def contains_vector(self, v: Sequence) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        out = list(v)
-        for row, c in zip(self.basis, self.pivots):
-            f = out[c]
-            if f:
-                out = [x - f * y for x, y in zip(out, row)]
-        return tuple(out)
-
-    def contains_vector(self, v: Sequence[FieldElem]) -> bool:
-        return not any(self.reduce(v))
+        return not any(self.reduce([self.ctx(e)._idx for e in v]))
 
     def contains(self, inner: "Subspace") -> bool:
         """True iff every basis row of ``inner`` lies in this row space.
@@ -228,11 +250,14 @@ class Subspace:
         """
         if inner.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains_vector(row) for row in inner.basis)
+        if inner.ctx is not self.ctx:
+            raise ContextMismatchError(f"subspaces over {self.ctx!r} and {inner.ctx!r}")
+        return not any(any(self.reduce(row)) for row in inner.index_basis)
 
     def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return (isinstance(other, Subspace) and self.ctx is other.ctx
+                and self.ambient_dim == other.ambient_dim
+                and self.index_basis == other.index_basis)
 
     def __hash__(self):
         return self._h
@@ -281,36 +306,47 @@ def wedge_basis_subsets(n: int) -> list[tuple[int, ...]]:
     return sorted(combinations(range(2 * n), n), key=lambda s: tuple(reversed(s)))
 
 
-def _wedge_expand(vectors: Sequence[Vector], n: int, ctx: FieldCtx) -> Vector:
-    """Coordinates of v_1 ^ ... ^ v_n in the colex wedge basis of F^(2n)."""
-    acc: dict[tuple[int, ...], FieldElem] = {(): ctx.one()}
+@lru_cache(maxsize=None)
+def _colex_ranks(n: int) -> dict[tuple[int, ...], int]:
+    return {subset: i for i, subset in enumerate(wedge_basis_subsets(n))}
+
+
+def _wedge_terms(vectors: Sequence[Sequence[int]], ctx: FieldCtx,
+                 terms: dict[tuple[int, ...], int] | None = None) -> dict[tuple[int, ...], int]:
+    """Nonzero coordinates of w ^ v_1 ^ ... ^ v_r, keyed by increasing index
+    subsets, where w is given by ``terms`` (default: the empty wedge, 1);
+    vectors and coordinates are element indices."""
+    add, mul, neg = ctx._add, ctx._mul, ctx._neg
+    acc = {(): 1} if terms is None else terms
     for v in vectors:
         support = [(j, c) for j, c in enumerate(v) if c]
-        nxt: dict[tuple[int, ...], FieldElem] = {}
+        nxt: dict[tuple[int, ...], int] = {}
         for subset, coeff in acc.items():
+            times_coeff = mul[coeff]
             for j, c in support:
-                if j in subset:
+                pos = bisect_left(subset, j)
+                if pos < len(subset) and subset[pos] == j:
                     continue
-                pos = sum(1 for s in subset if s < j)
-                term = coeff * c
+                term = times_coeff[c]
                 if (len(subset) - pos) % 2:
-                    term = -term
-                key_list = list(subset)
-                key_list.insert(pos, j)
-                key = tuple(key_list)
-                prev = nxt.get(key)
-                total = term if prev is None else prev + term
+                    term = neg[term]
+                key = subset[:pos] + (j,) + subset[pos:]
+                total = add[nxt.get(key, 0)][term]
                 if total:
                     nxt[key] = total
-                elif prev is not None:
-                    del nxt[key]
+                else:
+                    nxt.pop(key, None)
         acc = nxt
-    dim = comb(2 * n, n)
-    zero = ctx.zero()
-    coords = [zero] * dim
-    for subset, coeff in acc.items():
-        coords[wedge_basis_index(n, subset)] = coeff
-    return tuple(coords)
+    return acc
+
+
+def _wedge_coords(terms: dict[tuple[int, ...], int], n: int) -> list[int]:
+    """The colex coordinate vector of an n-fold wedge given by its terms."""
+    ranks = _colex_ranks(n)
+    coords = [0] * len(ranks)
+    for subset, coeff in terms.items():
+        coords[ranks[subset]] = coeff
+    return coords
 
 
 def wedge_of_lines(lines: Sequence[Subspace]) -> Subspace:
@@ -318,35 +354,23 @@ def wedge_of_lines(lines: Sequence[Subspace]) -> Subspace:
     exterior power.
 
     Line i must be one-dimensional and supported in coordinates
-    {2i, 2i+1}; the blocks are pairwise disjoint and increasing, so the
-    product expansion needs no sign bookkeeping.
+    {2i, 2i+1}, so the wedge of the spanning vectors is nonzero.
     """
     n = len(lines)
     if n == 0:
         raise ValueError("need at least one line")
     ctx = lines[0].ctx
     ambient = 2 * n
-    coeff_pairs = []
     for i, line in enumerate(lines):
         if line.dim != 1 or line.ambient_dim != ambient:
             raise ValueError(f"input {i} is not a line of a {ambient}-dim space")
-        row = line.basis[0]
+        if line.ctx is not ctx:
+            raise ContextMismatchError(f"line {i} lies over {line.ctx!r}, not {ctx!r}")
+        row = line.index_basis[0]
         if any(row[j] for j in range(ambient) if j not in (2 * i, 2 * i + 1)):
             raise ValueError(f"line {i} is not supported in block {{{2 * i}, {2 * i + 1}}}")
-        coeff_pairs.append((row[2 * i], row[2 * i + 1]))
-    dim = comb(ambient, n)
-    zero = ctx.zero()
-    coords = [zero] * dim
-    for eps in product((0, 1), repeat=n):
-        coeff = ctx.one()
-        for i, e in enumerate(eps):
-            coeff = coeff * coeff_pairs[i][e]
-            if not coeff:
-                break
-        if coeff:
-            subset = tuple(2 * i + e for i, e in enumerate(eps))
-            coords[wedge_basis_index(n, subset)] = coeff
-    return Subspace.from_vectors(ctx, dim, [coords])
+    terms = _wedge_terms([line.index_basis[0] for line in lines], ctx)
+    return Subspace.from_index_rows(ctx, comb(ambient, n), [_wedge_coords(terms, n)])
 
 
 @lru_cache(maxsize=None)
@@ -370,16 +394,14 @@ def induced_filtration(omega: Subspace, m: int) -> Subspace:
     if not 0 <= m <= n:
         raise ValueError(f"filtration index must be in [0, {n}], got {m}")
     ctx = omega.ctx
-    zero = ctx.zero()
-    one = ctx.one()
-    complement = []
     pivot_set = set(omega.pivots)
-    for c in range(ambient):
-        if c not in pivot_set:
-            complement.append(tuple(one if j == c else zero for j in range(ambient)))
+    # element index 1 is the field's one, 0 its zero
+    complement = [tuple(int(j == c) for j in range(ambient))
+                  for c in range(ambient) if c not in pivot_set]
     spanning = []
     for j in range(m, n + 1):
-        for part_a in combinations(omega.basis, j):
+        for part_a in combinations(omega.index_basis, j):
+            wedge_a = _wedge_terms(part_a, ctx)
             for part_b in combinations(complement, n - j):
-                spanning.append(_wedge_expand(list(part_a) + list(part_b), n, ctx))
-    return Subspace.from_vectors(ctx, comb(ambient, n), spanning)
+                spanning.append(_wedge_coords(_wedge_terms(part_b, ctx, wedge_a), n))
+    return Subspace.from_index_rows(ctx, comb(ambient, n), spanning)

@@ -12,7 +12,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
-from .field import TABLE_LIMIT, FieldCtx, FieldElem
+from .field import FieldCtx, FieldElem
 from .linalg import Matrix
 from .schubert import GroupElem, bruhat_word, stratum_label
 from .weyl import CocharDatum, WeylElem, all_weyl_elems
@@ -103,9 +103,10 @@ def _equal_det_tuples(groups: dict[int, list[Matrix]], n: int):
 
 def enumerate_G(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[GroupElem]:
     """All n-tuples of invertible 2x2 matrices with pairwise equal
-    determinants, in deterministic (determinant-major) order."""
-    gl2_order = (ctx.q ** 2 - 1) * (ctx.q ** 2 - ctx.q)
-    implied = gl2_order ** n
+    determinants, in deterministic (determinant-major) order; there are
+    (q-1)(q(q^2-1))^n of them."""
+    q = ctx.q
+    implied = (q - 1) * (q * (q * q - 1)) ** n
     if implied > bound:
         raise BoundExceededError(implied, bound, "group enumeration")
     return [GroupElem(fs) for fs in _equal_det_tuples(_gl2_by_det(ctx), n)]
@@ -154,9 +155,6 @@ def zip_group_generators(ctx: FieldCtx, n: int) -> list[ZipGroupElem]:
     diag(gamma, gamma^(-1)) in one factor and diag(gamma, 1) in every factor;
     it is trivial when q = 2.  That gives 2nk + n + 1 generators (2n over F_2).
     """
-    if ctx._mul is None:
-        raise ValueError(f"zip-group generators need a field of at most "
-                         f"{TABLE_LIMIT} elements")
     zero, one = ctx.zero(), ctx.one()
     identity = GroupElem.identity(ctx, n)
     eye = Matrix.identity(ctx, 2)
@@ -233,8 +231,6 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
         raise ValueError("need non-empty group and acting lists")
     ctx = g_list[0].ctx
     n = g_list[0].n
-    if ctx._mul is None:
-        raise ValueError(f"the orbit scan needs a field of at most {TABLE_LIMIT} elements")
     g_keys = [tuple(_mat_key(f) for f in g.factors) for g in g_list]
     idx_of = {key: i for i, key in enumerate(g_keys)}
     uf = UnionFind(len(g_list))

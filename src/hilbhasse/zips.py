@@ -41,10 +41,9 @@ def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspac
     if not 0 <= block < n:
         raise ValueError("block index out of range")
     a, b = (ctx(x) for x in local)
-    zero = ctx.zero()
-    vec = [zero] * (2 * n)
-    vec[2 * block], vec[2 * block + 1] = a, b
-    line = Subspace.from_vectors(ctx, 2 * n, [vec])
+    vec = [0] * (2 * n)
+    vec[2 * block], vec[2 * block + 1] = a.index, b.index
+    line = Subspace.from_index_rows(ctx, 2 * n, [vec])
     if line.dim != 1:
         raise ValueError("local coordinates span no line")
     return line
@@ -78,7 +77,7 @@ class HilbertZip:
             for i, line in enumerate(lines):
                 if line.ctx != self.ctx or line.ambient_dim != 2 * self.n or line.dim != 1:
                     raise ValueError(f"{name}[{i}] is not a line of the ambient space")
-                row = line.basis[0]
+                row = line.index_basis[0]
                 if any(row[j] for j in range(2 * self.n) if j // 2 != i):
                     raise ValueError(f"{name}[{i}] is not supported in block {i}")
 
@@ -128,8 +127,8 @@ def max_hodge_level(z: HilbertZip) -> int:
 
     Always >= 0 since piece 0 is the whole exterior power.
     """
-    total_omega = Subspace.from_vectors(
-        z.ctx, 2 * z.n, [row for line in z.omega for row in line.basis])
+    total_omega = Subspace.from_index_rows(
+        z.ctx, 2 * z.n, [row for line in z.omega for row in line.index_basis])
     conj_line = wedge_of_lines(z.conj)
     for m in range(z.n, -1, -1):
         if induced_filtration(total_omega, m).contains(conj_line):

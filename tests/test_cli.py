@@ -164,6 +164,8 @@ def test_failed_equivalence_prints_replayable_counterexample(capsys, monkeypatch
     '{"p": 3, "n": 1, "omega": 5, "conj": [[1, 0]]}',
     '[1, 2]',
     '{"p": 3, "n": 1, "omega": [[1.5, 0]], "conj": [[1, 0]]}',
+    # well formed, but F_{2^20} is above the field size limit
+    '{"p": 2, "k": 20, "n": 1, "omega": [[[1], [0]]], "conj": [[[1], [0]]]}',
 ])
 def test_malformed_zip_json_is_a_usage_error(capsys, tmp_path, text):
     path = tmp_path / "zip.json"
@@ -176,7 +178,7 @@ def test_malformed_zip_json_is_a_usage_error(capsys, tmp_path, text):
 
 
 def test_orbit_scan_refusal(capsys):
-    # 48^2 = 2,304 tuples pass the group bound; 1,152 x 7 generator actions do not
+    # |G| = 1,152 passes the group bound; 1,152 x 7 generator actions do not
     code = main(["orbits", "--p", "3", "--n", "2", "--bound", "5000"])
     captured = capsys.readouterr()
     assert code == 3

@@ -1,5 +1,8 @@
 """Field contexts: modulus selection, arithmetic axioms, Frobenius."""
 
+import copy
+import pickle
+
 import pytest
 
 from hilbhasse.field import ContextMismatchError, FieldCtx
@@ -71,11 +74,25 @@ def test_inverse_of_two_in_f3(F3):
     assert F3(2).inverse() == F3(2)
 
 
-def test_cross_context_arithmetic_is_an_error(F2, F3):
+def test_cross_context_arithmetic_is_an_error(F2, F3, F4):
     with pytest.raises(ContextMismatchError):
         F2(1) + F3(1)
     with pytest.raises(ContextMismatchError):
         F2(1) * F3(2)
+    # same characteristic, same element index, different fields
+    with pytest.raises(ContextMismatchError):
+        F2(1) + F4(1)
+    with pytest.raises(ContextMismatchError):
+        F4(F2(1))
+    assert F2(1) != F4(1)
+
+
+def test_contexts_are_shared_per_field(F4):
+    assert FieldCtx(2, 2) is F4 and FieldCtx(2) is FieldCtx(2) is not F4
+    # copies and pickles resolve to the shared context, so equality, which
+    # is identity, survives them
+    assert copy.deepcopy(F4) is F4
+    assert pickle.loads(pickle.dumps(F4.gen())) == F4.gen()
 
 
 def test_inverse_of_zero_is_an_error(F2):

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from hilbhasse.field import FieldCtx
+from hilbhasse.field import ContextMismatchError, FieldCtx
 from hilbhasse.linalg import (Matrix, SemilinearMap, Subspace, induced_filtration,
                               rref, wedge_basis_index, wedge_basis_subsets,
                               wedge_of_lines)
@@ -105,6 +105,22 @@ def test_containment_is_a_partial_order(p):
             for c in spaces:
                 if a.contains(b) and b.contains(c):
                     assert a.contains(c)
+
+
+def test_subspaces_over_different_fields_stay_apart(F2, F4):
+    # identical index rows ((1, 0),) over F_2 and F_4
+    omega2 = Subspace.from_vectors(F2, 2, [[1, 0]])
+    omega4 = Subspace.from_vectors(F4, 2, [[1, 0]])
+    assert omega2.index_basis == omega4.index_basis
+    assert omega2 != omega4
+    # one memo key would hand the F_2 piece to the F_4 caller
+    assert induced_filtration(omega2, 1).ctx is F2
+    assert induced_filtration(omega4, 1).ctx is F4
+    with pytest.raises(ContextMismatchError):
+        omega2.contains(omega4)
+    with pytest.raises(ContextMismatchError):
+        wedge_of_lines([block_line(F2, 2, 0, (F2.one(), F2.zero())),
+                        block_line(F4, 2, 1, (F4.one(), F4.zero()))])
 
 
 def test_canonical_basis_ignores_presentation(F3):

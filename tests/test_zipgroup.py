@@ -1,6 +1,7 @@
 """Enumeration of the determinant-matched group and its acting pairs, orbit
 partition, cell census."""
 
+import time
 from itertools import product
 
 import pytest
@@ -217,9 +218,17 @@ def test_generators_in_f4_carry_frobenius_coupled_diagonals(F4):
 
 
 def test_fields_without_tables_are_refused():
-    big = FieldCtx(257)
-    identity = GroupElem.identity(big, 1)
-    with pytest.raises(ValueError):
-        zip_group_generators(big, 1)
-    with pytest.raises(ValueError):
-        orbits([identity], [ZipGroupElem(identity, identity)])
+    # every context has tables, so a field too large for them is refused
+    # before any modulus search: F_{2^20} used to take seconds to build
+    start = time.perf_counter()
+    for p, k in ((257, 1), (2, 9), (2, 20)):
+        with pytest.raises(ValueError):
+            FieldCtx(p, k)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_enumerate_g_is_bounded_by_the_exact_group_order(F3):
+    # |G| = (q-1)(q(q^2-1))^n = 1152 for q = 3, n = 2
+    assert len(enumerate_G(F3, 2, bound=1152)) == 1152
+    with pytest.raises(BoundExceededError):
+        enumerate_G(F3, 2, bound=1151)
