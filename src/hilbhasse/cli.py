@@ -93,7 +93,15 @@ def _cmd_verify_equivalence(config: RunConfig) -> int:
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
+def _refuse_sign_vectors(config: RunConfig):
+    """Refuse before enumerating when the 2^n sign vectors exceed --bound."""
+    implied = 2 ** config.n
+    if implied > config.bound:
+        raise BoundExceededError(implied, config.bound, "sign-vector enumeration")
+
+
 def _cmd_strata_table(config: RunConfig) -> int:
+    _refuse_sign_vectors(config)
     ctx = FieldCtx(config.p, config.k)
     h = hasse_section(ctx, config.n)
     rows = []
@@ -112,6 +120,7 @@ def _cmd_strata_table(config: RunConfig) -> int:
 
 
 def _cmd_weight_space(config: RunConfig) -> int:
+    _refuse_sign_vectors(config)
     ctx = FieldCtx(config.p, config.k)
     target = _parse_target(config.target, config.n)
     basis = torus_weight_space(ctx, config.n, target)

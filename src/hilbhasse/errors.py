@@ -12,4 +12,7 @@ class BoundExceededError(RuntimeError):
     def __init__(self, implied: int, bound: int, what: str = "enumeration"):
         self.implied = implied
         self.bound = bound
-        super().__init__(f"{what} would visit {implied} items, above the bound {bound}")
+        # str() refuses ints of more than 4,300 digits, so huge counts are
+        # shown by their size in bits
+        shown = implied if implied < 2 ** 64 else f"about 2^{implied.bit_length() - 1}"
+        super().__init__(f"{what} would visit {shown} items, above the bound {bound}")

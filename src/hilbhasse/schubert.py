@@ -6,8 +6,9 @@ pair [x_i0 : x_i1] per factor.  The distinguished section is the product of
 the first coordinates; its zero locus stratifies the space into cells
 indexed by sign vectors, with an affine line at each -1 entry and the point
 [0 : 1] at each +1 entry.  Vanishing orders are computed symbolically in
-chart parameters, never by sampling, so they are exact over any finite
-field.
+chart parameters, never by sampling: coefficients of the restriction are
+summed exactly on the field's index tables, so the orders are exact over
+any finite field.
 """
 
 from __future__ import annotations
@@ -330,6 +331,8 @@ def torus_weight_space(ctx: FieldCtx, n: int, target) -> list[MultiPoly]:
     a Character or a raw pair (a-sequence, c), the latter allowing probes
     that violate the parity constraint (which simply match nothing).
     """
+    if n < 1:
+        raise ValueError("need at least one factor")
     if isinstance(target, Character):
         ta, tc = target.a, target.c
     else:
@@ -368,66 +371,18 @@ def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:
 # -- vanishing orders ------------------------------------------------------------
 
 
-class _ChartPoly:
-    """Polynomial in a fixed number of affine chart variables (internal)."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict):
-        self.nvars = nvars
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @classmethod
-    def const(cls, nvars: int, c: FieldElem) -> "_ChartPoly":
-        return cls(nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int, ctx: FieldCtx) -> "_ChartPoly":
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {e: ctx.one()})
-
-    def __add__(self, other: "_ChartPoly") -> "_ChartPoly":
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in merged:
-                merged[e] = merged[e] + c
-            else:
-                merged[e] = c
-        return _ChartPoly(self.nvars, merged)
-
-    def __mul__(self, other: "_ChartPoly") -> "_ChartPoly":
-        out: dict[tuple[int, ...], FieldElem] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                if key in out:
-                    out[key] = out[key] + c1 * c2
-                else:
-                    out[key] = c1 * c2
-        return _ChartPoly(self.nvars, out)
-
-    def __pow__(self, d: int) -> "_ChartPoly":
-        if d < 1:
-            raise ValueError("chart powers are only taken with d >= 1")
-        acc = self
-        for _ in range(d - 1):
-            acc = acc * self
-        return acc
-
-
-def _restrict(f: MultiPoly, images: Sequence[tuple["_ChartPoly", "_ChartPoly"]],
-              nvars: int) -> "_ChartPoly":
-    """Substitute chart images for every coordinate pair of f."""
-    acc = _ChartPoly(nvars, {})
-    for exps, coeff in f.terms.items():
-        term = _ChartPoly.const(nvars, coeff)
-        for (d0, d1), (img0, img1) in zip(exps, images):
-            if d0:
-                term = term * img0 ** d0
-            if d1:
-                term = term * img1 ** d1
-        acc = acc + term
-    return acc
+def _binomial_row(ctx: FieldCtx, v: int, d: int) -> list[tuple[int, int]]:
+    """The nonzero terms (j, C(d, j) v^(d-j)) of (v + w)^d as coefficient
+    indices.  C(d, j) is reduced mod p: the prime-field element c has index c."""
+    mul, p = ctx._mul, ctx.p
+    row = []
+    power = 1  # v^(d-j) as j runs down from d
+    for j in range(d, -1, -1):
+        c = mul[math.comb(d, j) % p][power]
+        if c:
+            row.append((j, c))
+        power = mul[power][v]
+    return row
 
 
 def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
@@ -435,30 +390,31 @@ def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
 
     The point is moved to the origin of the affine chart selected by its
     nonvanishing coordinate in each factor; the order is the least total
-    degree of a surviving monomial of the restricted polynomial.  Returns
-    INFINITE_ORDER when the restriction is identically zero, which cannot
-    happen for a nonzero section of the (1, ..., 1) bundle.
+    degree of a surviving monomial of the restricted polynomial.  The
+    restriction is expanded term by term into one dict of chart monomials,
+    and coefficients are summed on the field's index tables before zeros
+    are dropped, so cancellation is exact.  Returns INFINITE_ORDER when the
+    restriction is identically zero, which cannot happen for a nonzero
+    section of the (1, ..., 1) bundle.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no well-defined order")
     if pt.n != f.n or pt.ctx != f.ctx:
         raise ValueError("point and polynomial are incompatible")
-    n = f.n
     ctx = f.ctx
-    images = []
-    for i, (u, v) in enumerate(pt.coords):
-        w = _ChartPoly.variable(n, i, ctx)
-        if u:
-            # chart x0 != 0: x0 -> 1, x1 -> v + w
-            images.append((_ChartPoly.const(n, ctx.one()),
-                           _ChartPoly.const(n, v) + w))
-        else:
-            # chart x1 != 0: x0 -> w, x1 -> 1
-            images.append((w, _ChartPoly.const(n, ctx.one())))
-    restricted = _restrict(f, images, n)
-    if not restricted.terms:
-        return INFINITE_ORDER
-    return min(sum(e) for e in restricted.terms)
+    add, mul = ctx._add, ctx._mul
+    restricted: dict[tuple[int, ...], int] = {}
+    for exps, coeff in f.terms.items():
+        # chart x0 != 0: x0 -> 1, x1 -> v + w; chart x1 != 0: x0 -> w, x1 -> 1
+        rows = [_binomial_row(ctx, v.index, d1) if u else [(d0, 1)]
+                for (d0, d1), (u, v) in zip(exps, pt.coords)]
+        for choice in product(*rows):
+            c = coeff.index
+            for _, b in choice:
+                c = mul[c][b]
+            e = tuple([j for j, _ in choice])
+            restricted[e] = add[restricted.get(e, 0)][c]
+    return min((sum(e) for e, c in restricted.items() if c), default=INFINITE_ORDER)
 
 
 def vanishing_order_on_stratum(f: MultiPoly, w: WeylElem):
@@ -466,27 +422,21 @@ def vanishing_order_on_stratum(f: MultiPoly, w: WeylElem):
 
     The cell is parametrized by one affine variable per -1 entry (the chart
     [1 : t]); each +1 entry contributes a normal parameter s via the chart
-    [s : 1].  The order is the least total s-degree over the surviving terms
-    of the restriction, computed symbolically so the answer is valid over
-    any coefficient field.
+    [s : 1].  Each term of f restricts to a single chart monomial; the
+    coefficients of equal monomials are summed exactly before zeros are
+    dropped, and the order is the least total s-degree over the surviving
+    monomials, so the answer is valid over any coefficient field.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no well-defined order")
     if w.n != f.n:
         raise ValueError("sign vector and polynomial are incompatible")
-    n = f.n
-    ctx = f.ctx
-    images = []
-    normal_vars = []
-    for i, sign in enumerate(w.signs):
-        var = _ChartPoly.variable(n, i, ctx)
-        one = _ChartPoly.const(n, ctx.one())
-        if sign == -1:
-            images.append((one, var))
-        else:
-            normal_vars.append(i)
-            images.append((var, one))
-    restricted = _restrict(f, images, n)
-    if not restricted.terms:
-        return INFINITE_ORDER
-    return min(sum(e[i] for i in normal_vars) for e in restricted.terms)
+    add = f.ctx._add
+    signs = w.signs
+    restricted: dict[tuple[int, ...], int] = {}
+    for exps, coeff in f.terms.items():
+        e = tuple(d1 if sign == -1 else d0 for (d0, d1), sign in zip(exps, signs))
+        restricted[e] = add[restricted.get(e, 0)][coeff.index]
+    normal = [i for i, sign in enumerate(signs) if sign == 1]
+    return min((sum([e[i] for i in normal]) for e, c in restricted.items() if c),
+               default=INFINITE_ORDER)

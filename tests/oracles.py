@@ -1,8 +1,9 @@
 """Small independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the library's own code paths: polynomial division
-is schoolbook, ranks come from elimination without back substitution, and
-wedge coordinates come from cofactor-expanded minors.
+is schoolbook, ranks come from elimination without back substitution,
+wedge coordinates come from cofactor-expanded minors, and vanishing orders
+come from multiplying out chart substitutions on FieldElem objects.
 """
 
 from itertools import combinations
@@ -88,3 +89,71 @@ def wedge_coords_by_minors(vectors, n):
     for subset in subsets:
         coords.append(cofactor_det([[v[c] for c in subset] for v in vectors]))
     return coords
+
+
+class ChartPoly:
+    """Schoolbook polynomial in n affine chart variables: a dict from
+    exponent tuples to nonzero FieldElem coefficients."""
+
+    def __init__(self, n, terms):
+        self.n = n
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def const(cls, n, c):
+        return cls(n, {(0,) * n: c})
+
+    @classmethod
+    def variable(cls, n, i, ctx):
+        return cls(n, {tuple(int(j == i) for j in range(n)): ctx.one()})
+
+    def __add__(self, other):
+        merged = dict(self.terms)
+        for e, c in other.terms.items():
+            merged[e] = merged[e] + c if e in merged else c
+        return ChartPoly(self.n, merged)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return ChartPoly(self.n, out)
+
+
+def _restrict(f, images):
+    """Substitute a pair of chart images for every coordinate pair of f."""
+    acc = ChartPoly(f.n, {})
+    for exps, coeff in f.terms.items():
+        term = ChartPoly.const(f.n, coeff)
+        for (d0, d1), (img0, img1) in zip(exps, images):
+            for img in [img0] * d0 + [img1] * d1:
+                term = term * img
+        acc = acc + term
+    return acc
+
+
+def chart_order_at_point(f, pt):
+    """Order of f at a point: x0 -> 1, x1 -> v + w_i where u != 0, and
+    x0 -> w_i, x1 -> 1 where u == 0; least total degree that survives."""
+    ctx, n = f.ctx, f.n
+    images = []
+    for i, (u, v) in enumerate(pt.coords):
+        w, one = ChartPoly.variable(n, i, ctx), ChartPoly.const(n, ctx.one())
+        images.append((one, ChartPoly.const(n, v) + w) if u else (w, one))
+    restricted = _restrict(f, images)
+    return min((sum(e) for e in restricted.terms), default=float("inf"))
+
+
+def chart_order_on_stratum(f, w):
+    """Order of f along the cell of w: [1 : t_i] at -1 entries, [s_i : 1] at
+    +1 entries; least total s-degree that survives."""
+    ctx, n = f.ctx, f.n
+    images = []
+    for i, sign in enumerate(w.signs):
+        var, one = ChartPoly.variable(n, i, ctx), ChartPoly.const(n, ctx.one())
+        images.append((one, var) if sign == -1 else (var, one))
+    restricted = _restrict(f, images)
+    normal = [i for i, sign in enumerate(w.signs) if sign == 1]
+    return min((sum(e[i] for i in normal) for e in restricted.terms), default=float("inf"))

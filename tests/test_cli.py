@@ -119,6 +119,31 @@ def test_bound_refusal_exit_code(capsys):
     assert code == 3
 
 
+def test_sign_vector_bound_is_checked_up_front(capsys):
+    # 2^14 = 16,384 sign vectors: one above the bound is refused before
+    # anything is printed, the bound itself is accepted
+    code, out = run_cli(capsys, ["strata-table", "--n", "14", "--bound", "16383"])
+    assert code == 3 and out == ""
+    code, out = run_cli(capsys, ["strata-table", "--n", "14", "--bound", "16384"])
+    assert code == 0 and len(out.splitlines()) == 1 + 2 ** 14
+    code, out = run_cli(capsys, ["weight-space", "--n", "30"])
+    assert code == 3 and out == ""
+
+
+@pytest.mark.parametrize("argv", [["strata-table", "--n", "20000"],
+                                  ["verify-equivalence", "--n", "5000"]])
+def test_refusal_of_a_count_too_long_to_print(capsys, argv):
+    # 2^20000 and 3^10000 have more digits than str() converts
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith("refused: ") and "about 2^" in err
+
+
+def test_weight_space_needs_a_factor(capsys):
+    code, out = run_cli(capsys, ["weight-space", "--n", "0"])
+    assert code == 2 and out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

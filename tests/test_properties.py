@@ -1,16 +1,28 @@
 """Randomized properties of the integer-index kernels over fields of up to
 256 elements, each checked against an oracle that does not share their code
-path: ranks by forward elimination, wedges by cofactor minors, and the field
-axioms element by element.  Every test also runs its F_256 example."""
+path: ranks by forward elimination, wedges by cofactor minors, vanishing
+orders by multiplied-out chart substitutions, and the field axioms element
+by element.  Every test also runs its F_256 example.  Zip JSON round-trips
+and the zip-check exit-code contract on fuzzed input are checked here too."""
 
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from math import comb
+from unittest import mock
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from hilbhasse.cli import main
 from hilbhasse.field import TABLE_LIMIT, FieldCtx
 from hilbhasse.linalg import Matrix, Subspace, induced_filtration, rref, wedge_of_lines
-from oracles import naive_rank, wedge_coords_by_minors
+from hilbhasse.schubert import (MultiPoly, PointP1n, vanishing_order_at_point,
+                                vanishing_order_on_stratum)
+from hilbhasse.weyl import all_weyl_elems
+from hilbhasse.zips import HilbertZip, line_in_block, zip_from_json_obj, zip_to_json_obj
+from oracles import (chart_order_at_point, chart_order_on_stratum, naive_rank,
+                     wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -183,3 +195,143 @@ def test_field_axioms_on_random_triples(data):
     assert (x * y).frobenius() == x.frobenius() * y.frobenius()
     assert (x + y).frobenius() == x.frobenius() + y.frobenius()
     assert x.frobenius() == x ** ctx.p
+
+
+def points(ctx, n):
+    """Normalized points of (P^1)^n: [1 : v] or [0 : 1] in each factor."""
+    factor = st.one_of(elements(ctx).map(lambda v: (ctx.one(), v)),
+                       st.just((ctx.zero(), ctx.one())))
+    return st.lists(factor, min_size=n, max_size=n).map(lambda pairs: PointP1n(ctx, pairs))
+
+
+@st.composite
+def planted_sections(draw):
+    """A polynomial in n <= 3 factors with exponents up to 2, not
+    necessarily homogeneous, and a point at which cancellation is planted.
+    Some terms get a twin of opposite sign that differs only in exponents
+    the point's chart sends to 1 (the coordinate x_i0 where the point is
+    [1 : v], x_i1 where it is [0 : 1]); twinning every term makes the
+    restriction vanish.  Half the draws are also multiplied by
+    (x_i1 - v x_i0)^e at a factor [1 : v], whose restriction w^e needs the
+    binomial coefficients of (v + w)^e reduced mod p; e <= 3 reaches p
+    only in characteristic 2 and 3, so those fields are drawn as often as
+    all the others together."""
+    ctx = draw(st.one_of(fields.filter(lambda c: c.p <= 3), fields))
+    n = draw(st.integers(1, 3))
+    pt = draw(points(ctx, n))
+    exponent = st.integers(0, 2)
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = [(draw(exponent), draw(exponent)) for _ in range(n)]
+        coeff = draw(elements(ctx, nonzero=True))
+        terms[tuple(exps)] = terms.get(tuple(exps), ctx.zero()) + coeff
+        if draw(st.booleans()):
+            i = draw(st.integers(0, n - 1))
+            d0, d1 = exps[i]
+            if pt.coords[i][0]:
+                exps[i] = ((d0 + 1) % 3, d1)
+            else:
+                exps[i] = (d0, (d1 + 1) % 3)
+            terms[tuple(exps)] = terms.get(tuple(exps), ctx.zero()) - coeff
+    f = MultiPoly(ctx, n, terms)
+    chart_one = [i for i, (u, _) in enumerate(pt.coords) if u]
+    if chart_one and draw(st.booleans()):
+        i = draw(st.sampled_from(chart_one))
+        line = (MultiPoly.coordinate(ctx, n, i, 1)
+                - pt.coords[i][1] * MultiPoly.coordinate(ctx, n, i, 0))
+        for _ in range(draw(st.integers(1, 3))):
+            f = f * line
+    assume(not f.is_zero())
+    return f, [pt] + draw(st.lists(points(ctx, n), max_size=2))
+
+
+def f256_planted():
+    """Over F_256: x10 x21 - x10^2 x21 restricts to 0 wherever the first
+    factor is [1 : v], and x11 (x21 - u^9 x20)^2 restricts to (v + w1) w2^2
+    at [1 : v] x [1 : u^9], since 2 = 0 in characteristic 2."""
+    u = F256.gen()
+    x = [[MultiPoly.coordinate(F256, 2, i, j) for j in (0, 1)] for i in (0, 1)]
+    twins = x[0][0] * x[1][1] - x[0][0] * x[0][0] * x[1][1]
+    line = x[1][1] - u ** 9 * x[1][0]
+    pts = [PointP1n(F256, [(1, u), (1, u ** 9)]), PointP1n(F256, [(0, 1), (1, u ** 9)])]
+    return [(twins, pts), (twins + x[0][1] * line * line, pts)]
+
+
+@PROPERTY
+@given(planted_sections())
+@example(f256_planted()[0])
+@example(f256_planted()[1])
+def test_vanishing_orders_match_chart_substitution(case):
+    f, pts = case
+    for w in all_weyl_elems(f.n):
+        assert vanishing_order_on_stratum(f, w) == chart_order_on_stratum(f, w)
+    for pt in pts:
+        assert vanishing_order_at_point(f, pt) == chart_order_at_point(f, pt)
+
+
+@st.composite
+def zips(draw, ctx=None):
+    """A zip over a random field with n <= 3: a random permutation and one
+    random line per block for omega and for conj."""
+    ctx = ctx or draw(fields)
+    n = draw(st.integers(1, 3))
+    pair = st.tuples(elements(ctx), elements(ctx)).filter(any)
+    omega = [line_in_block(ctx, n, i, draw(pair)) for i in range(n)]
+    conj = [line_in_block(ctx, n, i, draw(pair)) for i in range(n)]
+    return HilbertZip(ctx, n, tuple(draw(st.permutations(range(n)))), tuple(omega), tuple(conj))
+
+
+@PROPERTY
+@given(st.one_of(zips(), zips(F256)))
+def test_zip_json_round_trip(z):
+    text = json.dumps(zip_to_json_obj(z))
+    assert zip_from_json_obj(json.loads(text)) == z
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 9) | st.integers() | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                max_size=4),
+    max_leaves=10)
+
+
+@st.composite
+def fuzzed_zip_json(draw):
+    """Text for zip-check: arbitrary JSON, or a valid zip with one key
+    dropped, with one value at any depth replaced by arbitrary JSON, or cut
+    short."""
+    kind = draw(st.sampled_from(["json", "drop", "replace", "replace", "replace", "cut"]))
+    if kind == "json":
+        return json.dumps(draw(json_values))
+    obj = zip_to_json_obj(draw(zips()))
+    text = json.dumps(obj)
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    key = draw(st.sampled_from(sorted(obj)))
+    if kind == "drop":
+        del obj[key]
+        return json.dumps(obj)
+    parent = obj
+    while isinstance(parent[key], (list, dict)) and parent[key] and draw(st.booleans()):
+        parent = parent[key]
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                   else range(len(parent))))
+    parent[key] = draw(json_values)
+    return json.dumps(obj)
+
+
+# the input space is wide and each example costs about a millisecond
+@settings(PROPERTY, max_examples=300)
+@given(fuzzed_zip_json())
+@example('{"p": 2, "k": 8, "n": 1, "omega": [[[0, 1], [1]]], "conj": [[[1], 0]]}')
+@example('{"p": 2, "k": 8, "n": 1, "omega": [[[0, 1], [1]]], "conj": [[0, 0]]}')
+def test_zip_check_on_fuzzed_json_keeps_the_exit_code_contract(text):
+    # an exception escaping main() is what a command-line run prints as a
+    # traceback, so calling main() directly checks both halves of the contract
+    err = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(io.StringIO()), \
+            redirect_stderr(err):
+        code = main(["zip-check"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -187,6 +187,25 @@ def test_order_at_point_over_extension_field(F4):
     assert vanishing_order_at_point(f, PointP1n(F4, [(1, 1), (1, 0)])) == 0
 
 
+def test_order_at_point_reduces_binomials_mod_p(F2):
+    # x11^2 + x10^2 at [1 : 1]: (1 + w)^2 + 1 = 2w + w^2 = w^2 over F_2
+    x10, x11 = MultiPoly.coordinate(F2, 1, 0, 0), MultiPoly.coordinate(F2, 1, 0, 1)
+    f = x11 * x11 + x10 * x10
+    assert vanishing_order_at_point(f, PointP1n(F2, [(1, 1)])) == 2
+
+
+def test_order_at_point_sums_before_dropping_zeros(F3):
+    # x11 - x10 at [1 : 1]: (1 + w) - 1 = w, the constants cancel
+    f = MultiPoly.coordinate(F3, 1, 0, 1) - MultiPoly.coordinate(F3, 1, 0, 0)
+    assert vanishing_order_at_point(f, PointP1n(F3, [(1, 1)])) == 1
+
+
+def test_order_on_stratum_of_a_cancelling_restriction(F2):
+    # x10 + x10^2 on the cell of -: both terms restrict to 1 and cancel
+    x10 = MultiPoly.coordinate(F2, 1, 0, 0)
+    assert vanishing_order_on_stratum(x10 + x10 * x10, WeylElem((-1,))) == INFINITE_ORDER
+
+
 def test_order_of_zero_polynomial_is_an_error(F2):
     with pytest.raises(ValueError):
         vanishing_order_at_point(MultiPoly.zero(F2, 1), PointP1n(F2, [(1, 0)]))
