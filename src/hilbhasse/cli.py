@@ -18,7 +18,7 @@ from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
 # enumerate_E is not called here; it stays a name of this module for code
 # that wraps cli.enumerate_E.
 from .zipgroup import (OrbitLabelError, bruhat_census, enumerate_E,  # noqa: F401
-                       enumerate_G, orbits, zip_group_generators)
+                       enumerate_G, group_order, orbits, zip_group_generators)
 from .zips import (check_equivalence, enumerate_zips, inert_perm, split_perm,
                    zip_from_json_obj, zip_to_json_obj)
 
@@ -139,7 +139,7 @@ def _cmd_census(config: RunConfig) -> int:
     q, n = ctx.q, config.n
     # closed forms, independent of the counts under test
     borel_size = (q - 1) * ((q - 1) * q) ** n
-    group_size = (q - 1) * (q * (q * q - 1)) ** n
+    group_size = group_order(ctx, n)
     ok = True
     out_rows = []
     for w, count in rows:
@@ -165,16 +165,21 @@ def _cmd_census(config: RunConfig) -> int:
 def _cmd_orbits(config: RunConfig) -> int:
     ctx = FieldCtx(config.p, config.k)
     gens = zip_group_generators(ctx, config.n)
-    q = ctx.q
     # |G| x |generators|, with |G| in closed form so a refusal costs nothing
-    actions = (q - 1) * (q * (q * q - 1)) ** config.n * len(gens)
+    actions = group_order(ctx, config.n) * len(gens)
     if actions > config.bound:
         raise BoundExceededError(actions, config.bound, "orbit scan")
     g_list = enumerate_G(ctx, config.n, bound=config.bound)
     try:
         partition = orbits(g_list, gens)
     except OrbitLabelError as exc:
-        sys.stderr.write(f"orbit label inconsistency: {exc}\n")
+        # two members with different labels, replayable through GroupElem
+        members = [{"factors": [[[e.to_list() for e in f.row(r)] for r in (0, 1)]
+                                for f in g.factors],
+                    "label": w.to_string()} for g, w in exc.members]
+        replay = {"p": ctx.p, "k": ctx.k, "n": config.n, "members": members}
+        sys.stderr.write(f"orbit label inconsistency: {exc}\t"
+                         f"{json.dumps(replay, sort_keys=True)}\n")
         return EXIT_CHECK_FAILED
     by_label = partition.by_label()
     out_rows = []

@@ -97,7 +97,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_hash", "_elems",
-                 "_add", "_mul", "_neg", "_inv", "_frob")
+                 "_add", "_mul", "_neg", "_inv", "_frob", "_primitive")
 
     _shared: dict[tuple[int, int], "FieldCtx"] = {}
 
@@ -201,6 +201,7 @@ class FieldCtx:
                 exp.append(x)
             if len(exp) == q - 1:
                 break
+        self._primitive = g
         log = {x: i for i, x in enumerate(exp)}
         exp += exp
         self._mul = [[0] * q] + [[0] + [exp[log[x] + log[y]] for y in range(1, q)]

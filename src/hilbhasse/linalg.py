@@ -21,10 +21,6 @@ from .field import ContextMismatchError, FieldCtx, FieldElem
 Vector = tuple[FieldElem, ...]
 
 
-def as_vector(ctx: FieldCtx, entries: Iterable) -> Vector:
-    return tuple(ctx(e) for e in entries)
-
-
 class Matrix:
     """A rows x cols matrix over one field context, row-major and immutable."""
 
@@ -97,22 +93,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def det(self) -> FieldElem:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return _det_rows([list(self.row(r)) for r in range(self.rows)], self.ctx)
-
-    def inverse(self) -> "Matrix":
-        """Inverse of a 2x2 matrix (all the artifact ever inverts)."""
-        if self.rows != 2 or self.cols != 2:
-            raise ValueError("inverse implemented for 2x2 matrices only")
-        a, b, c, d = self.entries
-        det = a * d - b * c
-        if not det:
-            raise ZeroDivisionError("matrix is singular")
-        inv = det.inverse()
-        return Matrix(self.ctx, 2, 2, [d * inv, -b * inv, -c * inv, a * inv])
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -155,26 +135,6 @@ def rref(m: Matrix) -> tuple[Matrix, int]:
     rows = [[e.index for e in m.row(r)] for r in range(m.rows)]
     rows, pivots = _rref_rows(rows, m.cols, m.ctx)
     return Matrix(m.ctx, m.rows, m.cols, [m.ctx._elems[x] for r in rows for x in r]), len(pivots)
-
-
-def _det_rows(rows: list[list[FieldElem]], ctx: FieldCtx) -> FieldElem:
-    n = len(rows)
-    sign_flip = False
-    det = ctx.one()
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return ctx.zero()
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign_flip = not sign_flip
-        det = det * rows[c][c]
-        inv = rows[c][c].inverse()
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return -det if sign_flip else det
 
 
 class Subspace:

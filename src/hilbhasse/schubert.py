@@ -17,7 +17,7 @@ import math
 from itertools import product
 from typing import Sequence
 
-from .field import FieldCtx, FieldElem
+from .field import ContextMismatchError, FieldCtx, FieldElem
 from .linalg import Matrix
 from .weyl import Character, CocharDatum, WeylElem
 
@@ -26,6 +26,8 @@ from .weyl import Character, CocharDatum, WeylElem
 INFINITE_ORDER = math.inf
 
 ExpKey = tuple[tuple[int, int], ...]
+#: A 2x2 matrix as its row-major element indices (a, b, c, d).
+Factor = tuple[int, int, int, int]
 
 
 class MultiPoly:
@@ -240,66 +242,118 @@ def all_points(ctx: FieldCtx, n: int) -> list[PointP1n]:
     return [PointP1n(ctx, combo) for combo in product(reps, repeat=n)]
 
 
+def mul_2x2(x: Factor, y: Factor, mul, add) -> Factor:
+    """Product of two 2x2 matrices held as row-major element indices
+    (a, b, c, d), through a context's multiplication and addition tables."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (add[mul[x00][y00]][mul[x01][y10]],
+            add[mul[x00][y01]][mul[x01][y11]],
+            add[mul[x10][y00]][mul[x11][y10]],
+            add[mul[x10][y01]][mul[x11][y11]])
+
+
+def det_2x2(f: Factor, ctx: FieldCtx) -> int:
+    """Determinant index of a 2x2 matrix held as row-major element indices."""
+    a, b, c, d = f
+    mul = ctx._mul
+    return ctx._add[mul[a][d]][ctx._neg[mul[b][c]]]
+
+
 class GroupElem:
     """A tuple of invertible 2x2 factors over one field context.
 
-    With ``hilbert=True`` (the default) all factor determinants must agree,
-    which is the determinant condition cutting the group of interest out of
-    the plain product of 2x2 groups.
+    Each factor is stored as its row-major element indices (a, b, c, d) in
+    ``index_factors``; ``factors`` rebuilds the matrices.  With
+    ``hilbert=True`` (the default) all factor determinants must agree, which
+    is the determinant condition cutting the group of interest out of the
+    plain product of 2x2 groups.  Products and inverses are not re-checked:
+    the group is closed under both.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("ctx", "index_factors")
 
     def __init__(self, factors: Sequence[Matrix], hilbert: bool = True):
         factors = tuple(factors)
         if not factors:
             raise ValueError("need at least one factor")
-        dets = []
+        ctx = factors[0].ctx
+        index_factors = []
+        dets = set()
         for i, f in enumerate(factors):
+            if f.ctx is not ctx:
+                raise ContextMismatchError(f"factor {i} belongs to a different field")
             if f.rows != 2 or f.cols != 2:
                 raise ValueError(f"factor {i} is not 2x2")
-            d = f.entry(0, 0) * f.entry(1, 1) - f.entry(0, 1) * f.entry(1, 0)
-            if not d:
+            key = tuple(e.index for e in f.entries)
+            det = det_2x2(key, ctx)
+            if not det:
                 raise ValueError(f"factor {i} is singular")
-            dets.append(d)
-        if hilbert and any(d != dets[0] for d in dets):
+            index_factors.append(key)
+            dets.add(det)
+        if hilbert and len(dets) > 1:
             raise ValueError("factor determinants differ")
-        self.factors = factors
+        self.ctx = ctx
+        self.index_factors = tuple(index_factors)
+
+    @classmethod
+    def from_indices(cls, ctx: FieldCtx, index_factors: tuple[Factor, ...]) -> "GroupElem":
+        """Unchecked constructor from index factors the caller knows to be
+        invertible (with equal determinants, where that is meant)."""
+        g = object.__new__(cls)
+        g.ctx = ctx
+        g.index_factors = index_factors
+        return g
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "GroupElem":
-        return cls(tuple(Matrix.identity(ctx, 2) for _ in range(n)))
+        return cls.from_indices(ctx, ((1, 0, 0, 1),) * n)
 
     @classmethod
     def weyl_lift(cls, ctx: FieldCtx, w: WeylElem) -> "GroupElem":
         """The standard lift: [[0, 1], [-1, 0]] at -1 entries, identity else."""
-        s = Matrix.from_rows(ctx, [[0, 1], [-1, 0]])
-        e = Matrix.identity(ctx, 2)
-        return cls(tuple(s if sign == -1 else e for sign in w.signs))
+        s = (0, 1, ctx._neg[1], 0)
+        return cls.from_indices(ctx, tuple(s if sign == -1 else (1, 0, 0, 1)
+                                           for sign in w.signs))
 
     @property
     def n(self) -> int:
-        return len(self.factors)
+        return len(self.index_factors)
 
     @property
-    def ctx(self) -> FieldCtx:
-        return self.factors[0].ctx
+    def factors(self) -> tuple[Matrix, ...]:
+        ctx = self.ctx
+        return tuple(Matrix(ctx, 2, 2, [ctx._elems[i] for i in f])
+                     for f in self.index_factors)
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
         if not isinstance(other, GroupElem):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("factor count mismatch")
-        return GroupElem(tuple(a * b for a, b in zip(self.factors, other.factors)))
+        ctx = self.ctx
+        if other.ctx is not ctx:
+            raise ContextMismatchError("group elements over different fields")
+        mul, add = ctx._mul, ctx._add
+        return GroupElem.from_indices(ctx, tuple(
+            mul_2x2(x, y, mul, add) for x, y in zip(self.index_factors, other.index_factors)))
 
     def inverse(self) -> "GroupElem":
-        return GroupElem(tuple(f.inverse() for f in self.factors))
+        ctx = self.ctx
+        mul, neg = ctx._mul, ctx._neg
+        out = []
+        for f in self.index_factors:
+            a, b, c, d = f
+            scale = mul[ctx._inv[det_2x2(f, ctx)]]
+            out.append((scale[d], scale[neg[b]], scale[neg[c]], scale[a]))
+        return GroupElem.from_indices(ctx, tuple(out))
 
     def __eq__(self, other):
-        return isinstance(other, GroupElem) and self.factors == other.factors
+        return (isinstance(other, GroupElem) and self.ctx is other.ctx
+                and self.index_factors == other.index_factors)
 
     def __hash__(self):
-        return hash(self.factors)
+        return hash(self.index_factors)
 
     def __repr__(self):
         return f"GroupElem({', '.join(repr(f) for f in self.factors)})"
@@ -357,7 +411,7 @@ def bruhat_word(g: GroupElem) -> WeylElem:
     A zero top-right entry means the factor lies in the lower-triangular
     subgroup; otherwise it lies in the cell of the reflection.
     """
-    return WeylElem(tuple(1 if not f.entry(0, 1) else -1 for f in g.factors))
+    return WeylElem(tuple(1 if not f[1] else -1 for f in g.index_factors))
 
 
 def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:

@@ -12,6 +12,7 @@ character on the zip-flag side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .field import _is_prime
@@ -205,9 +206,6 @@ def zipflag_pullback(mu: Character, nu: Character, datum: CocharDatum) -> Charac
 
 
 def all_weyl_elems(n: int) -> list[WeylElem]:
-    """All 2^n sign vectors, identity first, longest element last."""
-    out = []
-    for bits in range(2 ** n):
-        signs = tuple(-1 if (bits >> (n - 1 - i)) & 1 else 1 for i in range(n))
-        out.append(WeylElem(signs))
-    return out
+    """All 2^n sign vectors, identity first, longest element last, the last
+    entry varying fastest."""
+    return [WeylElem(signs) for signs in product((1, -1), repeat=n)]

@@ -12,15 +12,20 @@ from itertools import product
 from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
-from .field import FieldCtx, FieldElem
-from .linalg import Matrix
-from .schubert import GroupElem, bruhat_word, stratum_label
+from .field import ContextMismatchError, FieldCtx
+from .schubert import Factor, GroupElem, bruhat_word, det_2x2, mul_2x2, stratum_label
 from .weyl import CocharDatum, WeylElem, all_weyl_elems
 
 
 class OrbitLabelError(RuntimeError):
     """An orbit with a non-constant stratum label signals an implementation
-    bug and is surfaced, never repaired."""
+    bug and is surfaced, never repaired.  ``members`` holds two (element,
+    label) pairs from the orbit whose labels differ, so the failure can be
+    replayed."""
+
+    def __init__(self, message: str, members: tuple[tuple[GroupElem, WeylElem], ...]):
+        super().__init__(message)
+        self.members = members
 
 
 class UnionFind:
@@ -58,13 +63,16 @@ class ZipGroupElem:
     def __post_init__(self):
         if self.a.n != self.b.n:
             raise ValueError("factor count mismatch")
-        for i, (fa, fb) in enumerate(zip(self.a.factors, self.b.factors)):
-            if fa.entry(0, 1):
+        if self.a.ctx is not self.b.ctx:
+            raise ContextMismatchError("pair members over different fields")
+        frob = self.a.ctx._frob
+        for i, ((a00, a01, _, a11), (b00, _, b10, b11)) in enumerate(
+                zip(self.a.index_factors, self.b.index_factors)):
+            if a01:
                 raise ValueError(f"left factor {i} is not lower triangular")
-            if fb.entry(1, 0):
+            if b10:
                 raise ValueError(f"right factor {i} is not upper triangular")
-            if (fb.entry(0, 0) != fa.entry(0, 0).frobenius()
-                    or fb.entry(1, 1) != fa.entry(1, 1).frobenius()):
+            if b00 != frob[a00] or b11 != frob[a11]:
                 raise ValueError(f"diagonal of right factor {i} is not the "
                                  f"Frobenius of the left diagonal")
 
@@ -74,74 +82,59 @@ def zip_act(e: ZipGroupElem, g: GroupElem) -> GroupElem:
     return e.a * g * e.b.inverse()
 
 
-def _gl2_by_det(ctx: FieldCtx) -> dict[int, list[Matrix]]:
-    """All invertible 2x2 matrices grouped by determinant index, each group
-    in deterministic enumeration order."""
-    groups: dict[int, list[Matrix]] = {}
-    for a, b, c, d in product(ctx.elements(), repeat=4):
-        det = a * d - b * c
+def _by_det(ctx: FieldCtx, factors) -> dict[int, list[Factor]]:
+    """The invertible ones among the given index factors, grouped by
+    determinant index, each group in the given order."""
+    groups: dict[int, list[Factor]] = {}
+    for f in factors:
+        det = det_2x2(f, ctx)
         if det:
-            groups.setdefault(det.index, []).append(Matrix(ctx, 2, 2, (a, b, c, d)))
+            groups.setdefault(det, []).append(f)
     return dict(sorted(groups.items()))
 
 
-def _borel_by_det(ctx: FieldCtx) -> dict[int, list[Matrix]]:
-    """Invertible lower-triangular 2x2 matrices grouped by determinant index."""
-    groups: dict[int, list[Matrix]] = {}
-    zero = ctx.zero()
-    for d0, d1, low in product(ctx.elements(), repeat=3):
-        if d0 and d1:
-            det = d0 * d1
-            groups.setdefault(det.index, []).append(Matrix(ctx, 2, 2, (d0, zero, low, d1)))
-    return dict(sorted(groups.items()))
-
-
-def _equal_det_tuples(groups: dict[int, list[Matrix]], n: int):
+def _equal_det_tuples(groups: dict[int, list[Factor]], n: int):
     for det in groups:
         yield from product(groups[det], repeat=n)
+
+
+def group_order(ctx: FieldCtx, n: int) -> int:
+    """|G| = (q-1)(q(q^2-1))^n in closed form: one determinant in F_q^x, and
+    q(q^2-1) matrices of each determinant per factor."""
+    q = ctx.q
+    return (q - 1) * (q * (q * q - 1)) ** n
 
 
 def enumerate_G(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[GroupElem]:
     """All n-tuples of invertible 2x2 matrices with pairwise equal
     determinants, in deterministic (determinant-major) order; there are
-    (q-1)(q(q^2-1))^n of them."""
-    q = ctx.q
-    implied = (q - 1) * (q * (q * q - 1)) ** n
+    ``group_order(ctx, n)`` of them."""
+    implied = group_order(ctx, n)
     if implied > bound:
         raise BoundExceededError(implied, bound, "group enumeration")
-    return [GroupElem(fs) for fs in _equal_det_tuples(_gl2_by_det(ctx), n)]
+    gl2 = _by_det(ctx, product(range(ctx.q), repeat=4))
+    return [GroupElem.from_indices(ctx, fs) for fs in _equal_det_tuples(gl2, n)]
 
 
 def enumerate_E(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[ZipGroupElem]:
     """All Frobenius-coupled Borel pairs: the left member runs over the
     lower-triangular subgroup (equal determinants across factors), the right
     member has the coupled diagonal and a free upper entry per factor."""
-    borel = _borel_by_det(ctx)
+    # the invertible lower-triangular matrices
+    borel = _by_det(ctx, ((d0, 0, low, d1) for d0, d1, low in product(range(ctx.q), repeat=3)))
     implied = sum(len(v) ** n for v in borel.values()) * ctx.q ** n
     if implied > bound:
         raise BoundExceededError(implied, bound, "zip-group enumeration")
-    zero = ctx.zero()
+    frob = ctx._frob
     out = []
     for a_factors in _equal_det_tuples(borel, n):
-        a = GroupElem(a_factors)
-        diag = [(f.entry(0, 0).frobenius(), f.entry(1, 1).frobenius()) for f in a_factors]
-        for uppers in product(ctx.elements(), repeat=n):
-            b = GroupElem(tuple(Matrix(ctx, 2, 2, (d0, u, zero, d1))
-                                for (d0, d1), u in zip(diag, uppers)))
+        a = GroupElem.from_indices(ctx, a_factors)
+        diag = [(frob[f[0]], frob[f[3]]) for f in a_factors]
+        for uppers in product(range(ctx.q), repeat=n):
+            b = GroupElem.from_indices(ctx, tuple((d0, u, 0, d1)
+                                                  for (d0, d1), u in zip(diag, uppers)))
             out.append(ZipGroupElem(a, b))
     return out
-
-
-def _multiplicative_generator(ctx: FieldCtx) -> FieldElem:
-    """The lowest-index element generating the cyclic group F_q^x."""
-    mul = ctx._mul
-    for idx in range(1, ctx.q):
-        acc, order = idx, 1
-        while acc != 1:
-            acc, order = mul[acc][idx], order + 1
-        if order == ctx.q - 1:
-            return ctx.from_index(idx)
-    raise AssertionError("F_q^x is cyclic")  # unreachable
 
 
 def zip_group_generators(ctx: FieldCtx, n: int) -> list[ZipGroupElem]:
@@ -155,31 +148,30 @@ def zip_group_generators(ctx: FieldCtx, n: int) -> list[ZipGroupElem]:
     diag(gamma, gamma^(-1)) in one factor and diag(gamma, 1) in every factor;
     it is trivial when q = 2.  That gives 2nk + n + 1 generators (2n over F_2).
     """
-    zero, one = ctx.zero(), ctx.one()
+    frob = ctx._frob
     identity = GroupElem.identity(ctx, n)
-    eye = Matrix.identity(ctx, 2)
 
-    def at(i: int, m: Matrix) -> GroupElem:
-        return GroupElem(tuple(m if j == i else eye for j in range(n)))
+    def at(i: int, f: Factor) -> GroupElem:
+        return GroupElem.from_indices(ctx, tuple(f if j == i else (1, 0, 0, 1)
+                                                 for j in range(n)))
 
     def coupled_diagonal(diags) -> ZipGroupElem:
-        a = GroupElem(tuple(Matrix(ctx, 2, 2, (d0, zero, zero, d1)) for d0, d1 in diags))
-        b = GroupElem(tuple(Matrix(ctx, 2, 2, (d0.frobenius(), zero, zero, d1.frobenius()))
-                            for d0, d1 in diags))
+        a = GroupElem.from_indices(ctx, tuple((d0, 0, 0, d1) for d0, d1 in diags))
+        b = GroupElem.from_indices(ctx, tuple((frob[d0], 0, 0, frob[d1]) for d0, d1 in diags))
         return ZipGroupElem(a, b)
 
     gens = []
     for i in range(n):
         for j in range(ctx.k):
-            t = ctx.from_index(ctx.p ** j)  # u^j
-            gens.append(ZipGroupElem(at(i, Matrix(ctx, 2, 2, (one, zero, t, one))), identity))
-            gens.append(ZipGroupElem(identity, at(i, Matrix(ctx, 2, 2, (one, t, zero, one)))))
+            t = ctx.p ** j  # the index of u^j
+            gens.append(ZipGroupElem(at(i, (1, 0, t, 1)), identity))
+            gens.append(ZipGroupElem(identity, at(i, (1, t, 0, 1))))
     if ctx.q > 2:
-        gamma = _multiplicative_generator(ctx)
+        gamma = ctx._primitive
         for i in range(n):
-            gens.append(coupled_diagonal([(gamma, gamma.inverse()) if j == i else (one, one)
+            gens.append(coupled_diagonal([(gamma, ctx._inv[gamma]) if j == i else (1, 1)
                                           for j in range(n)]))
-        gens.append(coupled_diagonal([(gamma, one)] * n))
+        gens.append(coupled_diagonal([(gamma, 1)] * n))
     return gens
 
 
@@ -201,20 +193,6 @@ class OrbitPartition:
         return out
 
 
-def _mat_key(m: Matrix) -> tuple[int, int, int, int]:
-    e = m.entries
-    return (e[0].index, e[1].index, e[2].index, e[3].index)
-
-
-def _mm(x, y, mul, add):
-    x00, x01, x10, x11 = x
-    y00, y01, y10, y11 = y
-    return (add[mul[x00][y00]][mul[x01][y10]],
-            add[mul[x00][y01]][mul[x01][y11]],
-            add[mul[x10][y00]][mul[x11][y10]],
-            add[mul[x10][y01]][mul[x11][y11]])
-
-
 def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> OrbitPartition:
     """Orbit partition of the enumerated group under the group the acting
     pairs generate, by union-find over every (element, pair) combination.
@@ -231,18 +209,16 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
         raise ValueError("need non-empty group and acting lists")
     ctx = g_list[0].ctx
     n = g_list[0].n
-    g_keys = [tuple(_mat_key(f) for f in g.factors) for g in g_list]
+    g_keys = [g.index_factors for g in g_list]
     idx_of = {key: i for i, key in enumerate(g_keys)}
     uf = UnionFind(len(g_list))
     mul, add = ctx._mul, ctx._add
     factor_range = range(n)
-    e_pairs = [(tuple(_mat_key(f) for f in e.a.factors),
-                tuple(_mat_key(f.inverse()) for f in e.b.factors))
-               for e in e_list]
+    e_pairs = [(e.a.index_factors, e.b.inverse().index_factors) for e in e_list]
     union = uf.union
     for a_key, binv_key in e_pairs:
         for gi, gkey in enumerate(g_keys):
-            out = tuple(_mm(_mm(a_key[f], gkey[f], mul, add), binv_key[f], mul, add)
+            out = tuple(mul_2x2(mul_2x2(a_key[f], gkey[f], mul, add), binv_key[f], mul, add)
                         for f in factor_range)
             union(gi, idx_of[out])
     members: dict[int, list[int]] = {}
@@ -253,13 +229,17 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
     labels = []
     for root in sorted(members, key=lambda r: min(members[r])):
         idxs = sorted(members[root])
-        class_labels = {stratum_label(g_list[i], datum) for i in idxs}
-        if len(class_labels) != 1:
+        # the first member carrying each label
+        by_label: dict[WeylElem, GroupElem] = {}
+        for i in idxs:
+            by_label.setdefault(stratum_label(g_list[i], datum), g_list[i])
+        if len(by_label) != 1:
             raise OrbitLabelError(
                 f"orbit of size {len(idxs)} carries labels "
-                f"{sorted(w.to_string() for w in class_labels)}")
+                f"{sorted(w.to_string() for w in by_label)}",
+                tuple((g, w) for w, g in list(by_label.items())[:2]))
         classes.append(tuple(g_list[i] for i in idxs))
-        labels.append(class_labels.pop())
+        labels.append(next(iter(by_label)))
     return OrbitPartition(tuple(classes), tuple(labels))
 
 

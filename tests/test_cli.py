@@ -215,7 +215,11 @@ def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     # no real orbit carries two labels, so make the label depend on an entry
     # that varies along every orbit of more than one element
     import hilbhasse.zipgroup as zipgroup_mod
-    from hilbhasse.weyl import all_weyl_elems
+    from hilbhasse.field import FieldCtx
+    from hilbhasse.linalg import Matrix
+    from hilbhasse.schubert import GroupElem
+    from hilbhasse.weyl import CocharDatum, all_weyl_elems
+    from hilbhasse.zipgroup import enumerate_E, zip_act
 
     def broken(g, datum):
         return all_weyl_elems(g.n)[bool(g.factors[0].entry(1, 0))]
@@ -226,6 +230,17 @@ def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("orbit label inconsistency: orbit of size ")
+    # after a tab, two members of the orbit replay with their labels
+    replay = json.loads(captured.err.split("\t", 1)[1])
+    assert (replay["p"], replay["k"], replay["n"]) == (2, 1, 1)
+    ctx = FieldCtx(replay["p"], replay["k"])
+    datum = CocharDatum.split(replay["n"], ctx.p)
+    members = [GroupElem([Matrix.from_rows(ctx, f) for f in m["factors"]])
+               for m in replay["members"]]
+    labels = [m["label"] for m in replay["members"]]
+    assert len(members) == 2 and labels[0] != labels[1]
+    assert [broken(g, datum).to_string() for g in members] == labels
+    assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
 
 
 def test_census_json(capsys):

@@ -2,7 +2,8 @@
 256 elements, each checked against an oracle that does not share their code
 path: ranks by forward elimination, wedges by cofactor minors, vanishing
 orders by multiplied-out chart substitutions, and the field axioms element
-by element.  Every test also runs its F_256 example.  Zip JSON round-trips
+by element, and group elements on index factors by products of `FieldElem`
+matrices.  Every test also runs its F_256 example.  Zip JSON round-trips
 and the zip-check exit-code contract on fuzzed input are checked here too."""
 
 import io
@@ -11,15 +12,16 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilbhasse.cli import main
 from hilbhasse.field import TABLE_LIMIT, FieldCtx
 from hilbhasse.linalg import Matrix, Subspace, induced_filtration, rref, wedge_of_lines
-from hilbhasse.schubert import (MultiPoly, PointP1n, vanishing_order_at_point,
-                                vanishing_order_on_stratum)
-from hilbhasse.weyl import all_weyl_elems
+from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, stratum_label,
+                                vanishing_order_at_point, vanishing_order_on_stratum)
+from hilbhasse.weyl import CocharDatum, all_weyl_elems
 from hilbhasse.zips import HilbertZip, line_in_block, zip_from_json_obj, zip_to_json_obj
 from oracles import (chart_order_at_point, chart_order_on_stratum, naive_rank,
                      wedge_coords_by_minors)
@@ -195,6 +197,145 @@ def test_field_axioms_on_random_triples(data):
     assert (x * y).frobenius() == x.frobenius() * y.frobenius()
     assert (x + y).frobenius() == x.frobenius() + y.frobenius()
     assert x.frobenius() == x ** ctx.p
+
+
+def det2(m):
+    return m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
+
+
+def invertible_matrices(ctx):
+    return (st.lists(elements(ctx), min_size=4, max_size=4)
+            .filter(lambda e: e[0] * e[3] != e[1] * e[2])
+            .map(lambda e: Matrix(ctx, 2, 2, e)))
+
+
+@st.composite
+def factor_lists(draw, ctx=None, n=None, equal_dets=None):
+    """n <= 3 invertible 2x2 matrices over one field.  With equal
+    determinants (half the draws unless fixed) every first row is rescaled
+    to the first factor's determinant."""
+    ctx = ctx or draw(fields)
+    n = n or draw(st.integers(1, 3))
+    factors = draw(st.lists(invertible_matrices(ctx), min_size=n, max_size=n))
+    if equal_dets is None:
+        equal_dets = draw(st.booleans())
+    if equal_dets:
+        target = det2(factors[0])
+        factors = [Matrix(ctx, 2, 2, [target / det2(f) * e for e in f.row(0)] + list(f.row(1)))
+                   for f in factors]
+    return factors
+
+
+@st.composite
+def group_pairs(draw, ctx=None):
+    """Two group elements with the same field and factor count; each is
+    built with hilbert=True when its determinants are equal."""
+    ctx = ctx or draw(fields)
+    first = draw(factor_lists(ctx))
+    second = draw(factor_lists(ctx, len(first)))
+    return tuple(GroupElem(fs, hilbert=len({det2(f) for f in fs}) == 1)
+                 for fs in (first, second))
+
+
+def f256_group_pair():
+    """Determinants u^7 and u^253: a product of hilbert=False elements."""
+    u = F256.gen()
+    g = GroupElem([Matrix.from_rows(F256, [[u, 1], [u ** 7, 0]]),
+                   Matrix.from_rows(F256, [[0, u ** 3], [u ** 250, u]])], hilbert=False)
+    h = GroupElem([Matrix.from_rows(F256, [[u ** 9, 0], [1, u ** 2]]),
+                   Matrix.from_rows(F256, [[1, 1], [0, u ** 11]])])
+    return g, h
+
+
+@PROPERTY
+@given(st.one_of(group_pairs(), group_pairs(F256)))
+@example(f256_group_pair())
+def test_group_products_and_inverses_match_matrix_products(pair):
+    g, h = pair
+    ctx, n = g.ctx, g.n
+    assert (g * h).factors == tuple(x * y for x, y in zip(g.factors, h.factors))
+    eye = Matrix.identity(ctx, 2)
+    assert all(x * y == eye for x, y in zip(g.factors, g.inverse().factors))
+    assert g * g.inverse() == g.inverse() * g == GroupElem.identity(ctx, n)
+    assert g.inverse().inverse() == g
+
+
+@PROPERTY
+@given(st.one_of(group_pairs(), group_pairs(F256)))
+@example(f256_group_pair())
+def test_bruhat_word_and_stratum_label_match_matrix_entries(pair):
+    for g in pair:
+        ctx = g.ctx
+        assert bruhat_word(g).signs == tuple(1 if not f.entry(0, 1) else -1 for f in g.factors)
+        # z is the longest element, lifted to [[0, 1], [-1, 0]] in every factor
+        s = Matrix.from_rows(ctx, [[0, 1], [-1, 0]])
+        datum = CocharDatum.split(g.n, ctx.p)
+        assert GroupElem.weyl_lift(ctx, datum.z).factors == (s,) * g.n
+        label = stratum_label(g, datum)
+        assert label.signs == tuple(1 if not (f * s).entry(0, 1) else -1 for f in g.factors)
+
+
+@st.composite
+def invalid_factor_cases(draw, ctx=None):
+    """Equal-determinant factors, a singular matrix and where to insert it,
+    and a scalar that breaks the determinant condition unless it is 1."""
+    ctx = ctx or draw(fields)
+    factors = draw(factor_lists(ctx, equal_dets=True))
+    a, b, t = (draw(elements(ctx)) for _ in range(3))
+    singular = Matrix(ctx, 2, 2, (a, b, t * a, t * b))
+    where = draw(st.integers(0, len(factors)))
+    return factors, singular, where, draw(elements(ctx, nonzero=True))
+
+
+def f256_invalid_case():
+    u = F256.gen()
+    factors = [Matrix.from_rows(F256, [[u, 0], [1, u ** 4]]),
+               Matrix.from_rows(F256, [[0, u ** 5], [1, 1]])]
+    return factors, Matrix.from_rows(F256, [[u, u ** 2], [u ** 3, u ** 4]]), 1, u ** 30
+
+
+@PROPERTY
+@given(st.one_of(invalid_factor_cases(), invalid_factor_cases(F256)))
+@example(f256_invalid_case())
+def test_group_elem_refuses_singular_factors_and_unequal_determinants(case):
+    factors, singular, where, scale = case
+    assert GroupElem(factors).factors == tuple(factors)
+    for hilbert in (True, False):
+        with pytest.raises(ValueError):
+            GroupElem(factors[:where] + [singular] + factors[where:], hilbert=hilbert)
+    f = factors[-1]
+    rescaled = factors[:-1] + [Matrix(f.ctx, 2, 2, [scale * e for e in f.row(0)] + list(f.row(1)))]
+    GroupElem(rescaled, hilbert=False)
+    if len(factors) > 1 and scale != 1:
+        with pytest.raises(ValueError):
+            GroupElem(rescaled)
+
+
+F2, F4 = FieldCtx(2), FieldCtx(2, 2)
+
+
+@st.composite
+def mixed_field_factors(draw):
+    """Invertible matrices over F_2 and over F_4, at least one of each, in
+    random order."""
+    mixed = draw(st.lists(st.sampled_from([F2, F4]), min_size=1, max_size=2))
+    mixed = draw(st.permutations(mixed + [F2, F4]))
+    return [draw(invertible_matrices(ctx)) for ctx in mixed]
+
+
+@PROPERTY
+@given(mixed_field_factors())
+@example([Matrix.identity(F2, 2), Matrix.identity(F4, 2)])
+@example([Matrix.identity(F256, 2), Matrix.identity(F2, 2)])
+def test_group_elem_refuses_factors_over_different_fields(factors):
+    # the identities share their index factors, so only the field tells them apart
+    for hilbert in (True, False):
+        with pytest.raises(ValueError):
+            GroupElem(factors, hilbert=hilbert)
+    by_field = [GroupElem([f], hilbert=False) for f in factors[:2]]
+    if by_field[0].ctx is not by_field[1].ctx:
+        with pytest.raises(ValueError):
+            by_field[0] * by_field[1]
 
 
 def points(ctx, n):

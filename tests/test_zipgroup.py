@@ -16,6 +16,11 @@ from hilbhasse.zipgroup import (ZipGroupElem, bruhat_census, enumerate_E,
                                 enumerate_G, orbits, zip_act, zip_group_generators)
 
 
+def det(m):
+    """Determinant of a 2x2 Matrix from its entries."""
+    return m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
+
+
 def test_group_sizes_match_the_counting_formula(F2, F3):
     # |GL2(F_q)| = (q^2 - 1)(q^2 - q), brute-checked by the enumerator
     assert len(enumerate_G(F2, 1)) == 6 == (4 - 1) * (4 - 2)
@@ -27,7 +32,7 @@ def test_group_size_with_determinant_condition(F2, F3):
     # independent filter: pairs of GL2(F3) elements with equal determinants
     singles = enumerate_G(F3, 1)
     expected = sum(1 for a in singles for b in singles
-                   if a.factors[0].det() == b.factors[0].det())
+                   if det(a.factors[0]) == det(b.factors[0]))
     assert len(enumerate_G(F3, 2)) == expected == 1152
 
 
@@ -45,10 +50,10 @@ def brute_force_E(ctx, n):
             uppers.append(Matrix.from_rows(ctx, [[d0, x], [0, d1]]))
     found = []
     for a_fac in product(lowers, repeat=n):
-        if len({f.det() for f in a_fac}) != 1:
+        if len({det(f) for f in a_fac}) != 1:
             continue
         for b_fac in product(uppers, repeat=n):
-            if len({f.det() for f in b_fac}) != 1:
+            if len({det(f) for f in b_fac}) != 1:
                 continue
             ok = all(fb.entry(0, 0) == fa.entry(0, 0).frobenius()
                      and fb.entry(1, 1) == fa.entry(1, 1).frobenius()
@@ -86,11 +91,21 @@ def test_pair_validation(F2):
         ZipGroupElem(GroupElem((lower,)), GroupElem((lower,)))  # right not upper
 
 
-def test_coupling_is_checked(F3):
+def test_coupling_is_checked(F2, F3, F4):
     lower = Matrix.from_rows(F3, [[2, 0], [0, 1]])
     bad_upper = Matrix.from_rows(F3, [[1, 0], [0, 2]])
     with pytest.raises(ValueError):
         ZipGroupElem(GroupElem((lower,)), GroupElem((bad_upper,)))
+    # each diagonal entry is checked
+    u = F4.gen()
+    lower = Matrix.from_rows(F4, [[u, 0], [1, 1]])
+    ZipGroupElem(GroupElem((lower,)), GroupElem((Matrix.from_rows(F4, [[u * u, 1], [0, 1]]),)))
+    for d0, d1 in ((u, 1), (u * u, u)):  # u^2 != u in F_4
+        with pytest.raises(ValueError):
+            ZipGroupElem(GroupElem((lower,)), GroupElem((Matrix.from_rows(F4, [[d0, 0], [0, d1]]),)))
+    # the identities over F_2 and F_4 share their index factors
+    with pytest.raises(ValueError):
+        ZipGroupElem(GroupElem.identity(F2, 1), GroupElem.identity(F4, 1))
 
 
 def test_action_law_exhaustively(F2):
