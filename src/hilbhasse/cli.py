@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
 from .field import FieldCtx
-from .schubert import hasse_section, torus_weight_space, vanishing_order_on_stratum
+from .schubert import (bruhat_signs, hasse_section, torus_weight_space,
+                       vanishing_order_on_stratum)
 from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
 # enumerate_E is not called here; it stays a name of this module for code
 # that wraps cli.enumerate_E.
@@ -133,6 +134,11 @@ def _cmd_weight_space(config: RunConfig) -> int:
     return EXIT_OK
 
 
+def _factors_json(g) -> list:
+    """The factors of a group element as 2x2 rows of coefficient lists."""
+    return [[[e.to_list() for e in f.row(r)] for r in (0, 1)] for f in g.factors]
+
+
 def _cmd_census(config: RunConfig) -> int:
     ctx = FieldCtx(config.p, config.k)
     rows = bruhat_census(ctx, config.n, bound=config.bound)
@@ -140,15 +146,16 @@ def _cmd_census(config: RunConfig) -> int:
     # closed forms, independent of the counts under test
     borel_size = (q - 1) * ((q - 1) * q) ** n
     group_size = group_order(ctx, n)
-    ok = True
+    bad = None  # the first row that breaks the cell law
     out_rows = []
     for w, count in rows:
         expected = q ** w.length() * borel_size
-        ok = ok and count == expected
+        if count != expected and bad is None:
+            bad = (w, count, expected)
         out_rows.append({"w": w.to_string(), "length": w.length(),
                          "cell_size": count, "expected": expected})
     total = sum(count for _, count in rows)
-    ok = ok and total == group_size
+    ok = bad is None and total == group_size
     if config.format == "json":
         _emit(config, json.dumps({"rows": out_rows, "total": total,
                                   "group_size": group_size, "ok": ok},
@@ -159,6 +166,17 @@ def _cmd_census(config: RunConfig) -> int:
                   for r in out_rows]
         lines.append(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}")
         _emit(config, "\n".join(lines) + "\n")
+    if bad is not None:
+        # one element of the bad cell, replayable through GroupElem; G is
+        # scanned again only on this failure path
+        w, count, expected = bad
+        g = next((g for g in enumerate_G(ctx, n, bound=config.bound)
+                  if bruhat_signs(g) == w.signs), None)
+        replay = {"p": ctx.p, "k": ctx.k, "n": n, "w": w.to_string(),
+                  "factors": None if g is None else _factors_json(g)}
+        sys.stderr.write(f"census mismatch: cell {w.to_string()} holds {count} "
+                         f"elements, expected {expected}\t"
+                         f"{json.dumps(replay, sort_keys=True)}\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -174,9 +192,8 @@ def _cmd_orbits(config: RunConfig) -> int:
         partition = orbits(g_list, gens)
     except OrbitLabelError as exc:
         # two members with different labels, replayable through GroupElem
-        members = [{"factors": [[[e.to_list() for e in f.row(r)] for r in (0, 1)]
-                                for f in g.factors],
-                    "label": w.to_string()} for g, w in exc.members]
+        members = [{"factors": _factors_json(g), "label": w.to_string()}
+                   for g, w in exc.members]
         replay = {"p": ctx.p, "k": ctx.k, "n": config.n, "members": members}
         sys.stderr.write(f"orbit label inconsistency: {exc}\t"
                          f"{json.dumps(replay, sort_keys=True)}\n")

@@ -405,13 +405,19 @@ def torus_weight_space(ctx: FieldCtx, n: int, target) -> list[MultiPoly]:
 # -- Bruhat words and stratum labels --------------------------------------------
 
 
-def bruhat_word(g: GroupElem) -> WeylElem:
-    """The cell of g: factor i contributes +1 iff its top-right entry is 0.
+def bruhat_signs(g: GroupElem) -> tuple[int, ...]:
+    """The sign vector of the cell of g: factor i contributes +1 iff its
+    top-right entry is 0.
 
     A zero top-right entry means the factor lies in the lower-triangular
     subgroup; otherwise it lies in the cell of the reflection.
     """
-    return WeylElem(tuple(1 if not f[1] else -1 for f in g.index_factors))
+    return tuple([1 if not f[1] else -1 for f in g.index_factors])
+
+
+def bruhat_word(g: GroupElem) -> WeylElem:
+    """The cell of g as a Weyl element; see ``bruhat_signs``."""
+    return WeylElem(bruhat_signs(g))
 
 
 def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:

@@ -13,7 +13,10 @@ from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
 from .field import ContextMismatchError, FieldCtx
-from .schubert import Factor, GroupElem, bruhat_word, det_2x2, mul_2x2, stratum_label
+# bruhat_word is not called here; it stays a name of this module for code
+# that wraps zipgroup.bruhat_word.
+from .schubert import (Factor, GroupElem, bruhat_signs, bruhat_word,  # noqa: F401
+                       det_2x2, mul_2x2, stratum_label)
 from .weyl import CocharDatum, WeylElem, all_weyl_elems
 
 
@@ -247,5 +250,5 @@ def bruhat_census(ctx: FieldCtx, n: int,
                   bound: int = DEFAULT_ENUM_BOUND) -> list[tuple[WeylElem, int]]:
     """Cell sizes of the Bruhat partition of the enumerated group, one row
     per sign vector in deterministic order."""
-    counts = Counter(bruhat_word(g).signs for g in enumerate_G(ctx, n, bound))
+    counts = Counter(map(bruhat_signs, enumerate_G(ctx, n, bound)))
     return [(w, counts.get(w.signs, 0)) for w in all_weyl_elems(n)]

@@ -14,6 +14,7 @@ consistency of the two numbers is the content of the equivalence check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -57,7 +58,12 @@ def _block_coords(line: Subspace, block: int) -> tuple:
 @dataclass(frozen=True)
 class HilbertZip:
     """Block-line zip datum: context, degree, index permutation, Hodge lines
-    and conjugate lines (line i supported in coordinates {2i, 2i+1})."""
+    and conjugate lines (line i supported in coordinates {2i, 2i+1}).
+
+    ``hodge`` and ``conj_wedge`` are derived from the lines on first use;
+    ``enumerate_zips`` seeds them with values it shares across the zips
+    that have the same lines.
+    """
 
     ctx: FieldCtx
     n: int
@@ -78,8 +84,29 @@ class HilbertZip:
                 if line.ctx != self.ctx or line.ambient_dim != 2 * self.n or line.dim != 1:
                     raise ValueError(f"{name}[{i}] is not a line of the ambient space")
                 row = line.index_basis[0]
-                if any(row[j] for j in range(2 * self.n) if j // 2 != i):
+                if any(row[:2 * i]) or any(row[2 * i + 2:]):
                     raise ValueError(f"{name}[{i}] is not supported in block {i}")
+
+    @cached_property
+    def hodge(self) -> Subspace:
+        """The total Hodge subspace: the span of the Omega lines."""
+        return _hodge_span(self.ctx, self.n, self.omega)
+
+    @cached_property
+    def conj_wedge(self) -> Subspace:
+        """The wedge of the conjugate lines, a line of the n-th exterior power."""
+        return wedge_of_lines(self.conj)
+
+
+def _hodge_span(ctx: FieldCtx, n: int, omega: Sequence[Subspace]) -> Subspace:
+    return Subspace.from_index_rows(ctx, 2 * n, [line.index_basis[0] for line in omega])
+
+
+def _seeded(z: HilbertZip, hodge: Subspace, conj_wedge: Subspace) -> HilbertZip:
+    """Store ``hodge`` and ``conj_wedge`` as the derived values of ``z``; the
+    caller has computed them from lines equal to ``z.omega`` and ``z.conj``."""
+    z.__dict__.update(hodge=hodge, conj_wedge=conj_wedge)
+    return z
 
 
 def zip_from_frobenius(ctx: FieldCtx, n: int, perm: Sequence[int],
@@ -127,11 +154,9 @@ def max_hodge_level(z: HilbertZip) -> int:
 
     Always >= 0 since piece 0 is the whole exterior power.
     """
-    total_omega = Subspace.from_index_rows(
-        z.ctx, 2 * z.n, [row for line in z.omega for row in line.index_basis])
-    conj_line = wedge_of_lines(z.conj)
+    hodge, conj_line = z.hodge, z.conj_wedge
     for m in range(z.n, -1, -1):
-        if induced_filtration(total_omega, m).contains(conj_line):
+        if induced_filtration(hodge, m).contains(conj_line):
             return m
     raise AssertionError("filtration piece 0 must contain everything")
 
@@ -177,15 +202,22 @@ def block_line_reps(ctx: FieldCtx, n: int, block: int) -> list[Subspace]:
 def enumerate_zips(ctx: FieldCtx, n: int, perm: Sequence[int],
                    bound: int = DEFAULT_ENUM_BOUND) -> Iterator[HilbertZip]:
     """Yield every (Omega, C) line configuration, (q+1)^(2n) in total, in
-    lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n)."""
+    lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
+
+    Only (q+1)^n line tuples exist, so each tuple's Hodge span and conjugate
+    wedge is computed once and shared by every zip built from that tuple.
+    """
     perm = tuple(perm)
     implied = (ctx.q + 1) ** (2 * n)
     if implied > bound:
         raise BoundExceededError(implied, bound, "zip enumeration")
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
-    for omega in product(*per_block):
-        for conj in product(*per_block):
-            yield HilbertZip(ctx, n, perm, omega, conj)
+    tuples = list(product(*per_block))
+    wedges = [wedge_of_lines(conj) for conj in tuples]
+    for omega in tuples:
+        hodge = _hodge_span(ctx, n, omega)
+        for conj, wedge in zip(tuples, wedges):
+            yield _seeded(HilbertZip(ctx, n, perm, omega, conj), hodge, wedge)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from hilbhasse.cli import main
-from hilbhasse.zips import check_equivalence, zip_from_json_obj
+from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
+from test_acceptance import EQUIVALENCE_SCALE
 
 CONSISTENT_ZIP = {"p": 2, "k": 1, "n": 2, "perm": [0, 1],
                   "omega": [[[1], [0]], [[1], [0]]],
@@ -40,6 +41,31 @@ def test_verify_equivalence_json_format(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"total": 16, "consistent": 16, "failures": []}
+
+
+@pytest.mark.parametrize("p, n, perm", EQUIVALENCE_SCALE)
+def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, n, perm):
+    # the sweep shares each tuple's Hodge span and conjugate wedge across
+    # zips; a zip rebuilt from its JSON computes its own
+    import hilbhasse.cli as cli_mod
+    seen = []
+
+    def recording(z):
+        report = check_equivalence(z)
+        seen.append((z, report))
+        return report
+
+    monkeypatch.setattr(cli_mod, "check_equivalence", recording)
+    code, out = run_cli(capsys, ["verify-equivalence", "--p", str(p), "--n", str(n),
+                                 "--perm", perm])
+    total = (p + 1) ** (2 * n)
+    assert code == 0 and out == f"{total}/{total} consistent\n"
+    assert len(seen) == total
+    for z, report in seen:
+        fresh = zip_from_json_obj(zip_to_json_obj(z))
+        assert z.hodge == fresh.hodge, zip_to_json_obj(z)
+        assert z.conj_wedge == fresh.conj_wedge, zip_to_json_obj(z)
+        assert report == check_equivalence(fresh), zip_to_json_obj(z)
 
 
 def test_strata_table(capsys):
@@ -256,15 +282,26 @@ def test_census_mismatch_exits_1(capsys, monkeypatch):
     # the census is compared with closed forms for |B| and |G|, so counts
     # that are wrong by a common factor still fail
     import hilbhasse.cli as cli_mod
+    from hilbhasse.field import FieldCtx
+    from hilbhasse.linalg import Matrix
+    from hilbhasse.schubert import GroupElem, bruhat_word
     real = cli_mod.bruhat_census
 
     def doubled(ctx, n, bound):
         return [(w, 2 * count) for w, count in real(ctx, n, bound)]
 
     monkeypatch.setattr(cli_mod, "bruhat_census", doubled)
-    code, out = run_cli(capsys, ["census", "--p", "2", "--n", "1"])
+    code = main(["census", "--p", "2", "--n", "1"])
+    captured = capsys.readouterr()
     assert code == 1
-    assert out.endswith("total\t12\tgroup\t6\tMISMATCH\n")
+    assert captured.out.endswith("total\t12\tgroup\t6\tMISMATCH\n")
+    # after a tab, the first bad cell and one of its elements replay
+    assert captured.err.startswith("census mismatch: cell + holds 4 elements, expected 2\t")
+    replay = json.loads(captured.err.split("\t", 1)[1])
+    assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 1, 1, "+")
+    ctx = FieldCtx(replay["p"], replay["k"])
+    g = GroupElem([Matrix.from_rows(ctx, f) for f in replay["factors"]])
+    assert bruhat_word(g).to_string() == replay["w"]
 
 
 def test_orbits_frobenius_coupled_n2(capsys):
