@@ -18,8 +18,8 @@ from .schubert import (bruhat_signs, hasse_section, torus_weight_space,
 from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
 # enumerate_E is not called here; it stays a name of this module for code
 # that wraps cli.enumerate_E.
-from .zipgroup import (OrbitLabelError, bruhat_census, enumerate_E,  # noqa: F401
-                       enumerate_G, group_order, orbits, zip_group_generators)
+from .zipgroup import (OrbitLabelError, borel_order, bruhat_census,  # noqa: F401
+                       enumerate_E, enumerate_G, group_order, orbits, zip_group_generators)
 from .zips import (check_equivalence, enumerate_zips, inert_perm, split_perm,
                    zip_from_json_obj, zip_to_json_obj)
 
@@ -144,7 +144,7 @@ def _cmd_census(config: RunConfig) -> int:
     rows = bruhat_census(ctx, config.n, bound=config.bound)
     q, n = ctx.q, config.n
     # closed forms, independent of the counts under test
-    borel_size = (q - 1) * ((q - 1) * q) ** n
+    borel_size = borel_order(ctx, n)
     group_size = group_order(ctx, n)
     bad = None  # the first row that breaks the cell law
     out_rows = []

@@ -365,3 +365,21 @@ def induced_filtration(omega: Subspace, m: int) -> Subspace:
             for part_b in combinations(complement, n - j):
                 spanning.append(_wedge_coords(_wedge_terms(part_b, ctx, wedge_a), n))
     return Subspace.from_index_rows(ctx, comb(ambient, n), spanning)
+
+
+def filtration_level(omega: Subspace, rows: Sequence[Sequence[int]]) -> int:
+    """Largest m such that the wedge of n vectors (element indices) lies in
+    ``induced_filtration(omega, m)``, omega n-dim in F^(2n), or n if it is 0:
+    the least pivot count over the nonzero terms of the wedge in the basis
+    that piece is built from, in which a vector's coordinates are its pivot
+    entries and its residual modulo omega."""
+    n = omega.dim
+    if omega.ambient_dim != 2 * n or len(rows) != n:
+        raise ValueError("need n vectors and an n-dim subspace of F^(2n)")
+    adapted = [omega.reduce(r) for r in rows]
+    for r, coords in zip(rows, adapted):
+        for p in omega.pivots:
+            if r[p]:  # so reduce eliminated at p, into a list of its own
+                coords[p] = r[p]
+    terms = _wedge_terms(adapted, omega.ctx)
+    return min(map(len, map(set(omega.pivots).intersection, terms)), default=n)

@@ -108,6 +108,12 @@ def group_order(ctx: FieldCtx, n: int) -> int:
     return (q - 1) * (q * (q * q - 1)) ** n
 
 
+def borel_order(ctx: FieldCtx, n: int) -> int:
+    """|B| = (q-1)((q-1)q)^n in closed form: one determinant in F_q^x, and per
+    lower triangular factor q-1 first diagonal entries and q corners."""
+    return (ctx.q - 1) ** (n + 1) * ctx.q ** n
+
+
 def enumerate_G(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[GroupElem]:
     """All n-tuples of invertible 2x2 matrices with pairwise equal
     determinants, in deterministic (determinant-major) order; there are

@@ -20,7 +20,8 @@ from typing import Iterator, Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
 from .field import FieldCtx
-from .linalg import Matrix, SemilinearMap, Subspace, induced_filtration, wedge_of_lines
+from .linalg import Matrix, SemilinearMap, Subspace, filtration_level, wedge_of_lines
+from .linalg import induced_filtration  # noqa: F401  perfbench traces zips.induced_filtration
 from .schubert import projective_line_reps
 
 
@@ -61,8 +62,7 @@ class HilbertZip:
     and conjugate lines (line i supported in coordinates {2i, 2i+1}).
 
     ``hodge`` and ``conj_wedge`` are derived from the lines on first use;
-    ``enumerate_zips`` seeds them with values it shares across the zips
-    that have the same lines.
+    ``enumerate_zips`` seeds ``hodge``, shared by zips with equal Hodge lines.
     """
 
     ctx: FieldCtx
@@ -102,10 +102,9 @@ def _hodge_span(ctx: FieldCtx, n: int, omega: Sequence[Subspace]) -> Subspace:
     return Subspace.from_index_rows(ctx, 2 * n, [line.index_basis[0] for line in omega])
 
 
-def _seeded(z: HilbertZip, hodge: Subspace, conj_wedge: Subspace) -> HilbertZip:
-    """Store ``hodge`` and ``conj_wedge`` as the derived values of ``z``; the
-    caller has computed them from lines equal to ``z.omega`` and ``z.conj``."""
-    z.__dict__.update(hodge=hodge, conj_wedge=conj_wedge)
+def _seeded(z: HilbertZip, hodge: Subspace) -> HilbertZip:
+    """Store ``hodge``, computed from lines equal to ``z.omega``, on ``z``."""
+    z.__dict__["hodge"] = hodge
     return z
 
 
@@ -150,15 +149,8 @@ def hasse_order(z: HilbertZip) -> int:
 
 def max_hodge_level(z: HilbertZip) -> int:
     """Largest m such that the wedge of the conjugate lines lies in the m-th
-    induced filtration piece of the total Hodge subspace.
-
-    Always >= 0 since piece 0 is the whole exterior power.
-    """
-    hodge, conj_line = z.hodge, z.conj_wedge
-    for m in range(z.n, -1, -1):
-        if induced_filtration(hodge, m).contains(conj_line):
-            return m
-    raise AssertionError("filtration piece 0 must contain everything")
+    induced filtration piece of the Hodge subspace (see ``filtration_level``)."""
+    return filtration_level(z.hodge, [line.index_basis[0] for line in z.conj])
 
 
 @dataclass(frozen=True)
@@ -204,8 +196,8 @@ def enumerate_zips(ctx: FieldCtx, n: int, perm: Sequence[int],
     """Yield every (Omega, C) line configuration, (q+1)^(2n) in total, in
     lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
 
-    Only (q+1)^n line tuples exist, so each tuple's Hodge span and conjugate
-    wedge is computed once and shared by every zip built from that tuple.
+    Only (q+1)^n line tuples exist, so each tuple's Hodge span is computed
+    once and shared by every zip whose Hodge lines are that tuple.
     """
     perm = tuple(perm)
     implied = (ctx.q + 1) ** (2 * n)
@@ -213,11 +205,10 @@ def enumerate_zips(ctx: FieldCtx, n: int, perm: Sequence[int],
         raise BoundExceededError(implied, bound, "zip enumeration")
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
     tuples = list(product(*per_block))
-    wedges = [wedge_of_lines(conj) for conj in tuples]
     for omega in tuples:
         hodge = _hodge_span(ctx, n, omega)
-        for conj, wedge in zip(tuples, wedges):
-            yield _seeded(HilbertZip(ctx, n, perm, omega, conj), hodge, wedge)
+        for conj in tuples:
+            yield _seeded(HilbertZip(ctx, n, perm, omega, conj), hodge)
 
 
 # -- serialization ---------------------------------------------------------------

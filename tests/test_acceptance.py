@@ -15,7 +15,8 @@ from hilbhasse.schubert import (hasse_section, stratum_label,
                                 torus_weight_space, vanishing_order_on_stratum)
 from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
                             hodge_character, weyl_act, zipflag_pullback)
-from hilbhasse.zipgroup import bruhat_census, enumerate_G, orbits, zip_group_generators
+from hilbhasse.zipgroup import (borel_order, bruhat_census, enumerate_G, orbits,
+                                zip_group_generators)
 from hilbhasse.zips import check_equivalence, enumerate_zips, inert_perm, split_perm
 
 EQUIVALENCE_SCALE = [(p, n, perm) for p in (2, 3) for n in (1, 2, 3)
@@ -89,12 +90,15 @@ def run_pullback_identity():
 
 
 def run_census():
-    """5: Bruhat cells partition the group with sizes q^l(w) |B|."""
+    """5: Bruhat cells partition the group with sizes q^l(w) |B|, and |B|
+    counted from G equals its closed form."""
     for p, k, n in ORBIT_SCALE:
         ctx = FieldCtx(p, k)
         g_list = enumerate_G(ctx, n)
         borel_size = sum(1 for g in g_list
                          if all(not f.entry(0, 1) for f in g.factors))
+        # the closed form the census command checks its cells against
+        assert borel_size == borel_order(ctx, n), (p, k, n)
         counts = dict((w.signs, c) for w, c in bruhat_census(ctx, n))
         assert sum(counts.values()) == len(g_list), (p, k, n)
         for w in all_weyl_elems(n):

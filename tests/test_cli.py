@@ -45,8 +45,8 @@ def test_verify_equivalence_json_format(capsys):
 
 @pytest.mark.parametrize("p, n, perm", EQUIVALENCE_SCALE)
 def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, n, perm):
-    # the sweep shares each tuple's Hodge span and conjugate wedge across
-    # zips; a zip rebuilt from its JSON computes its own
+    # the sweep shares each tuple's Hodge span across zips and leaves the
+    # conjugate wedge lazy; a zip rebuilt from its JSON computes its own
     import hilbhasse.cli as cli_mod
     seen = []
 

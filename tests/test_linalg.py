@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from hilbhasse.field import ContextMismatchError, FieldCtx
-from hilbhasse.linalg import (Matrix, SemilinearMap, Subspace, induced_filtration,
-                              rref, wedge_basis_index, wedge_basis_subsets,
-                              wedge_of_lines)
+from hilbhasse.linalg import (Matrix, SemilinearMap, Subspace, filtration_level,
+                              induced_filtration, rref, wedge_basis_index,
+                              wedge_basis_subsets, wedge_of_lines)
 from oracles import naive_rank, wedge_coords_by_minors
 
 
@@ -290,6 +290,15 @@ def test_filtration_rejects_bad_input(F2):
     line = Subspace.from_vectors(F2, 4, [[1, 0, 0, 0]])
     with pytest.raises(ValueError):
         induced_filtration(line, 1)
+
+
+def test_filtration_level_rejects_bad_shapes(F2):
+    omega = standard_omega(F2, 2)
+    with pytest.raises(ValueError):
+        filtration_level(omega, [[1, 0, 0, 0]])
+    line = Subspace.from_vectors(F2, 4, [[1, 0, 0, 0]])
+    with pytest.raises(ValueError):
+        filtration_level(line, [[1, 0, 0, 0], [0, 1, 0, 0]])
 
 
 def block_omegas(ctx, n):

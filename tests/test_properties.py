@@ -3,7 +3,8 @@
 path: ranks by forward elimination, wedges by cofactor minors, vanishing
 orders by multiplied-out chart substitutions, and the field axioms element
 by element, and group elements on index factors by products of `FieldElem`
-matrices.  Every test also runs its F_256 example.  Zip JSON round-trips
+matrices, and filtration levels by a scan of the induced filtration's
+pieces.  Every test also runs its F_256 example.  Zip JSON round-trips
 and the zip-check exit-code contract on fuzzed input are checked here too."""
 
 import io
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from hilbhasse.cli import main
 from hilbhasse.field import TABLE_LIMIT, FieldCtx
-from hilbhasse.linalg import Matrix, Subspace, induced_filtration, rref, wedge_of_lines
+from hilbhasse.linalg import (Matrix, Subspace, filtration_level, induced_filtration, rref,
+                              wedge_of_lines)
 from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, stratum_label,
                                 vanishing_order_at_point, vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, all_weyl_elems
@@ -44,6 +46,11 @@ def elements(ctx, nonzero=False):
     return st.one_of(st.integers(low, 1), st.integers(low, ctx.q - 1)).map(ctx.from_index)
 
 
+def _combination(ctx, coeffs, seeds):
+    return [sum((c * s[j] for c, s in zip(coeffs, seeds)), ctx.zero())
+            for j in range(len(seeds[0]))]
+
+
 @st.composite
 def matrices(draw, ctx=None, max_rows=5, ncols=None):
     """Rows over a random field; half the draws are combinations of fewer
@@ -58,8 +65,7 @@ def matrices(draw, ctx=None, max_rows=5, ncols=None):
     rows = []
     for _ in range(nrows):
         coeffs = draw(st.lists(elements(ctx), min_size=len(seeds), max_size=len(seeds)))
-        rows.append([sum((c * s[j] for c, s in zip(coeffs, seeds)), ctx.zero())
-                     for j in range(ncols)])
+        rows.append(_combination(ctx, coeffs, seeds))
     return ctx, rows
 
 
@@ -179,6 +185,57 @@ def test_top_filtration_piece_matches_minors(data):
     omega = Subspace.from_vectors(ctx, 2 * n, rows)
     oracle = wedge_coords_by_minors(rows, n)
     assert induced_filtration(omega, n) == Subspace.from_vectors(ctx, comb(2 * n, n), [oracle])
+
+
+@st.composite
+def level_cases(draw):
+    """An n-dim omega of F^(2n), n in 2..3, and n vectors, each drawn freely,
+    inside omega, or as a combination of the vectors before it (so the wedge
+    is often 0); every line of F^2 is a block line, so n = 1 is left out."""
+    ctx = draw(fields)
+    n = draw(st.integers(2, 3))
+    vector = st.lists(elements(ctx), min_size=2 * n, max_size=2 * n)
+    omega_rows = draw(st.lists(vector, min_size=n, max_size=n)
+                      .filter(lambda rs: naive_rank(rs) == n))
+    rows = []
+    for _ in range(n):
+        seeds = draw(st.sampled_from([None, omega_rows, rows]))
+        if not seeds:
+            rows.append(draw(vector))
+            continue
+        coeffs = draw(st.lists(elements(ctx), min_size=len(seeds), max_size=len(seeds)))
+        rows.append(_combination(ctx, coeffs, seeds))
+    return ctx, omega_rows, rows
+
+
+def f256_level_case(dependent):
+    u, one, zero = F256.gen(), F256.one(), F256.zero()
+    omega_rows = [[one, u, zero, u ** 2, one, zero], [zero, one, u ** 3, one, zero, u],
+                  [u, zero, one, zero, u ** 5, one]]
+    inside = _combination(F256, [u ** 7, one, zero], omega_rows)
+    free = [u ** 11, zero, one, u, zero, u ** 40]
+    last = _combination(F256, [u, u ** 3], [inside, free]) if dependent \
+        else [zero, u ** 9, zero, one, one, zero]
+    return F256, omega_rows, [inside, free, last]
+
+
+@PROPERTY
+@given(level_cases())
+@example(f256_level_case(dependent=False))
+@example(f256_level_case(dependent=True))
+def test_filtration_level_matches_induced_filtration(case):
+    # omega has a basis row meeting two blocks, so it is no span of block
+    # lines; the oracle wedges by minors and scans the memoized pieces
+    ctx, omega_rows, rows = case
+    n = len(rows)
+    omega = Subspace.from_vectors(ctx, 2 * n, omega_rows)
+    assume(any(len({j // 2 for j, x in enumerate(r) if x}) > 1 for r in omega.index_basis))
+    wedge = Subspace.from_vectors(ctx, comb(2 * n, n), [wedge_coords_by_minors(rows, n)])
+    expected = max(m for m in range(n + 1) if induced_filtration(omega, m).contains(wedge))
+    level = filtration_level(omega, [[e.index for e in r] for r in rows])
+    assert level == expected
+    if naive_rank(rows) < n:
+        assert level == n
 
 
 @PROPERTY
