@@ -288,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(config: RunConfig) -> int:
     try:
+        if config.n < 1:  # zip-check keeps the default; its n is in the file
+            raise ValueError("need at least one factor")
         return _COMMANDS[config.command](config)
     except BoundExceededError as exc:
         sys.stderr.write(f"refused: {exc}\n")

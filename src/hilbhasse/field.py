@@ -130,19 +130,28 @@ class FieldCtx:
 
     def __call__(self, value) -> "FieldElem":
         """Coerce an int (prime-subfield value) or coefficient sequence."""
+        return self._elems[self.index_of(value)]
+
+    def index_of(self, value) -> int:
+        """The element index of ``value``, coerced as ``__call__`` does: an
+        int is a prime-subfield value reduced mod p, a sequence holds at most
+        k coefficients low-degree first (missing ones are 0), and an element
+        must belong to this context."""
         if isinstance(value, FieldElem):
             if value._ctx is not self:
                 raise ContextMismatchError("element belongs to a different field")
-            return value
+            return value._idx
         if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-        else:
-            seq = list(value)
-            if len(seq) > self.k:
-                raise ValueError(f"expected at most {self.k} coefficients")
-            seq += [0] * (self.k - len(seq))
-            coeffs = tuple(c % self.p for c in seq)
-        return self.from_index(self._index_of(coeffs))
+            return value % self.p
+        seq = list(value)
+        if len(seq) > self.k:
+            raise ValueError(f"expected at most {self.k} coefficients")
+        # the base-p fold of _index_of, reducing as it goes; _index_of itself
+        # skips the reduction, since the table build calls it q^2 times
+        p, idx = self.p, 0
+        for c in reversed(seq):
+            idx = idx * p + c % p
+        return idx
 
     def from_index(self, idx: int) -> "FieldElem":
         return self._elems[idx]

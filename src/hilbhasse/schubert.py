@@ -200,16 +200,11 @@ class PointP1n:
     __slots__ = ("ctx", "coords")
 
     def __init__(self, ctx: FieldCtx, pairs: Sequence[Sequence]):
+        elems = ctx._elems
         coords = []
-        for i, (u, v) in enumerate(pairs):
-            u, v = ctx(u), ctx(v)
-            if u:
-                inv = u.inverse()
-                coords.append((ctx.one(), v * inv))
-            elif v:
-                coords.append((ctx.zero(), ctx.one()))
-            else:
-                raise ValueError(f"factor {i} has both coordinates zero")
+        for u, v in pairs:
+            a, b = normalized_index_pair(ctx, u, v)
+            coords.append((elems[a], elems[b]))
         self.ctx = ctx
         self.coords = tuple(coords)
 
@@ -236,8 +231,22 @@ def projective_line_reps(ctx: FieldCtx) -> list[tuple[FieldElem, FieldElem]]:
     return [(one, t) for t in ctx.elements()] + [(zero, one)]
 
 
+def normalized_index_pair(ctx: FieldCtx, a, b) -> tuple[int, int]:
+    """The element indices of the normalized pair of the point [a : b] of
+    the projective line: (1, b/a) if a != 0, else (0, 1).  a and b are
+    coerced as ``ctx`` coerces; both zero is no point and raises ValueError."""
+    a, b = ctx.index_of(a), ctx.index_of(b)
+    if a:
+        return 1, ctx._mul[b][ctx._inv[a]]
+    if b:
+        return 0, 1
+    raise ValueError("both coordinates are zero")
+
+
 def all_points(ctx: FieldCtx, n: int) -> list[PointP1n]:
     """All (q+1)^n rational points of the n-fold product, lexicographic."""
+    if n < 1:
+        raise ValueError("need at least one factor")
     reps = projective_line_reps(ctx)
     return [PointP1n(ctx, combo) for combo in product(reps, repeat=n)]
 

@@ -20,9 +20,10 @@ from typing import Iterator, Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
 from .field import FieldCtx
-from .linalg import Matrix, SemilinearMap, Subspace, filtration_level, wedge_of_lines
-from .linalg import induced_filtration  # noqa: F401  perfbench traces zips.induced_filtration
-from .schubert import projective_line_reps
+from .linalg import Matrix, SemilinearMap, Subspace, filtration_level
+# perfbench traces zips.induced_filtration and zips.wedge_of_lines
+from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
+from .schubert import normalized_index_pair, projective_line_reps
 
 
 class DegenerateZipError(ValueError):
@@ -39,16 +40,16 @@ def inert_perm(n: int) -> tuple[int, ...]:
 
 
 def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspace:
-    """The line of F^(2n) spanned by a 2-vector placed in the given block."""
+    """The line of F^(2n) spanned by a nonzero 2-vector placed in the given
+    block.  Its normalized pair, placed alone, is the line's reduced row
+    echelon basis, with the pivot at the block's first nonzero coordinate."""
     if not 0 <= block < n:
         raise ValueError("block index out of range")
-    a, b = (ctx(x) for x in local)
+    x, y = local
+    a, b = normalized_index_pair(ctx, x, y)
     vec = [0] * (2 * n)
-    vec[2 * block], vec[2 * block + 1] = a.index, b.index
-    line = Subspace.from_index_rows(ctx, 2 * n, [vec])
-    if line.dim != 1:
-        raise ValueError("local coordinates span no line")
-    return line
+    vec[2 * block], vec[2 * block + 1] = a, b
+    return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
 
 
 def _block_coords(line: Subspace, block: int) -> tuple:
@@ -61,8 +62,8 @@ class HilbertZip:
     """Block-line zip datum: context, degree, index permutation, Hodge lines
     and conjugate lines (line i supported in coordinates {2i, 2i+1}).
 
-    ``hodge`` and ``conj_wedge`` are derived from the lines on first use;
-    ``enumerate_zips`` seeds ``hodge``, shared by zips with equal Hodge lines.
+    ``hodge`` is derived from the Hodge lines on first use; ``enumerate_zips``
+    seeds it, shared by zips with equal Hodge lines.
     """
 
     ctx: FieldCtx
@@ -92,14 +93,13 @@ class HilbertZip:
         """The total Hodge subspace: the span of the Omega lines."""
         return _hodge_span(self.ctx, self.n, self.omega)
 
-    @cached_property
-    def conj_wedge(self) -> Subspace:
-        """The wedge of the conjugate lines, a line of the n-th exterior power."""
-        return wedge_of_lines(self.conj)
-
 
 def _hodge_span(ctx: FieldCtx, n: int, omega: Sequence[Subspace]) -> Subspace:
-    return Subspace.from_index_rows(ctx, 2 * n, [line.index_basis[0] for line in omega])
+    """The span of n block lines, line i supported in block i.  Each basis
+    row is normalized at its pivot and the supports are disjoint, so the rows
+    stacked in block order are already the span's reduced row echelon basis."""
+    return Subspace(ctx, 2 * n, tuple(line.index_basis[0] for line in omega),
+                    tuple(line.pivots[0] for line in omega))
 
 
 def _seeded(z: HilbertZip, hodge: Subspace) -> HilbertZip:
@@ -199,6 +199,8 @@ def enumerate_zips(ctx: FieldCtx, n: int, perm: Sequence[int],
     Only (q+1)^n line tuples exist, so each tuple's Hodge span is computed
     once and shared by every zip whose Hodge lines are that tuple.
     """
+    if n < 1:
+        raise ValueError("need at least one factor")
     perm = tuple(perm)
     implied = (ctx.q + 1) ** (2 * n)
     if implied > bound:

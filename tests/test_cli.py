@@ -45,8 +45,8 @@ def test_verify_equivalence_json_format(capsys):
 
 @pytest.mark.parametrize("p, n, perm", EQUIVALENCE_SCALE)
 def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, n, perm):
-    # the sweep shares each tuple's Hodge span across zips and leaves the
-    # conjugate wedge lazy; a zip rebuilt from its JSON computes its own
+    # the sweep shares each tuple's Hodge span across zips; a zip rebuilt
+    # from its JSON computes its own
     import hilbhasse.cli as cli_mod
     seen = []
 
@@ -64,7 +64,6 @@ def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, n, perm):
     for z, report in seen:
         fresh = zip_from_json_obj(zip_to_json_obj(z))
         assert z.hodge == fresh.hodge, zip_to_json_obj(z)
-        assert z.conj_wedge == fresh.conj_wedge, zip_to_json_obj(z)
         assert report == check_equivalence(fresh), zip_to_json_obj(z)
 
 
@@ -165,9 +164,14 @@ def test_refusal_of_a_count_too_long_to_print(capsys, argv):
     assert code == 3 and err.startswith("refused: ") and "about 2^" in err
 
 
-def test_weight_space_needs_a_factor(capsys):
-    code, out = run_cli(capsys, ["weight-space", "--n", "0"])
-    assert code == 2 and out == ""
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("command", ["verify-equivalence", "strata-table", "weight-space",
+                                     "census", "orbits"])
+def test_fewer_than_one_factor_is_a_usage_error(capsys, command, n):
+    code = main([command, "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: need at least one factor\n"
 
 
 def test_usage_error_exit_code():

@@ -4,8 +4,11 @@ path: ranks by forward elimination, wedges by cofactor minors, vanishing
 orders by multiplied-out chart substitutions, and the field axioms element
 by element, and group elements on index factors by products of `FieldElem`
 matrices, and filtration levels by a scan of the induced filtration's
-pieces.  Every test also runs its F_256 example.  Zip JSON round-trips
-and the zip-check exit-code contract on fuzzed input are checked here too."""
+pieces, coerced element indices by a scan of the elements' coefficients,
+and block lines, points and Hodge spans, built without elimination, by
+elimination or by `FieldElem` division.  Every test also runs its F_256
+example.  Zip JSON round-trips and the zip-check exit-code contract on
+fuzzed input are checked here too."""
 
 import io
 import json
@@ -18,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hilbhasse.cli import main
-from hilbhasse.field import TABLE_LIMIT, FieldCtx
+from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
 from hilbhasse.linalg import (Matrix, Subspace, filtration_level, induced_filtration, rref,
                               wedge_of_lines)
 from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, stratum_label,
@@ -256,6 +259,46 @@ def test_field_axioms_on_random_triples(data):
     assert x.frobenius() == x ** ctx.p
 
 
+def coercible(ctx):
+    """Values ``ctx`` coerces: ints of any sign and size, lists of at most k
+    coefficients of any size (so short and full lists), and elements."""
+    return st.one_of(st.integers(), st.integers(-1, 1),
+                     st.lists(st.integers(), max_size=ctx.k), elements(ctx))
+
+
+def index_by_coefficients(ctx, value):
+    """The index of the element whose coefficients are those of ``value``
+    reduced mod p and padded with zeros, found by a scan of the elements."""
+    if isinstance(value, FieldElem):
+        coeffs = value.coeffs
+    else:
+        coeffs = [value] if isinstance(value, int) else value
+    padded = tuple(c % ctx.p for c in coeffs) + (0,) * (ctx.k - len(coeffs))
+    return next(e.index for e in ctx.elements() if e.coeffs == padded)
+
+
+@st.composite
+def coercible_values(draw):
+    ctx = draw(fields)
+    return ctx, draw(coercible(ctx))
+
+
+@PROPERTY
+@given(coercible_values())
+@example((F256, -2 ** 70 - 1))
+@example((F256, [1, -1, 2 ** 70 + 1]))
+@example((F256, [1, 0, 1, 1, 0, 0, 0, 1]))
+@example((F256, F256.gen() ** 200))
+def test_index_of_matches_coercion_and_coefficients(case):
+    ctx, value = case
+    assert ctx.index_of(value) == ctx(value).index == index_by_coefficients(ctx, value)
+    with pytest.raises(ValueError):
+        ctx.index_of([0] * (ctx.k + 1))
+    foreign = FieldCtx(3) if ctx.p == 2 else FieldCtx(2)
+    with pytest.raises(ContextMismatchError):
+        ctx.index_of(foreign.one())
+
+
 def det2(m):
     return m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
 
@@ -484,6 +527,74 @@ def zips(draw, ctx=None):
 def test_zip_json_round_trip(z):
     text = json.dumps(zip_to_json_obj(z))
     assert zip_from_json_obj(json.loads(text)) == z
+
+
+def nonzero_pairs(ctx):
+    """Pairs of coercible values, not both zero."""
+    return st.tuples(coercible(ctx), coercible(ctx)).filter(lambda ab: any(map(ctx, ab)))
+
+
+@st.composite
+def placed_pairs(draw):
+    """A field, n <= 3, a block and a nonzero pair."""
+    ctx = draw(fields)
+    n = draw(st.integers(1, 3))
+    return ctx, n, draw(st.integers(0, n - 1)), draw(nonzero_pairs(ctx))
+
+
+@PROPERTY
+@given(placed_pairs())
+@example((F256, 3, 1, ([1, 0, 1], F256.gen() ** 200)))
+@example((F256, 2, 1, ([0, 0], [0, 1])))
+def test_line_in_block_is_the_eliminated_span(case):
+    ctx, n, block, pair = case
+    vec = [0] * (2 * n)
+    vec[2 * block], vec[2 * block + 1] = (ctx(x).index for x in pair)
+    expected = Subspace.from_index_rows(ctx, 2 * n, [vec])
+    line = line_in_block(ctx, n, block, pair)
+    assert line == expected and line.pivots == expected.pivots
+    with pytest.raises(ValueError):
+        line_in_block(ctx, n, block, (ctx.p, [0] * ctx.k))
+
+
+@st.composite
+def point_pairs(draw):
+    """A field and the pairs of a point of (P^1)^n, n <= 3."""
+    ctx = draw(fields)
+    return ctx, draw(st.lists(nonzero_pairs(ctx), min_size=1, max_size=3))
+
+
+@PROPERTY
+@given(point_pairs())
+@example((F256, [(F256.gen(), [1, 1]), ([0, 0, 0], 3), (-1, 0)]))
+def test_point_coords_are_the_normalized_pairs(case):
+    ctx, pairs = case
+    one, zero = ctx.one(), ctx.zero()
+    expected = []
+    for u, v in pairs:
+        u, v = ctx(u), ctx(v)
+        expected.append((one, v * u.inverse()) if u else (zero, one))
+    assert PointP1n(ctx, pairs).coords == tuple(expected)
+    with pytest.raises(ValueError):
+        PointP1n(ctx, pairs + [(0, [0])])
+
+
+@PROPERTY
+@given(block_lines())
+@example((F256, [(F256.gen(), F256.one()), (F256.zero(), F256.gen() ** 9),
+                 (F256.one(), F256.zero())]))
+def test_hodge_span_is_the_eliminated_span(lines):
+    # the Hodge lines are built by elimination, not by line_in_block
+    ctx, pairs = lines
+    n = len(pairs)
+    omega = []
+    for i, (a, b) in enumerate(pairs):
+        vec = [ctx.zero()] * (2 * n)
+        vec[2 * i], vec[2 * i + 1] = a, b
+        omega.append(Subspace.from_vectors(ctx, 2 * n, [vec]))
+    z = HilbertZip(ctx, n, tuple(range(n)), tuple(omega), tuple(omega))
+    expected = Subspace.from_index_rows(ctx, 2 * z.n, [line.index_basis[0] for line in z.omega])
+    assert z.hodge == expected and z.hodge.pivots == expected.pivots
 
 
 json_values = st.recursive(

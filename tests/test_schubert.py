@@ -235,6 +235,12 @@ def cell_of_point(pt):
     return WeylElem(signs)
 
 
+def test_all_points_needs_a_factor(F2):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one factor"):
+            all_points(F2, n)
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cells_partition_the_points(p, k, n):

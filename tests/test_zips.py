@@ -191,6 +191,12 @@ def test_enumeration_respects_bound(F3):
         list(enumerate_zips(F3, 3, split_perm(3), bound=100))
 
 
+def test_enumeration_needs_a_factor(F2):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one factor"):
+            next(enumerate_zips(F2, n, split_perm(0)))
+
+
 def test_consistency_does_not_depend_on_perm(zip_reports):
     # the flags and the filtration level only read the line data, so the
     # index permutation cannot break the equivalence
