@@ -9,9 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
+from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
 from .schubert import (bruhat_signs, hasse_section, torus_weight_space,
                        vanishing_order_on_stratum)
@@ -27,20 +26,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    p: int = 2
-    k: int = 1
-    n: int = 1
-    perm: str = "split"
-    bound: int = DEFAULT_ENUM_BOUND
-    output: str = "-"
-    format: str = "tsv"
-    target: str = "eta"
-    file: str = "-"
 
 
 def _parse_perm(spec: str, n: int) -> tuple[int, ...]:
@@ -63,74 +48,72 @@ def _parse_target(spec: str, n: int):
     return (tuple(int(x) for x in a_part.split(",")), int(c_part))
 
 
-def _emit(config: RunConfig, text: str):
-    if config.output == "-":
+def _emit(args: argparse.Namespace, text: str):
+    if args.output == "-":
         sys.stdout.write(text)
     else:
-        with open(config.output, "w") as fh:
+        with open(args.output, "w") as fh:
             fh.write(text)
 
 
-def _cmd_verify_equivalence(config: RunConfig) -> int:
-    ctx = FieldCtx(config.p, config.k)
-    perm = _parse_perm(config.perm, config.n)
+def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
+    ctx = FieldCtx(args.p, args.k)
+    perm = _parse_perm(args.perm, args.n)
     total = 0
     failures = []
-    for z in enumerate_zips(ctx, config.n, perm, bound=config.bound):
+    for z in enumerate_zips(ctx, args.n, perm, bound=args.bound):
         total += 1
         report = check_equivalence(z)
         if not report.consistent:
             failures.append((zip_to_json_obj(z), report.to_json_obj()))
     ok = total - len(failures)
-    if config.format == "json":
-        _emit(config, json.dumps({"total": total, "consistent": ok,
-                                  "failures": [{"zip": z, "report": r} for z, r in failures]},
-                                 sort_keys=True) + "\n")
+    if args.format == "json":
+        _emit(args, json.dumps({"total": total, "consistent": ok,
+                                "failures": [{"zip": z, "report": r} for z, r in failures]},
+                               sort_keys=True) + "\n")
     else:
         lines = [f"FAIL\t{json.dumps(z, sort_keys=True)}\t{json.dumps(r, sort_keys=True)}"
                  for z, r in failures]
         lines.append(f"{ok}/{total} consistent")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
-def _refuse_sign_vectors(config: RunConfig):
+def _refuse_sign_vectors(args: argparse.Namespace):
     """Refuse before enumerating when the 2^n sign vectors exceed --bound."""
-    implied = 2 ** config.n
-    if implied > config.bound:
-        raise BoundExceededError(implied, config.bound, "sign-vector enumeration")
+    refuse_above(args.bound, "sign-vector enumeration", 2, args.n)
 
 
-def _cmd_strata_table(config: RunConfig) -> int:
-    _refuse_sign_vectors(config)
-    ctx = FieldCtx(config.p, config.k)
-    h = hasse_section(ctx, config.n)
+def _cmd_strata_table(args: argparse.Namespace) -> int:
+    _refuse_sign_vectors(args)
+    ctx = FieldCtx(args.p, args.k)
+    h = hasse_section(ctx, args.n)
     rows = []
-    for w in all_weyl_elems(config.n):
+    for w in all_weyl_elems(args.n):
         length = w.length()
         order = vanishing_order_on_stratum(h, w)
         rows.append({"w": w.to_string(), "length": length,
-                     "codim": config.n - length, "ord": int(order)})
-    if config.format == "json":
-        _emit(config, json.dumps(rows, sort_keys=True) + "\n")
+                     "codim": args.n - length, "ord": int(order)})
+    if args.format == "json":
+        _emit(args, json.dumps(rows, sort_keys=True) + "\n")
     else:
         lines = ["w\tlength\tcodim\tord"]
         lines += [f"{r['w']}\t{r['length']}\t{r['codim']}\t{r['ord']}" for r in rows]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_weight_space(config: RunConfig) -> int:
-    _refuse_sign_vectors(config)
-    ctx = FieldCtx(config.p, config.k)
-    target = _parse_target(config.target, config.n)
-    basis = torus_weight_space(ctx, config.n, target)
-    if config.format == "json":
-        _emit(config, json.dumps({"dimension": len(basis),
-                                  "basis": [str(b) for b in basis]}, sort_keys=True) + "\n")
+def _cmd_weight_space(args: argparse.Namespace) -> int:
+    _refuse_sign_vectors(args)
+    ctx = FieldCtx(args.p, args.k)
+    target = _parse_target(args.target, args.n)
+    basis = torus_weight_space(ctx, args.n, target)
+    if args.format == "json":
+        _emit(args, json.dumps({"dimension": len(basis),
+                                "basis": [str(b) for b in basis]}, sort_keys=True) + "\n")
     else:
         lines = [f"dimension\t{len(basis)}"] + [str(b) for b in basis]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -139,10 +122,10 @@ def _factors_json(g) -> list:
     return [[[e.to_list() for e in f.row(r)] for r in (0, 1)] for f in g.factors]
 
 
-def _cmd_census(config: RunConfig) -> int:
-    ctx = FieldCtx(config.p, config.k)
-    rows = bruhat_census(ctx, config.n, bound=config.bound)
-    q, n = ctx.q, config.n
+def _cmd_census(args: argparse.Namespace) -> int:
+    ctx = FieldCtx(args.p, args.k)
+    rows = bruhat_census(ctx, args.n, bound=args.bound)
+    q, n = ctx.q, args.n
     # closed forms, independent of the counts under test
     borel_size = borel_order(ctx, n)
     group_size = group_order(ctx, n)
@@ -156,21 +139,21 @@ def _cmd_census(config: RunConfig) -> int:
                          "cell_size": count, "expected": expected})
     total = sum(count for _, count in rows)
     ok = bad is None and total == group_size
-    if config.format == "json":
-        _emit(config, json.dumps({"rows": out_rows, "total": total,
-                                  "group_size": group_size, "ok": ok},
-                                 sort_keys=True) + "\n")
+    if args.format == "json":
+        _emit(args, json.dumps({"rows": out_rows, "total": total,
+                                "group_size": group_size, "ok": ok},
+                               sort_keys=True) + "\n")
     else:
         lines = ["w\tlength\tcell_size\texpected"]
         lines += [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['expected']}"
                   for r in out_rows]
         lines.append(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     if bad is not None:
         # one element of the bad cell, replayable through GroupElem; G is
         # scanned again only on this failure path
         w, count, expected = bad
-        g = next((g for g in enumerate_G(ctx, n, bound=config.bound)
+        g = next((g for g in enumerate_G(ctx, n, bound=args.bound)
                   if bruhat_signs(g) == w.signs), None)
         replay = {"p": ctx.p, "k": ctx.k, "n": n, "w": w.to_string(),
                   "factors": None if g is None else _factors_json(g)}
@@ -180,54 +163,60 @@ def _cmd_census(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _cmd_orbits(config: RunConfig) -> int:
-    ctx = FieldCtx(config.p, config.k)
-    gens = zip_group_generators(ctx, config.n)
-    # |G| x |generators|, with |G| in closed form so a refusal costs nothing
-    actions = group_order(ctx, config.n) * len(gens)
-    if actions > config.bound:
-        raise BoundExceededError(actions, config.bound, "orbit scan")
-    g_list = enumerate_G(ctx, config.n, bound=config.bound)
+def _cmd_orbits(args: argparse.Namespace) -> int:
+    ctx = FieldCtx(args.p, args.k)
+    q, n = ctx.q, args.n
+    # |G| x |generators|, both in closed form (group_order and the count in
+    # zip_group_generators), so a refusal builds nothing
+    gen_count = 2 * n * ctx.k + (n + 1 if q > 2 else 0)
+    refuse_above(args.bound, "orbit scan", q * (q * q - 1), n, (q - 1) * gen_count)
+    gens = zip_group_generators(ctx, n)
+    g_list = enumerate_G(ctx, n, bound=args.bound)
     try:
         partition = orbits(g_list, gens)
     except OrbitLabelError as exc:
         # two members with different labels, replayable through GroupElem
         members = [{"factors": _factors_json(g), "label": w.to_string()}
                    for g, w in exc.members]
-        replay = {"p": ctx.p, "k": ctx.k, "n": config.n, "members": members}
+        replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "members": members}
         sys.stderr.write(f"orbit label inconsistency: {exc}\t"
                          f"{json.dumps(replay, sort_keys=True)}\n")
         return EXIT_CHECK_FAILED
     by_label = partition.by_label()
     out_rows = []
-    for w in all_weyl_elems(config.n):
+    for w in all_weyl_elems(args.n):
         classes = by_label.get(w, [])
         sizes = sorted((len(c) for c in classes), reverse=True)
         out_rows.append({"w": w.to_string(), "length": w.length(),
                          "cell_size": sum(sizes), "orbit_count": len(sizes),
                          "orbit_sizes": sizes})
-    if config.format == "json":
-        _emit(config, json.dumps(out_rows, sort_keys=True) + "\n")
+    if args.format == "json":
+        _emit(args, json.dumps(out_rows, sort_keys=True) + "\n")
     else:
         lines = ["w\tlength\tcell_size\torbit_count\torbit_sizes"]
         lines += [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['orbit_count']}\t"
                   + ",".join(str(s) for s in r["orbit_sizes"]) for r in out_rows]
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def _cmd_zip_check(config: RunConfig) -> int:
-    if config.file == "-":
-        obj = json.load(sys.stdin)
-    else:
-        with open(config.file) as fh:
-            obj = json.load(fh)
+def _cmd_zip_check(args: argparse.Namespace) -> int:
+    try:
+        if args.file == "-":
+            obj = json.load(sys.stdin)
+        else:
+            with open(args.file) as fh:
+                obj = json.load(fh)
+    except RecursionError:
+        raise ValueError("the JSON is nested too deeply") from None
     z = zip_from_json_obj(obj)
+    # the conjugate wedge that gives the Hodge level has up to 2^n terms
+    refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, z.n)
     report = check_equivalence(z)
-    if config.format == "json":
-        _emit(config, json.dumps(report.to_json_obj(), sort_keys=True) + "\n")
+    if args.format == "json":
+        _emit(args, json.dumps(report.to_json_obj(), sort_keys=True) + "\n")
     else:
-        _emit(config, "flags\thasse_order\tm_max\tconsistent\n" + report.tsv_row() + "\n")
+        _emit(args, "flags\thasse_order\tm_max\tconsistent\n" + report.tsv_row() + "\n")
     return EXIT_OK if report.consistent else EXIT_CHECK_FAILED
 
 
@@ -286,25 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: RunConfig) -> int:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        if config.n < 1:  # zip-check keeps the default; its n is in the file
+        if "n" in args and args.n < 1:  # zip-check reads n from its file
             raise ValueError("need at least one factor")
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except BoundExceededError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_BOUND
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fields = {k: v for k, v in vars(args).items() if v is not None}
-    config = RunConfig(**fields)
-    return run(config)
 
 
 def entry():

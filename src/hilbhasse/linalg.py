@@ -196,11 +196,6 @@ class Subspace:
                 row = [add[x][minus_f[y]] for x, y in zip(row, brow)]
         return row
 
-    def contains_vector(self, v: Sequence) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return not any(self.reduce([self.ctx(e)._idx for e in v]))
-
     def contains(self, inner: "Subspace") -> bool:
         """True iff every basis row of ``inner`` lies in this row space.
 

@@ -66,10 +66,6 @@ class MultiPoly:
         return cls(ctx, n, {})
 
     @classmethod
-    def monomial(cls, ctx: FieldCtx, exps: Sequence[Sequence[int]], coeff=1) -> "MultiPoly":
-        return cls(ctx, len(exps), {tuple(tuple(e) for e in exps): coeff})
-
-    @classmethod
     def coordinate(cls, ctx: FieldCtx, n: int, factor: int, which: int) -> "MultiPoly":
         """The coordinate x_{factor, which} as a degree-one monomial."""
         if not 0 <= factor < n or which not in (0, 1):
@@ -121,46 +117,7 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def bidegrees(self) -> tuple[int, ...] | None:
-        """Per-factor total degree if the polynomial is multihomogeneous."""
-        if not self.terms:
-            return None
-        totals = None
-        for exps in self.terms:
-            t = tuple(d0 + d1 for d0, d1 in exps)
-            if totals is None:
-                totals = t
-            elif totals != t:
-                return None
-        return totals
-
-    def evaluate(self, pt: "PointP1n") -> FieldElem:
-        if pt.n != self.n:
-            raise ValueError("point and polynomial factor counts differ")
-        acc = self.ctx.zero()
-        for exps, coeff in self.terms.items():
-            val = coeff
-            for (d0, d1), (u, v) in zip(exps, pt.coords):
-                if d0:
-                    val = val * u ** d0
-                if d1:
-                    val = val * v ** d1
-                if not val:
-                    break
-            acc = acc + val
-        return acc
-
-    # -- serialization and display ---------------------------------------------
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n,
-                "terms": [{"exps": [list(e) for e in exps], "coeff": coeff.to_list()}
-                          for exps, coeff in self._items]}
-
-    @classmethod
-    def from_json_obj(cls, ctx: FieldCtx, obj: dict) -> "MultiPoly":
-        terms = {tuple(tuple(e) for e in t["exps"]): ctx(t["coeff"]) for t in obj["terms"]}
-        return cls(ctx, obj["n"], terms)
+    # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._items:

@@ -37,10 +37,6 @@ class WeylElem:
     def longest(cls, n: int) -> "WeylElem":
         return cls((-1,) * n)
 
-    @classmethod
-    def from_string(cls, text: str) -> "WeylElem":
-        return cls(tuple(1 if ch == "+" else -1 for ch in text))
-
     @property
     def n(self) -> int:
         return len(self.signs)
@@ -120,13 +116,6 @@ class Character:
     @classmethod
     def zero(cls, n: int) -> "Character":
         return cls((0,) * n, 0)
-
-    def to_dict(self) -> dict:
-        return {"a": list(self.a), "c": self.c}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Character":
-        return cls(tuple(obj["a"]), obj["c"])
 
 
 def _check_perm(perm: Sequence[int], n: int) -> tuple[int, ...]:

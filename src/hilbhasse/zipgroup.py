@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
+from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import ContextMismatchError, FieldCtx
 # bruhat_word is not called here; it stays a name of this module for code
 # that wraps zipgroup.bruhat_word.
@@ -118,10 +118,9 @@ def enumerate_G(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[
     """All n-tuples of invertible 2x2 matrices with pairwise equal
     determinants, in deterministic (determinant-major) order; there are
     ``group_order(ctx, n)`` of them."""
-    implied = group_order(ctx, n)
-    if implied > bound:
-        raise BoundExceededError(implied, bound, "group enumeration")
-    gl2 = _by_det(ctx, product(range(ctx.q), repeat=4))
+    q = ctx.q
+    refuse_above(bound, "group enumeration", q * (q * q - 1), n, q - 1)  # |G|
+    gl2 = _by_det(ctx, product(range(q), repeat=4))
     return [GroupElem.from_indices(ctx, fs) for fs in _equal_det_tuples(gl2, n)]
 
 
@@ -129,17 +128,18 @@ def enumerate_E(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[
     """All Frobenius-coupled Borel pairs: the left member runs over the
     lower-triangular subgroup (equal determinants across factors), the right
     member has the coupled diagonal and a free upper entry per factor."""
+    # q - 1 determinants, (q - 1) q lower-triangular matrices of each, and q
+    # upper entries per factor
+    q = ctx.q
+    refuse_above(bound, "zip-group enumeration", (q - 1) * q * q, n, q - 1)
     # the invertible lower-triangular matrices
-    borel = _by_det(ctx, ((d0, 0, low, d1) for d0, d1, low in product(range(ctx.q), repeat=3)))
-    implied = sum(len(v) ** n for v in borel.values()) * ctx.q ** n
-    if implied > bound:
-        raise BoundExceededError(implied, bound, "zip-group enumeration")
+    borel = _by_det(ctx, ((d0, 0, low, d1) for d0, d1, low in product(range(q), repeat=3)))
     frob = ctx._frob
     out = []
     for a_factors in _equal_det_tuples(borel, n):
         a = GroupElem.from_indices(ctx, a_factors)
         diag = [(frob[f[0]], frob[f[3]]) for f in a_factors]
-        for uppers in product(range(ctx.q), repeat=n):
+        for uppers in product(range(q), repeat=n):
             b = GroupElem.from_indices(ctx, tuple((d0, u, 0, d1)
                                                   for (d0, d1), u in zip(diag, uppers)))
             out.append(ZipGroupElem(a, b))

@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_ENUM_BOUND, BoundExceededError
+from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
 from .linalg import Matrix, SemilinearMap, Subspace, filtration_level
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
@@ -155,19 +155,19 @@ def max_hodge_level(z: HilbertZip) -> int:
 
 @dataclass(frozen=True)
 class ZipReport:
-    """Per-index flags, the two order computations, and their agreement."""
+    """Per-index flags and the Hodge level; the Hasse order and the
+    agreement of the two are derived from them."""
 
     flags: tuple[bool, ...]
-    hasse_order: int
     m_max: int
-    consistent: bool
 
-    def __post_init__(self):
-        object.__setattr__(self, "flags", tuple(self.flags))
-        if self.hasse_order != sum(self.flags):
-            raise ValueError("hasse_order must equal the number of set flags")
-        if self.consistent != (self.hasse_order == self.m_max):
-            raise ValueError("consistent must mirror hasse_order == m_max")
+    @property
+    def hasse_order(self) -> int:
+        return sum(self.flags)
+
+    @property
+    def consistent(self) -> bool:
+        return self.hasse_order == self.m_max
 
     def to_json_obj(self) -> dict:
         return {"flags": list(self.flags), "hasse_order": self.hasse_order,
@@ -179,11 +179,8 @@ class ZipReport:
 
 
 def check_equivalence(z: HilbertZip) -> ZipReport:
-    """Run both order computations on one zip and compare them."""
-    flags = partial_hasse_flags(z)
-    order = sum(flags)
-    level = max_hodge_level(z)
-    return ZipReport(flags, order, level, order == level)
+    """Run both order computations on one zip; the report compares them."""
+    return ZipReport(partial_hasse_flags(z), max_hodge_level(z))
 
 
 def block_line_reps(ctx: FieldCtx, n: int, block: int) -> list[Subspace]:
@@ -202,9 +199,7 @@ def enumerate_zips(ctx: FieldCtx, n: int, perm: Sequence[int],
     if n < 1:
         raise ValueError("need at least one factor")
     perm = tuple(perm)
-    implied = (ctx.q + 1) ** (2 * n)
-    if implied > bound:
-        raise BoundExceededError(implied, bound, "zip enumeration")
+    refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
     tuples = list(product(*per_block))
     for omega in tuples:

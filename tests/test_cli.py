@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hilbhasse.cli import main
+from hilbhasse.errors import BoundExceededError, refuse_above
 from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
 from test_acceptance import EQUIVALENCE_SCALE
 
@@ -164,6 +165,71 @@ def test_refusal_of_a_count_too_long_to_print(capsys, argv):
     assert code == 3 and err.startswith("refused: ") and "about 2^" in err
 
 
+def test_refusal_is_exact_up_to_the_bound_and_estimates_huge_counts():
+    refuse_above(9, "scan", 3, 2)
+    with pytest.raises(BoundExceededError,
+                       match="^scan would visit 18 items, above the bound 17$"):
+        refuse_above(17, "scan", 3, 2, 2)
+    with pytest.raises(BoundExceededError, match=r"visit about 2\^64 items"):
+        refuse_above(0, "scan", 2, 64)
+    # near and above the bits at which the exact power is no longer computed,
+    # the exponent from logarithms is the exact one
+    for exponent in (41000, 41500, 42000, 50000):
+        with pytest.raises(BoundExceededError) as exc:
+            refuse_above(1, "scan", 3, exponent, 2)
+        assert f"about 2^{(2 * 3 ** exponent).bit_length() - 1} " in str(exc.value)
+    # a count this large is not certainly above a bound as large
+    refuse_above(2 ** 70000, "scan", 2, 70000)
+    # a power this large is never computed
+    with pytest.raises(BoundExceededError) as exc:
+        refuse_above(1_000_000, "scan", 2, 10 ** 18)
+    assert str(exc.value) == ("scan would visit about 2^1000000000000000000 items, "
+                              "above the bound 1000000")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["orbits", "--p", "3", "--n", "2", "--bound", "5000"],
+     "refused: orbit scan would visit 8064 items, above the bound 5000\n"),
+    (["orbits", "--p", "2", "--k", "2", "--n", "3", "--bound", "5000"],
+     "refused: orbit scan would visit 10368000 items, above the bound 5000\n"),
+    (["orbits", "--p", "2", "--n", "3", "--bound", "1295"],
+     "refused: orbit scan would visit 1296 items, above the bound 1295\n"),
+    (["orbits", "--p", "3", "--n", "1000000"],
+     "refused: orbit scan would visit about 2^4584985 items, above the bound 1000000\n"),
+])
+def test_orbit_scan_is_refused_before_any_generator_is_built(capsys, monkeypatch, argv, err):
+    import hilbhasse.cli as cli_mod
+
+    def unexpected(ctx, n):
+        raise AssertionError("generators built for a refused scan")
+
+    monkeypatch.setattr(cli_mod, "zip_group_generators", unexpected)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (3, "", err)
+
+
+@pytest.mark.parametrize("n, code, err", [
+    (19, 0, ""),
+    (20, 3, "refused: conjugate-wedge expansion would visit 1048576 items, "
+            "above the bound 1000000\n"),
+])
+def test_zip_check_refuses_a_conjugate_wedge_above_the_bound(capsys, monkeypatch, tmp_path,
+                                                             n, code, err):
+    # the wedge of n conjugate lines off their Hodge lines has 2^n terms;
+    # the check is stubbed, so n = 19 does not pay for them
+    import hilbhasse.cli as cli_mod
+    from hilbhasse.zips import ZipReport
+
+    monkeypatch.setattr(cli_mod, "check_equivalence", lambda z: ZipReport((False,) * z.n, 0))
+    path = tmp_path / "zip.json"
+    path.write_text(json.dumps({"p": 2, "n": n, "omega": [[1, 0]] * n, "conj": [[1, 1]] * n}))
+    assert main(["zip-check", "--file", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert (captured.out == "") == (code == 3)
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 @pytest.mark.parametrize("command", ["verify-equivalence", "strata-table", "weight-space",
                                      "census", "orbits"])
@@ -201,7 +267,7 @@ def test_failed_equivalence_prints_replayable_counterexample(capsys, monkeypatch
 
     def broken(z):
         flags = (False,) * z.n
-        return ZipReport(flags, 0, z.n, False)
+        return ZipReport(flags, z.n)
 
     monkeypatch.setattr(cli_mod, "check_equivalence", broken)
     code, out = run_cli(capsys, ["verify-equivalence", "--p", "2", "--n", "1"])

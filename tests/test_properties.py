@@ -148,7 +148,6 @@ def test_contains_agrees_with_stacked_rank(pair):
     small = Subspace.from_vectors(ctx, ncols, inner)
     expected = naive_rank(outer + inner) == naive_rank(outer)
     assert big.contains(small) == expected
-    assert all(big.contains_vector(r) for r in inner) == expected
 
 
 @st.composite
@@ -635,6 +634,7 @@ def fuzzed_zip_json(draw):
 @given(fuzzed_zip_json())
 @example('{"p": 2, "k": 8, "n": 1, "omega": [[[0, 1], [1]]], "conj": [[[1], 0]]}')
 @example('{"p": 2, "k": 8, "n": 1, "omega": [[[0, 1], [1]]], "conj": [[0, 0]]}')
+@example("[" * 100000 + "]" * 100000)  # deeper than the JSON parser recurses
 def test_zip_check_on_fuzzed_json_keeps_the_exit_code_contract(text):
     # an exception escaping main() is what a command-line run prints as a
     # traceback, so calling main() directly checks both halves of the contract

@@ -52,7 +52,7 @@ def test_hasse_section_two_factors(F2):
 def test_hasse_section_nonvanishing_at_base_chart(F3):
     h = hasse_section(F3, 3)
     pt = PointP1n(F3, [(1, 0)] * 3)
-    assert h.evaluate(pt) == F3.one()
+    assert vanishing_order_at_point(h, pt) == 0
 
 
 def test_multipoly_ring_operations(F3):
@@ -62,15 +62,6 @@ def test_multipoly_ring_operations(F3):
     assert prod_poly == MultiPoly(F3, 2, {((1, 0), (0, 1)): 1})
     assert (prod_poly + prod_poly) == 2 * prod_poly
     assert (prod_poly - prod_poly).is_zero()
-    assert prod_poly.bidegrees() == (1, 1)
-    mixed = prod_poly + x10 * x10 * x21
-    assert mixed.bidegrees() is None
-
-
-def test_multipoly_json_round_trip(F4):
-    u = F4.gen()
-    f = MultiPoly(F4, 2, {((1, 0), (0, 1)): u, ((0, 1), (1, 0)): 1})
-    assert MultiPoly.from_json_obj(F4, f.to_json_obj()) == f
 
 
 def test_torus_weight_space_at_hodge_weight(F2):

@@ -144,11 +144,3 @@ def test_pullback_key_identity(p, n, preset):
     eta = hodge_character(datum)
     w0eta = weyl_act(WeylElem.longest(n), eta)
     assert zipflag_pullback(-eta, w0eta, datum) == (p - 1) * eta
-
-
-def test_serialization_round_trip():
-    chi = Character((-1, 3), 2)
-    assert Character.from_dict(chi.to_dict()) == chi
-    assert chi.to_dict() == {"a": [-1, 3], "c": 2}
-    w = WeylElem((-1, 1))
-    assert WeylElem.from_string(w.to_string()) == w

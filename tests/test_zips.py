@@ -7,7 +7,7 @@ import pytest
 
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.linalg import Matrix, Subspace
-from hilbhasse.zips import (DegenerateZipError, HilbertZip, check_equivalence,
+from hilbhasse.zips import (DegenerateZipError, HilbertZip, ZipReport, check_equivalence,
                             enumerate_zips, hasse_order, inert_perm,
                             line_in_block, max_hodge_level, partial_hasse_flags,
                             split_perm, zip_from_frobenius, zip_from_json_obj,
@@ -276,6 +276,12 @@ def test_report_serialization(F2):
     assert r.to_json_obj() == {"flags": [True, True], "hasse_order": 2,
                                "m_max": 2, "consistent": True}
     assert r.tsv_row() == "11\t2\t2\t1"
+    # the totals are derived from the flags; no real zip disagrees, so
+    # build a report that does
+    r = ZipReport((True, False, True), 1)
+    assert r.to_json_obj() == {"flags": [True, False, True], "hasse_order": 2,
+                               "m_max": 1, "consistent": False}
+    assert r.tsv_row() == "101\t2\t1\t0"
 
 
 def test_zip_equality_ignores_nothing(F2):
