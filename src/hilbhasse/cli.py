@@ -19,24 +19,12 @@ from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
 # that wraps cli.enumerate_E.
 from .zipgroup import (OrbitLabelError, borel_order, bruhat_census,  # noqa: F401
                        enumerate_E, enumerate_G, group_order, orbits, zip_group_generators)
-from .zips import (check_equivalence, enumerate_zips, inert_perm, split_perm,
-                   zip_from_json_obj, zip_to_json_obj)
+from .zips import check_equivalence, enumerate_zips, zip_from_json_obj, zip_to_json_obj
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
-
-
-def _parse_perm(spec: str, n: int) -> tuple[int, ...]:
-    if spec == "split":
-        return split_perm(n)
-    if spec == "inert":
-        return inert_perm(n)
-    perm = tuple(int(x) for x in spec.split(","))
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{spec!r} is not a permutation of 0..{n - 1}")
-    return perm
 
 
 def _parse_target(spec: str, n: int):
@@ -58,10 +46,9 @@ def _emit(args: argparse.Namespace, text: str):
 
 def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
-    perm = _parse_perm(args.perm, args.n)
     total = 0
     failures = []
-    for z in enumerate_zips(ctx, args.n, perm, bound=args.bound):
+    for z in enumerate_zips(ctx, args.n, bound=args.bound):
         total += 1
         report = check_equivalence(z)
         if not report.consistent:
@@ -251,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-equivalence",
                         help="check hasse order == filtration level on every zip")
     add_common(sp)
-    sp.add_argument("--perm", default="split",
-                    help="split, inert, or an explicit comma permutation")
 
     sp = sub.add_parser("strata-table", help="vanishing orders along all cells")
     add_common(sp)

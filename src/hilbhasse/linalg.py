@@ -80,19 +80,6 @@ class Matrix:
                 out.append(acc)
         return Matrix(self.ctx, self.rows, other.cols, out)
 
-    def apply(self, v: Sequence[FieldElem]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        zero = self.ctx.zero()
-        out = []
-        for r in range(self.rows):
-            row = self.row(r)
-            acc = zero
-            for k in range(self.cols):
-                acc = acc + row[k] * v[k]
-            out.append(acc)
-        return tuple(out)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -220,27 +207,6 @@ class Subspace:
     def __repr__(self):
         rows = ["[" + ", ".join(repr(e) for e in row) + "]" for row in self.basis]
         return f"Subspace(dim={self.dim} of {self.ambient_dim}: {'; '.join(rows)})"
-
-
-class SemilinearMap:
-    """v -> matrix . frobenius^twist(v), with frobenius applied entrywise."""
-
-    __slots__ = ("matrix", "twist")
-
-    def __init__(self, matrix: Matrix, twist: int = 1):
-        if twist < 0:
-            raise ValueError("twist power must be >= 0")
-        self.matrix = matrix
-        self.twist = twist
-
-    def apply(self, v: Sequence[FieldElem]) -> Vector:
-        twisted = tuple(x.frobenius(self.twist) for x in v)
-        return self.matrix.apply(twisted)
-
-    __call__ = apply
-
-    def __repr__(self):
-        return f"SemilinearMap(twist={self.twist}, matrix={self.matrix!r})"
 
 
 # -- exterior power coordinates ---------------------------------------------

@@ -17,6 +17,7 @@ import math
 from itertools import product
 from typing import Sequence
 
+from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import ContextMismatchError, FieldCtx, FieldElem
 from .linalg import Matrix
 from .weyl import Character, CocharDatum, WeylElem
@@ -201,9 +202,11 @@ def normalized_index_pair(ctx: FieldCtx, a, b) -> tuple[int, int]:
 
 
 def all_points(ctx: FieldCtx, n: int) -> list[PointP1n]:
-    """All (q+1)^n rational points of the n-fold product, lexicographic."""
+    """All (q+1)^n rational points of the n-fold product, lexicographic;
+    refused above ``DEFAULT_ENUM_BOUND`` points."""
     if n < 1:
         raise ValueError("need at least one factor")
+    refuse_above(DEFAULT_ENUM_BOUND, "point enumeration", ctx.q + 1, n)
     reps = projective_line_reps(ctx)
     return [PointP1n(ctx, combo) for combo in product(reps, repeat=n)]
 

@@ -25,7 +25,7 @@ class WeylElem:
 
     def __init__(self, signs: Sequence[int]):
         signs = tuple(signs)
-        if not signs or any(s not in (1, -1) for s in signs):
+        if not signs or signs.count(1) + signs.count(-1) != len(signs):
             raise ValueError("signs must be a non-empty sequence over {+1, -1}")
         self.signs = signs
 
@@ -43,7 +43,7 @@ class WeylElem:
 
     def length(self) -> int:
         """Coxeter length: the number of -1 entries."""
-        return sum(1 for s in self.signs if s < 0)
+        return self.signs.count(-1)
 
     def bruhat_leq(self, other: "WeylElem") -> bool:
         """True iff the cell of self lies in the closure of the cell of other.

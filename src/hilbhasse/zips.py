@@ -20,23 +20,10 @@ from typing import Iterator, Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
-from .linalg import Matrix, SemilinearMap, Subspace, filtration_level
+from .linalg import Subspace, filtration_level
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .schubert import normalized_index_pair, projective_line_reps
-
-
-class DegenerateZipError(ValueError):
-    """Frobenius data producing a zero conjugate line is not a zip."""
-
-
-def split_perm(n: int) -> tuple[int, ...]:
-    return tuple(range(n))
-
-
-def inert_perm(n: int) -> tuple[int, ...]:
-    """The n-cycle feeding block i from block i-1 (indices mod n)."""
-    return tuple((i - 1) % n for i in range(n))
 
 
 def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspace:
@@ -52,15 +39,10 @@ def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspac
     return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
 
 
-def _block_coords(line: Subspace, block: int) -> tuple:
-    row = line.basis[0]
-    return row[2 * block], row[2 * block + 1]
-
-
 @dataclass(frozen=True)
 class HilbertZip:
-    """Block-line zip datum: context, degree, index permutation, Hodge lines
-    and conjugate lines (line i supported in coordinates {2i, 2i+1}).
+    """Block-line zip datum: context, degree, Hodge lines and conjugate
+    lines (line i supported in coordinates {2i, 2i+1}).
 
     ``hodge`` is derived from the Hodge lines on first use; ``enumerate_zips``
     seeds it, shared by zips with equal Hodge lines.
@@ -68,16 +50,12 @@ class HilbertZip:
 
     ctx: FieldCtx
     n: int
-    perm: tuple[int, ...]
     omega: tuple[Subspace, ...]
     conj: tuple[Subspace, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
         object.__setattr__(self, "omega", tuple(self.omega))
         object.__setattr__(self, "conj", tuple(self.conj))
-        if sorted(self.perm) != list(range(self.n)):
-            raise ValueError(f"perm is not a permutation of 0..{self.n - 1}")
         for name, lines in (("omega", self.omega), ("conj", self.conj)):
             if len(lines) != self.n:
                 raise ValueError(f"{name} must hold {self.n} lines")
@@ -106,35 +84,6 @@ def _seeded(z: HilbertZip, hodge: Subspace) -> HilbertZip:
     """Store ``hodge``, computed from lines equal to ``z.omega``, on ``z``."""
     z.__dict__["hodge"] = hodge
     return z
-
-
-def zip_from_frobenius(ctx: FieldCtx, n: int, perm: Sequence[int],
-                       omega: Sequence[Subspace],
-                       frob_matrices: Sequence[Matrix]) -> HilbertZip:
-    """Build a zip whose conjugate lines are images of twist-1 semilinear
-    maps applied to complements of the Hodge lines.
-
-    Conjugate line i is the span of frob_matrices[i] applied (with one
-    Frobenius twist) to the first standard vector of block perm[i] outside
-    Omega_{perm[i]}, re-housed in block i.  A matrix that kills that
-    generator yields no line and is rejected.
-    """
-    perm = tuple(perm)
-    if len(omega) != n or len(frob_matrices) != n:
-        raise ValueError(f"expected {n} lines and {n} matrices")
-    conj = []
-    for i in range(n):
-        src = perm[i]
-        a, b = _block_coords(omega[src], src)
-        # first standard basis vector of the block not lying on the line
-        generator = (ctx.zero(), ctx.one()) if (a == ctx.one() and not b) \
-            else (ctx.one(), ctx.zero())
-        image = SemilinearMap(frob_matrices[i], 1).apply(generator)
-        if not any(image):
-            raise DegenerateZipError(f"Frobenius matrix {i} kills the complement of "
-                                     f"the Hodge line in block {src}")
-        conj.append(line_in_block(ctx, n, i, image))
-    return HilbertZip(ctx, n, perm, tuple(omega), tuple(conj))
 
 
 def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
@@ -188,8 +137,7 @@ def block_line_reps(ctx: FieldCtx, n: int, block: int) -> list[Subspace]:
     return [line_in_block(ctx, n, block, pair) for pair in projective_line_reps(ctx)]
 
 
-def enumerate_zips(ctx: FieldCtx, n: int, perm: Sequence[int],
-                   bound: int = DEFAULT_ENUM_BOUND) -> Iterator[HilbertZip]:
+def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[HilbertZip]:
     """Yield every (Omega, C) line configuration, (q+1)^(2n) in total, in
     lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
 
@@ -198,26 +146,25 @@ def enumerate_zips(ctx: FieldCtx, n: int, perm: Sequence[int],
     """
     if n < 1:
         raise ValueError("need at least one factor")
-    perm = tuple(perm)
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
     tuples = list(product(*per_block))
     for omega in tuples:
         hodge = _hodge_span(ctx, n, omega)
         for conj in tuples:
-            yield _seeded(HilbertZip(ctx, n, perm, omega, conj), hodge)
+            yield _seeded(HilbertZip(ctx, n, omega, conj), hodge)
 
 
 # -- serialization ---------------------------------------------------------------
 
 
 def _line_to_json(line: Subspace, block: int) -> list:
-    a, b = _block_coords(line, block)
-    return [a.to_list(), b.to_list()]
+    row = line.basis[0]
+    return [row[2 * block].to_list(), row[2 * block + 1].to_list()]
 
 
 def zip_to_json_obj(z: HilbertZip) -> dict:
-    return {"p": z.ctx.p, "k": z.ctx.k, "n": z.n, "perm": list(z.perm),
+    return {"p": z.ctx.p, "k": z.ctx.k, "n": z.n,
             "omega": [_line_to_json(line, i) for i, line in enumerate(z.omega)],
             "conj": [_line_to_json(line, i) for i, line in enumerate(z.conj)]}
 
@@ -239,10 +186,11 @@ def _check_lines(name: str, lines, n: int):
 
 
 def zip_from_json_obj(obj: dict) -> HilbertZip:
-    """Parse {"p", "k", "n", "perm", "omega", "conj"}; each line is a pair of
-    field elements given as coefficient arrays (plain ints also accepted).
+    """Parse {"p", "k", "n", "omega", "conj"}; each line is a pair of field
+    elements given as coefficient arrays (plain ints also accepted).
 
-    Any departure from that schema raises ValueError.
+    Any departure from that schema raises ValueError; keys outside it are
+    ignored.
     """
     if not isinstance(obj, dict):
         raise ValueError("a zip must be a JSON object")
@@ -255,12 +203,9 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
             raise ValueError(f"{key!r} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError(f"'n' must be at least 1, got {n}")
-    perm = obj.get("perm", split_perm(n))
-    if not isinstance(perm, (list, tuple)) or not all(_is_int(x) for x in perm):
-        raise ValueError(f"'perm' must be a list of integers, got {perm!r}")
     _check_lines("omega", obj["omega"], n)
     _check_lines("conj", obj["conj"], n)
     ctx = FieldCtx(p, k)
     omega = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["omega"])]
     conj = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["conj"])]
-    return HilbertZip(ctx, n, tuple(perm), tuple(omega), tuple(conj))
+    return HilbertZip(ctx, n, tuple(omega), tuple(conj))

@@ -21,7 +21,7 @@ def F4():
 
 @pytest.fixture(scope="session")
 def zip_reports():
-    """Memoized full equivalence sweeps, keyed by (p, n, perm name).
+    """Memoized full equivalence sweeps, keyed by (p, k, n).
 
     Returns a dict mapping (omega lines, conj lines) to the ZipReport, so
     several criteria can share one exhaustive enumeration.

@@ -9,7 +9,7 @@ from hilbhasse.errors import BoundExceededError, refuse_above
 from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
 from test_acceptance import EQUIVALENCE_SCALE
 
-CONSISTENT_ZIP = {"p": 2, "k": 1, "n": 2, "perm": [0, 1],
+CONSISTENT_ZIP = {"p": 2, "k": 1, "n": 2,
                   "omega": [[[1], [0]], [[1], [0]]],
                   "conj": [[[1], [0]], [[0], [1]]]}
 
@@ -21,19 +21,9 @@ def run_cli(capsys, argv):
 
 
 def test_verify_equivalence_f2_n2(capsys):
-    code, out = run_cli(capsys, ["verify-equivalence", "--p", "2", "--n", "2",
-                                 "--perm", "split"])
+    code, out = run_cli(capsys, ["verify-equivalence", "--p", "2", "--n", "2"])
     assert code == 0
     assert out == "81/81 consistent\n"
-
-
-def test_verify_equivalence_inert_and_explicit_perm(capsys):
-    code, out = run_cli(capsys, ["verify-equivalence", "--p", "2", "--n", "2",
-                                 "--perm", "inert"])
-    assert code == 0 and out.endswith("81/81 consistent\n")
-    code, out = run_cli(capsys, ["verify-equivalence", "--p", "2", "--n", "2",
-                                 "--perm", "1,0"])
-    assert code == 0 and out.endswith("81/81 consistent\n")
 
 
 def test_verify_equivalence_json_format(capsys):
@@ -44,8 +34,8 @@ def test_verify_equivalence_json_format(capsys):
     assert payload == {"total": 16, "consistent": 16, "failures": []}
 
 
-@pytest.mark.parametrize("p, n, perm", EQUIVALENCE_SCALE)
-def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, n, perm):
+@pytest.mark.parametrize("p, k, n", EQUIVALENCE_SCALE)
+def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, k, n):
     # the sweep shares each tuple's Hodge span across zips; a zip rebuilt
     # from its JSON computes its own
     import hilbhasse.cli as cli_mod
@@ -57,9 +47,9 @@ def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, n, perm):
         return report
 
     monkeypatch.setattr(cli_mod, "check_equivalence", recording)
-    code, out = run_cli(capsys, ["verify-equivalence", "--p", str(p), "--n", str(n),
-                                 "--perm", perm])
-    total = (p + 1) ** (2 * n)
+    code, out = run_cli(capsys, ["verify-equivalence", "--p", str(p), "--k", str(k),
+                                 "--n", str(n)])
+    total = (p ** k + 1) ** (2 * n)
     assert code == 0 and out == f"{total}/{total} consistent\n"
     assert len(seen) == total
     for z, report in seen:
@@ -255,8 +245,12 @@ def test_missing_zip_file_is_a_usage_error(capsys):
 
 
 def test_bad_perm_is_a_usage_error(capsys):
-    code = main(["verify-equivalence", "--p", "2", "--n", "2", "--perm", "0,0"])
-    assert code == 2
+    # the equivalence does not depend on the splitting type of p, and
+    # verify-equivalence takes no permutation
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-equivalence", "--p", "2", "--n", "2", "--perm", "0,1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --perm" in capsys.readouterr().err
 
 
 def test_failed_equivalence_prints_replayable_counterexample(capsys, monkeypatch):
@@ -277,7 +271,7 @@ def test_failed_equivalence_prints_replayable_counterexample(capsys, monkeypatch
     assert len(lines) == 10
     # every counterexample line carries the full zip datum, replayable as is
     first = json.loads(lines[0].split("\t")[1])
-    assert set(first) == {"p", "k", "n", "perm", "omega", "conj"}
+    assert set(first) == {"p", "k", "n", "omega", "conj"}
     assert zip_from_json_obj(first) is not None
 
 

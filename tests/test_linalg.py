@@ -1,14 +1,14 @@
-"""Matrices, canonical subspaces, semilinear maps, wedge coordinates and the
-induced exterior-power filtration."""
+"""Matrices, canonical subspaces, wedge coordinates and the induced
+exterior-power filtration."""
 
 from itertools import product
 
 import pytest
 
 from hilbhasse.field import ContextMismatchError, FieldCtx
-from hilbhasse.linalg import (Matrix, SemilinearMap, Subspace, filtration_level,
-                              induced_filtration, rref, wedge_basis_index,
-                              wedge_basis_subsets, wedge_of_lines)
+from hilbhasse.linalg import (Matrix, Subspace, filtration_level, induced_filtration,
+                              rref, wedge_basis_index, wedge_basis_subsets,
+                              wedge_of_lines)
 from oracles import naive_rank, wedge_coords_by_minors
 
 
@@ -127,44 +127,6 @@ def test_canonical_basis_ignores_presentation(F3):
     s1 = Subspace.from_vectors(F3, 3, [[1, 2, 0], [0, 0, 1]])
     s2 = Subspace.from_vectors(F3, 3, [[2, 4, 1], [0, 0, 2], [1, 2, 1]])
     assert s1 == s2 and hash(s1) == hash(s2)
-
-
-# -- semilinear maps --------------------------------------------------------------
-
-
-def test_semilinear_identity_over_prime_field(F2):
-    f = SemilinearMap(Matrix.identity(F2, 2), twist=1)
-    v = (F2(1), F2(1))
-    assert f.apply(v) == v  # Frobenius fixes the prime field
-
-
-def test_semilinear_twists_entries(F4):
-    f = SemilinearMap(Matrix.identity(F4, 2), twist=1)
-    u = F4.gen()
-    assert f.apply((u, F4.zero())) == (u * u, F4.zero())
-    assert (u * u).coeffs == (1, 1)
-
-
-def test_semilinear_zero_matrix(F4):
-    f = SemilinearMap(Matrix.zeros(F4, 2, 2), twist=1)
-    assert f.apply((F4.gen(), F4.one())) == (F4.zero(), F4.zero())
-
-
-def test_semilinear_scaling_law(F4):
-    m = Matrix.from_rows(F4, [[1, F4.gen()], [0, 1]])
-    f = SemilinearMap(m, twist=1)
-    p = F4.p
-    for c in F4.elements():
-        for v in product(F4.elements(), repeat=2):
-            scaled = tuple(c * x for x in v)
-            expect = tuple(c ** p * y for y in f.apply(v))
-            assert f.apply(scaled) == expect
-
-
-def test_semilinear_dimension_mismatch(F2):
-    f = SemilinearMap(Matrix.identity(F2, 2))
-    with pytest.raises(ValueError):
-        f.apply((F2(1),))
 
 
 # -- wedge coordinates --------------------------------------------------------------

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Matrix
 from hilbhasse.schubert import (INFINITE_ORDER, GroupElem, MultiPoly, PointP1n,
@@ -230,6 +231,19 @@ def test_all_points_needs_a_factor(F2):
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least one factor"):
             all_points(F2, n)
+
+
+def test_all_points_refuses_before_building(monkeypatch):
+    import hilbhasse.schubert as schubert_mod
+
+    def no_points(*args):
+        raise AssertionError("a point was built before the bound check")
+
+    monkeypatch.setattr(schubert_mod, "PointP1n", no_points)
+    with pytest.raises(BoundExceededError) as exc:
+        all_points(FieldCtx(2, 8), 4)
+    assert str(exc.value) == ("point enumeration would visit 4362470401 items, "
+                              "above the bound 1000000")
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])

@@ -1,17 +1,20 @@
-"""Zip data: construction from Frobenius matrices, Hasse flags, filtration
-levels and the exhaustive equivalence check."""
+"""Zip data: construction, Hasse flags, filtration levels and the
+exhaustive equivalence check."""
 
 import json
 
 import pytest
 
 from hilbhasse.errors import BoundExceededError
-from hilbhasse.linalg import Matrix, Subspace
-from hilbhasse.zips import (DegenerateZipError, HilbertZip, ZipReport, check_equivalence,
-                            enumerate_zips, hasse_order, inert_perm,
-                            line_in_block, max_hodge_level, partial_hasse_flags,
-                            split_perm, zip_from_frobenius, zip_from_json_obj,
-                            zip_to_json_obj)
+from hilbhasse.field import FieldCtx
+from hilbhasse.linalg import Subspace
+from hilbhasse.schubert import (PointP1n, hasse_section, vanishing_order_at_point,
+                                vanishing_order_on_stratum)
+from hilbhasse.weyl import WeylElem
+from hilbhasse.zips import (HilbertZip, ZipReport, check_equivalence, enumerate_zips,
+                            hasse_order, line_in_block, max_hodge_level,
+                            partial_hasse_flags, zip_from_json_obj, zip_to_json_obj)
+from test_acceptance import EQUIVALENCE_SCALE
 
 
 def first_lines(ctx, n):
@@ -29,74 +32,15 @@ def second_lines(ctx, n):
 def test_zip_validation(F2):
     omega = first_lines(F2, 2)
     with pytest.raises(ValueError):
-        HilbertZip(F2, 2, (0, 0), omega, omega)  # not a permutation
+        HilbertZip(F2, 2, omega[:1], omega)  # fewer lines than n
     off_block = (line_in_block(F2, 2, 1, (1, 0)), line_in_block(F2, 2, 1, (0, 1)))
     with pytest.raises(ValueError):
-        HilbertZip(F2, 2, (0, 1), off_block, omega)
+        HilbertZip(F2, 2, off_block, omega)
 
 
 def test_line_in_block_rejects_zero_vector(F2):
     with pytest.raises(ValueError):
         line_in_block(F2, 2, 0, (0, 0))
-
-
-def test_inert_perm_is_a_cycle():
-    assert split_perm(3) == (0, 1, 2)
-    assert inert_perm(3) == (2, 0, 1)
-    assert inert_perm(1) == (0,)
-
-
-def test_frobenius_construction_ordinary(F2):
-    n = 2
-    omega = first_lines(F2, n)
-    identity = [Matrix.identity(F2, 2)] * n
-    z = zip_from_frobenius(F2, n, split_perm(n), omega, identity)
-    assert z.conj == second_lines(F2, n)
-    assert partial_hasse_flags(z) == (False, False)
-
-
-def test_frobenius_construction_with_image_inside_omega(F3):
-    n = 2
-    omega = first_lines(F3, n)
-    into_omega = [Matrix.from_rows(F3, [[0, 1], [0, 0]])] * n
-    z = zip_from_frobenius(F3, n, split_perm(n), omega, into_omega)
-    assert z.conj == omega
-    assert partial_hasse_flags(z) == (True, True)
-
-
-def test_frobenius_construction_rejects_zero_matrix(F2):
-    omega = first_lines(F2, 1)
-    with pytest.raises(DegenerateZipError):
-        zip_from_frobenius(F2, 1, split_perm(1), omega, [Matrix.zeros(F2, 2, 2)])
-
-
-def test_frobenius_construction_rejects_killed_complement(F2):
-    omega = first_lines(F2, 1)
-    kills_e1 = Matrix.from_rows(F2, [[1, 0], [0, 0]])
-    with pytest.raises(DegenerateZipError):
-        zip_from_frobenius(F2, 1, split_perm(1), omega, [kills_e1])
-
-
-def test_frobenius_construction_twists_coefficients(F4):
-    u = F4.gen()
-    omega = first_lines(F4, 1)
-    m = Matrix.from_rows(F4, [[0, u], [0, 1]])
-    z = zip_from_frobenius(F4, 1, split_perm(1), omega, [m])
-    # complement generator is the standard e1, fixed by Frobenius, so the
-    # conjugate line is the matrix column span(u, 1)
-    assert z.conj[0] == line_in_block(F4, 1, 0, (u, 1))
-
-
-def test_frobenius_construction_inert_routing(F2):
-    n = 2
-    omega = (line_in_block(F2, n, 0, (1, 0)), line_in_block(F2, n, 1, (1, 1)))
-    identity = [Matrix.identity(F2, 2)] * n
-    z = zip_from_frobenius(F2, n, inert_perm(n), omega, identity)
-    # block 0 is fed from block 1 whose line is (1, 1): complement generator
-    # is e0, image is e0 placed in block 0; block 1 is fed from block 0 whose
-    # line is (1, 0): complement generator is e1
-    assert z.conj[0] == line_in_block(F2, n, 0, (1, 0))
-    assert z.conj[1] == line_in_block(F2, n, 1, (0, 1))
 
 
 # -- flags and orders ------------------------------------------------------------------
@@ -105,14 +49,14 @@ def test_frobenius_construction_inert_routing(F2):
 def test_flags_all_set_when_lines_coincide(F2):
     n = 3
     omega = first_lines(F2, n)
-    z = HilbertZip(F2, n, split_perm(n), omega, omega)
+    z = HilbertZip(F2, n, omega, omega)
     assert partial_hasse_flags(z) == (True,) * n
     assert hasse_order(z) == n
 
 
 def test_flags_all_clear_when_lines_differ(F2):
     n = 3
-    z = HilbertZip(F2, n, split_perm(n), first_lines(F2, n), second_lines(F2, n))
+    z = HilbertZip(F2, n, first_lines(F2, n), second_lines(F2, n))
     assert partial_hasse_flags(z) == (False,) * n
     assert hasse_order(z) == 0
 
@@ -120,7 +64,7 @@ def test_flags_all_clear_when_lines_differ(F2):
 def test_flags_mixed_case(F2):
     omega = first_lines(F2, 2)
     conj = (line_in_block(F2, 2, 0, (1, 0)), line_in_block(F2, 2, 1, (1, 1)))
-    z = HilbertZip(F2, 2, split_perm(2), omega, conj)
+    z = HilbertZip(F2, 2, omega, conj)
     assert partial_hasse_flags(z) == (True, False)
     assert hasse_order(z) == 1
 
@@ -128,13 +72,13 @@ def test_flags_mixed_case(F2):
 def test_max_level_when_conjugate_equals_hodge(F2):
     for n in (1, 2, 3):
         omega = first_lines(F2, n)
-        z = HilbertZip(F2, n, split_perm(n), omega, omega)
+        z = HilbertZip(F2, n, omega, omega)
         assert max_hodge_level(z) == n
 
 
 def test_max_level_when_all_lines_differ(F2):
     for n in (1, 2, 3):
-        z = HilbertZip(F2, n, split_perm(n), first_lines(F2, n), second_lines(F2, n))
+        z = HilbertZip(F2, n, first_lines(F2, n), second_lines(F2, n))
         assert max_hodge_level(z) == 0
 
 
@@ -142,7 +86,7 @@ def test_max_level_zero_for_every_fully_split_configuration(F2):
     # exhaustive over F_2, n <= 3: whenever no conjugate line matches its
     # Hodge line, the wedge line escapes even the first filtration piece
     for n in (1, 2, 3):
-        for z in enumerate_zips(F2, n, split_perm(n)):
+        for z in enumerate_zips(F2, n):
             if all(c != o for c, o in zip(z.conj, z.omega)):
                 assert max_hodge_level(z) == 0
 
@@ -150,23 +94,23 @@ def test_max_level_zero_for_every_fully_split_configuration(F2):
 def test_max_level_mixed_case(F2):
     omega = first_lines(F2, 2)
     conj = (omega[0], line_in_block(F2, 2, 1, (0, 1)))
-    z = HilbertZip(F2, 2, split_perm(2), omega, conj)
+    z = HilbertZip(F2, 2, omega, conj)
     assert max_hodge_level(z) == 1
 
 
 def test_check_equivalence_reports(F2):
     n = 2
     omega = first_lines(F2, n)
-    ordinary = HilbertZip(F2, n, split_perm(n), omega, second_lines(F2, n))
+    ordinary = HilbertZip(F2, n, omega, second_lines(F2, n))
     r = check_equivalence(ordinary)
     assert (r.hasse_order, r.m_max, r.consistent) == (0, 0, True)
-    superspecial = HilbertZip(F2, n, split_perm(n), omega, omega)
+    superspecial = HilbertZip(F2, n, omega, omega)
     r = check_equivalence(superspecial)
     assert (r.hasse_order, r.m_max, r.consistent) == (n, n, True)
 
 
 def test_all_f2_n2_configurations_are_consistent(zip_reports):
-    reports = zip_reports(2, 2, "split")
+    reports = zip_reports(2, 1, 2)
     assert len(reports) == 81
     assert all(r.consistent for r in reports.values())
 
@@ -175,44 +119,32 @@ def test_all_f2_n2_configurations_are_consistent(zip_reports):
 
 
 def test_enumeration_counts(F2, F3):
-    assert len(list(enumerate_zips(F2, 1, split_perm(1)))) == 9
-    assert len(list(enumerate_zips(F2, 2, split_perm(2)))) == 81
-    assert len(list(enumerate_zips(F3, 1, split_perm(1)))) == 16
+    assert len(list(enumerate_zips(F2, 1))) == 9
+    assert len(list(enumerate_zips(F2, 2))) == 81
+    assert len(list(enumerate_zips(F3, 1))) == 16
 
 
 def test_enumeration_is_deterministic(F2):
-    a = [zip_to_json_obj(z) for z in enumerate_zips(F2, 1, split_perm(1))]
-    b = [zip_to_json_obj(z) for z in enumerate_zips(F2, 1, split_perm(1))]
+    a = [zip_to_json_obj(z) for z in enumerate_zips(F2, 1)]
+    b = [zip_to_json_obj(z) for z in enumerate_zips(F2, 1)]
     assert a == b
 
 
 def test_enumeration_respects_bound(F3):
     with pytest.raises(BoundExceededError):
-        list(enumerate_zips(F3, 3, split_perm(3), bound=100))
+        list(enumerate_zips(F3, 3, bound=100))
 
 
 def test_enumeration_needs_a_factor(F2):
     for n in (0, -1):
         with pytest.raises(ValueError, match="at least one factor"):
-            next(enumerate_zips(F2, n, split_perm(0)))
-
-
-def test_consistency_does_not_depend_on_perm(zip_reports):
-    # the flags and the filtration level only read the line data, so the
-    # index permutation cannot break the equivalence
-    split_reports = zip_reports(2, 2, "split")
-    inert_reports = zip_reports(2, 2, "inert")
-    assert split_reports.keys() == inert_reports.keys()
-    for key, report in split_reports.items():
-        other = inert_reports[key]
-        assert report.consistent and other.consistent
-        assert (report.hasse_order, report.m_max) == (other.hasse_order, other.m_max)
+            next(enumerate_zips(F2, n))
 
 
 def test_monotone_flag_flip_at_small_scale(zip_reports):
     # replacing one differing conjugate line by the Hodge line raises both
     # computed orders by exactly one
-    reports = zip_reports(2, 2, "split")
+    reports = zip_reports(2, 1, 2)
     for (omega, conj), report in reports.items():
         for i, flag in enumerate(report.flags):
             if not flag:
@@ -222,27 +154,72 @@ def test_monotone_flag_flip_at_small_scale(zip_reports):
                 assert other.m_max == report.m_max + 1
 
 
+# -- one zip, one point, one Weyl word -----------------------------------------------
+
+
+def block_point_and_sign(ctx, omega_line, conj_line, i):
+    """Block i of a zip as a point of P^1 and a sign, from the block
+    coordinates (a, b) of omega_i and (x, y) of c_i on the field's tables:
+    the pair [det(c_i, omega_i) : det(e_i, c_i)], where e_i is the first
+    standard vector of the block off Omega_i, and the sign +1 iff
+    det(c_i, omega_i) = 0.  Nothing here reads the Hasse flags."""
+    add, mul, neg = ctx._add, ctx._mul, ctx._neg
+    a, b = omega_line.index_basis[0][2 * i:2 * i + 2]
+    x, y = conj_line.index_basis[0][2 * i:2 * i + 2]
+    d = add[mul[x][b]][neg[mul[y][a]]]
+    # Omega_i is normalized: index 1 is the field's one
+    e_det_c = neg[x] if (a, b) == (1, 0) else y
+    return (ctx.from_index(d), ctx.from_index(e_det_c)), 1 if d == 0 else -1
+
+
+@pytest.mark.parametrize("p, k, n", EQUIVALENCE_SCALE)
+def test_zip_point_and_word_give_one_order(zip_reports, p, k, n):
+    # the three quantities of the paper at one point, from three views: the
+    # zip (Hasse order, Hodge level), the point of (P^1)^n that its
+    # conjugate lines give in the Hodge chart, and the stratum of its
+    # relative-position word
+    ctx = FieldCtx(p, k)
+    h = hasse_section(ctx, n)
+    for (omega, conj), report in zip_reports(p, k, n).items():
+        pairs, signs = zip(*(block_point_and_sign(ctx, omega[i], conj[i], i)
+                             for i in range(n)))
+        w = WeylElem(signs)
+        orders = (report.hasse_order, report.m_max,
+                  vanishing_order_at_point(h, PointP1n(ctx, pairs)),
+                  vanishing_order_on_stratum(h, w), n - w.length())
+        assert len(set(orders)) == 1, (zip_to_json_obj(HilbertZip(ctx, n, omega, conj)),
+                                       orders)
+
+
 # -- serialization ----------------------------------------------------------------------
 
 
 def test_json_round_trip(F3):
     omega = first_lines(F3, 2)
     conj = (line_in_block(F3, 2, 0, (1, 2)), line_in_block(F3, 2, 1, (0, 1)))
-    z = HilbertZip(F3, 2, inert_perm(2), omega, conj)
+    z = HilbertZip(F3, 2, omega, conj)
     obj = zip_to_json_obj(z)
-    assert obj["p"] == 3 and obj["k"] == 1 and obj["perm"] == [1, 0]
+    assert set(obj) == {"p", "k", "n", "omega", "conj"}
+    assert obj["p"] == 3 and obj["k"] == 1
     parsed = zip_from_json_obj(json.loads(json.dumps(obj)))
     assert parsed == z
 
 
 def test_json_accepts_plain_int_coefficients():
-    obj = {"p": 2, "k": 1, "n": 1, "perm": [0], "omega": [[1, 0]], "conj": [[1, 1]]}
+    obj = {"p": 2, "k": 1, "n": 1, "omega": [[1, 0]], "conj": [[1, 1]]}
     z = zip_from_json_obj(obj)
     assert z.omega[0] == line_in_block(z.ctx, 1, 0, (1, 0))
     assert z.conj[0] == line_in_block(z.ctx, 1, 0, (1, 1))
 
 
-GOOD_OBJ = {"p": 2, "k": 1, "n": 1, "perm": [0], "omega": [[1, 0]], "conj": [[1, 1]]}
+GOOD_OBJ = {"p": 2, "k": 1, "n": 1, "omega": [[1, 0]], "conj": [[1, 1]]}
+
+
+@pytest.mark.parametrize("extra", [{"perm": [0]}, {"perm": ["0"]}, {"note": None}])
+def test_json_ignores_keys_outside_the_schema(extra):
+    # zip JSON written before the index permutation was dropped carries a
+    # "perm" key
+    assert zip_from_json_obj({**GOOD_OBJ, **extra}) == zip_from_json_obj(GOOD_OBJ)
 
 
 @pytest.mark.parametrize("change", [
@@ -250,8 +227,6 @@ GOOD_OBJ = {"p": 2, "k": 1, "n": 1, "perm": [0], "omega": [[1, 0]], "conj": [[1,
     {"n": 1.0},
     {"k": "2"},
     {"n": 0, "omega": [], "conj": []},
-    {"perm": 0},
-    {"perm": ["0"]},
     {"omega": [[1, 0], [1, 0]]},        # more lines than n
     {"omega": [[1, 0, 1]]},             # not a pair
     {"omega": [[[1, 1], 0]]},           # more coefficients than k
@@ -271,7 +246,7 @@ def test_json_that_is_no_zip_object_raises_value_error(obj):
 
 
 def test_report_serialization(F2):
-    z = HilbertZip(F2, 2, split_perm(2), first_lines(F2, 2), first_lines(F2, 2))
+    z = HilbertZip(F2, 2, first_lines(F2, 2), first_lines(F2, 2))
     r = check_equivalence(z)
     assert r.to_json_obj() == {"flags": [True, True], "hasse_order": 2,
                                "m_max": 2, "consistent": True}
@@ -286,8 +261,8 @@ def test_report_serialization(F2):
 
 def test_zip_equality_ignores_nothing(F2):
     omega = first_lines(F2, 1)
-    z1 = HilbertZip(F2, 1, (0,), omega, omega)
-    z2 = HilbertZip(F2, 1, (0,), omega, second_lines(F2, 1))
+    z1 = HilbertZip(F2, 1, omega, omega)
+    z2 = HilbertZip(F2, 1, omega, second_lines(F2, 1))
     assert z1 != z2
 
 
