@@ -328,19 +328,28 @@ def induced_filtration(omega: Subspace, m: int) -> Subspace:
     return Subspace.from_index_rows(ctx, comb(ambient, n), spanning)
 
 
+def adapted_row(omega: Subspace, row: Sequence[int]) -> Sequence[int]:
+    """A vector's coordinates (element indices) in the basis that ``induced_filtration``
+    builds from: its entries at omega's pivots, its residual modulo omega elsewhere."""
+    coords = omega.reduce(row)
+    for p in omega.pivots:
+        if row[p]:  # so reduce eliminated at p, into a list of its own
+            coords[p] = row[p]
+    return coords
+
+
+def least_pivot_count(omega: Subspace, terms: dict[tuple[int, ...], int]) -> int:
+    """The least number of omega's pivots in a nonzero term of a wedge of
+    adapted rows, or omega's dimension if the wedge is 0."""
+    return min(map(len, map(set(omega.pivots).intersection, terms)), default=omega.dim)
+
+
 def filtration_level(omega: Subspace, rows: Sequence[Sequence[int]]) -> int:
     """Largest m such that the wedge of n vectors (element indices) lies in
     ``induced_filtration(omega, m)``, omega n-dim in F^(2n), or n if it is 0:
-    the least pivot count over the nonzero terms of the wedge in the basis
-    that piece is built from, in which a vector's coordinates are its pivot
-    entries and its residual modulo omega."""
+    the least pivot count over the terms of the wedge of their adapted rows."""
     n = omega.dim
     if omega.ambient_dim != 2 * n or len(rows) != n:
         raise ValueError("need n vectors and an n-dim subspace of F^(2n)")
-    adapted = [omega.reduce(r) for r in rows]
-    for r, coords in zip(rows, adapted):
-        for p in omega.pivots:
-            if r[p]:  # so reduce eliminated at p, into a list of its own
-                coords[p] = r[p]
-    terms = _wedge_terms(adapted, omega.ctx)
-    return min(map(len, map(set(omega.pivots).intersection, terms)), default=n)
+    terms = _wedge_terms([adapted_row(omega, r) for r in rows], omega.ctx)
+    return least_pivot_count(omega, terms)

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
-from .linalg import Subspace, filtration_level
+from .linalg import Subspace, _wedge_terms, adapted_row, filtration_level, least_pivot_count
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .schubert import normalized_index_pair, projective_line_reps
@@ -44,8 +44,8 @@ class HilbertZip:
     """Block-line zip datum: context, degree, Hodge lines and conjugate
     lines (line i supported in coordinates {2i, 2i+1}).
 
-    ``hodge`` is derived from the Hodge lines on first use; ``enumerate_zips``
-    seeds it, shared by zips with equal Hodge lines.
+    ``hodge`` and ``level`` are derived from the lines on first use;
+    ``enumerate_zips`` seeds both, computed from lines equal to the zip's own.
     """
 
     ctx: FieldCtx
@@ -60,16 +60,36 @@ class HilbertZip:
             if len(lines) != self.n:
                 raise ValueError(f"{name} must hold {self.n} lines")
             for i, line in enumerate(lines):
-                if line.ctx != self.ctx or line.ambient_dim != 2 * self.n or line.dim != 1:
-                    raise ValueError(f"{name}[{i}] is not a line of the ambient space")
-                row = line.index_basis[0]
-                if any(row[:2 * i]) or any(row[2 * i + 2:]):
-                    raise ValueError(f"{name}[{i}] is not supported in block {i}")
+                _check_line(self.ctx, self.n, i, line, f"{name}[{i}]")
+
+    @classmethod
+    def _of_checked_lines(cls, ctx: FieldCtx, n: int, omega: tuple, conj: tuple,
+                          **seeds) -> "HilbertZip":
+        """The zip of line tuples that ``_check_line`` passed or ``line_in_block``
+        built, with no check run again and ``seeds`` (``hodge``, ``level``,
+        computed from lines equal to these) stored as given."""
+        z = object.__new__(cls)
+        z.__dict__.update(ctx=ctx, n=n, omega=omega, conj=conj, **seeds)
+        return z
 
     @cached_property
     def hodge(self) -> Subspace:
         """The total Hodge subspace: the span of the Omega lines."""
         return _hodge_span(self.ctx, self.n, self.omega)
+
+    @cached_property
+    def level(self) -> int:
+        """The Hodge level of the conjugate lines (see ``max_hodge_level``)."""
+        return filtration_level(self.hodge, [line.index_basis[0] for line in self.conj])
+
+
+def _check_line(ctx: FieldCtx, n: int, i: int, line: Subspace, name: str):
+    """Raise ValueError unless ``line`` is a line of F^(2n) over ``ctx`` in block i."""
+    if line.ctx != ctx or line.ambient_dim != 2 * n or line.dim != 1:
+        raise ValueError(f"{name} is not a line of the ambient space")
+    row = line.index_basis[0]
+    if any(row[:2 * i]) or any(row[2 * i + 2:]):
+        raise ValueError(f"{name} is not supported in block {i}")
 
 
 def _hodge_span(ctx: FieldCtx, n: int, omega: Sequence[Subspace]) -> Subspace:
@@ -78,12 +98,6 @@ def _hodge_span(ctx: FieldCtx, n: int, omega: Sequence[Subspace]) -> Subspace:
     stacked in block order are already the span's reduced row echelon basis."""
     return Subspace(ctx, 2 * n, tuple(line.index_basis[0] for line in omega),
                     tuple(line.pivots[0] for line in omega))
-
-
-def _seeded(z: HilbertZip, hodge: Subspace) -> HilbertZip:
-    """Store ``hodge``, computed from lines equal to ``z.omega``, on ``z``."""
-    z.__dict__["hodge"] = hodge
-    return z
 
 
 def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
@@ -99,7 +113,7 @@ def hasse_order(z: HilbertZip) -> int:
 def max_hodge_level(z: HilbertZip) -> int:
     """Largest m such that the wedge of the conjugate lines lies in the m-th
     induced filtration piece of the Hodge subspace (see ``filtration_level``)."""
-    return filtration_level(z.hodge, [line.index_basis[0] for line in z.conj])
+    return z.level
 
 
 @dataclass(frozen=True)
@@ -141,18 +155,34 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
     """Yield every (Omega, C) line configuration, (q+1)^(2n) in total, in
     lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
 
-    Only (q+1)^n line tuples exist, so each tuple's Hodge span is computed
-    once and shared by every zip whose Hodge lines are that tuple.
+    Each block's q+1 lines are checked once.  Seeded on each zip, from lines
+    equal to its own: ``hodge``, once per Omega tuple, and ``level``, read off
+    the C tuple's wedge of adapted rows; the C tuples are walked depth-first,
+    the prefix wedge growing by one row per block.
     """
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
-    tuples = list(product(*per_block))
-    for omega in tuples:
+    for i, lines in enumerate(per_block):
+        for j, line in enumerate(lines):
+            _check_line(ctx, n, i, line, f"candidate {j} of block {i}")
+
+    def walk(rows, prefix, terms):  # (C, its wedge terms) for each C extending prefix
+        i = len(prefix)
+        if i == n:
+            yield prefix, terms
+            return
+        for line, row in zip(per_block[i], rows[i]):
+            yield from walk(rows, prefix + (line,), _wedge_terms([row], ctx, terms))
+
+    for omega in product(*per_block):
         hodge = _hodge_span(ctx, n, omega)
-        for conj in tuples:
-            yield _seeded(HilbertZip(ctx, n, omega, conj), hodge)
+        rows = [[adapted_row(hodge, line.index_basis[0]) for line in lines]
+                for lines in per_block]
+        for conj, terms in walk(rows, (), None):
+            yield HilbertZip._of_checked_lines(ctx, n, omega, conj, hodge=hodge,
+                                               level=least_pivot_count(hodge, terms))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -208,4 +238,5 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     ctx = FieldCtx(p, k)
     omega = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["omega"])]
     conj = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["conj"])]
-    return HilbertZip(ctx, n, tuple(omega), tuple(conj))
+    # _check_lines counted the lines, and line_in_block put line i in block i
+    return HilbertZip._of_checked_lines(ctx, n, tuple(omega), tuple(conj))

@@ -23,6 +23,8 @@ from hilbhasse.zips import check_equivalence, enumerate_zips
 # (p, k, n): F_2, F_3 and F_4, each with n <= 3.  F_4 is the one field here
 # on which Frobenius is not the identity.
 EQUIVALENCE_SCALE = [(p, k, n) for p, k in ((2, 1), (3, 1), (2, 2)) for n in (1, 2, 3)]
+# criterion 1 alone also sweeps F_5 with n = 3 (46,656 zips)
+EQUIVALENCE_ONLY_SCALE = [(5, 1, 3)]
 # (p, k, n): F_4 with n = 2 is the first case where the Frobenius coupling of
 # the diagonals acts nontrivially at more than one factor.
 ORBIT_SCALE = [(p, 1, n) for p in (2, 3) for n in (1, 2)] + [(2, 2, 2)]
@@ -49,14 +51,14 @@ def make_sweep():
 def run_equivalence(sweep):
     """1: hasse order equals filtration level on every enumerated zip."""
     total = 0
-    for p, k, n in EQUIVALENCE_SCALE:
+    for p, k, n in EQUIVALENCE_SCALE + EQUIVALENCE_ONLY_SCALE:
         reports = sweep(p, k, n)
         assert len(reports) == (p ** k + 1) ** (2 * n)
         for report in reports.values():
             assert report.hasse_order == report.m_max, (p, k, n, report)
             assert report.consistent
         total += len(reports)
-    assert total == 21462
+    assert total == 68118
 
 
 def run_stratum_orders():

@@ -2,6 +2,7 @@
 exhaustive equivalence check."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -11,8 +12,8 @@ from hilbhasse.linalg import Subspace
 from hilbhasse.schubert import (PointP1n, hasse_section, vanishing_order_at_point,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import WeylElem
-from hilbhasse.zips import (HilbertZip, ZipReport, check_equivalence, enumerate_zips,
-                            hasse_order, line_in_block, max_hodge_level,
+from hilbhasse.zips import (HilbertZip, ZipReport, block_line_reps, check_equivalence,
+                            enumerate_zips, hasse_order, line_in_block, max_hodge_level,
                             partial_hasse_flags, zip_from_json_obj, zip_to_json_obj)
 from test_acceptance import EQUIVALENCE_SCALE
 
@@ -141,6 +142,25 @@ def test_enumeration_needs_a_factor(F2):
             next(enumerate_zips(F2, n))
 
 
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
+def test_sweep_order_is_omega_then_conj_lexicographic(p, k):
+    # the sweep bench's expected flags and the failure order of
+    # verify-equivalence --format json both follow this order
+    ctx, n = FieldCtx(p, k), 2
+    reps = [block_line_reps(ctx, n, i) for i in range(n)]
+    expected = [(omega, conj) for omega in product(*reps) for conj in product(*reps)]
+    assert [(z.omega, z.conj) for z in enumerate_zips(ctx, n)] == expected
+
+
+def test_seeded_hodge_and_level_match_a_fresh_zip():
+    # F_5 with n = 2 lies outside the acceptance sweeps; vars() reads the
+    # values the sweep seeded, not ones computed on first use
+    for z in enumerate_zips(FieldCtx(5), 2):
+        fresh = zip_from_json_obj(zip_to_json_obj(z))
+        assert vars(z)["hodge"] == fresh.hodge, zip_to_json_obj(z)
+        assert vars(z)["level"] == fresh.level, zip_to_json_obj(z)
+
+
 def test_monotone_flag_flip_at_small_scale(zip_reports):
     # replacing one differing conjugate line by the Hodge line raises both
     # computed orders by exactly one
@@ -203,6 +223,18 @@ def test_json_round_trip(F3):
     assert obj["p"] == 3 and obj["k"] == 1
     parsed = zip_from_json_obj(json.loads(json.dumps(obj)))
     assert parsed == z
+
+
+def test_parsed_zip_equals_the_checked_construction(F4):
+    obj = {"p": 2, "k": 2, "n": 2, "omega": [[[0, 1], 1], [0, [1]]],
+           "conj": [[1, [1, 1]], [[1], 0]]}
+    z = zip_from_json_obj(obj)
+    checked = HilbertZip(F4, 2, tuple(line_in_block(F4, 2, i, pair)
+                                      for i, pair in enumerate(obj["omega"])),
+                         tuple(line_in_block(F4, 2, i, pair)
+                               for i, pair in enumerate(obj["conj"])))
+    assert z == checked and hash(z) == hash(checked)
+    assert (z.hodge, z.level) == (checked.hodge, checked.level)
 
 
 def test_json_accepts_plain_int_coefficients():
