@@ -137,12 +137,12 @@ class FieldCtx:
         int is a prime-subfield value reduced mod p, a sequence holds at most
         k coefficients low-degree first (missing ones are 0), and an element
         must belong to this context."""
+        if isinstance(value, int):
+            return value % self.p
         if isinstance(value, FieldElem):
             if value._ctx is not self:
                 raise ContextMismatchError("element belongs to a different field")
             return value._idx
-        if isinstance(value, int):
-            return value % self.p
         seq = list(value)
         if len(seq) > self.k:
             raise ValueError(f"expected at most {self.k} coefficients")

@@ -10,7 +10,6 @@ index subsets.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -128,7 +127,7 @@ class Subspace:
     """A subspace of F^d held by its canonical reduced row echelon basis,
     stored as rows of element indices; ``basis`` rebuilds the elements."""
 
-    __slots__ = ("ctx", "ambient_dim", "index_basis", "pivots", "_h")
+    __slots__ = ("ctx", "ambient_dim", "index_basis", "pivots")
 
     def __init__(self, ctx: FieldCtx, ambient_dim: int,
                  index_basis: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
@@ -136,7 +135,6 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.index_basis = index_basis
         self.pivots = pivots
-        self._h = hash((ctx, ambient_dim, index_basis))
 
     @classmethod
     def from_vectors(cls, ctx: FieldCtx, ambient_dim: int,
@@ -202,7 +200,8 @@ class Subspace:
                 and self.index_basis == other.index_basis)
 
     def __hash__(self):
-        return self._h
+        # equal subspaces share a context, so it need not be hashed
+        return hash((self.ambient_dim, self.index_basis))
 
     def __repr__(self):
         rows = ["[" + ", ".join(repr(e) for e in row) + "]" for row in self.basis]
@@ -228,40 +227,41 @@ def wedge_basis_subsets(n: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _colex_ranks(n: int) -> dict[tuple[int, ...], int]:
-    return {subset: i for i, subset in enumerate(wedge_basis_subsets(n))}
+def _colex_ranks(n: int) -> dict[int, int]:
+    """Colex rank of each n-element subset of {0, ..., 2n-1}, keyed by its bitmask."""
+    return {sum(1 << s for s in subset): i for i, subset in enumerate(wedge_basis_subsets(n))}
 
 
 def _wedge_terms(vectors: Sequence[Sequence[int]], ctx: FieldCtx,
-                 terms: dict[tuple[int, ...], int] | None = None) -> dict[tuple[int, ...], int]:
-    """Nonzero coordinates of w ^ v_1 ^ ... ^ v_r, keyed by increasing index
-    subsets, where w is given by ``terms`` (default: the empty wedge, 1);
-    vectors and coordinates are element indices."""
+                 terms: dict[int, int] | None = None) -> dict[int, int]:
+    """Nonzero coordinates of w ^ v_1 ^ ... ^ v_r, keyed by the bitmask of
+    their index subset, where w is given by ``terms`` (default: the empty
+    wedge, 1); vectors and coordinates are element indices."""
     add, mul, neg = ctx._add, ctx._mul, ctx._neg
-    acc = {(): 1} if terms is None else terms
+    acc = {0: 1} if terms is None else terms
     for v in vectors:
-        support = [(j, c) for j, c in enumerate(v) if c]
-        nxt: dict[tuple[int, ...], int] = {}
+        support = [(j + 1, 1 << j, c) for j, c in enumerate(v) if c]
+        nxt: dict[int, int] = {}
         for subset, coeff in acc.items():
             times_coeff = mul[coeff]
-            for j, c in support:
-                pos = bisect_left(subset, j)
-                if pos < len(subset) and subset[pos] == j:
+            for above, bit, c in support:
+                if subset & bit:
                     continue
                 term = times_coeff[c]
-                if (len(subset) - pos) % 2:
+                # e_j moves left past the subset's indices above j
+                if (subset >> above).bit_count() & 1:
                     term = neg[term]
-                key = subset[:pos] + (j,) + subset[pos:]
+                key = subset | bit
                 total = add[nxt.get(key, 0)][term]
                 if total:
                     nxt[key] = total
                 else:
-                    nxt.pop(key, None)
+                    del nxt[key]
         acc = nxt
     return acc
 
 
-def _wedge_coords(terms: dict[tuple[int, ...], int], n: int) -> list[int]:
+def _wedge_coords(terms: dict[int, int], n: int) -> list[int]:
     """The colex coordinate vector of an n-fold wedge given by its terms."""
     ranks = _colex_ranks(n)
     coords = [0] * len(ranks)
@@ -338,10 +338,10 @@ def adapted_row(omega: Subspace, row: Sequence[int]) -> Sequence[int]:
     return coords
 
 
-def least_pivot_count(omega: Subspace, terms: dict[tuple[int, ...], int]) -> int:
-    """The least number of omega's pivots in a nonzero term of a wedge of
-    adapted rows, or omega's dimension if the wedge is 0."""
-    return min(map(len, map(set(omega.pivots).intersection, terms)), default=omega.dim)
+def least_pivot_count(pivot_mask: int, terms: dict[int, int], n: int) -> int:
+    """The least number of pivots (the bits of ``pivot_mask``) in a nonzero
+    term of a wedge of n adapted rows, or n if the wedge is 0."""
+    return min(map(int.bit_count, map(pivot_mask.__and__, terms)), default=n)
 
 
 def filtration_level(omega: Subspace, rows: Sequence[Sequence[int]]) -> int:
@@ -352,4 +352,4 @@ def filtration_level(omega: Subspace, rows: Sequence[Sequence[int]]) -> int:
     if omega.ambient_dim != 2 * n or len(rows) != n:
         raise ValueError("need n vectors and an n-dim subspace of F^(2n)")
     terms = _wedge_terms([adapted_row(omega, r) for r in rows], omega.ctx)
-    return least_pivot_count(omega, terms)
+    return least_pivot_count(sum(1 << p for p in omega.pivots), terms, n)

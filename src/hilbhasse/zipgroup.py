@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Sequence
 
@@ -222,14 +223,16 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
     idx_of = {key: i for i, key in enumerate(g_keys)}
     uf = UnionFind(len(g_list))
     mul, add = ctx._mul, ctx._add
-    factor_range = range(n)
-    e_pairs = [(e.a.index_factors, e.b.inverse().index_factors) for e in e_list]
+    factors = {x for key in g_keys for x in key}
+
+    @cache  # x -> a x b^(-1) on every factor that occurs in g_list, once per (a, b^(-1))
+    def action(a: Factor, b_inv: Factor) -> dict[Factor, Factor]:
+        return {x: mul_2x2(mul_2x2(a, x, mul, add), b_inv, mul, add) for x in factors}
     union = uf.union
-    for a_key, binv_key in e_pairs:
+    for e in e_list:
+        maps = list(map(action, e.a.index_factors, e.b.inverse().index_factors))
         for gi, gkey in enumerate(g_keys):
-            out = tuple(mul_2x2(mul_2x2(a_key[f], gkey[f], mul, add), binv_key[f], mul, add)
-                        for f in factor_range)
-            union(gi, idx_of[out])
+            union(gi, idx_of[tuple(map(dict.__getitem__, maps, gkey))])
     members: dict[int, list[int]] = {}
     for i in range(len(g_list)):
         members.setdefault(uf.find(i), []).append(i)

@@ -180,9 +180,10 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
         hodge = _hodge_span(ctx, n, omega)
         rows = [[adapted_row(hodge, line.index_basis[0]) for line in lines]
                 for lines in per_block]
+        pivot_mask = sum(1 << p for p in hodge.pivots)
         for conj, terms in walk(rows, (), None):
             yield HilbertZip._of_checked_lines(ctx, n, omega, conj, hodge=hodge,
-                                               level=least_pivot_count(hodge, terms))
+                                               level=least_pivot_count(pivot_mask, terms, n))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -199,10 +200,6 @@ def zip_to_json_obj(z: HilbertZip) -> dict:
             "conj": [_line_to_json(line, i) for i, line in enumerate(z.conj)]}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _check_lines(name: str, lines, n: int):
     """Shape and types only; the field rejects too many coefficients."""
     if not isinstance(lines, list) or len(lines) != n:
@@ -210,8 +207,8 @@ def _check_lines(name: str, lines, n: int):
     for i, pair in enumerate(lines):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{name}[{i}] must be a pair of field elements")
-        for c in pair:
-            if not (_is_int(c) or isinstance(c, list) and all(_is_int(x) for x in c)):
+        for c in pair:  # type(c) is int: no bool passes
+            if not (type(c) is int or isinstance(c, list) and {int}.issuperset(map(type, c))):
                 raise ValueError(f"{name}[{i}] holds {c!r}, not an int or a list of ints")
 
 
@@ -229,7 +226,7 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
             raise ValueError(f"zip is missing {key!r}")
     p, k, n = obj["p"], obj.get("k", 1), obj["n"]
     for key, value in (("p", p), ("k", k), ("n", n)):
-        if not _is_int(value):
+        if type(value) is not int:  # a bool is no integer here
             raise ValueError(f"{key!r} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError(f"'n' must be at least 1, got {n}")

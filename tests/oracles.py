@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: polynomial division
 is schoolbook, ranks come from elimination without back substitution,
-wedge coordinates come from cofactor-expanded minors, and vanishing orders
-come from multiplying out chart substitutions on FieldElem objects.
+wedge coordinates come from cofactor-expanded minors, vanishing orders
+come from multiplying out chart substitutions on FieldElem objects, and a
+zip block's point of P^1 comes from 2x2 determinants of its two lines.
 """
 
 from itertools import combinations
@@ -89,6 +90,21 @@ def wedge_coords_by_minors(vectors, n):
     for subset in subsets:
         coords.append(cofactor_det([[v[c] for c in subset] for v in vectors]))
     return coords
+
+
+def block_point_and_sign(ctx, omega_line, conj_line, i):
+    """Block i of a zip as a point of P^1 and a sign, from the block
+    coordinates (a, b) of omega_i and (x, y) of c_i on the field's tables:
+    the pair [det(c_i, omega_i) : det(e_i, c_i)], where e_i is the first
+    standard vector of the block off Omega_i, and the sign +1 iff
+    det(c_i, omega_i) = 0.  Nothing here reads the Hasse flags."""
+    add, mul, neg = ctx._add, ctx._mul, ctx._neg
+    a, b = omega_line.index_basis[0][2 * i:2 * i + 2]
+    x, y = conj_line.index_basis[0][2 * i:2 * i + 2]
+    d = add[mul[x][b]][neg[mul[y][a]]]
+    # Omega_i is normalized: index 1 is the field's one
+    e_det_c = neg[x] if (a, b) == (1, 0) else y
+    return (ctx.from_index(d), ctx.from_index(e_det_c)), 1 if d == 0 else -1
 
 
 class ChartPoly:

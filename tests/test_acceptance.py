@@ -16,7 +16,7 @@ from hilbhasse.schubert import (hasse_section, stratum_label,
                                 torus_weight_space, vanishing_order_on_stratum)
 from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
                             hodge_character, weyl_act, zipflag_pullback)
-from hilbhasse.zipgroup import (borel_order, bruhat_census, enumerate_G, orbits,
+from hilbhasse.zipgroup import (borel_order, bruhat_census, enumerate_E, enumerate_G, orbits,
                                 zip_group_generators)
 from hilbhasse.zips import check_equivalence, enumerate_zips
 
@@ -25,9 +25,10 @@ from hilbhasse.zips import check_equivalence, enumerate_zips
 EQUIVALENCE_SCALE = [(p, k, n) for p, k in ((2, 1), (3, 1), (2, 2)) for n in (1, 2, 3)]
 # criterion 1 alone also sweeps F_5 with n = 3 (46,656 zips)
 EQUIVALENCE_ONLY_SCALE = [(5, 1, 3)]
-# (p, k, n): F_4 with n = 2 is the first case where the Frobenius coupling of
-# the diagonals acts nontrivially at more than one factor.
-ORBIT_SCALE = [(p, 1, n) for p in (2, 3) for n in (1, 2)] + [(2, 2, 2)]
+# (p, k, n): F_2, F_3 and F_4, each with n <= 2.  F_4 with n = 2 is the first
+# case where the Frobenius coupling of the diagonals acts nontrivially at more
+# than one factor.
+ORBIT_SCALE = [(p, k, n) for p, k in ((2, 1), (3, 1), (2, 2)) for n in (1, 2)]
 
 
 def make_sweep():
@@ -121,6 +122,15 @@ def run_orbit_refinement():
         datum = CocharDatum.split(n, p)
         for cls, label in zip(partition.classes, partition.labels):
             assert all(stratum_label(g, datum) == label for g in cls), (p, k, n)
+        # orbit-stabilizer: |class| |Stab_E(rep)| = |E|, the stabilizer counted
+        # by brute force over E and |E| in closed form, so a class that merges
+        # or splits orbits fails here whatever its label
+        e_list = enumerate_E(ctx, n)
+        assert len(e_list) == (ctx.q - 1) ** (n + 1) * ctx.q ** (2 * n), (p, k, n)
+        for cls in partition.classes:
+            rep = cls[0]
+            stabilizer = sum(1 for e in e_list if e.a * rep == rep * e.b)
+            assert len(cls) * stabilizer == len(e_list), (p, k, n, len(cls), stabilizer)
 
 
 def run_graded_dimensions():

@@ -4,7 +4,8 @@ path: ranks by forward elimination, wedges by cofactor minors, vanishing
 orders by multiplied-out chart substitutions, and the field axioms element
 by element, and group elements on index factors by products of `FieldElem`
 matrices, and filtration levels by a scan of the induced filtration's
-pieces, coerced element indices by a scan of the elements' coefficients,
+pieces or, for block zips moved by a random g in GL_2n, by their planted
+Hasse flags, coerced element indices by a scan of the elements' coefficients,
 and block lines, points and Hodge spans, built without elimination, by
 elimination or by `FieldElem` division.  Every test also runs its F_256
 example.  Zip JSON round-trips and the zip-check exit-code contract on
@@ -13,6 +14,7 @@ fuzzed input are checked here too."""
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from math import comb
 from unittest import mock
 
@@ -22,14 +24,15 @@ from hypothesis import strategies as st
 
 from hilbhasse.cli import main
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
-from hilbhasse.linalg import (Matrix, Subspace, filtration_level, induced_filtration, rref,
-                              wedge_of_lines)
-from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, stratum_label,
-                                vanishing_order_at_point, vanishing_order_on_stratum)
+from hilbhasse.linalg import (Matrix, Subspace, _wedge_terms, filtration_level,
+                              induced_filtration, rref, wedge_of_lines)
+from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, hasse_section,
+                                projective_line_reps, stratum_label, vanishing_order_at_point,
+                                vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, all_weyl_elems
 from hilbhasse.zips import HilbertZip, line_in_block, zip_from_json_obj, zip_to_json_obj
-from oracles import (chart_order_at_point, chart_order_on_stratum, naive_rank,
-                     wedge_coords_by_minors)
+from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
+                     cofactor_det, naive_rank, wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -175,6 +178,38 @@ def test_wedge_of_lines_matches_minors(lines):
     assert wedge == Subspace.from_vectors(ctx, comb(2 * n, n), [oracle])
 
 
+@st.composite
+def wedge_cases(draw, ctx=None):
+    """r <= d vectors of F^d, d = 2n with n <= 3, entries uniform, so the
+    supports interleave in any order; each vector after the first is a
+    combination of the ones before it a quarter of the time."""
+    ctx = ctx or draw(fields)
+    d = 2 * draw(st.integers(1, 3))
+    entry = st.integers(0, ctx.q - 1).map(ctx.from_index)
+    rows = []
+    for _ in range(draw(st.integers(1, d))):
+        if rows and not draw(st.integers(0, 3)):
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+            rows.append(_combination(ctx, coeffs, rows))
+        else:
+            rows.append(draw(st.lists(entry, min_size=d, max_size=d)))
+    return ctx, rows
+
+
+@PROPERTY
+@given(st.one_of(wedge_cases(), wedge_cases(F256)))
+def test_wedge_terms_are_the_minors(case):
+    # every sign of the expansion is exercised: no sweep zip reaches an odd
+    # one, since each adapted row of a block zip lands above its prefix
+    ctx, rows = case
+    r, d = len(rows), len(rows[0])
+    terms = _wedge_terms([[e.index for e in v] for v in rows], ctx)
+    minors = {sum(1 << c for c in cols): cofactor_det([[v[c] for c in cols] for v in rows])
+              for cols in combinations(range(d), r)}
+    assert terms == {mask: x.index for mask, x in minors.items() if x}
+    assert (terms == {}) == (naive_rank(rows) < r)
+
+
 @PROPERTY
 @given(st.data())
 def test_top_filtration_piece_matches_minors(data):
@@ -238,6 +273,52 @@ def test_filtration_level_matches_induced_filtration(case):
     assert level == expected
     if naive_rank(rows) < n:
         assert level == n
+
+
+@st.composite
+def moved_block_zips(draw, ctx=None):
+    """A block zip with n <= 8 and planted flags, as indices of its lines in
+    ``projective_line_reps``, and a random g in GL_2n(F_q) as P L U: a
+    permutation, then a lower unitriangular and an upper triangular matrix
+    with nonzero diagonal, entries uniform."""
+    ctx = ctx or draw(fields)
+    n, q = draw(st.integers(1, 8)), ctx.q
+    omega = draw(st.lists(st.integers(0, q), min_size=n, max_size=n))
+    flags = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    conj = [o if f else (o + draw(st.integers(1, q))) % (q + 1) for o, f in zip(omega, flags)]
+    entry, unit = st.integers(0, q - 1), st.integers(1, q - 1)
+    d, one, zero = 2 * n, ctx.one(), ctx.zero()
+    lower = [[ctx.from_index(draw(entry)) if c < r else one if c == r else zero
+              for c in range(d)] for r in range(d)]
+    upper = [[ctx.from_index(draw(unit if c == r else entry)) if c >= r else zero
+              for c in range(d)] for r in range(d)]
+    return ctx, omega, conj, flags, (draw(st.permutations(range(d))), lower, upper)
+
+
+def _moved(ctx, g, v):
+    """g v for g = P L U, by FieldElem products."""
+    perm, lower, upper = g
+    for m in (upper, lower):
+        v = [sum((a * x for a, x in zip(row, v)), ctx.zero()) for row in m]
+    return [v[i] for i in perm]
+
+
+@PROPERTY
+@given(st.one_of(moved_block_zips(), moved_block_zips(F256)))
+def test_filtration_level_of_a_moved_block_zip_is_its_hasse_order(case):
+    # the level is linear algebra, so any g in GL_2n keeps it; on the moved
+    # zip the rows are dense, and the planted flags give the answer
+    ctx, omega, conj, flags, g = case
+    n, reps = len(omega), projective_line_reps(ctx)
+    omega_lines = [line_in_block(ctx, n, i, reps[j]) for i, j in enumerate(omega)]
+    conj_lines = [line_in_block(ctx, n, i, reps[j]) for i, j in enumerate(conj)]
+    moved_omega = Subspace.from_vectors(ctx, 2 * n,
+                                        [_moved(ctx, g, line.basis[0]) for line in omega_lines])
+    moved_conj = [[e.index for e in _moved(ctx, g, line.basis[0])] for line in conj_lines]
+    assert filtration_level(moved_omega, moved_conj) == sum(flags)
+    pairs = [block_point_and_sign(ctx, o, c, i)[0]
+             for i, (o, c) in enumerate(zip(omega_lines, conj_lines))]
+    assert vanishing_order_at_point(hasse_section(ctx, n), PointP1n(ctx, pairs)) == sum(flags)
 
 
 @PROPERTY

@@ -2,6 +2,7 @@
 exhaustive equivalence check."""
 
 import json
+import re
 from itertools import product
 
 import pytest
@@ -15,6 +16,7 @@ from hilbhasse.weyl import WeylElem
 from hilbhasse.zips import (HilbertZip, ZipReport, block_line_reps, check_equivalence,
                             enumerate_zips, hasse_order, line_in_block, max_hodge_level,
                             partial_hasse_flags, zip_from_json_obj, zip_to_json_obj)
+from oracles import block_point_and_sign
 from test_acceptance import EQUIVALENCE_SCALE
 
 
@@ -177,21 +179,6 @@ def test_monotone_flag_flip_at_small_scale(zip_reports):
 # -- one zip, one point, one Weyl word -----------------------------------------------
 
 
-def block_point_and_sign(ctx, omega_line, conj_line, i):
-    """Block i of a zip as a point of P^1 and a sign, from the block
-    coordinates (a, b) of omega_i and (x, y) of c_i on the field's tables:
-    the pair [det(c_i, omega_i) : det(e_i, c_i)], where e_i is the first
-    standard vector of the block off Omega_i, and the sign +1 iff
-    det(c_i, omega_i) = 0.  Nothing here reads the Hasse flags."""
-    add, mul, neg = ctx._add, ctx._mul, ctx._neg
-    a, b = omega_line.index_basis[0][2 * i:2 * i + 2]
-    x, y = conj_line.index_basis[0][2 * i:2 * i + 2]
-    d = add[mul[x][b]][neg[mul[y][a]]]
-    # Omega_i is normalized: index 1 is the field's one
-    e_det_c = neg[x] if (a, b) == (1, 0) else y
-    return (ctx.from_index(d), ctx.from_index(e_det_c)), 1 if d == 0 else -1
-
-
 @pytest.mark.parametrize("p, k, n", EQUIVALENCE_SCALE)
 def test_zip_point_and_word_give_one_order(zip_reports, p, k, n):
     # the three quantities of the paper at one point, from three views: the
@@ -254,19 +241,26 @@ def test_json_ignores_keys_outside_the_schema(extra):
     assert zip_from_json_obj({**GOOD_OBJ, **extra}) == zip_from_json_obj(GOOD_OBJ)
 
 
-@pytest.mark.parametrize("change", [
-    {"p": True},                        # bools are not integers
-    {"n": 1.0},
-    {"k": "2"},
-    {"n": 0, "omega": [], "conj": []},
-    {"omega": [[1, 0], [1, 0]]},        # more lines than n
-    {"omega": [[1, 0, 1]]},             # not a pair
-    {"omega": [[[1, 1], 0]]},           # more coefficients than k
-    {"conj": [[1, None]]},
-    {"conj": {"0": [1, 0]}},
-])
-def test_json_schema_violations_raise_value_error(change):
-    with pytest.raises(ValueError):
+SCHEMA_VIOLATIONS = [
+    ({"p": True}, "'p' must be an integer, got True"),  # bools are not integers
+    ({"n": 1.0}, "'n' must be an integer, got 1.0"),
+    ({"k": "2"}, "'k' must be an integer, got '2'"),
+    ({"n": 0, "omega": [], "conj": []}, "'n' must be at least 1, got 0"),
+    ({"omega": [[1, 0], [1, 0]]}, "'omega' must be a list of 1 coordinate pairs"),
+    ({"omega": [[1, 0, 1]]}, "omega[0] must be a pair of field elements"),
+    ({"omega": [[[1, 1], 0]]}, "expected at most 1 coefficients"),  # more than k
+    ({"conj": [[1, None]]}, "conj[0] holds None, not an int or a list of ints"),
+    ({"conj": {"0": [1, 0]}}, "'conj' must be a list of 1 coordinate pairs"),
+    ({"conj": [[[True], 0]]}, "conj[0] holds [True], not an int or a list of ints"),
+    ({"conj": [[[1.0], 0]]}, "conj[0] holds [1.0], not an int or a list of ints"),
+]
+
+
+# the whole message is pinned, so a change to the type checks cannot drift its text
+@pytest.mark.parametrize("change, message", SCHEMA_VIOLATIONS,
+                         ids=[f"change{i}" for i in range(len(SCHEMA_VIOLATIONS))])
+def test_json_schema_violations_raise_value_error(change, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         zip_from_json_obj({**GOOD_OBJ, **change})
 
 
