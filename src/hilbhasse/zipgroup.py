@@ -32,29 +32,6 @@ class OrbitLabelError(RuntimeError):
         self.members = members
 
 
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int):
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.rank[x] < self.rank[y]:
-            x, y = y, x
-        elif self.rank[x] == self.rank[y]:
-            self.rank[x] += 1
-        self.parent[y] = x
-
-
 @dataclass(frozen=True)
 class ZipGroupElem:
     """A pair (a, b): a with lower-triangular factors, b with upper, and the
@@ -205,12 +182,15 @@ class OrbitPartition:
 
 def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> OrbitPartition:
     """Orbit partition of the enumerated group under the group the acting
-    pairs generate, by union-find over every (element, pair) combination.
+    pairs generate, by the standard orbit search over tabulated actions.
 
-    The orbits of a finite group are the connected components of the graph
-    joining g to e . g for e in any generating list, so
+    Each element not yet seen starts a class, which is closed under every
+    pair's action (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, section 4.1).  The inverse of each pair is a power of it,
+    so forward closure under any generating list is the orbit:
     ``zip_group_generators`` and the full ``enumerate_E`` give the same
-    partition; the scan costs len(g_list) * len(e_list) actions.
+    partition, and the search costs len(g_list) * len(e_list) actions.
+    Classes come out ordered by least member.
 
     Every class is labeled by the stratum label shared by its members; a
     non-constant label raises OrbitLabelError.
@@ -221,36 +201,41 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
     n = g_list[0].n
     g_keys = [g.index_factors for g in g_list]
     idx_of = {key: i for i, key in enumerate(g_keys)}
-    uf = UnionFind(len(g_list))
     mul, add = ctx._mul, ctx._add
     factors = {x for key in g_keys for x in key}
 
     @cache  # x -> a x b^(-1) on every factor that occurs in g_list, once per (a, b^(-1))
     def action(a: Factor, b_inv: Factor) -> dict[Factor, Factor]:
         return {x: mul_2x2(mul_2x2(a, x, mul, add), b_inv, mul, add) for x in factors}
-    union = uf.union
-    for e in e_list:
-        maps = list(map(action, e.a.index_factors, e.b.inverse().index_factors))
-        for gi, gkey in enumerate(g_keys):
-            union(gi, idx_of[tuple(map(dict.__getitem__, maps, gkey))])
-    members: dict[int, list[int]] = {}
-    for i in range(len(g_list)):
-        members.setdefault(uf.find(i), []).append(i)
+    all_maps = [list(map(action, e.a.index_factors, e.b.inverse().index_factors))
+                for e in e_list]
     datum = CocharDatum.split(n, ctx.p)
+    seen = [False] * len(g_list)
     classes = []
     labels = []
-    for root in sorted(members, key=lambda r: min(members[r])):
-        idxs = sorted(members[root])
+    for start in range(len(g_list)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for m in orbit:  # the list grows as the search finds new members
+            key = g_keys[m]
+            for maps in all_maps:
+                j = idx_of[tuple(map(dict.__getitem__, maps, key))]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        orbit.sort()
         # the first member carrying each label
         by_label: dict[WeylElem, GroupElem] = {}
-        for i in idxs:
+        for i in orbit:
             by_label.setdefault(stratum_label(g_list[i], datum), g_list[i])
         if len(by_label) != 1:
             raise OrbitLabelError(
-                f"orbit of size {len(idxs)} carries labels "
+                f"orbit of size {len(orbit)} carries labels "
                 f"{sorted(w.to_string() for w in by_label)}",
                 tuple((g, w) for w, g in list(by_label.items())[:2]))
-        classes.append(tuple(g_list[i] for i in idxs))
+        classes.append(tuple(g_list[i] for i in orbit))
         labels.append(next(iter(by_label)))
     return OrbitPartition(tuple(classes), tuple(labels))
 

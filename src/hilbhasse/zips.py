@@ -155,18 +155,16 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
     """Yield every (Omega, C) line configuration, (q+1)^(2n) in total, in
     lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
 
-    Each block's q+1 lines are checked once.  Seeded on each zip, from lines
-    equal to its own: ``hodge``, once per Omega tuple, and ``level``, read off
-    the C tuple's wedge of adapted rows; the C tuples are walked depth-first,
-    the prefix wedge growing by one row per block.
+    ``line_in_block`` puts each candidate line in its block, so no line is
+    checked again.  Seeded on each zip, from lines equal to its own:
+    ``hodge``, once per Omega tuple, and ``level``, read off the C tuple's
+    wedge of adapted rows; the C tuples are walked depth-first, the prefix
+    wedge growing by one row per block.
     """
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
-    for i, lines in enumerate(per_block):
-        for j, line in enumerate(lines):
-            _check_line(ctx, n, i, line, f"candidate {j} of block {i}")
 
     def walk(rows, prefix, terms):  # (C, its wedge terms) for each C extending prefix
         i = len(prefix)

@@ -373,3 +373,22 @@ def test_orbits_frobenius_coupled_n2(capsys):
     assert code == 0
     sizes = [int(line.split("\t")[2]) for line in out.strip().split("\n")[1:]]
     assert sizes == [432, 1728, 1728, 6912]  # q^l(w) |B| with |B| = 3 * 12^2
+
+
+def test_orbits_and_census_tables_over_f3_n2(capsys):
+    # the full tables, so an orbit merged or split inside a cell shows here
+    code, out = run_cli(capsys, ["orbits", "--p", "3", "--n", "2"])
+    assert code == 0
+    assert out == ("w\tlength\tcell_size\torbit_count\torbit_sizes\n"
+                   "++\t0\t72\t4\t18,18,18,18\n"
+                   "+-\t1\t216\t4\t54,54,54,54\n"
+                   "-+\t1\t216\t4\t54,54,54,54\n"
+                   "--\t2\t648\t8\t81,81,81,81,81,81,81,81\n")
+    code, out = run_cli(capsys, ["census", "--p", "3", "--n", "2"])
+    assert code == 0
+    assert out == ("w\tlength\tcell_size\texpected\n"
+                   "++\t0\t72\t72\n"
+                   "+-\t1\t216\t216\n"
+                   "-+\t1\t216\t216\n"
+                   "--\t2\t648\t648\n"
+                   "total\t1152\tgroup\t1152\tOK\n")

@@ -30,6 +30,7 @@ from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, has
                                 projective_line_reps, stratum_label, vanishing_order_at_point,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, all_weyl_elems
+from hilbhasse.zipgroup import ZipGroupElem, zip_act
 from hilbhasse.zips import HilbertZip, line_in_block, zip_from_json_obj, zip_to_json_obj
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
                      cofactor_det, naive_rank, wedge_coords_by_minors)
@@ -453,6 +454,35 @@ def test_bruhat_word_and_stratum_label_match_matrix_entries(pair):
         assert GroupElem.weyl_lift(ctx, datum.z).factors == (s,) * g.n
         label = stratum_label(g, datum)
         assert label.signs == tuple(1 if not (f * s).entry(0, 1) else -1 for f in g.factors)
+
+
+@st.composite
+def zip_actions(draw, ctx=None):
+    """A Frobenius-coupled Borel pair e = (a, b) and an element g of G over
+    one field, n <= 3: a lower triangular, b upper with the entrywise p-th
+    power of a's diagonal, all factors of a of one determinant."""
+    ctx = ctx or draw(fields)
+    g = GroupElem(draw(factor_lists(ctx, equal_dets=True)))
+    det = draw(elements(ctx, nonzero=True))
+    a_factors, b_factors = [], []
+    for _ in range(g.n):
+        d0 = draw(elements(ctx, nonzero=True))
+        d1 = det / d0
+        a_factors.append(Matrix.from_rows(ctx, [[d0, 0], [draw(elements(ctx)), d1]]))
+        b_factors.append(Matrix.from_rows(ctx, [[d0.frobenius(), draw(elements(ctx))],
+                                                [0, d1.frobenius()]]))
+    return ZipGroupElem(GroupElem(a_factors), GroupElem(b_factors)), g
+
+
+@PROPERTY
+@given(st.one_of(zip_actions(), zip_actions(F256)))
+def test_stratum_label_is_constant_along_zip_orbits(case):
+    # a g b^(-1) z = a (g z) (z^(-1) b^(-1) z), and the last factor is lower
+    # triangular, so the action keeps the label; the orbit-stabilizer law of
+    # criterion 6 checks the orbit sizes, which this cannot see
+    e, g = case
+    datum = CocharDatum.split(g.n, g.ctx.p)
+    assert stratum_label(zip_act(e, g), datum) == stratum_label(g, datum)
 
 
 @st.composite

@@ -223,6 +223,27 @@ def test_generator_orbits_equal_full_group_orbits(p, k, n):
     assert orbits(g_list, zip_group_generators(ctx, n)) == orbits(g_list, enumerate_E(ctx, n))
 
 
+def powers(e):
+    """e, e^2, ..., e^ord(e), the last being the identity pair."""
+    identity = GroupElem.identity(e.a.ctx, e.a.n)
+    out = [e]
+    while out[-1] != ZipGroupElem(identity, identity):
+        out.append(ZipGroupElem(out[-1].a * e.a, out[-1].b * e.b))
+    return out
+
+
+@pytest.mark.parametrize("p,k,n,stride", [(3, 1, 2, 97), (2, 2, 1, 23), (2, 2, 2, 3455)])
+def test_one_pair_has_the_orbits_of_its_powers(p, k, n, stride):
+    # a single pair is not closed under inverses, but its inverse is one of
+    # its powers, so closing each element under e alone finds the orbits of
+    # the cyclic group e generates
+    ctx = FieldCtx(p, k)
+    g_list = enumerate_G(ctx, n)
+    e_list = enumerate_E(ctx, n)
+    for e in zip_group_generators(ctx, n) + e_list[stride // 2::stride]:
+        assert orbits(g_list, [e]) == orbits(g_list, powers(e))
+
+
 def test_generators_in_f4_carry_frobenius_coupled_diagonals(F4):
     # over F_4 the coupling is not the identity: some diagonal entry d of a
     # generator has d^2 != d on the right
