@@ -9,15 +9,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
-from .schubert import (bruhat_signs, hasse_section, torus_weight_space,
-                       vanishing_order_on_stratum)
+from .schubert import hasse_section, torus_weight_space, vanishing_order_on_stratum
 from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
 # enumerate_E is not called here; it stays a name of this module for code
 # that wraps cli.enumerate_E.
-from .zipgroup import (OrbitLabelError, borel_order, bruhat_census,  # noqa: F401
+from .zipgroup import (OrbitLabelError, borel_order, bruhat_census, cell_witness,  # noqa: F401
                        enumerate_E, enumerate_G, group_order, orbits, zip_group_generators)
 from .zips import check_equivalence, enumerate_zips, zip_from_json_obj, zip_to_json_obj
 
@@ -36,7 +36,9 @@ def _parse_target(spec: str, n: int):
     return (tuple(int(x) for x in a_part.split(",")), int(c_part))
 
 
-def _emit(args: argparse.Namespace, text: str):
+def _emit(args: argparse.Namespace, obj, lines: list[str]):
+    """obj as sorted JSON, or the tsv lines, to --output."""
+    text = (json.dumps(obj, sort_keys=True) if args.format == "json" else "\n".join(lines)) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -54,15 +56,11 @@ def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
         if not report.consistent:
             failures.append((zip_to_json_obj(z), report.to_json_obj()))
     ok = total - len(failures)
-    if args.format == "json":
-        _emit(args, json.dumps({"total": total, "consistent": ok,
-                                "failures": [{"zip": z, "report": r} for z, r in failures]},
-                               sort_keys=True) + "\n")
-    else:
-        lines = [f"FAIL\t{json.dumps(z, sort_keys=True)}\t{json.dumps(r, sort_keys=True)}"
-                 for z, r in failures]
-        lines.append(f"{ok}/{total} consistent")
-        _emit(args, "\n".join(lines) + "\n")
+    lines = [f"FAIL\t{json.dumps(z, sort_keys=True)}\t{json.dumps(r, sort_keys=True)}"
+             for z, r in failures]
+    _emit(args, {"total": total, "consistent": ok,
+                 "failures": [{"zip": z, "report": r} for z, r in failures]},
+          lines + [f"{ok}/{total} consistent"])
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
@@ -81,12 +79,8 @@ def _cmd_strata_table(args: argparse.Namespace) -> int:
         order = vanishing_order_on_stratum(h, w)
         rows.append({"w": w.to_string(), "length": length,
                      "codim": args.n - length, "ord": int(order)})
-    if args.format == "json":
-        _emit(args, json.dumps(rows, sort_keys=True) + "\n")
-    else:
-        lines = ["w\tlength\tcodim\tord"]
-        lines += [f"{r['w']}\t{r['length']}\t{r['codim']}\t{r['ord']}" for r in rows]
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, rows, ["w\tlength\tcodim\tord"]
+          + [f"{r['w']}\t{r['length']}\t{r['codim']}\t{r['ord']}" for r in rows])
     return EXIT_OK
 
 
@@ -95,12 +89,9 @@ def _cmd_weight_space(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
     target = _parse_target(args.target, args.n)
     basis = torus_weight_space(ctx, args.n, target)
-    if args.format == "json":
-        _emit(args, json.dumps({"dimension": len(basis),
-                                "basis": [str(b) for b in basis]}, sort_keys=True) + "\n")
-    else:
-        lines = [f"dimension\t{len(basis)}"] + [str(b) for b in basis]
-        _emit(args, "\n".join(lines) + "\n")
+    shown = [str(b) for b in basis]
+    _emit(args, {"dimension": len(basis), "basis": shown},
+          [f"dimension\t{len(basis)}"] + shown)
     return EXIT_OK
 
 
@@ -112,40 +103,27 @@ def _factors_json(g) -> list:
 def _cmd_census(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
     rows = bruhat_census(ctx, args.n, bound=args.bound)
-    q, n = ctx.q, args.n
     # closed forms, independent of the counts under test
-    borel_size = borel_order(ctx, n)
-    group_size = group_order(ctx, n)
-    bad = None  # the first row that breaks the cell law
-    out_rows = []
-    for w, count in rows:
-        expected = q ** w.length() * borel_size
-        if count != expected and bad is None:
-            bad = (w, count, expected)
-        out_rows.append({"w": w.to_string(), "length": w.length(),
-                         "cell_size": count, "expected": expected})
+    borel_size = borel_order(ctx, args.n)
+    group_size = group_order(ctx, args.n)
+    out_rows = [{"w": w.to_string(), "length": w.length(), "cell_size": count,
+                 "expected": ctx.q ** w.length() * borel_size} for w, count in rows]
+    # the first row that breaks the cell law
+    bad = next((i for i, r in enumerate(out_rows) if r["cell_size"] != r["expected"]), None)
     total = sum(count for _, count in rows)
     ok = bad is None and total == group_size
-    if args.format == "json":
-        _emit(args, json.dumps({"rows": out_rows, "total": total,
-                                "group_size": group_size, "ok": ok},
-                               sort_keys=True) + "\n")
-    else:
-        lines = ["w\tlength\tcell_size\texpected"]
-        lines += [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['expected']}"
-                  for r in out_rows]
-        lines.append(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}")
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, {"rows": out_rows, "total": total, "group_size": group_size, "ok": ok},
+          ["w\tlength\tcell_size\texpected"]
+          + [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['expected']}" for r in out_rows]
+          + [f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}"])
     if bad is not None:
-        # one element of the bad cell, replayable through GroupElem; G is
-        # scanned again only on this failure path
-        w, count, expected = bad
-        g = next((g for g in enumerate_G(ctx, n, bound=args.bound)
-                  if bruhat_signs(g) == w.signs), None)
-        replay = {"p": ctx.p, "k": ctx.k, "n": n, "w": w.to_string(),
-                  "factors": None if g is None else _factors_json(g)}
-        sys.stderr.write(f"census mismatch: cell {w.to_string()} holds {count} "
-                         f"elements, expected {expected}\t"
+        # one element of the bad cell, replayable through GroupElem and
+        # built from per-factor witnesses of one determinant, not from G
+        r = out_rows[bad]
+        g = cell_witness(ctx, rows[bad][0], args.bound)
+        replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "w": r["w"], "factors": _factors_json(g)}
+        sys.stderr.write(f"census mismatch: cell {r['w']} holds {r['cell_size']} "
+                         f"elements, expected {r['expected']}\t"
                          f"{json.dumps(replay, sort_keys=True)}\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -172,18 +150,13 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     by_label = partition.by_label()
     out_rows = []
     for w in all_weyl_elems(args.n):
-        classes = by_label.get(w, [])
-        sizes = sorted((len(c) for c in classes), reverse=True)
+        sizes = sorted(map(len, by_label.get(w, [])), reverse=True)
         out_rows.append({"w": w.to_string(), "length": w.length(),
                          "cell_size": sum(sizes), "orbit_count": len(sizes),
                          "orbit_sizes": sizes})
-    if args.format == "json":
-        _emit(args, json.dumps(out_rows, sort_keys=True) + "\n")
-    else:
-        lines = ["w\tlength\tcell_size\torbit_count\torbit_sizes"]
-        lines += [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['orbit_count']}\t"
-                  + ",".join(str(s) for s in r["orbit_sizes"]) for r in out_rows]
-        _emit(args, "\n".join(lines) + "\n")
+    _emit(args, out_rows, ["w\tlength\tcell_size\torbit_count\torbit_sizes"]
+          + [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['orbit_count']}\t"
+             + ",".join(str(s) for s in r["orbit_sizes"]) for r in out_rows])
     return EXIT_OK
 
 
@@ -200,10 +173,7 @@ def _cmd_zip_check(args: argparse.Namespace) -> int:
     # the conjugate wedge that gives the Hodge level has up to 2^n terms
     refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, z.n)
     report = check_equivalence(z)
-    if args.format == "json":
-        _emit(args, json.dumps(report.to_json_obj(), sort_keys=True) + "\n")
-    else:
-        _emit(args, "flags\thasse_order\tm_max\tconsistent\n" + report.tsv_row() + "\n")
+    _emit(args, report.to_json_obj(), ["flags\thasse_order\tm_max\tconsistent", report.tsv_row()])
     return EXIT_OK if report.consistent else EXIT_CHECK_FAILED
 
 
@@ -217,6 +187,7 @@ _COMMANDS = {
 }
 
 
+@cache  # parse_args does not mutate the parser, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbhasse",

@@ -6,18 +6,18 @@ partition, and the Bruhat cell census.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
+from math import prod
 from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import ContextMismatchError, FieldCtx
 # bruhat_word is not called here; it stays a name of this module for code
 # that wraps zipgroup.bruhat_word.
-from .schubert import (Factor, GroupElem, bruhat_signs, bruhat_word,  # noqa: F401
-                       det_2x2, mul_2x2, stratum_label)
+from .schubert import (Factor, GroupElem, bruhat_word, det_2x2, mul_2x2,  # noqa: F401
+                       stratum_label)
 from .weyl import CocharDatum, WeylElem, all_weyl_elems
 
 
@@ -182,67 +182,96 @@ class OrbitPartition:
 
 def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> OrbitPartition:
     """Orbit partition of the enumerated group under the group the acting
-    pairs generate, by the standard orbit search over tabulated actions.
+    pairs generate, by the standard orbit search (Holt, Eick and O'Brien,
+    *Handbook of Computational Group Theory*, 2005, section 4.1): each
+    element not yet seen starts a class, closed under every pair's action,
+    so classes come out ordered by least member.  The inverse of each pair
+    is a power of it, so ``zip_group_generators`` and the full
+    ``enumerate_E`` give the same partition.
 
-    Each element not yet seen starts a class, which is closed under every
-    pair's action (Holt, Eick and O'Brien, *Handbook of Computational Group
-    Theory*, 2005, section 4.1).  The inverse of each pair is a power of it,
-    so forward closure under any generating list is the orbit:
-    ``zip_group_generators`` and the full ``enumerate_E`` give the same
-    partition, and the search costs len(g_list) * len(e_list) actions.
-    Classes come out ordered by least member.
-
-    Every class is labeled by the stratum label shared by its members; a
-    non-constant label raises OrbitLabelError.
+    Each pair's action is tabulated once per factor, by small-int factor id.
+    z is the longest element in every factor, and products and Bruhat signs
+    work factor by factor, so each member's stratum label is the tuple of
+    its factors' one-factor labels; a class whose members' labels differ
+    raises OrbitLabelError.
     """
     if not g_list or not e_list:
         raise ValueError("need non-empty group and acting lists")
     ctx = g_list[0].ctx
-    n = g_list[0].n
-    g_keys = [g.index_factors for g in g_list]
-    idx_of = {key: i for i, key in enumerate(g_keys)}
+    # column i holds factor i of every element, by factor id
+    columns = list(zip(*(g.index_factors for g in g_list)))
+    factors = list(dict.fromkeys(chain.from_iterable(columns)))
+    factor_id = {x: i for i, x in enumerate(factors)}
+    columns = [list(map(factor_id.__getitem__, col)) for col in columns]
+    idx_of = {key: i for i, key in enumerate(zip(*columns))}
     mul, add = ctx._mul, ctx._add
-    factors = {x for key in g_keys for x in key}
 
-    @cache  # x -> a x b^(-1) on every factor that occurs in g_list, once per (a, b^(-1))
-    def action(a: Factor, b_inv: Factor) -> dict[Factor, Factor]:
-        return {x: mul_2x2(mul_2x2(a, x, mul, add), b_inv, mul, add) for x in factors}
-    all_maps = [list(map(action, e.a.index_factors, e.b.inverse().index_factors))
-                for e in e_list]
-    datum = CocharDatum.split(n, ctx.p)
+    @cache  # the id of a x b^(-1) by the id of x, once per (a, b^(-1))
+    def action(a: Factor, b_inv: Factor) -> list[int]:
+        return [factor_id[mul_2x2(mul_2x2(a, x, mul, add), b_inv, mul, add)] for x in factors]
+    moves = []  # each pair's action on g_list indices, factor by factor
+    for e in e_list:
+        tables = map(action, e.a.index_factors, e.b.inverse().index_factors)
+        images = zip(*[map(t.__getitem__, col) for t, col in zip(tables, columns)])
+        moves.append(list(map(idx_of.__getitem__, images)))
+    datum = CocharDatum.split(1, ctx.p)
+    sign = [stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0] for x in factors]
     seen = [False] * len(g_list)
-    classes = []
-    labels = []
+    classes, labels = [], []
     for start in range(len(g_list)):
         if seen[start]:
             continue
         seen[start] = True
         orbit = [start]
         for m in orbit:  # the list grows as the search finds new members
-            key = g_keys[m]
-            for maps in all_maps:
-                j = idx_of[tuple(map(dict.__getitem__, maps, key))]
-                if not seen[j]:
+            for move in moves:
+                if not seen[j := move[m]]:
                     seen[j] = True
                     orbit.append(j)
         orbit.sort()
-        # the first member carrying each label
-        by_label: dict[WeylElem, GroupElem] = {}
-        for i in orbit:
-            by_label.setdefault(stratum_label(g_list[i], datum), g_list[i])
+        member_signs = zip(*[map(sign.__getitem__, map(c.__getitem__, orbit)) for c in columns])
+        first: dict[tuple[int, ...], int] = {}  # the first member carrying each label
+        for i, signs in zip(orbit, member_signs):
+            first.setdefault(signs, i)
+        by_label = {WeylElem(signs): g_list[i] for signs, i in first.items()}
         if len(by_label) != 1:
             raise OrbitLabelError(
                 f"orbit of size {len(orbit)} carries labels "
                 f"{sorted(w.to_string() for w in by_label)}",
                 tuple((g, w) for w, g in list(by_label.items())[:2]))
-        classes.append(tuple(g_list[i] for i in orbit))
+        classes.append(tuple(map(g_list.__getitem__, orbit)))
         labels.append(next(iter(by_label)))
     return OrbitPartition(tuple(classes), tuple(labels))
 
 
+def _det_sign_table(ctx: FieldCtx, bound: int) -> dict[tuple[int, int], list]:
+    """[c(d, s), first matrix] for each determinant index d and sign s (+1
+    iff the top-right entry is 0), from one scan of the q^4 2x2 matrices."""
+    refuse_above(bound, "2x2 matrix scan", ctx.q, 4)
+    table: dict[tuple[int, int], list] = {}
+    for f in product(range(ctx.q), repeat=4):
+        if det := det_2x2(f, ctx):
+            table.setdefault((det, -1 if f[1] else 1), [0, f])[0] += 1
+    return table
+
+
 def bruhat_census(ctx: FieldCtx, n: int,
                   bound: int = DEFAULT_ENUM_BOUND) -> list[tuple[WeylElem, int]]:
-    """Cell sizes of the Bruhat partition of the enumerated group, one row
-    per sign vector in deterministic order."""
-    counts = Counter(map(bruhat_signs, enumerate_G(ctx, n, bound)))
-    return [(w, counts.get(w.signs, 0)) for w in all_weyl_elems(n)]
+    """Cell sizes of the Bruhat partition of G, one row per sign vector in
+    deterministic order, without enumerating G: g is in the cell of w iff
+    each factor i has sign w_i, and its factors share one determinant d, so
+    the cell holds the sum over d of the product over i of c(d, w_i)."""
+    refuse_above(bound, "census row terms", 2, n, ctx.q - 1)
+    table = _det_sign_table(ctx, bound)
+    dets = {d for d, _ in table}
+    return [(w, sum(prod(table[d, s][0] for s in w.signs) for d in dets))
+            for w in all_weyl_elems(n)]
+
+
+def cell_witness(ctx: FieldCtx, w: WeylElem, bound: int = DEFAULT_ENUM_BOUND) -> GroupElem:
+    """The first element of the cell of w in ``enumerate_G`` order, from the
+    factor scan: the first matrix of sign w_i in each factor, at the least
+    determinant index."""
+    table = _det_sign_table(ctx, bound)
+    det = min(d for d, _ in table)
+    return GroupElem.from_indices(ctx, tuple(table[det, s][1] for s in w.signs))

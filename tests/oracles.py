@@ -3,11 +3,16 @@
 These deliberately avoid the library's own code paths: polynomial division
 is schoolbook, ranks come from elimination without back substitution,
 wedge coordinates come from cofactor-expanded minors, vanishing orders
-come from multiplying out chart substitutions on FieldElem objects, and a
-zip block's point of P^1 comes from 2x2 determinants of its two lines.
+come from multiplying out chart substitutions on FieldElem objects, a
+zip block's point of P^1 comes from 2x2 determinants of its two lines, and
+Bruhat cell sizes come from enumerating the whole group.
 """
 
+from collections import Counter
 from itertools import combinations
+
+from hilbhasse.schubert import bruhat_signs
+from hilbhasse.zipgroup import enumerate_G
 
 
 def poly_divmod(a, b, p):
@@ -173,3 +178,9 @@ def chart_order_on_stratum(f, w):
     restricted = _restrict(f, images)
     normal = [i for i, sign in enumerate(w.signs) if sign == 1]
     return min((sum(e[i] for i in normal) for e in restricted.terms), default=float("inf"))
+
+
+def enumerated_census(ctx, n):
+    """Bruhat cell sizes by enumeration: a Counter from each sign vector to
+    the number of elements of G whose factors carry those signs."""
+    return Counter(map(bruhat_signs, enumerate_G(ctx, n)))

@@ -19,6 +19,7 @@ from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
 from hilbhasse.zipgroup import (borel_order, bruhat_census, enumerate_E, enumerate_G, orbits,
                                 zip_group_generators)
 from hilbhasse.zips import check_equivalence, enumerate_zips
+from oracles import enumerated_census
 
 # (p, k, n): F_2, F_3 and F_4, each with n <= 3.  F_4 is the one field here
 # on which Frobenius is not the identity.
@@ -93,8 +94,9 @@ def run_pullback_identity():
 
 
 def run_census():
-    """5: Bruhat cells partition the group with sizes q^l(w) |B|, and |B|
-    counted from G equals its closed form."""
+    """5: Bruhat cells partition the group with sizes q^l(w) |B|, |B|
+    counted from G equals its closed form, and the census counted from the
+    factors equals the census counted by enumerating G."""
     for p, k, n in ORBIT_SCALE:
         ctx = FieldCtx(p, k)
         g_list = enumerate_G(ctx, n)
@@ -103,6 +105,7 @@ def run_census():
         # the closed form the census command checks its cells against
         assert borel_size == borel_order(ctx, n), (p, k, n)
         counts = dict((w.signs, c) for w, c in bruhat_census(ctx, n))
+        assert counts == enumerated_census(ctx, n), (p, k, n)
         assert sum(counts.values()) == len(g_list), (p, k, n)
         for w in all_weyl_elems(n):
             assert counts[w.signs] == ctx.q ** w.length() * borel_size, (p, k, n, w)

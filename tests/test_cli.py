@@ -392,3 +392,96 @@ def test_orbits_and_census_tables_over_f3_n2(capsys):
                    "-+\t1\t216\t216\n"
                    "--\t2\t648\t648\n"
                    "total\t1152\tgroup\t1152\tOK\n")
+
+
+def _run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse exits on --help and usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # one parser serves every main call in a process, so a call must not see
+    # anything an earlier call left behind
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hilbhasse
+
+    runs = [["census", "--p", "3"], ["--help"], ["orbits", "--p", "3", "--n", "2"],
+            ["census", "--p", "3", "--n", "2"], ["orbits", "--p", "3", "--n", "2"]]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    env = {"PYTHONPATH": str(Path(hilbhasse.__file__).parents[1]), "COLUMNS": "80"}
+    fresh = [subprocess.run([sys.executable, "-c", "from hilbhasse.cli import entry; entry()"]
+                            + argv, capture_output=True, text=True, env=env)
+             for argv in runs]
+    in_process = [_run_in_process(capsys, argv) for argv in runs]
+    assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["census", "--p", "3", "--n", "10000000"],
+     "refused: census row terms would visit about 2^10000001 items, above the bound 1000000\n"),
+    (["census", "--p", "3", "--n", "6", "--bound", "127"],
+     "refused: census row terms would visit 128 items, above the bound 127\n"),
+    (["census", "--p", "2", "--k", "5", "--n", "1"],
+     "refused: 2x2 matrix scan would visit 1048576 items, above the bound 1000000\n"),
+    (["census", "--p", "3", "--n", "3", "--bound", "80"],
+     "refused: 2x2 matrix scan would visit 81 items, above the bound 80\n"),
+])
+def test_census_is_refused_before_anything_is_built(capsys, monkeypatch, argv, err):
+    # the census scans the q^4 2x2 matrices and sums (q-1) 2^n row terms,
+    # each bounded on its own; G is never enumerated
+    import hilbhasse.cli as cli_mod
+    import hilbhasse.zipgroup as zipgroup_mod
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("G enumerated by the census")
+
+    monkeypatch.setattr(cli_mod, "enumerate_G", unexpected)
+    monkeypatch.setattr(zipgroup_mod, "enumerate_G", unexpected)
+    assert _run_in_process(capsys, argv) == (3, "", err)
+    # one step up, both counts are at their bounds and the census answers
+    bound = int(err.split()[-1]) + 1
+    if bound < 1000:
+        code, out, _ = _run_in_process(capsys, argv[:-1] + [str(bound)])
+        assert code == 0 and out.endswith("OK\n")
+
+
+def test_census_mismatch_replays_without_scanning_g(capsys, monkeypatch):
+    # |G| = 3 * 60^4 = 38,880,000 is above the default bound, so the replayed
+    # element must come from the factor scan
+    import hilbhasse.cli as cli_mod
+    import hilbhasse.zipgroup as zipgroup_mod
+    from hilbhasse.field import FieldCtx
+    from hilbhasse.linalg import Matrix
+    from hilbhasse.schubert import GroupElem, bruhat_word
+    real = cli_mod.bruhat_census
+
+    def doubled(ctx, n, bound):
+        return [(w, 2 * count) for w, count in real(ctx, n, bound)]
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("G enumerated by the census")
+
+    monkeypatch.setattr(cli_mod, "bruhat_census", doubled)
+    monkeypatch.setattr(cli_mod, "enumerate_G", unexpected)
+    monkeypatch.setattr(zipgroup_mod, "enumerate_G", unexpected)
+    code, out, err = _run_in_process(capsys, ["census", "--p", "2", "--k", "2", "--n", "4"])
+    assert code == 1
+    assert out.endswith("total\t77760000\tgroup\t38880000\tMISMATCH\n")
+    # |B| = 3^5 * 4^4 = 62,208
+    assert err.startswith("census mismatch: cell ++++ holds 124416 elements, "
+                          "expected 62208\t")
+    replay = json.loads(err.split("\t", 1)[1])
+    assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 2, 4, "++++")
+    ctx = FieldCtx(replay["p"], replay["k"])
+    factors = [Matrix.from_rows(ctx, f) for f in replay["factors"]]
+    dets = {f.entry(0, 0) * f.entry(1, 1) - f.entry(0, 1) * f.entry(1, 0) for f in factors}
+    assert len(factors) == 4 and len(dets) == 1 and ctx.zero() not in dets
+    assert bruhat_word(GroupElem(factors)).to_string() == replay["w"]

@@ -486,6 +486,26 @@ def test_stratum_label_is_constant_along_zip_orbits(case):
 
 
 @st.composite
+def group_elems(draw, ctx=None):
+    """An element of G with n <= 4 factors over one field."""
+    ctx = ctx or draw(fields)
+    return GroupElem(draw(factor_lists(ctx, draw(st.integers(1, 4)), equal_dets=True)))
+
+
+@PROPERTY
+@given(st.one_of(group_elems(), group_elems(F256)))
+@example(f256_group_pair()[1])
+def test_stratum_label_is_the_tuple_of_one_factor_labels(g):
+    # orbits labels each element from a table of its factors' one-factor
+    # labels, which rests on z, products and Bruhat signs all being factorwise
+    ctx = g.ctx
+    one = CocharDatum.split(1, ctx.p)
+    signs = tuple(stratum_label(GroupElem.from_indices(ctx, (f,)), one).signs[0]
+                  for f in g.index_factors)
+    assert signs == stratum_label(g, CocharDatum.split(g.n, ctx.p)).signs
+
+
+@st.composite
 def invalid_factor_cases(draw, ctx=None):
     """Equal-determinant factors, a singular matrix and where to insert it,
     and a scalar that breaks the determinant condition unless it is 1."""

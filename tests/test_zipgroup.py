@@ -9,11 +9,12 @@ import pytest
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Matrix
-from hilbhasse.schubert import (GroupElem, hasse_section, stratum_label,
+from hilbhasse.schubert import (GroupElem, bruhat_word, hasse_section, stratum_label,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, WeylElem, all_weyl_elems
-from hilbhasse.zipgroup import (ZipGroupElem, bruhat_census, enumerate_E,
-                                enumerate_G, orbits, zip_act, zip_group_generators)
+from hilbhasse.zipgroup import (ZipGroupElem, borel_order, bruhat_census, cell_witness,
+                                enumerate_E, enumerate_G, group_order, orbits, zip_act,
+                                zip_group_generators)
 
 
 def det(m):
@@ -174,6 +175,27 @@ def test_census_law(p, n):
     for w, count in rows:
         assert count == q ** w.length() * borel_size
     assert sum(counts.values()) == len(enumerate_G(ctx, n))
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 4, 10), (7, 1, 8)])
+def test_census_law_beyond_enumeration(p, k, n):
+    # |G| is about 10^37 for F_16 with n = 10 and 10^24 for F_7 with n = 8,
+    # so only the factored census reaches these; |B| and |G| are closed forms
+    ctx = FieldCtx(p, k)
+    rows = bruhat_census(ctx, n)
+    assert [w for w, _ in rows] == all_weyl_elems(n)
+    for w, count in rows:
+        assert count == ctx.q ** w.length() * borel_order(ctx, n), w.to_string()
+    assert sum(count for _, count in rows) == group_order(ctx, n)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
+def test_cell_witness_is_the_first_element_of_its_cell(p, k, n):
+    # the census replay names the element a scan of G would have found first
+    ctx = FieldCtx(p, k)
+    g_list = enumerate_G(ctx, n)
+    for w in all_weyl_elems(n):
+        assert cell_witness(ctx, w) == next(g for g in g_list if bruhat_word(g) == w)
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
