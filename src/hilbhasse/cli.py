@@ -18,7 +18,8 @@ from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
 # enumerate_E is not called here; it stays a name of this module for code
 # that wraps cli.enumerate_E.
 from .zipgroup import (OrbitLabelError, borel_order, bruhat_census, cell_witness,  # noqa: F401
-                       enumerate_E, enumerate_G, group_order, orbits, zip_group_generators)
+                       enumerate_E, enumerate_G, generator_count, group_order, orbits,
+                       zip_group_generators)
 from .zips import check_equivalence, enumerate_zips, zip_from_json_obj, zip_to_json_obj
 
 EXIT_OK = 0
@@ -97,7 +98,7 @@ def _cmd_weight_space(args: argparse.Namespace) -> int:
 
 def _factors_json(g) -> list:
     """The factors of a group element as 2x2 rows of coefficient lists."""
-    return [[[e.to_list() for e in f.row(r)] for r in (0, 1)] for f in g.factors]
+    return [[[e.to_list() for e in row] for row in f] for f in g.factors]
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -131,10 +132,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_orbits(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
     q, n = ctx.q, args.n
-    # |G| x |generators|, both in closed form (group_order and the count in
-    # zip_group_generators), so a refusal builds nothing
-    gen_count = 2 * n * ctx.k + (n + 1 if q > 2 else 0)
-    refuse_above(args.bound, "orbit scan", q * (q * q - 1), n, (q - 1) * gen_count)
+    # |G| x |generators|, both in closed form, so a refusal builds nothing
+    refuse_above(args.bound, "orbit scan", q * (q * q - 1), n, (q - 1) * generator_count(ctx, n))
     gens = zip_group_generators(ctx, n)
     g_list = enumerate_G(ctx, n, bound=args.bound)
     try:

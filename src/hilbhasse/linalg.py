@@ -1,11 +1,10 @@
 """Exact linear algebra over a field context.
 
-Matrices are dense, immutable tuples of field elements.  Subspaces are kept
-as reduced row echelon bases of element indices, so two equal subspaces have
-identical representations and containment reduces to pivot elimination on
-the context's integer tables.  The wedge helpers coordinatize the n-th
-exterior power of a 2n-dimensional space by colexicographic rank of n-element
-index subsets.
+Subspaces are kept as reduced row echelon bases of element indices, so two
+equal subspaces have identical representations and containment reduces to
+pivot elimination on the context's integer tables.  The wedge helpers
+coordinatize the n-th exterior power of a 2n-dimensional space by
+colexicographic rank of n-element index subsets.
 """
 
 from __future__ import annotations
@@ -18,77 +17,6 @@ from typing import Iterable, Sequence
 from .field import ContextMismatchError, FieldCtx, FieldElem
 
 Vector = tuple[FieldElem, ...]
-
-
-class Matrix:
-    """A rows x cols matrix over one field context, row-major and immutable."""
-
-    __slots__ = ("ctx", "rows", "cols", "entries", "_h")
-
-    def __init__(self, ctx: FieldCtx, rows: int, cols: int, entries: Iterable):
-        self.ctx = ctx
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(ctx(e) for e in entries)
-        if len(self.entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(self.entries)}")
-        self._h = hash((ctx, rows, cols, self.entries))
-
-    @classmethod
-    def from_rows(cls, ctx: FieldCtx, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        return cls(ctx, nrows, ncols, [e for r in rows for e in r])
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx, n: int) -> "Matrix":
-        return cls(ctx, n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, ctx: FieldCtx, rows: int, cols: int) -> "Matrix":
-        return cls(ctx, rows, cols, [0] * (rows * cols))
-
-    def entry(self, r: int, c: int) -> FieldElem:
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> Vector:
-        return self.entries[r * self.cols:(r + 1) * self.cols]
-
-    def row_list(self) -> list[Vector]:
-        return [self.row(r) for r in range(self.rows)]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, self.cols, self.rows,
-                      [self.entry(r, c) for c in range(self.cols) for r in range(self.rows)])
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in matrix product")
-        zero = self.ctx.zero()
-        out = []
-        for r in range(self.rows):
-            row = self.row(r)
-            for c in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + row[k] * other.entry(k, c)
-                out.append(acc)
-        return Matrix(self.ctx, self.rows, other.cols, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return self._h
-
-    def __repr__(self):
-        body = "; ".join(" ".join(repr(e) for e in self.row(r)) for r in range(self.rows))
-        return f"Matrix[{self.rows}x{self.cols}: {body}]"
 
 
 def _rref_rows(rows: list[list[int]], ncols: int,
@@ -114,13 +42,6 @@ def _rref_rows(rows: list[list[int]], ncols: int,
         pivots.append(c)
         r += 1
     return rows, pivots
-
-
-def rref(m: Matrix) -> tuple[Matrix, int]:
-    """Reduced row echelon form and rank of a matrix."""
-    rows = [[e.index for e in m.row(r)] for r in range(m.rows)]
-    rows, pivots = _rref_rows(rows, m.cols, m.ctx)
-    return Matrix(m.ctx, m.rows, m.cols, [m.ctx._elems[x] for r in rows for x in r]), len(pivots)
 
 
 class Subspace:
@@ -153,14 +74,6 @@ class Subspace:
         reduced, pivots = _rref_rows(rows, ambient_dim, ctx)
         basis = tuple(tuple(r) for r in reduced[:len(pivots)])
         return cls(ctx, ambient_dim, basis, tuple(pivots))
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls(ctx, ambient_dim, (), ())
-
-    @classmethod
-    def full(cls, ctx: FieldCtx, ambient_dim: int) -> "Subspace":
-        return cls.from_vectors(ctx, ambient_dim, Matrix.identity(ctx, ambient_dim).row_list())
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import ContextMismatchError, FieldCtx, FieldElem
-from .linalg import Matrix
 from .weyl import Character, CocharDatum, WeylElem
 
 #: Distinguished return value for a section restricting to the zero function
@@ -232,34 +231,33 @@ def det_2x2(f: Factor, ctx: FieldCtx) -> int:
 class GroupElem:
     """A tuple of invertible 2x2 factors over one field context.
 
-    Each factor is stored as its row-major element indices (a, b, c, d) in
-    ``index_factors``; ``factors`` rebuilds the matrices.  With
-    ``hilbert=True`` (the default) all factor determinants must agree, which
-    is the determinant condition cutting the group of interest out of the
-    plain product of 2x2 groups.  Products and inverses are not re-checked:
-    the group is closed under both.
+    Each factor is given as two rows of two values that ``ctx.index_of``
+    accepts, as in the replay JSON the CLI prints, and is stored as its
+    row-major element indices (a, b, c, d) in ``index_factors``; ``factors``
+    gives the rows back as field elements.  With ``hilbert=True`` (the
+    default) all factor determinants must agree, which is the determinant
+    condition cutting the group of interest out of the plain product of 2x2
+    groups.  Products and inverses are not re-checked: the group is closed
+    under both.
     """
 
     __slots__ = ("ctx", "index_factors")
 
-    def __init__(self, factors: Sequence[Matrix], hilbert: bool = True):
-        factors = tuple(factors)
-        if not factors:
-            raise ValueError("need at least one factor")
-        ctx = factors[0].ctx
+    def __init__(self, ctx: FieldCtx, factors: Sequence[Sequence[Sequence]], hilbert: bool = True):
         index_factors = []
         dets = set()
         for i, f in enumerate(factors):
-            if f.ctx is not ctx:
-                raise ContextMismatchError(f"factor {i} belongs to a different field")
-            if f.rows != 2 or f.cols != 2:
+            if not (isinstance(f, (list, tuple)) and len(f) == 2 and all(
+                    isinstance(row, (list, tuple)) and len(row) == 2 for row in f)):
                 raise ValueError(f"factor {i} is not 2x2")
-            key = tuple(e.index for e in f.entries)
+            key = tuple(ctx.index_of(e) for row in f for e in row)
             det = det_2x2(key, ctx)
             if not det:
                 raise ValueError(f"factor {i} is singular")
             index_factors.append(key)
             dets.add(det)
+        if not index_factors:
+            raise ValueError("need at least one factor")
         if hilbert and len(dets) > 1:
             raise ValueError("factor determinants differ")
         self.ctx = ctx
@@ -290,10 +288,10 @@ class GroupElem:
         return len(self.index_factors)
 
     @property
-    def factors(self) -> tuple[Matrix, ...]:
-        ctx = self.ctx
-        return tuple(Matrix(ctx, 2, 2, [ctx._elems[i] for i in f])
-                     for f in self.index_factors)
+    def factors(self) -> tuple[tuple[tuple[FieldElem, FieldElem], ...], ...]:
+        """Each factor as its two rows of field elements."""
+        e = self.ctx._elems
+        return tuple(((e[a], e[b]), (e[c], e[d])) for a, b, c, d in self.index_factors)
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
         if not isinstance(other, GroupElem):
@@ -325,7 +323,7 @@ class GroupElem:
         return hash(self.index_factors)
 
     def __repr__(self):
-        return f"GroupElem({', '.join(repr(f) for f in self.factors)})"
+        return f"GroupElem({self.ctx!r}, {list(self.factors)!r})"
 
 
 # -- sections and weight spaces ------------------------------------------------

@@ -92,6 +92,12 @@ def borel_order(ctx: FieldCtx, n: int) -> int:
     return (ctx.q - 1) ** (n + 1) * ctx.q ** n
 
 
+def generator_count(ctx: FieldCtx, n: int) -> int:
+    """The number of pairs ``zip_group_generators(ctx, n)`` returns, in closed
+    form: 2nk unipotents, and n + 1 diagonals when q > 2."""
+    return 2 * n * ctx.k + (n + 1 if ctx.q > 2 else 0)
+
+
 def enumerate_G(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[GroupElem]:
     """All n-tuples of invertible 2x2 matrices with pairwise equal
     determinants, in deterministic (determinant-major) order; there are

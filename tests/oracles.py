@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: polynomial division
 is schoolbook, ranks come from elimination without back substitution,
 wedge coordinates come from cofactor-expanded minors, vanishing orders
 come from multiplying out chart substitutions on FieldElem objects, a
-zip block's point of P^1 comes from 2x2 determinants of its two lines, and
-Bruhat cell sizes come from enumerating the whole group.
+zip block's point of P^1 comes from 2x2 determinants of its two lines,
+Bruhat cell sizes come from enumerating the whole group, and 2x2 matrix
+products are schoolbook sums on FieldElem rows.
 """
 
 from collections import Counter
@@ -66,6 +67,27 @@ def naive_rank(rows):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def mat_mul_2x2(x, y):
+    """Schoolbook product of two 2x2 matrices given as rows of FieldElem."""
+    return tuple(tuple(x[r][0] * y[0][c] + x[r][1] * y[1][c] for c in (0, 1))
+                 for r in (0, 1))
+
+
+def is_rref_basis_of(rows, basis):
+    """True iff basis is in reduced row echelon form (each row led by a one
+    whose column is zero in every other row, leads moving right) and spans
+    the same space as rows, by ranks from ``naive_rank``."""
+    leads = []
+    for row in basis:
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None or row[lead] != row[lead].ctx.one() or leads and lead <= leads[-1]:
+            return False
+        leads.append(lead)
+    if any(other[c] for c, row in zip(leads, basis) for other in basis if other is not row):
+        return False
+    return naive_rank(list(rows) + list(basis)) == naive_rank(rows) == len(basis)
 
 
 def cofactor_det(rows):

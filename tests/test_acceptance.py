@@ -101,7 +101,7 @@ def run_census():
         ctx = FieldCtx(p, k)
         g_list = enumerate_G(ctx, n)
         borel_size = sum(1 for g in g_list
-                         if all(not f.entry(0, 1) for f in g.factors))
+                         if all(not f[0][1] for f in g.factors))
         # the closed form the census command checks its cells against
         assert borel_size == borel_order(ctx, n), (p, k, n)
         counts = dict((w.signs, c) for w, c in bruhat_census(ctx, n))

@@ -306,13 +306,12 @@ def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     # that varies along every orbit of more than one element
     import hilbhasse.zipgroup as zipgroup_mod
     from hilbhasse.field import FieldCtx
-    from hilbhasse.linalg import Matrix
     from hilbhasse.schubert import GroupElem
     from hilbhasse.weyl import CocharDatum, all_weyl_elems
     from hilbhasse.zipgroup import enumerate_E, zip_act
 
     def broken(g, datum):
-        return all_weyl_elems(g.n)[bool(g.factors[0].entry(1, 0))]
+        return all_weyl_elems(g.n)[bool(g.factors[0][1][0])]
 
     monkeypatch.setattr(zipgroup_mod, "stratum_label", broken)
     code = main(["orbits", "--p", "2", "--n", "1"])
@@ -325,7 +324,7 @@ def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     assert (replay["p"], replay["k"], replay["n"]) == (2, 1, 1)
     ctx = FieldCtx(replay["p"], replay["k"])
     datum = CocharDatum.split(replay["n"], ctx.p)
-    members = [GroupElem([Matrix.from_rows(ctx, f) for f in m["factors"]])
+    members = [GroupElem(FieldCtx(replay["p"], replay["k"]), m["factors"])
                for m in replay["members"]]
     labels = [m["label"] for m in replay["members"]]
     assert len(members) == 2 and labels[0] != labels[1]
@@ -347,7 +346,6 @@ def test_census_mismatch_exits_1(capsys, monkeypatch):
     # that are wrong by a common factor still fail
     import hilbhasse.cli as cli_mod
     from hilbhasse.field import FieldCtx
-    from hilbhasse.linalg import Matrix
     from hilbhasse.schubert import GroupElem, bruhat_word
     real = cli_mod.bruhat_census
 
@@ -363,8 +361,7 @@ def test_census_mismatch_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("census mismatch: cell + holds 4 elements, expected 2\t")
     replay = json.loads(captured.err.split("\t", 1)[1])
     assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 1, 1, "+")
-    ctx = FieldCtx(replay["p"], replay["k"])
-    g = GroupElem([Matrix.from_rows(ctx, f) for f in replay["factors"]])
+    g = GroupElem(FieldCtx(replay["p"], replay["k"]), replay["factors"])
     assert bruhat_word(g).to_string() == replay["w"]
 
 
@@ -459,7 +456,6 @@ def test_census_mismatch_replays_without_scanning_g(capsys, monkeypatch):
     import hilbhasse.cli as cli_mod
     import hilbhasse.zipgroup as zipgroup_mod
     from hilbhasse.field import FieldCtx
-    from hilbhasse.linalg import Matrix
     from hilbhasse.schubert import GroupElem, bruhat_word
     real = cli_mod.bruhat_census
 
@@ -480,8 +476,8 @@ def test_census_mismatch_replays_without_scanning_g(capsys, monkeypatch):
                           "expected 62208\t")
     replay = json.loads(err.split("\t", 1)[1])
     assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 2, 4, "++++")
+    # the checked constructor refuses singular factors and unequal determinants
     ctx = FieldCtx(replay["p"], replay["k"])
-    factors = [Matrix.from_rows(ctx, f) for f in replay["factors"]]
-    dets = {f.entry(0, 0) * f.entry(1, 1) - f.entry(0, 1) * f.entry(1, 0) for f in factors}
-    assert len(factors) == 4 and len(dets) == 1 and ctx.zero() not in dets
-    assert bruhat_word(GroupElem(factors)).to_string() == replay["w"]
+    g = GroupElem(ctx, replay["factors"])
+    assert len({a * d - b * c for (a, b), (c, d) in g.factors} - {ctx.zero()}) == 1
+    assert g.n == 4 and bruhat_word(g).to_string() == replay["w"]

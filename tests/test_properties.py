@@ -2,8 +2,8 @@
 256 elements, each checked against an oracle that does not share their code
 path: ranks by forward elimination, wedges by cofactor minors, vanishing
 orders by multiplied-out chart substitutions, and the field axioms element
-by element, and group elements on index factors by products of `FieldElem`
-matrices, and filtration levels by a scan of the induced filtration's
+by element, and group elements on index factors by schoolbook products of
+`FieldElem` rows, and filtration levels by a scan of the induced filtration's
 pieces or, for block zips moved by a random g in GL_2n, by their planted
 Hasse flags, coerced element indices by a scan of the elements' coefficients,
 and block lines, points and Hodge spans, built without elimination, by
@@ -22,10 +22,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hilbhasse.cli import main
+from hilbhasse.cli import _factors_json, main
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
-from hilbhasse.linalg import (Matrix, Subspace, _wedge_terms, filtration_level,
-                              induced_filtration, rref, wedge_of_lines)
+from hilbhasse.linalg import (Subspace, _wedge_terms, filtration_level, induced_filtration,
+                              wedge_of_lines)
 from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, hasse_section,
                                 projective_line_reps, stratum_label, vanishing_order_at_point,
                                 vanishing_order_on_stratum)
@@ -33,7 +33,8 @@ from hilbhasse.weyl import CocharDatum, all_weyl_elems
 from hilbhasse.zipgroup import ZipGroupElem, zip_act
 from hilbhasse.zips import HilbertZip, line_in_block, zip_from_json_obj, zip_to_json_obj
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
-                     cofactor_det, naive_rank, wedge_coords_by_minors)
+                     cofactor_det, is_rref_basis_of, mat_mul_2x2, naive_rank,
+                     wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -86,9 +87,10 @@ def f256_rows():
 @example(f256_rows())
 def test_rref_rank_matches_naive_rank(m):
     ctx, rows = m
-    reduced, rank = rref(Matrix.from_rows(ctx, rows))
-    assert rank == naive_rank(rows)
-    assert rref(reduced) == (reduced, rank)
+    span = Subspace.from_vectors(ctx, len(rows[0]), rows)
+    assert span.dim == naive_rank(rows)
+    assert is_rref_basis_of(rows, span.basis)
+    assert Subspace.from_vectors(ctx, span.ambient_dim, span.basis) == span
 
 
 @st.composite
@@ -381,13 +383,15 @@ def test_index_of_matches_coercion_and_coefficients(case):
 
 
 def det2(m):
-    return m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0)
+    (a, b), (c, d) = m
+    return a * d - b * c
 
 
 def invertible_matrices(ctx):
+    """Invertible 2x2 matrices as two rows of field elements."""
     return (st.lists(elements(ctx), min_size=4, max_size=4)
             .filter(lambda e: e[0] * e[3] != e[1] * e[2])
-            .map(lambda e: Matrix(ctx, 2, 2, e)))
+            .map(lambda e: ((e[0], e[1]), (e[2], e[3]))))
 
 
 @st.composite
@@ -402,8 +406,7 @@ def factor_lists(draw, ctx=None, n=None, equal_dets=None):
         equal_dets = draw(st.booleans())
     if equal_dets:
         target = det2(factors[0])
-        factors = [Matrix(ctx, 2, 2, [target / det2(f) * e for e in f.row(0)] + list(f.row(1)))
-                   for f in factors]
+        factors = [(tuple(target / det2(f) * e for e in f[0]), f[1]) for f in factors]
     return factors
 
 
@@ -414,17 +417,15 @@ def group_pairs(draw, ctx=None):
     ctx = ctx or draw(fields)
     first = draw(factor_lists(ctx))
     second = draw(factor_lists(ctx, len(first)))
-    return tuple(GroupElem(fs, hilbert=len({det2(f) for f in fs}) == 1)
+    return tuple(GroupElem(ctx, fs, hilbert=len({det2(f) for f in fs}) == 1)
                  for fs in (first, second))
 
 
 def f256_group_pair():
     """Determinants u^7 and u^253: a product of hilbert=False elements."""
     u = F256.gen()
-    g = GroupElem([Matrix.from_rows(F256, [[u, 1], [u ** 7, 0]]),
-                   Matrix.from_rows(F256, [[0, u ** 3], [u ** 250, u]])], hilbert=False)
-    h = GroupElem([Matrix.from_rows(F256, [[u ** 9, 0], [1, u ** 2]]),
-                   Matrix.from_rows(F256, [[1, 1], [0, u ** 11]])])
+    g = GroupElem(F256, [[[u, 1], [u ** 7, 0]], [[0, u ** 3], [u ** 250, u]]], hilbert=False)
+    h = GroupElem(F256, [[[u ** 9, 0], [1, u ** 2]], [[1, 1], [0, u ** 11]]])
     return g, h
 
 
@@ -434,9 +435,8 @@ def f256_group_pair():
 def test_group_products_and_inverses_match_matrix_products(pair):
     g, h = pair
     ctx, n = g.ctx, g.n
-    assert (g * h).factors == tuple(x * y for x, y in zip(g.factors, h.factors))
-    eye = Matrix.identity(ctx, 2)
-    assert all(x * y == eye for x, y in zip(g.factors, g.inverse().factors))
+    assert (g * h).factors == tuple(map(mat_mul_2x2, g.factors, h.factors))
+    assert all(mat_mul_2x2(x, y) == eye(ctx) for x, y in zip(g.factors, g.inverse().factors))
     assert g * g.inverse() == g.inverse() * g == GroupElem.identity(ctx, n)
     assert g.inverse().inverse() == g
 
@@ -447,13 +447,13 @@ def test_group_products_and_inverses_match_matrix_products(pair):
 def test_bruhat_word_and_stratum_label_match_matrix_entries(pair):
     for g in pair:
         ctx = g.ctx
-        assert bruhat_word(g).signs == tuple(1 if not f.entry(0, 1) else -1 for f in g.factors)
+        assert bruhat_word(g).signs == tuple(1 if not f[0][1] else -1 for f in g.factors)
         # z is the longest element, lifted to [[0, 1], [-1, 0]] in every factor
-        s = Matrix.from_rows(ctx, [[0, 1], [-1, 0]])
+        s = ((ctx.zero(), ctx.one()), (-ctx.one(), ctx.zero()))
         datum = CocharDatum.split(g.n, ctx.p)
         assert GroupElem.weyl_lift(ctx, datum.z).factors == (s,) * g.n
         label = stratum_label(g, datum)
-        assert label.signs == tuple(1 if not (f * s).entry(0, 1) else -1 for f in g.factors)
+        assert label.signs == tuple(1 if not mat_mul_2x2(f, s)[0][1] else -1 for f in g.factors)
 
 
 @st.composite
@@ -462,16 +462,15 @@ def zip_actions(draw, ctx=None):
     one field, n <= 3: a lower triangular, b upper with the entrywise p-th
     power of a's diagonal, all factors of a of one determinant."""
     ctx = ctx or draw(fields)
-    g = GroupElem(draw(factor_lists(ctx, equal_dets=True)))
+    g = GroupElem(ctx, draw(factor_lists(ctx, equal_dets=True)))
     det = draw(elements(ctx, nonzero=True))
     a_factors, b_factors = [], []
     for _ in range(g.n):
         d0 = draw(elements(ctx, nonzero=True))
         d1 = det / d0
-        a_factors.append(Matrix.from_rows(ctx, [[d0, 0], [draw(elements(ctx)), d1]]))
-        b_factors.append(Matrix.from_rows(ctx, [[d0.frobenius(), draw(elements(ctx))],
-                                                [0, d1.frobenius()]]))
-    return ZipGroupElem(GroupElem(a_factors), GroupElem(b_factors)), g
+        a_factors.append([[d0, 0], [draw(elements(ctx)), d1]])
+        b_factors.append([[d0.frobenius(), draw(elements(ctx))], [0, d1.frobenius()]])
+    return ZipGroupElem(GroupElem(ctx, a_factors), GroupElem(ctx, b_factors)), g
 
 
 @PROPERTY
@@ -489,7 +488,7 @@ def test_stratum_label_is_constant_along_zip_orbits(case):
 def group_elems(draw, ctx=None):
     """An element of G with n <= 4 factors over one field."""
     ctx = ctx or draw(fields)
-    return GroupElem(draw(factor_lists(ctx, draw(st.integers(1, 4)), equal_dets=True)))
+    return GroupElem(ctx, draw(factor_lists(ctx, draw(st.integers(1, 4)), equal_dets=True)))
 
 
 @PROPERTY
@@ -505,6 +504,15 @@ def test_stratum_label_is_the_tuple_of_one_factor_labels(g):
     assert signs == stratum_label(g, CocharDatum.split(g.n, ctx.p)).signs
 
 
+def as_rows(ctx, m):
+    """A 2x2 matrix given by rows of values ``ctx`` coerces, as rows of elements."""
+    return tuple(tuple(map(ctx, row)) for row in m)
+
+
+def eye(ctx):
+    return as_rows(ctx, [[1, 0], [0, 1]])
+
+
 @st.composite
 def invalid_factor_cases(draw, ctx=None):
     """Equal-determinant factors, a singular matrix and where to insert it,
@@ -512,33 +520,32 @@ def invalid_factor_cases(draw, ctx=None):
     ctx = ctx or draw(fields)
     factors = draw(factor_lists(ctx, equal_dets=True))
     a, b, t = (draw(elements(ctx)) for _ in range(3))
-    singular = Matrix(ctx, 2, 2, (a, b, t * a, t * b))
+    singular = ((a, b), (t * a, t * b))
     where = draw(st.integers(0, len(factors)))
-    return factors, singular, where, draw(elements(ctx, nonzero=True))
+    return ctx, factors, singular, where, draw(elements(ctx, nonzero=True))
 
 
 def f256_invalid_case():
     u = F256.gen()
-    factors = [Matrix.from_rows(F256, [[u, 0], [1, u ** 4]]),
-               Matrix.from_rows(F256, [[0, u ** 5], [1, 1]])]
-    return factors, Matrix.from_rows(F256, [[u, u ** 2], [u ** 3, u ** 4]]), 1, u ** 30
+    factors = [as_rows(F256, [[u, 0], [1, u ** 4]]), as_rows(F256, [[0, u ** 5], [1, 1]])]
+    return F256, factors, as_rows(F256, [[u, u ** 2], [u ** 3, u ** 4]]), 1, u ** 30
 
 
 @PROPERTY
 @given(st.one_of(invalid_factor_cases(), invalid_factor_cases(F256)))
 @example(f256_invalid_case())
 def test_group_elem_refuses_singular_factors_and_unequal_determinants(case):
-    factors, singular, where, scale = case
-    assert GroupElem(factors).factors == tuple(factors)
+    ctx, factors, singular, where, scale = case
+    assert GroupElem(ctx, factors).factors == tuple(factors)
     for hilbert in (True, False):
         with pytest.raises(ValueError):
-            GroupElem(factors[:where] + [singular] + factors[where:], hilbert=hilbert)
+            GroupElem(ctx, factors[:where] + [singular] + factors[where:], hilbert=hilbert)
     f = factors[-1]
-    rescaled = factors[:-1] + [Matrix(f.ctx, 2, 2, [scale * e for e in f.row(0)] + list(f.row(1)))]
-    GroupElem(rescaled, hilbert=False)
+    rescaled = factors[:-1] + [(tuple(scale * e for e in f[0]), f[1])]
+    GroupElem(ctx, rescaled, hilbert=False)
     if len(factors) > 1 and scale != 1:
         with pytest.raises(ValueError):
-            GroupElem(rescaled)
+            GroupElem(ctx, rescaled)
 
 
 F2, F4 = FieldCtx(2), FieldCtx(2, 2)
@@ -555,17 +562,27 @@ def mixed_field_factors(draw):
 
 @PROPERTY
 @given(mixed_field_factors())
-@example([Matrix.identity(F2, 2), Matrix.identity(F4, 2)])
-@example([Matrix.identity(F256, 2), Matrix.identity(F2, 2)])
+@example([eye(F2), eye(F4)])
+@example([eye(F256), eye(F2)])
 def test_group_elem_refuses_factors_over_different_fields(factors):
-    # the identities share their index factors, so only the field tells them apart
-    for hilbert in (True, False):
-        with pytest.raises(ValueError):
-            GroupElem(factors, hilbert=hilbert)
-    by_field = [GroupElem([f], hilbert=False) for f in factors[:2]]
+    # the identities share their index factors, so only the field tells them
+    # apart; index_of refuses an element of another field under either field
+    for ctx in {f[0][0].ctx for f in factors}:
+        for hilbert in (True, False):
+            with pytest.raises(ContextMismatchError):
+                GroupElem(ctx, factors, hilbert=hilbert)
+    by_field = [GroupElem(f[0][0].ctx, [f], hilbert=False) for f in factors[:2]]
     if by_field[0].ctx is not by_field[1].ctx:
         with pytest.raises(ValueError):
             by_field[0] * by_field[1]
+
+
+@PROPERTY
+@given(st.one_of(group_elems(), group_elems(F256)))
+@example(f256_group_pair()[1])
+def test_group_elem_rebuilds_from_its_replay_factors(g):
+    # the replay JSON's factors: coefficient lists, low degree first
+    assert GroupElem(FieldCtx(g.ctx.p, g.ctx.k), _factors_json(g)) == g
 
 
 def points(ctx, n):

@@ -7,7 +7,6 @@ import pytest
 
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
-from hilbhasse.linalg import Matrix
 from hilbhasse.schubert import (INFINITE_ORDER, GroupElem, MultiPoly, PointP1n,
                                 all_points, bruhat_word, hasse_section,
                                 monomial_weight, stratum_label,
@@ -15,23 +14,23 @@ from hilbhasse.schubert import (INFINITE_ORDER, GroupElem, MultiPoly, PointP1n,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
                             hodge_character, weyl_act)
+from oracles import mat_mul_2x2
 
 
 def borel_elements(ctx):
-    """All invertible lower-triangular 2x2 matrices (test-local build)."""
+    """All invertible lower-triangular 2x2 matrices as rows (test-local build)."""
     out = []
     for d0, d1, low in product(ctx.elements(), repeat=3):
         if d0 and d1:
-            out.append(Matrix.from_rows(ctx, [[d0, 0], [low, d1]]))
+            out.append(((d0, ctx.zero()), (low, d1)))
     return out
 
 
 def gl2_elements(ctx):
     out = []
-    for entries in product(ctx.elements(), repeat=4):
-        a, b, c, d = entries
+    for a, b, c, d in product(ctx.elements(), repeat=4):
         if a * d - b * c:
-            out.append(Matrix(ctx, 2, 2, entries))
+            out.append(((a, b), (c, d)))
     return out
 
 
@@ -102,30 +101,29 @@ def test_weight_spaces_exhaust_the_section_space(n, F2):
 
 
 def test_bruhat_word_of_lower_triangular(F3):
-    g = GroupElem((Matrix.from_rows(F3, [[1, 0], [2, 1]]),
-                   Matrix.from_rows(F3, [[2, 0], [0, 2]])), hilbert=False)
+    g = GroupElem(F3, ([[1, 0], [2, 1]], [[2, 0], [0, 2]]), hilbert=False)
     assert bruhat_word(g) == WeylElem.identity(2)
 
 
 def test_bruhat_word_of_reflection_lift(F2):
-    s = Matrix.from_rows(F2, [[0, 1], [1, 0]])
-    e = Matrix.identity(F2, 2)
-    assert bruhat_word(GroupElem((s, e), hilbert=False)) == WeylElem((-1, 1))
+    s = [[0, 1], [1, 0]]
+    e = [[1, 0], [0, 1]]
+    assert bruhat_word(GroupElem(F2, (s, e), hilbert=False)) == WeylElem((-1, 1))
 
 
 def test_bruhat_word_against_brute_force_cells(F2):
     # brute-force double cosets of GL2(F2): B itself and B s B
     G = gl2_elements(F2)
     B = borel_elements(F2)
-    s = Matrix.from_rows(F2, [[0, 1], [1, 0]])  # -1 == 1 mod 2
-    cell_e = {(a * b).entries for a in B for b in B}
-    cell_s = {(a * s * b).entries for a in B for b in B}
+    s = ((F2.zero(), F2.one()), (F2.one(), F2.zero()))  # -1 == 1 mod 2
+    cell_e = {mat_mul_2x2(a, b) for a in B for b in B}
+    cell_s = {mat_mul_2x2(mat_mul_2x2(a, s), b) for a in B for b in B}
     assert len(cell_e) == 2 and len(cell_s) == 4
-    assert cell_e | cell_s == {g.entries for g in G}
+    assert cell_e | cell_s == set(G)
     for g in G:
-        word = bruhat_word(GroupElem((g,)))
-        assert (word == WeylElem((1,))) == (g.entries in cell_e)
-        assert (word == WeylElem((-1,))) == (g.entries in cell_s)
+        word = bruhat_word(GroupElem(F2, (g,)))
+        assert (word == WeylElem((1,))) == (g in cell_e)
+        assert (word == WeylElem((-1,))) == (g in cell_s)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -142,14 +140,17 @@ def test_stratum_label_of_translated_lifts(p, n):
 
 
 def test_group_elem_validation(F3):
-    singular = Matrix.from_rows(F3, [[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        GroupElem((singular,))
-    det1 = Matrix.identity(F3, 2)
-    det2 = Matrix.from_rows(F3, [[2, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        GroupElem((det1, det2))  # unequal determinants
-    GroupElem((det1, det2), hilbert=False)  # allowed outside the preset
+    identity, det2 = [[1, 0], [0, 1]], [[2, 0], [0, 1]]
+    for factors in ([],  # no factor
+                    [[[1, 0], [0, 1], [0, 0]]],  # three rows
+                    [[[1, 0, 0], [0, 1]]],  # a row of length 3
+                    identity,  # one factor without the outer list
+                    [[[1, 1], [1, 1]]],  # singular
+                    [identity, det2]):  # unequal determinants
+        with pytest.raises(ValueError):
+            GroupElem(F3, factors)
+    g = GroupElem(F3, [identity, det2], hilbert=False)  # allowed outside the preset
+    assert g.factors == tuple(tuple(tuple(map(F3, row)) for row in f) for f in (identity, det2))
 
 
 # -- vanishing orders ----------------------------------------------------------------
@@ -288,7 +289,7 @@ def test_point_orders_match_stratum_orders_on_cells(p, k, n):
 def quotient_point(g: GroupElem) -> PointP1n:
     """Image of g in the product of projective lines: the second column of
     each factor, which right translation by the Borel only rescales."""
-    pairs = [(f.entry(0, 1), f.entry(1, 1)) for f in g.factors]
+    pairs = [(f[0][1], f[1][1]) for f in g.factors]
     return PointP1n(g.ctx, pairs)
 
 
@@ -296,13 +297,13 @@ def quotient_point(g: GroupElem) -> PointP1n:
 def test_order_descends_along_borel_translations(p):
     ctx = FieldCtx(p)
     h = hasse_section(ctx, 1)
-    G = [GroupElem((m,)) for m in gl2_elements(ctx)]
+    G = [GroupElem(ctx, (m,)) for m in gl2_elements(ctx)]
     B = borel_elements(ctx)
     for g in G:
         base = vanishing_order_at_point(h, quotient_point(g))
         for a in B:
             for b in B:
-                moved = GroupElem((a,)) * g * GroupElem((b,))
+                moved = GroupElem(ctx, (a,)) * g * GroupElem(ctx, (b,))
                 assert vanishing_order_at_point(h, quotient_point(moved)) == base
 
 
@@ -316,16 +317,16 @@ def test_translated_pullback_is_the_top_left_product(p):
     ctx = FieldCtx(p)
     h = hasse_section(ctx, 1)
     z_lift = GroupElem.weyl_lift(ctx, WeylElem.longest(1))
-    G = [GroupElem((m,)) for m in gl2_elements(ctx)]
+    G = [GroupElem(ctx, (m,)) for m in gl2_elements(ctx)]
     B = borel_elements(ctx)
-    B_plus = [m.transpose() for m in B]
+    B_plus = [((a, c), (b, d)) for (a, b), (c, d) in B]
     for g in G:
         pt = quotient_point(g * z_lift)
         order = vanishing_order_at_point(h, pt)
-        assert order == (1 if not g.factors[0].entry(0, 0) else 0)
+        assert order == (1 if not g.factors[0][0][0] else 0)
         for a in B:
             for b in B_plus:
-                moved = GroupElem((a,)) * g * GroupElem((b,), hilbert=False)
+                moved = GroupElem(ctx, (a,)) * g * GroupElem(ctx, (b,), hilbert=False)
                 moved_pt = quotient_point(moved * z_lift)
                 assert vanishing_order_at_point(h, moved_pt) == order
 
