@@ -33,86 +33,29 @@ Factor = tuple[int, int, int, int]
 class MultiPoly:
     """A multihomogeneous-style polynomial in n projective coordinate pairs.
 
-    Terms map an exponent record, one (d_i0, d_i1) pair per factor, to a
-    nonzero field coefficient.  Sections of the (1, ..., 1) bundle have
-    d_i0 + d_i1 = 1 in every factor of every term.
+    Terms map an exponent record, one (d_i0, d_i1) pair per factor, to the
+    element index of a nonzero field coefficient.  Sections of the
+    (1, ..., 1) bundle have d_i0 + d_i1 = 1 in every factor of every term.
+    Coefficients are given as values that ``ctx.index_of`` accepts; those
+    of equal records are summed on the field's tables before zeros are
+    dropped.
     """
 
-    __slots__ = ("ctx", "n", "terms", "_items", "_h")
+    __slots__ = ("ctx", "n", "terms")
 
     def __init__(self, ctx: FieldCtx, n: int, terms: dict):
         self.ctx = ctx
         self.n = n
-        clean: dict[ExpKey, FieldElem] = {}
+        add = ctx._add
+        summed: dict[ExpKey, int] = {}
         for exps, coeff in terms.items():
             exps = tuple((int(d0), int(d1)) for d0, d1 in exps)
             if len(exps) != n:
                 raise ValueError(f"exponent record has {len(exps)} factors, expected {n}")
             if any(d0 < 0 or d1 < 0 for d0, d1 in exps):
                 raise ValueError("negative exponent")
-            coeff = ctx(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, ctx.zero()) + coeff
-                if not clean[exps]:
-                    del clean[exps]
-        self.terms = clean
-        self._items = tuple(sorted(clean.items(), key=lambda kv: kv[0]))
-        self._h = hash((ctx, n, self._items))
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, ctx: FieldCtx, n: int) -> "MultiPoly":
-        return cls(ctx, n, {})
-
-    @classmethod
-    def coordinate(cls, ctx: FieldCtx, n: int, factor: int, which: int) -> "MultiPoly":
-        """The coordinate x_{factor, which} as a degree-one monomial."""
-        if not 0 <= factor < n or which not in (0, 1):
-            raise ValueError("coordinate out of range")
-        exps = tuple((1, 0) if (i == factor and which == 0)
-                     else (0, 1) if (i == factor and which == 1)
-                     else (0, 0) for i in range(n))
-        return cls(ctx, n, {exps: 1})
-
-    # -- ring structure -------------------------------------------------------
-
-    def _check(self, other: "MultiPoly"):
-        if self.n != other.n or self.ctx != other.ctx:
-            raise ValueError("polynomials live on different spaces")
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            merged[exps] = merged.get(exps, self.ctx.zero()) + coeff
-        return MultiPoly(self.ctx, self.n, merged)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ctx, self.n, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (FieldElem, int)):
-            scalar = self.ctx(other)
-            return MultiPoly(self.ctx, self.n,
-                             {e: c * scalar for e, c in self.terms.items()})
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check(other)
-        out: dict[ExpKey, FieldElem] = {}
-        zero = self.ctx.zero()
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(e1, e2))
-                out[key] = out.get(key, zero) + c1 * c2
-        return MultiPoly(self.ctx, self.n, out)
-
-    __rmul__ = __mul__
+            summed[exps] = add[summed.get(exps, 0)][ctx.index_of(coeff)]
+        self.terms = {e: c for e, c in summed.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -120,10 +63,10 @@ class MultiPoly:
     # -- display ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._items:
+        if not self.terms:
             return "0"
         parts = []
-        for exps, coeff in self._items:
+        for exps, coeff in sorted(self.terms.items()):
             factors = []
             for i, (d0, d1) in enumerate(exps):
                 if d0:
@@ -131,20 +74,20 @@ class MultiPoly:
                 if d1:
                     factors.append(f"x{i + 1}1" + (f"^{d1}" if d1 > 1 else ""))
             body = "*".join(factors) if factors else "1"
-            if coeff == self.ctx.one() and factors:
+            if coeff == 1 and factors:
                 parts.append(body)
             else:
-                coeff_str = (str(coeff.coeffs[0]) if self.ctx.k == 1
-                             else str(list(coeff.coeffs)))
+                coeff_str = (str(coeff) if self.ctx.k == 1
+                             else str(self.ctx.from_index(coeff).to_list()))
                 parts.append(f"{coeff_str}*{body}" if factors else coeff_str)
         return " + ".join(parts)
 
     def __eq__(self, other):
         return (isinstance(other, MultiPoly) and self.n == other.n
-                and self.ctx == other.ctx and self._items == other._items)
+                and self.ctx == other.ctx and self.terms == other.terms)
 
     def __hash__(self):
-        return self._h
+        return hash((self.ctx, self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"MultiPoly({self})"
@@ -347,10 +290,13 @@ def torus_weight_space(ctx: FieldCtx, n: int, target) -> list[MultiPoly]:
     """Basis of the subspace of degree-(1, ..., 1) sections on which the
     torus acts through ``target``.
 
-    Each of the 2^n coordinate-product monomials is a weight vector, so the
-    computation is a symbolic match on the monomial basis.  ``target`` may be
-    a Character or a raw pair (a-sequence, c), the latter allowing probes
-    that violate the parity constraint (which simply match nothing).
+    Each of the 2^n coordinate-product monomials is a weight vector of its
+    own weight (see ``monomial_weight``), so the answer is read off the
+    target: the one monomial with x_i0 where a_i = -1 and x_i1 where
+    a_i = 1 if c = -n and every a_i is +-1, and nothing otherwise.
+    ``target`` may be a Character or a raw pair (a-sequence, c), the latter
+    allowing probes that violate the parity constraint (which simply match
+    nothing).
     """
     if n < 1:
         raise ValueError("need at least one factor")
@@ -360,13 +306,9 @@ def torus_weight_space(ctx: FieldCtx, n: int, target) -> list[MultiPoly]:
         ta, tc = tuple(target[0]), target[1]
     if len(ta) != n:
         raise ValueError("target rank mismatch")
-    out = []
-    for eps in product((0, 1), repeat=n):
-        a = tuple(-1 if e == 0 else 1 for e in eps)
-        if a == ta and tc == -n:
-            exps = tuple((1, 0) if e == 0 else (0, 1) for e in eps)
-            out.append(MultiPoly(ctx, n, {exps: 1}))
-    return out
+    if tc != -n or any(a not in (-1, 1) for a in ta):
+        return []
+    return [MultiPoly(ctx, n, {tuple((1, 0) if a == -1 else (0, 1) for a in ta): 1})]
 
 
 # -- Bruhat words and stratum labels --------------------------------------------
@@ -436,7 +378,7 @@ def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
         rows = [_binomial_row(ctx, v.index, d1) if u else [(d0, 1)]
                 for (d0, d1), (u, v) in zip(exps, pt.coords)]
         for choice in product(*rows):
-            c = coeff.index
+            c = coeff
             for _, b in choice:
                 c = mul[c][b]
             e = tuple([j for j, _ in choice])
@@ -463,7 +405,7 @@ def vanishing_order_on_stratum(f: MultiPoly, w: WeylElem):
     restricted: dict[tuple[int, ...], int] = {}
     for exps, coeff in f.terms.items():
         e = tuple(d1 if sign == -1 else d0 for (d0, d1), sign in zip(exps, signs))
-        restricted[e] = add[restricted.get(e, 0)][coeff.index]
+        restricted[e] = add[restricted.get(e, 0)][coeff]
     normal = [i for i, sign in enumerate(signs) if sign == 1]
     return min((sum([e[i] for i in normal]) for e, c in restricted.items() if c),
                default=INFINITE_ORDER)

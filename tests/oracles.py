@@ -5,8 +5,9 @@ is schoolbook, ranks come from elimination without back substitution,
 wedge coordinates come from cofactor-expanded minors, vanishing orders
 come from multiplying out chart substitutions on FieldElem objects, a
 zip block's point of P^1 comes from 2x2 determinants of its two lines,
-Bruhat cell sizes come from enumerating the whole group, and 2x2 matrix
-products are schoolbook sums on FieldElem rows.
+Bruhat cell sizes come from enumerating the whole group, 2x2 matrix
+products are schoolbook sums on FieldElem rows, and products of
+polynomials are schoolbook sums on FieldElem term dicts.
 """
 
 from collections import Counter
@@ -165,11 +166,24 @@ class ChartPoly:
         return ChartPoly(self.n, out)
 
 
+def term_product(f, g):
+    """Schoolbook product of two polynomials given as term dicts, from
+    exponent records (one (d0, d1) pair per factor) to FieldElem
+    coefficients; zero coefficients are kept."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple((a0 + b0, a1 + b1) for (a0, a1), (b0, b1) in zip(e1, e2))
+            out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return out
+
+
 def _restrict(f, images):
-    """Substitute a pair of chart images for every coordinate pair of f."""
+    """Substitute a pair of chart images for every coordinate pair of f,
+    a MultiPoly whose terms hold coefficient indices."""
     acc = ChartPoly(f.n, {})
     for exps, coeff in f.terms.items():
-        term = ChartPoly.const(f.n, coeff)
+        term = ChartPoly.const(f.n, f.ctx.from_index(coeff))
         for (d0, d1), (img0, img1) in zip(exps, images):
             for img in [img0] * d0 + [img1] * d1:
                 term = term * img

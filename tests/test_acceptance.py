@@ -26,6 +26,9 @@ from oracles import enumerated_census
 EQUIVALENCE_SCALE = [(p, k, n) for p, k in ((2, 1), (3, 1), (2, 2)) for n in (1, 2, 3)]
 # criterion 1 alone also sweeps F_5 with n = 3 (46,656 zips)
 EQUIVALENCE_ONLY_SCALE = [(5, 1, 3)]
+# and streams, keeping no report, F_3 with n = 4 (65,536 zips) and F_2 with
+# n = 5 (59,049), the first scales with 16- and 32-term wedges
+STREAMED_SCALE = [(3, 1, 4), (2, 1, 5)]
 # (p, k, n): F_2, F_3 and F_4, each with n <= 2.  F_4 with n = 2 is the first
 # case where the Frobenius coupling of the diagonals acts nontrivially at more
 # than one factor.
@@ -53,14 +56,17 @@ def make_sweep():
 def run_equivalence(sweep):
     """1: hasse order equals filtration level on every enumerated zip."""
     total = 0
-    for p, k, n in EQUIVALENCE_SCALE + EQUIVALENCE_ONLY_SCALE:
-        reports = sweep(p, k, n)
-        assert len(reports) == (p ** k + 1) ** (2 * n)
-        for report in reports.values():
+    for p, k, n in EQUIVALENCE_SCALE + EQUIVALENCE_ONLY_SCALE + STREAMED_SCALE:
+        reports = (map(check_equivalence, enumerate_zips(FieldCtx(p, k), n))
+                   if (p, k, n) in STREAMED_SCALE else sweep(p, k, n).values())
+        count = 0
+        for report in reports:
             assert report.hasse_order == report.m_max, (p, k, n, report)
             assert report.consistent
-        total += len(reports)
-    assert total == 68118
+            count += 1
+        assert count == (p ** k + 1) ** (2 * n), (p, k, n)
+        total += count
+    assert total == 192703
 
 
 def run_stratum_orders():

@@ -34,7 +34,7 @@ from hilbhasse.zipgroup import ZipGroupElem, zip_act
 from hilbhasse.zips import HilbertZip, line_in_block, zip_from_json_obj, zip_to_json_obj
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
                      cofactor_det, is_rref_basis_of, mat_mul_2x2, naive_rank,
-                     wedge_coords_by_minors)
+                     term_product, wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -621,14 +621,15 @@ def planted_sections(draw):
             else:
                 exps[i] = (d0, (d1 + 1) % 3)
             terms[tuple(exps)] = terms.get(tuple(exps), ctx.zero()) - coeff
-    f = MultiPoly(ctx, n, terms)
     chart_one = [i for i, (u, _) in enumerate(pt.coords) if u]
     if chart_one and draw(st.booleans()):
         i = draw(st.sampled_from(chart_one))
-        line = (MultiPoly.coordinate(ctx, n, i, 1)
-                - pt.coords[i][1] * MultiPoly.coordinate(ctx, n, i, 0))
+        x0 = tuple((1, 0) if j == i else (0, 0) for j in range(n))
+        x1 = tuple((0, 1) if j == i else (0, 0) for j in range(n))
+        line = {x1: ctx.one(), x0: -pt.coords[i][1]}
         for _ in range(draw(st.integers(1, 3))):
-            f = f * line
+            terms = term_product(terms, line)
+    f = MultiPoly(ctx, n, terms)
     assume(not f.is_zero())
     return f, [pt] + draw(st.lists(points(ctx, n), max_size=2))
 
@@ -637,12 +638,13 @@ def f256_planted():
     """Over F_256: x10 x21 - x10^2 x21 restricts to 0 wherever the first
     factor is [1 : v], and x11 (x21 - u^9 x20)^2 restricts to (v + w1) w2^2
     at [1 : v] x [1 : u^9], since 2 = 0 in characteristic 2."""
-    u = F256.gen()
-    x = [[MultiPoly.coordinate(F256, 2, i, j) for j in (0, 1)] for i in (0, 1)]
-    twins = x[0][0] * x[1][1] - x[0][0] * x[0][0] * x[1][1]
-    line = x[1][1] - u ** 9 * x[1][0]
+    u, one = F256.gen(), F256.one()
+    twins = {((1, 0), (0, 1)): one, ((2, 0), (0, 1)): -one}
+    line = {((0, 0), (0, 1)): one, ((0, 0), (1, 0)): -u ** 9}
+    x11_line_squared = term_product(term_product({((0, 1), (0, 0)): one}, line), line)
     pts = [PointP1n(F256, [(1, u), (1, u ** 9)]), PointP1n(F256, [(0, 1), (1, u ** 9)])]
-    return [(twins, pts), (twins + x[0][1] * line * line, pts)]
+    return [(MultiPoly(F256, 2, twins), pts),
+            (MultiPoly(F256, 2, {**twins, **x11_line_squared}), pts)]
 
 
 @PROPERTY

@@ -55,13 +55,27 @@ def test_hasse_section_nonvanishing_at_base_chart(F3):
     assert vanishing_order_at_point(h, pt) == 0
 
 
-def test_multipoly_ring_operations(F3):
-    x10 = MultiPoly.coordinate(F3, 2, 0, 0)
-    x21 = MultiPoly.coordinate(F3, 2, 1, 1)
-    prod_poly = x10 * x21
-    assert prod_poly == MultiPoly(F3, 2, {((1, 0), (0, 1)): 1})
-    assert (prod_poly + prod_poly) == 2 * prod_poly
-    assert (prod_poly - prod_poly).is_zero()
+def test_multipoly_printing_and_equality(F2, F3, F4):
+    assert str(MultiPoly(F3, 2, {((1, 0), (0, 1)): 2})) == "2*x10*x21"
+    assert str(MultiPoly(F4, 2, {((1, 0), (0, 1)): [0, 1]})) == "[0, 1]*x10*x21"
+    assert str(MultiPoly(F3, 1, {((0, 0),): 2})) == "2"
+    assert str(MultiPoly(F3, 1, {((0, 0),): 1})) == "1"
+    assert str(MultiPoly(F4, 1, {((0, 0),): [1, 1]})) == "[1, 1]"
+    assert str(MultiPoly(F2, 2, {((2, 0), (0, 3)): 1})) == "x10^2*x21^3"
+    # terms print in ascending order of their exponent records
+    f = MultiPoly(F3, 2, {((1, 1), (0, 1)): 1, ((1, 0), (1, 0)): 1,
+                          ((0, 1), (1, 0)): 2, ((0, 0), (0, 0)): 1})
+    assert str(f) == "1 + 2*x11*x20 + x10*x20 + x10*x11*x21"
+    assert str(MultiPoly(F2, 1, {})) == "0"
+    assert str(MultiPoly(F3, 1, {((1, 0),): 3})) == "0"
+    # int, coefficient list and element spellings of one coefficient
+    for ctx, spellings in ((F3, (2, -1, [2], F3(2))),
+                           (F4, ([0, 1], (0, 1), F4.gen())),
+                           (F4, (1, [1], F4.one()))):
+        polys = [MultiPoly(ctx, 2, {((1, 0), (0, 1)): c, ((0, 0), (2, 0)): 1})
+                 for c in spellings]
+        assert all(g == polys[0] and hash(g) == hash(polys[0]) for g in polys)
+    assert MultiPoly(F3, 1, {((1, 0),): 1}) != MultiPoly(F3, 1, {((1, 0),): 2})
 
 
 def test_torus_weight_space_at_hodge_weight(F2):
@@ -95,6 +109,22 @@ def test_weight_spaces_exhaust_the_section_space(n, F2):
         seen.update(str(b) for b in basis)
     assert total == 2 ** n
     assert len(seen) == 2 ** n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weight_space_is_read_off_the_target(n, F3):
+    # every raw target near the monomial weights: exactly the monomials whose
+    # weight it is, and nothing for any other (a, c)
+    weights = {}
+    for eps in product((0, 1), repeat=n):
+        weight = monomial_weight(n, eps)
+        weights[(weight.a, weight.c)] = tuple((1, 0) if e == 0 else (0, 1) for e in eps)
+    assert len(weights) == 2 ** n
+    for a in product(range(-2, 3), repeat=n):
+        for c in range(-n - 2, -n + 3):
+            exps = weights.get((a, c))
+            expected = [] if exps is None else [MultiPoly(F3, n, {exps: 1})]
+            assert torus_weight_space(F3, n, (a, c)) == expected, (a, c)
 
 
 # -- Bruhat words and labels ------------------------------------------------------
@@ -173,37 +203,35 @@ def test_order_at_double_zero(F2):
 
 def test_order_at_point_over_extension_field(F4):
     u = F4.gen()
-    # section vanishing at [u : 1] in the first factor only
-    f = (MultiPoly.coordinate(F4, 2, 0, 0)
-         + (-u) * MultiPoly.coordinate(F4, 2, 0, 1)) * MultiPoly.coordinate(F4, 2, 1, 0)
+    # (x10 - u x11) x20, vanishing at [u : 1] in the first factor only
+    f = MultiPoly(F4, 2, {((1, 0), (1, 0)): 1, ((0, 1), (1, 0)): -u})
     assert vanishing_order_at_point(f, PointP1n(F4, [(u, 1), (1, 0)])) == 1
     assert vanishing_order_at_point(f, PointP1n(F4, [(1, 1), (1, 0)])) == 0
 
 
 def test_order_at_point_reduces_binomials_mod_p(F2):
     # x11^2 + x10^2 at [1 : 1]: (1 + w)^2 + 1 = 2w + w^2 = w^2 over F_2
-    x10, x11 = MultiPoly.coordinate(F2, 1, 0, 0), MultiPoly.coordinate(F2, 1, 0, 1)
-    f = x11 * x11 + x10 * x10
+    f = MultiPoly(F2, 1, {((0, 2),): 1, ((2, 0),): 1})
     assert vanishing_order_at_point(f, PointP1n(F2, [(1, 1)])) == 2
 
 
 def test_order_at_point_sums_before_dropping_zeros(F3):
     # x11 - x10 at [1 : 1]: (1 + w) - 1 = w, the constants cancel
-    f = MultiPoly.coordinate(F3, 1, 0, 1) - MultiPoly.coordinate(F3, 1, 0, 0)
+    f = MultiPoly(F3, 1, {((0, 1),): 1, ((1, 0),): -1})
     assert vanishing_order_at_point(f, PointP1n(F3, [(1, 1)])) == 1
 
 
 def test_order_on_stratum_of_a_cancelling_restriction(F2):
     # x10 + x10^2 on the cell of -: both terms restrict to 1 and cancel
-    x10 = MultiPoly.coordinate(F2, 1, 0, 0)
-    assert vanishing_order_on_stratum(x10 + x10 * x10, WeylElem((-1,))) == INFINITE_ORDER
+    f = MultiPoly(F2, 1, {((1, 0),): 1, ((2, 0),): 1})
+    assert vanishing_order_on_stratum(f, WeylElem((-1,))) == INFINITE_ORDER
 
 
 def test_order_of_zero_polynomial_is_an_error(F2):
     with pytest.raises(ValueError):
-        vanishing_order_at_point(MultiPoly.zero(F2, 1), PointP1n(F2, [(1, 0)]))
+        vanishing_order_at_point(MultiPoly(F2, 1, {}), PointP1n(F2, [(1, 0)]))
     with pytest.raises(ValueError):
-        vanishing_order_on_stratum(MultiPoly.zero(F2, 1), WeylElem((1,)))
+        vanishing_order_on_stratum(MultiPoly(F2, 1, {}), WeylElem((1,)))
 
 
 def test_stratum_orders_of_the_product_section(F2):
