@@ -1,11 +1,12 @@
 """Small independent oracles used to freeze expected values in the tests.
 
 These deliberately avoid the library's own code paths: polynomial division
-is schoolbook, ranks come from elimination without back substitution,
-wedge coordinates come from cofactor-expanded minors, vanishing orders
-come from multiplying out chart substitutions on FieldElem objects, a
-zip block's point of P^1 comes from 2x2 determinants of its two lines,
-Bruhat cell sizes come from enumerating the whole group, 2x2 matrix
+is schoolbook, products in F_{p^k} are schoolbook polynomial products
+reduced by that division, ranks come from elimination without back
+substitution, wedge coordinates come from cofactor-expanded minors,
+vanishing orders come from multiplying out chart substitutions on FieldElem
+objects, a zip block's point of P^1 comes from 2x2 determinants of its two
+lines, Bruhat cell sizes come from enumerating the whole group, 2x2 matrix
 products are schoolbook sums on FieldElem rows, and products of
 polynomials are schoolbook sums on FieldElem term dicts.
 """
@@ -43,6 +44,17 @@ def poly_divmod(a, b, p):
     while r and r[-1] == 0:
         r.pop()
     return q, r
+
+
+def poly_mul_mod(a, b, modulus, p):
+    """The product of coefficient lists a and b (low degree first) over F_p,
+    reduced modulo ``modulus``: a schoolbook double sum, then poly_divmod.
+    Returns the trimmed remainder."""
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return poly_divmod(prod, modulus, p)[1]
 
 
 def naive_rank(rows):

@@ -1,18 +1,28 @@
 """Field contexts: modulus selection, arithmetic axioms, Frobenius."""
 
 import copy
+import hashlib
 import pickle
 
 import pytest
 
-from hilbhasse.field import ContextMismatchError, FieldCtx
-from oracles import poly_divmod
+from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx
+from oracles import poly_divmod, poly_mul_mod
 
 # every field with at most 81 elements that the artifact might touch,
 # plus one larger prime as a sanity case
 SMALL_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
                 (3, 1), (3, 2), (3, 3), (3, 4),
                 (5, 1), (5, 2), (7, 1), (7, 2), (79, 1)]
+
+PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
+ALL_FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
+
+# sha256 over (p, k, modulus, add, neg, mul, inv, frob, primitive) of every
+# field in ALL_FIELDS, one field's repr at a time, as the tables stood when
+# each entry was built from coefficient lists; a change to any modulus,
+# element order or single entry changes it
+TABLES_SHA256 = "4885e581fe15891b8229f1d167ab4d9aaf745d1e2a1599268e349e7356f1cbf3"
 
 
 def test_prime_field_modulus_is_x():
@@ -171,3 +181,36 @@ def test_iterated_frobenius_twist(F4):
     assert u.frobenius(0) == u
     with pytest.raises(ValueError):
         u.frobenius(-1)
+
+
+def test_tables_of_every_field_are_pinned():
+    assert len(ALL_FIELDS) == 70
+    digest = hashlib.sha256()
+    for p, k in ALL_FIELDS:
+        ctx = FieldCtx(p, k)
+        digest.update(repr((p, k, ctx.modulus, ctx._add, ctx._neg, ctx._mul, ctx._inv,
+                            ctx._frob, ctx._primitive)).encode())
+    assert digest.hexdigest() == TABLES_SHA256
+
+
+def _digits(idx, p, k):
+    return [idx // p ** d % p for d in range(k)]
+
+
+def _index(digits, p):
+    return sum(c * p ** d for d, c in enumerate(digits))
+
+
+@pytest.mark.parametrize("p,k", ALL_FIELDS)
+def test_table_rows_match_coefficient_arithmetic(p, k):
+    # every pair for q <= 27; otherwise the rows of 0, 1, p - 1, each p^d,
+    # q - 1 and the primitive element, against every b
+    ctx = FieldCtx(p, k)
+    rows = {0, 1, p - 1, ctx.q - 1, ctx._primitive} | {p ** d for d in range(k)}
+    for a in range(ctx.q) if ctx.q <= 27 else sorted(rows):
+        da = _digits(a, p, k)
+        assert ctx._neg[a] == _index([-x % p for x in da], p)
+        for b in range(ctx.q):
+            db = _digits(b, p, k)
+            assert ctx._add[a][b] == _index([(x + y) % p for x, y in zip(da, db)], p)
+            assert ctx._mul[a][b] == _index(poly_mul_mod(da, db, ctx.modulus, p), p)
