@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import pickle
+import sys
 
 import pytest
 
@@ -19,9 +20,9 @@ PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p)
 ALL_FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
 
 # sha256 over (p, k, modulus, add, neg, mul, inv, frob, primitive) of every
-# field in ALL_FIELDS, one field's repr at a time, as the tables stood when
-# each entry was built from coefficient lists; a change to any modulus,
-# element order or single entry changes it
+# field in ALL_FIELDS, one field's repr at a time, taken from tables built
+# entry by entry from coefficient lists; a change to any modulus, element
+# order or single entry changes it
 TABLES_SHA256 = "4885e581fe15891b8229f1d167ab4d9aaf745d1e2a1599268e349e7356f1cbf3"
 
 
@@ -66,6 +67,36 @@ def test_create_rejects_bad_parameters():
         FieldCtx(1)
     with pytest.raises(ValueError):
         FieldCtx(2, 0)
+
+
+def test_bools_are_refused_and_leave_the_shared_context_alone(monkeypatch):
+    # built first, FieldCtx(3, True) must not become the process-wide F_3
+    monkeypatch.setattr(FieldCtx, "_shared", {})
+    for p, k in ((3, True), (True, 1), (2, False)):
+        with pytest.raises(ValueError, match="not bools"):
+            FieldCtx(p, k)
+    assert type(FieldCtx(3).k) is int and FieldCtx(3).k == 1
+
+
+@pytest.mark.parametrize("p,k", [(3, 5), (251, 1), (2, 8)])
+def test_table_build_makes_no_python_call_per_entry(p, k, monkeypatch):
+    # the build makes O(q) Python calls (an element object per index and
+    # the exp chain's polynomial products) and none per entry of a q x q
+    # table; a build that calls once per entry makes over 500q
+    monkeypatch.setattr(FieldCtx, "_shared", {})
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        ctx = FieldCtx(p, k)
+    finally:
+        sys.setprofile(previous)
+    assert ctx.q == p ** k and calls < 32 * ctx.q
 
 
 def test_addition_in_characteristic_two(F2):

@@ -9,10 +9,13 @@ Hasse flags, coerced element indices by a scan of the elements' coefficients,
 and block lines, points and Hodge spans, built without elimination, by
 elimination or by `FieldElem` division.  Every test also runs its F_256
 example.  Zip JSON round-trips and the zip-check exit-code contract on
-fuzzed input are checked here too."""
+fuzzed input are checked here too, and so is the exit-code contract of all
+six commands on fuzzed argv."""
 
 import io
 import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from math import comb
@@ -22,7 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hilbhasse.cli import _factors_json, main
+from hilbhasse.cli import _COMMANDS, _factors_json, main
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
 from hilbhasse.linalg import (Subspace, _wedge_terms, filtration_level, induced_filtration,
                               wedge_of_lines)
@@ -793,4 +796,76 @@ def test_zip_check_on_fuzzed_json_keeps_the_exit_code_contract(text):
             redirect_stderr(err):
         code = main(["zip-check"])
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+COMMANDS = sorted(_COMMANDS)
+# zip-check's file, when the fuzzed argv names it
+F4_ZIP = '{"p": 2, "k": 2, "n": 2, "omega": [[1, 0], [[0, 1], 1]], "conj": [[0, 1], [1, 1]]}'
+
+
+def _mostly(draw, valid, malformed):
+    """A value drawn from ``valid``, or one time in four from ``malformed``,
+    so that most examples get past argument parsing."""
+    return draw(malformed if draw(st.integers(0, 3)) == 0 else valid)
+
+
+@st.composite
+def fuzzed_argv(draw):
+    """argv for one of the six commands, with {tmp} standing for a temporary
+    directory that holds zip.json: any p in 0..260, k in -1..9 and n in
+    -1..4, malformed targets and formats, and a directory or a path under a
+    missing directory as --output.  --bound is always passed and at most
+    10,000, so no example runs long; zip-check takes no --bound, and its
+    file is a small zip, the directory or a missing path."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    if command == "zip-check":
+        argv.append("--file=" + draw(st.sampled_from(["{tmp}/zip.json", "{tmp}", "{tmp}/none"])))
+    else:
+        p, k = _mostly(draw, st.sampled_from(FIELDS),
+                       st.tuples(st.integers(0, 260), st.integers(-1, 9)))
+        n = _mostly(draw, st.integers(1, 4), st.integers(-1, 4))
+        argv += [f"--p={p}", f"--k={k}", f"--n={n}",
+                 "--bound=" + _mostly(draw, st.integers(-1, 10_000).map(str),
+                                      st.sampled_from(["", "1e3", "2.5", "x", "9" * 5000]))]
+    if command == "weight-space":
+        argv.append("--target=" + _mostly(
+            draw, st.sampled_from(["eta", "w0eta"]),
+            st.sampled_from(["", ";", "1;", ";1", "a;b", "1;2;3", "-1,-1;-2"])
+            | st.text(alphabet="0123456789,;- ", max_size=12)))
+    argv.append("--format=" + _mostly(draw, st.sampled_from(["tsv", "json"]),
+                                      st.sampled_from(["", "TSV", "xml"])))
+    argv.append("--output=" + _mostly(draw, st.sampled_from(["-", "{tmp}/out"]),
+                                      st.sampled_from(["{tmp}", "{tmp}/none/out"])))
+    return argv
+
+
+@PROPERTY
+@given(fuzzed_argv())
+@example(["weight-space", "--p=2", "--k=8", "--n=2", "--bound=-1", "--target=1,x;2",
+          "--format=tsv", "--output=-"])
+@example(["orbits", "--p=251", "--k=1", "--n=1", "--bound=10000", "--format=json",
+          "--output={tmp}"])
+@example(["verify-equivalence", "--p=257", "--k=0", "--n=1", "--bound=5", "--format=tsv",
+          "--output=-"])
+@example(["census", "--p=4", "--k=9", "--n=2", "--bound=" + "9" * 5000, "--format=tsv",
+          "--output=-"])
+@example(["strata-table", "--p=3", "--k=5", "--n=4", "--bound=10000", "--format=json",
+          "--output={tmp}/none/out"])
+@example(["census", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=json",
+          "--output={tmp}/out"])
+@example(["zip-check", "--file={tmp}/zip.json", "--format=json", "--output={tmp}/out"])
+def test_every_command_on_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    # hypothesis refuses function-scoped fixtures such as tmp_path
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "zip.json"), "w") as fh:
+            fh.write(F4_ZIP)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main([arg.replace("{tmp}", tmp) for arg in argv])
+            except SystemExit as exc:  # argparse refuses malformed argv
+                code = exc.code
+    assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
