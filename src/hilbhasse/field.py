@@ -150,7 +150,8 @@ class FieldCtx:
             if value._ctx is not self:
                 raise ContextMismatchError("element belongs to a different field")
             return value._idx
-        seq = list(value)
+        # len() and reversed() need a sequence; a list or tuple is folded as it is
+        seq = value if isinstance(value, (list, tuple)) else list(value)
         if len(seq) > self.k:
             raise ValueError(f"expected at most {self.k} coefficients")
         # base-p fold from the top coefficient down, reducing each mod p

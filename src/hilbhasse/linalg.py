@@ -145,6 +145,36 @@ def _colex_ranks(n: int) -> dict[int, int]:
     return {sum(1 << s for s in subset): i for i, subset in enumerate(wedge_basis_subsets(n))}
 
 
+def _support(v: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The nonzero entries of a vector of element indices, as
+    (j + 1, 1 << j, c) for each entry c at index j."""
+    return [(j + 1, 1 << j, c) for j, c in enumerate(v) if c]
+
+
+def _wedge_extend(terms: dict[int, int], support: list[tuple[int, int, int]],
+                  add: list, mul: list, neg: list) -> dict[int, int]:
+    """The terms of w ^ v, for w given by its terms (keyed by the bitmask of
+    their index subset) and v by its ``_support``; ``add``, ``mul`` and
+    ``neg`` are the context's tables."""
+    nxt: dict[int, int] = {}
+    for subset, coeff in terms.items():
+        times_coeff = mul[coeff]
+        for above, bit, c in support:
+            if subset & bit:
+                continue
+            term = times_coeff[c]
+            # e_j moves left past the subset's indices above j
+            if (subset >> above).bit_count() & 1:
+                term = neg[term]
+            key = subset | bit
+            total = add[nxt.get(key, 0)][term]
+            if total:
+                nxt[key] = total
+            else:
+                del nxt[key]
+    return nxt
+
+
 def _wedge_terms(vectors: Sequence[Sequence[int]], ctx: FieldCtx,
                  terms: dict[int, int] | None = None) -> dict[int, int]:
     """Nonzero coordinates of w ^ v_1 ^ ... ^ v_r, keyed by the bitmask of
@@ -153,24 +183,7 @@ def _wedge_terms(vectors: Sequence[Sequence[int]], ctx: FieldCtx,
     add, mul, neg = ctx._add, ctx._mul, ctx._neg
     acc = {0: 1} if terms is None else terms
     for v in vectors:
-        support = [(j + 1, 1 << j, c) for j, c in enumerate(v) if c]
-        nxt: dict[int, int] = {}
-        for subset, coeff in acc.items():
-            times_coeff = mul[coeff]
-            for above, bit, c in support:
-                if subset & bit:
-                    continue
-                term = times_coeff[c]
-                # e_j moves left past the subset's indices above j
-                if (subset >> above).bit_count() & 1:
-                    term = neg[term]
-                key = subset | bit
-                total = add[nxt.get(key, 0)][term]
-                if total:
-                    nxt[key] = total
-                else:
-                    del nxt[key]
-        acc = nxt
+        acc = _wedge_extend(acc, _support(v), add, mul, neg)
     return acc
 
 
@@ -254,7 +267,7 @@ def adapted_row(omega: Subspace, row: Sequence[int]) -> Sequence[int]:
 def least_pivot_count(pivot_mask: int, terms: dict[int, int], n: int) -> int:
     """The least number of pivots (the bits of ``pivot_mask``) in a nonzero
     term of a wedge of n adapted rows, or n if the wedge is 0."""
-    return min(map(int.bit_count, map(pivot_mask.__and__, terms)), default=n)
+    return min([(mask & pivot_mask).bit_count() for mask in terms], default=n)
 
 
 def filtration_level(omega: Subspace, rows: Sequence[Sequence[int]]) -> int:

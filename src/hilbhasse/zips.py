@@ -14,13 +14,13 @@ consistency of the two numbers is the content of the equivalence check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
-from .linalg import Subspace, _wedge_terms, adapted_row, filtration_level, least_pivot_count
+from .linalg import (Subspace, _support, _wedge_extend, adapted_row, filtration_level,
+                     least_pivot_count)
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .schubert import normalized_index_pair, projective_line_reps
@@ -37,6 +37,22 @@ def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspac
     vec = [0] * (2 * n)
     vec[2 * block], vec[2 * block + 1] = a, b
     return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
+
+
+class _derived:
+    """A value computed from the instance on first read and stored in its
+    ``__dict__`` under the method's name.  As a non-data descriptor it is
+    found only while that entry is missing, so a stored or seeded value is
+    read with no call and no lock."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -72,12 +88,12 @@ class HilbertZip:
         z.__dict__.update(ctx=ctx, n=n, omega=omega, conj=conj, **seeds)
         return z
 
-    @cached_property
+    @_derived
     def hodge(self) -> Subspace:
         """The total Hodge subspace: the span of the Omega lines."""
         return _hodge_span(self.ctx, self.n, self.omega)
 
-    @cached_property
+    @_derived
     def level(self) -> int:
         """The Hodge level of the conjugate lines (see ``max_hodge_level``)."""
         return filtration_level(self.hodge, [line.index_basis[0] for line in self.conj])
@@ -101,8 +117,10 @@ def _hodge_span(ctx: FieldCtx, n: int, omega: Sequence[Subspace]) -> Subspace:
 
 
 def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
-    """Flag i is set iff the conjugate line equals the Hodge line in block i."""
-    return tuple(c == o for c, o in zip(z.conj, z.omega))
+    """Flag i is set iff the conjugate line equals the Hodge line in block i.
+    The lines of a zip share its context and ambient space (``_check_line``,
+    ``line_in_block``), so their canonical bases decide equality."""
+    return tuple([c.index_basis == o.index_basis for c, o in zip(z.conj, z.omega)])
 
 
 def hasse_order(z: HilbertZip) -> int:
@@ -116,7 +134,7 @@ def max_hodge_level(z: HilbertZip) -> int:
     return z.level
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZipReport:
     """Per-index flags and the Hodge level; the Hasse order and the
     agreement of the two are derived from them."""
@@ -157,31 +175,42 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
 
     ``line_in_block`` puts each candidate line in its block, so no line is
     checked again.  Seeded on each zip, from lines equal to its own:
-    ``hodge``, once per Omega tuple, and ``level``, read off the C tuple's
-    wedge of adapted rows; the C tuples are walked depth-first, the prefix
-    wedge growing by one row per block.
+    ``hodge``, once per Omega tuple, and ``level``, the least pivot count of
+    the C tuple's wedge of adapted rows.  Per Omega tuple each of the
+    n(q+1) candidate C lines gets its adapted row and that row's support
+    once.  The C prefixes of n-1 lines are walked depth-first from the empty
+    wedge, each prefix wedge extended by one row per block, so at most n
+    prefix wedges are alive at once; the q+1 leaves of a prefix are extended
+    in the last block's loop.  That makes (q+1)^i wedge extensions at depth
+    i of the walk, i = 1..n, per Omega tuple.
     """
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
+    add, mul, neg = ctx._add, ctx._mul, ctx._neg
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
 
-    def walk(rows, prefix, terms):  # (C, its wedge terms) for each C extending prefix
+    def walk(supports, prefix, terms):  # each n-1 C lines extending prefix, with their terms
         i = len(prefix)
-        if i == n:
+        if i == n - 1:
             yield prefix, terms
             return
-        for line, row in zip(per_block[i], rows[i]):
-            yield from walk(rows, prefix + (line,), _wedge_terms([row], ctx, terms))
+        for line, support in zip(per_block[i], supports[i]):
+            yield from walk(supports, prefix + (line,),
+                            _wedge_extend(terms, support, add, mul, neg))
 
     for omega in product(*per_block):
         hodge = _hodge_span(ctx, n, omega)
-        rows = [[adapted_row(hodge, line.index_basis[0]) for line in lines]
-                for lines in per_block]
+        supports = [[_support(adapted_row(hodge, line.index_basis[0])) for line in lines]
+                    for lines in per_block]
         pivot_mask = sum(1 << p for p in hodge.pivots)
-        for conj, terms in walk(rows, (), None):
-            yield HilbertZip._of_checked_lines(ctx, n, omega, conj, hodge=hodge,
-                                               level=least_pivot_count(pivot_mask, terms, n))
+        leaves = list(zip(per_block[-1], supports[-1]))
+        for prefix, terms in walk(supports, (), {0: 1}):
+            for line, support in leaves:
+                leaf = _wedge_extend(terms, support, add, mul, neg)
+                level = least_pivot_count(pivot_mask, leaf, n)
+                yield HilbertZip._of_checked_lines(ctx, n, omega, prefix + (line,),
+                                                   hodge=hodge, level=level)
 
 
 # -- serialization ---------------------------------------------------------------

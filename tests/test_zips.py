@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+import hilbhasse.zips as zips_mod
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace
@@ -155,12 +156,39 @@ def test_sweep_order_is_omega_then_conj_lexicographic(p, k):
 
 
 def test_seeded_hodge_and_level_match_a_fresh_zip():
-    # F_5 with n = 2 lies outside the acceptance sweeps; vars() reads the
-    # values the sweep seeded, not ones computed on first use
-    for z in enumerate_zips(FieldCtx(5), 2):
-        fresh = zip_from_json_obj(zip_to_json_obj(z))
-        assert vars(z)["hodge"] == fresh.hodge, zip_to_json_obj(z)
-        assert vars(z)["level"] == fresh.level, zip_to_json_obj(z)
+    # these scales lie outside the acceptance sweeps; at n = 1 the first
+    # block is already the leaf block.  vars() reads the values the sweep
+    # seeded, not ones computed on first use
+    for p, n in ((5, 1), (5, 2), (3, 3)):
+        for z in enumerate_zips(FieldCtx(p), n):
+            fresh = zip_from_json_obj(zip_to_json_obj(z))
+            assert "level" not in vars(fresh)
+            assert vars(z)["hodge"] == fresh.hodge, zip_to_json_obj(z)
+            assert vars(z)["level"] == fresh.level, zip_to_json_obj(z)
+            assert vars(fresh)["level"] == fresh.level
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
+def test_sweep_work_has_closed_form_counts(monkeypatch, p, k, n):
+    # per Omega tuple: one adapted row and one support per candidate C line,
+    # and (q+1)^i wedge extensions at depth i of the C walk
+    counts = {"_wedge_extend": 0, "_support": 0, "adapted_row": 0}
+
+    def counted(name):
+        fn = getattr(zips_mod, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(zips_mod, name, counted(name))
+    ctx = FieldCtx(p, k)
+    s = ctx.q + 1
+    assert sum(1 for _ in enumerate_zips(ctx, n)) == s ** (2 * n)
+    assert counts["_wedge_extend"] == s ** n * sum(s ** i for i in range(1, n + 1))
+    assert counts["_support"] == counts["adapted_row"] == n * s ** (n + 1)
 
 
 def test_monotone_flag_flip_at_small_scale(zip_reports):
