@@ -28,31 +28,20 @@ from .schubert import normalized_index_pair, projective_line_reps
 
 def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspace:
     """The line of F^(2n) spanned by a nonzero 2-vector placed in the given
-    block.  Its normalized pair, placed alone, is the line's reduced row
-    echelon basis, with the pivot at the block's first nonzero coordinate."""
+    block."""
     if not 0 <= block < n:
         raise ValueError("block index out of range")
     x, y = local
-    a, b = normalized_index_pair(ctx, x, y)
+    return _placed(ctx, n, block, normalized_index_pair(ctx, x, y))
+
+
+def _placed(ctx: FieldCtx, n: int, block: int, pair: tuple[int, int]) -> Subspace:
+    """A normalized index pair placed alone in its block: the line's reduced
+    row echelon basis, with the pivot at the block's first nonzero coordinate."""
+    a, b = pair
     vec = [0] * (2 * n)
     vec[2 * block], vec[2 * block + 1] = a, b
     return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
-
-
-class _derived:
-    """A value computed from the instance on first read and stored in its
-    ``__dict__`` under the method's name.  As a non-data descriptor it is
-    found only while that entry is missing, so a stored or seeded value is
-    read with no call and no lock."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -60,14 +49,16 @@ class HilbertZip:
     """Block-line zip datum: context, degree, Hodge lines and conjugate
     lines (line i supported in coordinates {2i, 2i+1}).
 
-    ``hodge`` and ``level`` are derived from the lines on first use;
-    ``enumerate_zips`` seeds both, computed from lines equal to the zip's own.
+    ``enumerate_zips`` stores on each zip the Hodge level it computed from
+    lines equal to the zip's own; ``max_hodge_level`` reads it, or computes
+    the level of a zip built otherwise.  No zip is written after it is built.
     """
 
     ctx: FieldCtx
     n: int
     omega: tuple[Subspace, ...]
     conj: tuple[Subspace, ...]
+    _level = None  # no annotation, so no field: equality and hash ignore it
 
     def __post_init__(self):
         object.__setattr__(self, "omega", tuple(self.omega))
@@ -80,23 +71,22 @@ class HilbertZip:
 
     @classmethod
     def _of_checked_lines(cls, ctx: FieldCtx, n: int, omega: tuple, conj: tuple,
-                          **seeds) -> "HilbertZip":
-        """The zip of line tuples that ``_check_line`` passed or ``line_in_block``
-        built, with no check run again and ``seeds`` (``hodge``, ``level``,
-        computed from lines equal to these) stored as given."""
+                          level: int | None = None) -> "HilbertZip":
+        """The zip of line tuples that ``_check_line`` passed or ``_placed``
+        put in their blocks, with no check run again and ``level`` (computed
+        from lines equal to these, or None) stored as given."""
         z = object.__new__(cls)
-        z.__dict__.update(ctx=ctx, n=n, omega=omega, conj=conj, **seeds)
+        z.__dict__.update(ctx=ctx, n=n, omega=omega, conj=conj, _level=level)
         return z
 
-    @_derived
+    @property
     def hodge(self) -> Subspace:
-        """The total Hodge subspace: the span of the Omega lines."""
-        return _hodge_span(self.ctx, self.n, self.omega)
-
-    @_derived
-    def level(self) -> int:
-        """The Hodge level of the conjugate lines (see ``max_hodge_level``)."""
-        return filtration_level(self.hodge, [line.index_basis[0] for line in self.conj])
+        """The total Hodge subspace: the span of the Omega lines.  Each line's
+        basis row is normalized at its pivot and the supports are disjoint, so
+        the rows stacked in block order are already the span's reduced row
+        echelon basis."""
+        return Subspace(self.ctx, 2 * self.n, tuple(line.index_basis[0] for line in self.omega),
+                        tuple(line.pivots[0] for line in self.omega))
 
 
 def _check_line(ctx: FieldCtx, n: int, i: int, line: Subspace, name: str):
@@ -106,14 +96,6 @@ def _check_line(ctx: FieldCtx, n: int, i: int, line: Subspace, name: str):
     row = line.index_basis[0]
     if any(row[:2 * i]) or any(row[2 * i + 2:]):
         raise ValueError(f"{name} is not supported in block {i}")
-
-
-def _hodge_span(ctx: FieldCtx, n: int, omega: Sequence[Subspace]) -> Subspace:
-    """The span of n block lines, line i supported in block i.  Each basis
-    row is normalized at its pivot and the supports are disjoint, so the rows
-    stacked in block order are already the span's reduced row echelon basis."""
-    return Subspace(ctx, 2 * n, tuple(line.index_basis[0] for line in omega),
-                    tuple(line.pivots[0] for line in omega))
 
 
 def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
@@ -130,8 +112,11 @@ def hasse_order(z: HilbertZip) -> int:
 
 def max_hodge_level(z: HilbertZip) -> int:
     """Largest m such that the wedge of the conjugate lines lies in the m-th
-    induced filtration piece of the Hodge subspace (see ``filtration_level``)."""
-    return z.level
+    induced filtration piece of the Hodge subspace (see ``filtration_level``);
+    the level ``enumerate_zips`` stored, if any."""
+    if z._level is not None:
+        return z._level
+    return filtration_level(z.hodge, [line.index_basis[0] for line in z.conj])
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,21 +159,25 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
     lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
 
     ``line_in_block`` puts each candidate line in its block, so no line is
-    checked again.  Seeded on each zip, from lines equal to its own:
-    ``hodge``, once per Omega tuple, and ``level``, the least pivot count of
-    the C tuple's wedge of adapted rows.  Per Omega tuple each of the
-    n(q+1) candidate C lines gets its adapted row and that row's support
-    once.  The C prefixes of n-1 lines are walked depth-first from the empty
-    wedge, each prefix wedge extended by one row per block, so at most n
-    prefix wedges are alive at once; the q+1 leaves of a prefix are extended
-    in the last block's loop.  That makes (q+1)^i wedge extensions at depth
-    i of the walk, i = 1..n, per Omega tuple.
+    checked again.  Each zip stores its level: the least pivot count of the
+    C tuple's wedge of adapted rows.  The Hodge basis is block-diagonal, so
+    a block-i line's adapted row depends on Omega_i alone: each candidate C
+    line gets its adapted row and that row's support once per (block,
+    Omega_i), n(q+1)^2 in total.  Per Omega tuple, the C prefixes of n-1
+    lines are walked depth-first from the empty wedge, each prefix wedge
+    extended by one row per block, so at most n prefix wedges are alive at
+    once; the q+1 leaves of a prefix are extended in the last block's loop.
+    That makes (q+1)^i wedge extensions at depth i of the walk, i = 1..n,
+    per Omega tuple.
     """
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
     add, mul, neg = ctx._add, ctx._mul, ctx._neg
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
+    # per block, each Omega_i with the supports of its candidate C lines' adapted rows
+    adapted = [[(o, [_support(adapted_row(o, c.index_basis[0])) for c in lines]) for o in lines]
+               for lines in per_block]
 
     def walk(supports, prefix, terms):  # each n-1 C lines extending prefix, with their terms
         i = len(prefix)
@@ -199,18 +188,15 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
             yield from walk(supports, prefix + (line,),
                             _wedge_extend(terms, support, add, mul, neg))
 
-    for omega in product(*per_block):
-        hodge = _hodge_span(ctx, n, omega)
-        supports = [[_support(adapted_row(hodge, line.index_basis[0])) for line in lines]
-                    for lines in per_block]
-        pivot_mask = sum(1 << p for p in hodge.pivots)
+    for choice in product(*adapted):
+        omega, supports = zip(*choice)
+        pivot_mask = sum(1 << o.pivots[0] for o in omega)
         leaves = list(zip(per_block[-1], supports[-1]))
         for prefix, terms in walk(supports, (), {0: 1}):
             for line, support in leaves:
                 leaf = _wedge_extend(terms, support, add, mul, neg)
-                level = least_pivot_count(pivot_mask, leaf, n)
                 yield HilbertZip._of_checked_lines(ctx, n, omega, prefix + (line,),
-                                                   hodge=hodge, level=level)
+                                                   least_pivot_count(pivot_mask, leaf, n))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -244,7 +230,9 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     elements given as coefficient arrays (plain ints also accepted).
 
     Any departure from that schema raises ValueError; keys outside it are
-    ignored.
+    ignored.  A valid zip whose conjugate wedge has more than
+    ``DEFAULT_ENUM_BOUND`` possible terms (2^n) raises BoundExceededError
+    before its 2n lines of 2n coordinates are built.
     """
     if not isinstance(obj, dict):
         raise ValueError("a zip must be a JSON object")
@@ -260,7 +248,9 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     _check_lines("omega", obj["omega"], n)
     _check_lines("conj", obj["conj"], n)
     ctx = FieldCtx(p, k)
-    omega = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["omega"])]
-    conj = [line_in_block(ctx, n, i, pair) for i, pair in enumerate(obj["conj"])]
-    # _check_lines counted the lines, and line_in_block put line i in block i
-    return HilbertZip._of_checked_lines(ctx, n, tuple(omega), tuple(conj))
+    pairs = [normalized_index_pair(ctx, x, y) for x, y in obj["omega"] + obj["conj"]]
+    # the conjugate wedge that gives the Hodge level has up to 2^n terms
+    refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
+    # _check_lines counted n lines of each kind; line i of each goes in block i
+    lines = [_placed(ctx, n, i % n, pair) for i, pair in enumerate(pairs)]
+    return HilbertZip._of_checked_lines(ctx, n, tuple(lines[:n]), tuple(lines[n:]))

@@ -36,8 +36,8 @@ def test_verify_equivalence_json_format(capsys):
 
 @pytest.mark.parametrize("p, k, n", EQUIVALENCE_SCALE)
 def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, k, n):
-    # the sweep shares each tuple's Hodge span across zips; a zip rebuilt
-    # from its JSON computes its own
+    # the sweep stores each zip's level; a zip rebuilt from its JSON
+    # computes its own
     import hilbhasse.cli as cli_mod
     seen = []
 
@@ -203,15 +203,24 @@ def test_orbit_scan_is_refused_before_any_generator_is_built(capsys, monkeypatch
     (19, 0, ""),
     (20, 3, "refused: conjugate-wedge expansion would visit 1048576 items, "
             "above the bound 1000000\n"),
+    (4000, 3, "refused: conjugate-wedge expansion would visit about 2^4000 items, "
+              "above the bound 1000000\n"),
 ])
 def test_zip_check_refuses_a_conjugate_wedge_above_the_bound(capsys, monkeypatch, tmp_path,
                                                              n, code, err):
     # the wedge of n conjugate lines off their Hodge lines has 2^n terms;
-    # the check is stubbed, so n = 19 does not pay for them
+    # the check is stubbed, so n = 19 does not pay for them.  A refused zip
+    # places none of its 2n lines of 2n coordinates
     import hilbhasse.cli as cli_mod
+    import hilbhasse.zips as zips_mod
     from hilbhasse.zips import ZipReport
 
+    def placed(*args):
+        raise AssertionError("a line was placed before the refusal")
+
     monkeypatch.setattr(cli_mod, "check_equivalence", lambda z: ZipReport((False,) * z.n, 0))
+    if code == 3:
+        monkeypatch.setattr(zips_mod, "Subspace", placed)
     path = tmp_path / "zip.json"
     path.write_text(json.dumps({"p": 2, "n": n, "omega": [[1, 0]] * n, "conj": [[1, 1]] * n}))
     assert main(["zip-check", "--file", str(path)]) == code
@@ -281,6 +290,10 @@ def test_failed_equivalence_prints_replayable_counterexample(capsys, monkeypatch
     '{"p": 3, "n": 1, "omega": [[1.5, 0]], "conj": [[1, 0]]}',
     # well formed, but F_{2^20} is above the field size limit
     '{"p": 2, "k": 20, "n": 1, "omega": [[[1], [0]]], "conj": [[[1], [0]]]}',
+    # n = 20 would refuse the conjugate wedge, but each zip is malformed first
+    json.dumps({"p": 2, "n": 20, "omega": [[1, 0]] * 20, "conj": [[1, 1]] * 19 + [[0, 0]]}),
+    json.dumps({"p": 2, "n": 20, "omega": [[1, 0]] * 20, "conj": [[1, [0, 1]]] * 20}),
+    json.dumps({"p": 4, "n": 20, "omega": [[1, 0]] * 20, "conj": [[1, 1]] * 20}),
 ])
 def test_malformed_zip_json_is_a_usage_error(capsys, tmp_path, text):
     path = tmp_path / "zip.json"
