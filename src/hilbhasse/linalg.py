@@ -9,10 +9,10 @@ colexicographic rank of n-element index subsets.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
 
 from .field import ContextMismatchError, FieldCtx, FieldElem
 

@@ -14,8 +14,8 @@ any finite field.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from itertools import product
-from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import ContextMismatchError, FieldCtx, FieldElem
@@ -326,7 +326,7 @@ def bruhat_signs(g: GroupElem) -> tuple[int, ...]:
 
 def bruhat_word(g: GroupElem) -> WeylElem:
     """The cell of g as a Weyl element; see ``bruhat_signs``."""
-    return WeylElem(bruhat_signs(g))
+    return WeylElem.from_signs(bruhat_signs(g))
 
 
 def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:

@@ -11,11 +11,11 @@ character on the zip-flag side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import product
-from typing import Sequence
 
 from .field import _is_prime
+from .record import FrozenRecord
 
 
 class WeylElem:
@@ -28,6 +28,13 @@ class WeylElem:
         if not signs or signs.count(1) + signs.count(-1) != len(signs):
             raise ValueError("signs must be a non-empty sequence over {+1, -1}")
         self.signs = signs
+
+    @classmethod
+    def from_signs(cls, signs: tuple[int, ...]) -> "WeylElem":
+        """Unchecked constructor from a non-empty sign tuple over {+1, -1}."""
+        w = object.__new__(cls)
+        w.signs = signs
+        return w
 
     @classmethod
     def identity(cls, n: int) -> "WeylElem":
@@ -61,7 +68,7 @@ class WeylElem:
             return NotImplemented
         if other.n != self.n:
             raise ValueError("rank mismatch")
-        return WeylElem(tuple(a * b for a, b in zip(self.signs, other.signs)))
+        return WeylElem.from_signs(tuple([a * b for a, b in zip(self.signs, other.signs)]))
 
     def inverse(self) -> "WeylElem":
         return self  # every sign vector is an involution
@@ -79,17 +86,15 @@ class WeylElem:
         return f"WeylElem({self.to_string()})"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(FrozenRecord):
     """A torus character (a_1, ..., a_n; c) with sum(a) = c mod 2."""
 
-    a: tuple[int, ...]
-    c: int
+    _fields = ("a", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        if (sum(self.a) - self.c) % 2:
-            raise ValueError(f"parity violated: sum(a)={sum(self.a)} vs c={self.c}")
+    def __init__(self, a: Sequence[int], c: int):
+        self.__dict__.update(a=tuple(a), c=c)
+        if (sum(self.a) - c) % 2:
+            raise ValueError(f"parity violated: sum(a)={sum(self.a)} vs c={c}")
 
     @property
     def n(self) -> int:
@@ -132,8 +137,7 @@ def inverse_perm(perm: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CocharDatum:
+class CocharDatum(FrozenRecord):
     """Degree, characteristic, Galois permutation and the twist element z.
 
     For this group the parabolic attached to the distinguished cocharacter is
@@ -142,16 +146,13 @@ class CocharDatum:
     n-cycle for an inert one.
     """
 
-    n: int
-    p: int
-    sigma: tuple[int, ...]
-    z: WeylElem
+    _fields = ("n", "p", "sigma", "z")
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        object.__setattr__(self, "sigma", _check_perm(self.sigma, self.n))
-        if self.z.n != self.n:
+    def __init__(self, n: int, p: int, sigma: Sequence[int], z: WeylElem):
+        if not _is_prime(p):
+            raise ValueError(f"p must be prime, got {p}")
+        self.__dict__.update(n=n, p=p, sigma=_check_perm(sigma, n), z=z)
+        if z.n != n:
             raise ValueError("rank mismatch between z and n")
 
     @classmethod
@@ -197,4 +198,6 @@ def zipflag_pullback(mu: Character, nu: Character, datum: CocharDatum) -> Charac
 def all_weyl_elems(n: int) -> list[WeylElem]:
     """All 2^n sign vectors, identity first, longest element last, the last
     entry varying fastest."""
-    return [WeylElem(signs) for signs in product((1, -1), repeat=n)]
+    if n < 1:
+        raise ValueError("need at least one factor")
+    return [WeylElem.from_signs(signs) for signs in product((1, -1), repeat=n)]

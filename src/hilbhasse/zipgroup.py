@@ -6,14 +6,14 @@ partition, and the Bruhat cell census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from functools import cache
 from itertools import chain, product
 from math import prod
-from typing import Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import ContextMismatchError, FieldCtx
+from .record import FrozenRecord
 # bruhat_word is not called here; it stays a name of this module for code
 # that wraps zipgroup.bruhat_word.
 from .schubert import (Factor, GroupElem, bruhat_word, det_2x2, mul_2x2,  # noqa: F401
@@ -32,23 +32,22 @@ class OrbitLabelError(RuntimeError):
         self.members = members
 
 
-@dataclass(frozen=True)
-class ZipGroupElem:
+class ZipGroupElem(FrozenRecord):
     """A pair (a, b): a with lower-triangular factors, b with upper, and the
     diagonal of each factor of b equal to the entrywise p-th power of the
     diagonal of the matching factor of a."""
 
-    a: GroupElem
-    b: GroupElem
+    _fields = ("a", "b")
 
-    def __post_init__(self):
-        if self.a.n != self.b.n:
+    def __init__(self, a: GroupElem, b: GroupElem):
+        self.__dict__.update(a=a, b=b)
+        if a.n != b.n:
             raise ValueError("factor count mismatch")
-        if self.a.ctx is not self.b.ctx:
+        if a.ctx is not b.ctx:
             raise ContextMismatchError("pair members over different fields")
-        frob = self.a.ctx._frob
+        frob = a.ctx._frob
         for i, ((a00, a01, _, a11), (b00, _, b10, b11)) in enumerate(
-                zip(self.a.index_factors, self.b.index_factors)):
+                zip(a.index_factors, b.index_factors)):
             if a01:
                 raise ValueError(f"left factor {i} is not lower triangular")
             if b10:
@@ -168,13 +167,14 @@ def zip_group_generators(ctx: FieldCtx, n: int) -> list[ZipGroupElem]:
     return gens
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(FrozenRecord):
     """Disjoint orbit classes covering the enumerated group, each with the
     common stratum label of its members."""
 
-    classes: tuple[tuple[GroupElem, ...], ...]
-    labels: tuple[WeylElem, ...]
+    _fields = ("classes", "labels")
+
+    def __init__(self, classes: tuple[tuple[GroupElem, ...], ...], labels: tuple[WeylElem, ...]):
+        self.__dict__.update(classes=classes, labels=labels)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
@@ -239,7 +239,7 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
         first: dict[tuple[int, ...], int] = {}  # the first member carrying each label
         for i, signs in zip(orbit, member_signs):
             first.setdefault(signs, i)
-        by_label = {WeylElem(signs): g_list[i] for signs, i in first.items()}
+        by_label = {WeylElem.from_signs(signs): g_list[i] for signs, i in first.items()}
         if len(by_label) != 1:
             raise OrbitLabelError(
                 f"orbit of size {len(orbit)} carries labels "

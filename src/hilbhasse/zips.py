@@ -13,9 +13,8 @@ consistency of the two numbers is the content of the equivalence check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from itertools import product
-from typing import Iterator, Sequence
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
@@ -23,6 +22,7 @@ from .linalg import (Subspace, _support, _wedge_extend, adapted_row, filtration_
                      least_pivot_count)
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
+from .record import FrozenRecord
 from .schubert import normalized_index_pair, projective_line_reps
 
 
@@ -44,8 +44,7 @@ def _placed(ctx: FieldCtx, n: int, block: int, pair: tuple[int, int]) -> Subspac
     return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
 
 
-@dataclass(frozen=True)
-class HilbertZip:
+class HilbertZip(FrozenRecord):
     """Block-line zip datum: context, degree, Hodge lines and conjugate
     lines (line i supported in coordinates {2i, 2i+1}).
 
@@ -54,20 +53,16 @@ class HilbertZip:
     the level of a zip built otherwise.  No zip is written after it is built.
     """
 
-    ctx: FieldCtx
-    n: int
-    omega: tuple[Subspace, ...]
-    conj: tuple[Subspace, ...]
-    _level = None  # no annotation, so no field: equality and hash ignore it
+    _fields = ("ctx", "n", "omega", "conj")
+    _level = None  # not a field: equality, hash and repr ignore it
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(self.omega))
-        object.__setattr__(self, "conj", tuple(self.conj))
+    def __init__(self, ctx: FieldCtx, n: int, omega: Sequence[Subspace], conj: Sequence[Subspace]):
+        self.__dict__.update(ctx=ctx, n=n, omega=tuple(omega), conj=tuple(conj))
         for name, lines in (("omega", self.omega), ("conj", self.conj)):
-            if len(lines) != self.n:
-                raise ValueError(f"{name} must hold {self.n} lines")
+            if len(lines) != n:
+                raise ValueError(f"{name} must hold {n} lines")
             for i, line in enumerate(lines):
-                _check_line(self.ctx, self.n, i, line, f"{name}[{i}]")
+                _check_line(ctx, n, i, line, f"{name}[{i}]")
 
     @classmethod
     def _of_checked_lines(cls, ctx: FieldCtx, n: int, omega: tuple, conj: tuple,
@@ -119,13 +114,15 @@ def max_hodge_level(z: HilbertZip) -> int:
     return filtration_level(z.hodge, [line.index_basis[0] for line in z.conj])
 
 
-@dataclass(frozen=True, slots=True)
-class ZipReport:
+class ZipReport(FrozenRecord):
     """Per-index flags and the Hodge level; the Hasse order and the
     agreement of the two are derived from them."""
 
-    flags: tuple[bool, ...]
-    m_max: int
+    __slots__ = _fields = ("flags", "m_max")
+
+    def __init__(self, flags: tuple[bool, ...], m_max: int):
+        _set_flags(self, flags)
+        _set_m_max(self, m_max)
 
     @property
     def hasse_order(self) -> int:
@@ -142,6 +139,9 @@ class ZipReport:
     def tsv_row(self) -> str:
         flag_str = "".join("1" if f else "0" for f in self.flags)
         return f"{flag_str}\t{self.hasse_order}\t{self.m_max}\t{int(self.consistent)}"
+
+
+_set_flags, _set_m_max = ZipReport.flags.__set__, ZipReport.m_max.__set__  # the slots' setters
 
 
 def check_equivalence(z: HilbertZip) -> ZipReport:

@@ -1,7 +1,13 @@
+import sys
+
 import pytest
 
-from hilbhasse.field import FieldCtx
-from test_acceptance import make_sweep
+# set before the package is first imported: a test run leaves no bytecode
+# under src/, so a later fresh import compiles the source as a checkout does
+sys.dont_write_bytecode = True
+
+from hilbhasse.field import FieldCtx  # noqa: E402
+from test_acceptance import make_sweep  # noqa: E402
 
 
 @pytest.fixture(scope="session")

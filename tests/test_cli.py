@@ -425,7 +425,8 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
     runs = [["census", "--p", "3"], ["--help"], ["orbits", "--p", "3", "--n", "2"],
             ["census", "--p", "3", "--n", "2"], ["orbits", "--p", "3", "--n", "2"]]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
-    env = {"PYTHONPATH": str(Path(hilbhasse.__file__).parents[1]), "COLUMNS": "80"}
+    env = {"PYTHONPATH": str(Path(hilbhasse.__file__).parents[1]), "COLUMNS": "80",
+           "PYTHONDONTWRITEBYTECODE": "1"}
     fresh = [subprocess.run([sys.executable, "-c", "from hilbhasse.cli import entry; entry()"]
                             + argv, capture_output=True, text=True, env=env)
              for argv in runs]

@@ -81,8 +81,9 @@ def test_bools_are_refused_and_leave_the_shared_context_alone(monkeypatch):
 @pytest.mark.parametrize("p,k", [(3, 5), (251, 1), (2, 8)])
 def test_table_build_makes_no_python_call_per_entry(p, k, monkeypatch):
     # the build makes O(q) Python calls (an element object per index and
-    # the exp chain's polynomial products) and none per entry of a q x q
-    # table; a build that calls once per entry makes over 500q
+    # the modulus search's divisions) and none per entry of a q x q table or
+    # per step of the exp chain; a build that calls once per entry makes
+    # over 500q, and an exp chain of polynomial products about 24q at F_256
     monkeypatch.setattr(FieldCtx, "_shared", {})
     calls = 0
 
@@ -96,7 +97,38 @@ def test_table_build_makes_no_python_call_per_entry(p, k, monkeypatch):
         ctx = FieldCtx(p, k)
     finally:
         sys.setprofile(previous)
-    assert ctx.q == p ** k and calls < 32 * ctx.q
+    assert ctx.q == p ** k and calls < 16 * ctx.q
+
+
+def test_table_build_makes_no_polynomial_product(monkeypatch):
+    # the modulus search divides polynomials; the tables are built from the
+    # add table and multiplication by u, with no polynomial arithmetic
+    from hilbhasse import field
+    monkeypatch.setattr(FieldCtx, "_shared", {})
+    inside, outside = 0, 0
+    searching = False
+    poly_rem, smallest_irreducible = field._poly_rem, field._smallest_irreducible
+
+    def counted_rem(*args):
+        nonlocal inside, outside
+        inside += searching
+        outside += not searching
+        return poly_rem(*args)
+
+    def search(*args):
+        nonlocal searching
+        searching = True
+        try:
+            return smallest_irreducible(*args)
+        finally:
+            searching = False
+
+    monkeypatch.setattr(field, "_poly_rem", counted_rem)
+    monkeypatch.setattr(field, "_smallest_irreducible", search)
+    for p, k in [(3, 5), (251, 1), (2, 8)]:
+        FieldCtx(p, k)
+    assert inside > 0 and outside == 0
+    assert not hasattr(field, "_poly_mul")
 
 
 def test_addition_in_characteristic_two(F2):

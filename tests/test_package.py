@@ -1,6 +1,8 @@
 """The package's public names, and the imports of its modules."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,14 @@ def test_every_import_is_used_or_marked(path):
             assert unused, f"{where} is marked but imports no unused name"
         else:
             assert not unused, f"{where} imports {unused} and never reads them"
+
+
+def test_cli_import_loads_no_dataclass_or_typing_machinery():
+    # every command pays for its imports; -S keeps site .pth files out, and
+    # no bytecode is written, so the modules are compiled as a checkout's are
+    code = ("import sys, hilbhasse.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    env = {"PYTHONPATH": str(Path(hilbhasse.__file__).parents[1]), "PYTHONDONTWRITEBYTECODE": "1"}
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=env)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -13,6 +13,16 @@ def test_length_counts_minus_entries():
     assert WeylElem((-1, 1, -1)).length() == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unchecked_constructor_matches_the_checked_one(n):
+    from itertools import product
+    for signs in product((1, -1), repeat=n):
+        w, checked = WeylElem.from_signs(signs), WeylElem(list(signs))
+        assert type(w) is WeylElem and w.signs == checked.signs == signs
+        assert w == checked and hash(w) == hash(checked) and repr(w) == repr(checked)
+    assert all_weyl_elems(n) == [WeylElem(s) for s in product((1, -1), repeat=n)]
+
+
 def test_length_endpoints():
     for n in range(1, 5):
         assert WeylElem.identity(n).length() == 0
