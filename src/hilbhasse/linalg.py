@@ -145,36 +145,6 @@ def _colex_ranks(n: int) -> dict[int, int]:
     return {sum(1 << s for s in subset): i for i, subset in enumerate(wedge_basis_subsets(n))}
 
 
-def _support(v: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The nonzero entries of a vector of element indices, as
-    (j + 1, 1 << j, c) for each entry c at index j."""
-    return [(j + 1, 1 << j, c) for j, c in enumerate(v) if c]
-
-
-def _wedge_extend(terms: dict[int, int], support: list[tuple[int, int, int]],
-                  add: list, mul: list, neg: list) -> dict[int, int]:
-    """The terms of w ^ v, for w given by its terms (keyed by the bitmask of
-    their index subset) and v by its ``_support``; ``add``, ``mul`` and
-    ``neg`` are the context's tables."""
-    nxt: dict[int, int] = {}
-    for subset, coeff in terms.items():
-        times_coeff = mul[coeff]
-        for above, bit, c in support:
-            if subset & bit:
-                continue
-            term = times_coeff[c]
-            # e_j moves left past the subset's indices above j
-            if (subset >> above).bit_count() & 1:
-                term = neg[term]
-            key = subset | bit
-            total = add[nxt.get(key, 0)][term]
-            if total:
-                nxt[key] = total
-            else:
-                del nxt[key]
-    return nxt
-
-
 def _wedge_terms(vectors: Sequence[Sequence[int]], ctx: FieldCtx,
                  terms: dict[int, int] | None = None) -> dict[int, int]:
     """Nonzero coordinates of w ^ v_1 ^ ... ^ v_r, keyed by the bitmask of
@@ -183,7 +153,24 @@ def _wedge_terms(vectors: Sequence[Sequence[int]], ctx: FieldCtx,
     add, mul, neg = ctx._add, ctx._mul, ctx._neg
     acc = {0: 1} if terms is None else terms
     for v in vectors:
-        acc = _wedge_extend(acc, _support(v), add, mul, neg)
+        support = [(j + 1, 1 << j, c) for j, c in enumerate(v) if c]
+        nxt: dict[int, int] = {}
+        for subset, coeff in acc.items():
+            times_coeff = mul[coeff]
+            for above, bit, c in support:
+                if subset & bit:
+                    continue
+                term = times_coeff[c]
+                # e_j moves left past the subset's indices above j
+                if (subset >> above).bit_count() & 1:
+                    term = neg[term]
+                key = subset | bit
+                total = add[nxt.get(key, 0)][term]
+                if total:
+                    nxt[key] = total
+                else:
+                    del nxt[key]
+        acc = nxt
     return acc
 
 
@@ -253,29 +240,3 @@ def induced_filtration(omega: Subspace, m: int) -> Subspace:
                 spanning.append(_wedge_coords(_wedge_terms(part_b, ctx, wedge_a), n))
     return Subspace.from_index_rows(ctx, comb(ambient, n), spanning)
 
-
-def adapted_row(omega: Subspace, row: Sequence[int]) -> Sequence[int]:
-    """A vector's coordinates (element indices) in the basis that ``induced_filtration``
-    builds from: its entries at omega's pivots, its residual modulo omega elsewhere."""
-    coords = omega.reduce(row)
-    for p in omega.pivots:
-        if row[p]:  # so reduce eliminated at p, into a list of its own
-            coords[p] = row[p]
-    return coords
-
-
-def least_pivot_count(pivot_mask: int, terms: dict[int, int], n: int) -> int:
-    """The least number of pivots (the bits of ``pivot_mask``) in a nonzero
-    term of a wedge of n adapted rows, or n if the wedge is 0."""
-    return min([(mask & pivot_mask).bit_count() for mask in terms], default=n)
-
-
-def filtration_level(omega: Subspace, rows: Sequence[Sequence[int]]) -> int:
-    """Largest m such that the wedge of n vectors (element indices) lies in
-    ``induced_filtration(omega, m)``, omega n-dim in F^(2n), or n if it is 0:
-    the least pivot count over the terms of the wedge of their adapted rows."""
-    n = omega.dim
-    if omega.ambient_dim != 2 * n or len(rows) != n:
-        raise ValueError("need n vectors and an n-dim subspace of F^(2n)")
-    terms = _wedge_terms([adapted_row(omega, r) for r in rows], omega.ctx)
-    return least_pivot_count(sum(1 << p for p in omega.pivots), terms, n)

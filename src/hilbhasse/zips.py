@@ -7,8 +7,11 @@ of dimension 2, block i holding a Hodge line Omega_i and a conjugate line
 C_i.  The partial Hasse flag at i records whether the two lines coincide;
 the total Hasse order is the flag count.  Independently, the conjugate lines
 wedge to a line of the n-th exterior power, whose largest filtration level
-with respect to the induced filtration of Omega is the Hodge level.  The
-consistency of the two numbers is the content of the equivalence check.
+with respect to the induced filtration of Omega is the Hodge level.  On a
+block zip that wedge is the tensor product of the n block lines, so its
+level is the sum of one-block levels: block i gives 1 iff C_i has no
+residual modulo Omega_i.  The consistency of the two numbers is the content
+of the equivalence check.
 """
 
 from __future__ import annotations
@@ -18,8 +21,7 @@ from itertools import product
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
-from .linalg import (Subspace, _support, _wedge_extend, adapted_row, filtration_level,
-                     least_pivot_count)
+from .linalg import Subspace
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .record import FrozenRecord
@@ -105,13 +107,20 @@ def hasse_order(z: HilbertZip) -> int:
     return sum(partial_hasse_flags(z))
 
 
+def _block_level(omega_i: Subspace, c_i: Subspace) -> int:
+    """The Hodge level of one block: 1 iff C_i has no residual modulo
+    Omega_i, else 0."""
+    return int(not any(omega_i.reduce(c_i.index_basis[0])))
+
+
 def max_hodge_level(z: HilbertZip) -> int:
     """Largest m such that the wedge of the conjugate lines lies in the m-th
-    induced filtration piece of the Hodge subspace (see ``filtration_level``);
-    the level ``enumerate_zips`` stored, if any."""
+    induced filtration piece of the Hodge subspace: the wedge is a product
+    over blocks, so m is the sum of the block levels.  Returns the level
+    ``enumerate_zips`` stored, if any."""
     if z._level is not None:
         return z._level
-    return filtration_level(z.hodge, [line.index_basis[0] for line in z.conj])
+    return sum(map(_block_level, z.omega, z.conj))
 
 
 class ZipReport(FrozenRecord):
@@ -159,44 +168,22 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
     lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
 
     ``line_in_block`` puts each candidate line in its block, so no line is
-    checked again.  Each zip stores its level: the least pivot count of the
-    C tuple's wedge of adapted rows.  The Hodge basis is block-diagonal, so
-    a block-i line's adapted row depends on Omega_i alone: each candidate C
-    line gets its adapted row and that row's support once per (block,
-    Omega_i), n(q+1)^2 in total.  Per Omega tuple, the C prefixes of n-1
-    lines are walked depth-first from the empty wedge, each prefix wedge
-    extended by one row per block, so at most n prefix wedges are alive at
-    once; the q+1 leaves of a prefix are extended in the last block's loop.
-    That makes (q+1)^i wedge extensions at depth i of the walk, i = 1..n,
-    per Omega tuple.
+    checked again.  Each zip stores its level, the sum of its block levels;
+    ``_block_level`` runs once per (block, Omega_i, C_i), n(q+1)^2 times in
+    all.
     """
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
-    add, mul, neg = ctx._add, ctx._mul, ctx._neg
     per_block = [block_line_reps(ctx, n, i) for i in range(n)]
-    # per block, each Omega_i with the supports of its candidate C lines' adapted rows
-    adapted = [[(o, [_support(adapted_row(o, c.index_basis[0])) for c in lines]) for o in lines]
-               for lines in per_block]
-
-    def walk(supports, prefix, terms):  # each n-1 C lines extending prefix, with their terms
-        i = len(prefix)
-        if i == n - 1:
-            yield prefix, terms
-            return
-        for line, support in zip(per_block[i], supports[i]):
-            yield from walk(supports, prefix + (line,),
-                            _wedge_extend(terms, support, add, mul, neg))
-
-    for choice in product(*adapted):
-        omega, supports = zip(*choice)
-        pivot_mask = sum(1 << o.pivots[0] for o in omega)
-        leaves = list(zip(per_block[-1], supports[-1]))
-        for prefix, terms in walk(supports, (), {0: 1}):
-            for line, support in leaves:
-                leaf = _wedge_extend(terms, support, add, mul, neg)
-                yield HilbertZip._of_checked_lines(ctx, n, omega, prefix + (line,),
-                                                   least_pivot_count(pivot_mask, leaf, n))
+    # per block, each Omega_i with its candidate C lines and their block levels
+    tables = [[(o, [(c, _block_level(o, c)) for c in lines]) for o in lines]
+              for lines in per_block]
+    for choice in product(*tables):
+        omega, candidates = zip(*choice)
+        for pairs in product(*candidates):
+            conj, levels = zip(*pairs)
+            yield HilbertZip._of_checked_lines(ctx, n, omega, conj, sum(levels))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -230,9 +217,10 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     elements given as coefficient arrays (plain ints also accepted).
 
     Any departure from that schema raises ValueError; keys outside it are
-    ignored.  A valid zip whose conjugate wedge has more than
-    ``DEFAULT_ENUM_BOUND`` possible terms (2^n) raises BoundExceededError
-    before its 2n lines of 2n coordinates are built.
+    ignored.  A valid zip with 2^n above ``DEFAULT_ENUM_BOUND`` (n >= 20)
+    raises BoundExceededError before its 2n lines of 2n coordinates, a build
+    quadratic in n, are placed.  The message names the 2^n-term conjugate
+    wedge, which the Hodge level no longer expands.
     """
     if not isinstance(obj, dict):
         raise ValueError("a zip must be a JSON object")
@@ -249,7 +237,7 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     _check_lines("conj", obj["conj"], n)
     ctx = FieldCtx(p, k)
     pairs = [normalized_index_pair(ctx, x, y) for x, y in obj["omega"] + obj["conj"]]
-    # the conjugate wedge that gives the Hodge level has up to 2^n terms
+    # bounds the quadratic line build below (an n = 4,000 file once took 507 MB)
     refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
     # _check_lines counted n lines of each kind; line i of each goes in block i
     lines = [_placed(ctx, n, i % n, pair) for i, pair in enumerate(pairs)]

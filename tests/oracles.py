@@ -9,11 +9,17 @@ objects, a zip block's point of P^1 comes from 2x2 determinants of its two
 lines, Bruhat cell sizes come from enumerating the whole group, 2x2 matrix
 products are schoolbook sums on FieldElem rows, and products of
 polynomials are schoolbook sums on FieldElem term dicts.
+
+One is a reference rather than an independent path: the Hodge level as the
+definition gives it, the least pivot count over the terms of the wedge of
+adapted rows, on the library's wedge kernel (which the tests check against
+cofactor minors).  The program sums one-block levels instead.
 """
 
 from collections import Counter
 from itertools import combinations
 
+from hilbhasse.linalg import _wedge_terms
 from hilbhasse.schubert import bruhat_signs
 from hilbhasse.zipgroup import enumerate_G
 
@@ -131,6 +137,33 @@ def wedge_coords_by_minors(vectors, n):
         coords.append(cofactor_det([[v[c] for c in subset] for v in vectors]))
     return coords
 
+
+
+def adapted_row(omega, row):
+    """A vector's coordinates (element indices) in the basis that ``induced_filtration``
+    builds from: its entries at omega's pivots, its residual modulo omega elsewhere."""
+    coords = omega.reduce(row)
+    for p in omega.pivots:
+        if row[p]:  # so reduce eliminated at p, into a list of its own
+            coords[p] = row[p]
+    return coords
+
+
+def least_pivot_count(pivot_mask, terms, n):
+    """The least number of pivots (the bits of ``pivot_mask``) in a nonzero
+    term of a wedge of n adapted rows, or n if the wedge is 0."""
+    return min([(mask & pivot_mask).bit_count() for mask in terms], default=n)
+
+
+def filtration_level(omega, rows):
+    """Largest m such that the wedge of n vectors (element indices) lies in
+    ``induced_filtration(omega, m)``, omega n-dim in F^(2n), or n if it is 0:
+    the least pivot count over the terms of the wedge of their adapted rows."""
+    n = omega.dim
+    if omega.ambient_dim != 2 * n or len(rows) != n:
+        raise ValueError("need n vectors and an n-dim subspace of F^(2n)")
+    terms = _wedge_terms([adapted_row(omega, r) for r in rows], omega.ctx)
+    return least_pivot_count(sum(1 << p for p in omega.pivots), terms, n)
 
 def block_point_and_sign(ctx, omega_line, conj_line, i):
     """Block i of a zip as a point of P^1 and a sign, from the block

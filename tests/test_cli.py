@@ -7,6 +7,7 @@ import pytest
 from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError, refuse_above
 from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
+from oracles import filtration_level
 from test_acceptance import EQUIVALENCE_SCALE
 
 CONSISTENT_ZIP = {"p": 2, "k": 1, "n": 2,
@@ -37,7 +38,7 @@ def test_verify_equivalence_json_format(capsys):
 @pytest.mark.parametrize("p, k, n", EQUIVALENCE_SCALE)
 def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, k, n):
     # the sweep stores each zip's level; a zip rebuilt from its JSON
-    # computes its own
+    # computes its own, and the conjugate wedge is the reference
     import hilbhasse.cli as cli_mod
     seen = []
 
@@ -56,6 +57,8 @@ def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, k, n):
         fresh = zip_from_json_obj(zip_to_json_obj(z))
         assert z.hodge == fresh.hodge, zip_to_json_obj(z)
         assert report == check_equivalence(fresh), zip_to_json_obj(z)
+        rows = [line.index_basis[0] for line in z.conj]
+        assert report.m_max == filtration_level(z.hodge, rows), zip_to_json_obj(z)
 
 
 def test_strata_table(capsys):

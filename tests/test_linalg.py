@@ -6,9 +6,9 @@ from itertools import product
 import pytest
 
 from hilbhasse.field import ContextMismatchError, FieldCtx
-from hilbhasse.linalg import (Subspace, filtration_level, induced_filtration,
-                              wedge_basis_index, wedge_basis_subsets, wedge_of_lines)
-from oracles import is_rref_basis_of, naive_rank, wedge_coords_by_minors
+from hilbhasse.linalg import (Subspace, induced_filtration, wedge_basis_index,
+                              wedge_basis_subsets, wedge_of_lines)
+from oracles import filtration_level, is_rref_basis_of, naive_rank, wedge_coords_by_minors
 
 
 def lines_of_plane(ctx):

@@ -27,16 +27,16 @@ from hypothesis import strategies as st
 
 from hilbhasse.cli import _COMMANDS, _factors_json, main
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
-from hilbhasse.linalg import (Subspace, _wedge_terms, filtration_level, induced_filtration,
-                              wedge_of_lines)
+from hilbhasse.linalg import Subspace, _wedge_terms, induced_filtration, wedge_of_lines
 from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, hasse_section,
                                 projective_line_reps, stratum_label, vanishing_order_at_point,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, all_weyl_elems
 from hilbhasse.zipgroup import ZipGroupElem, zip_act
-from hilbhasse.zips import HilbertZip, line_in_block, zip_from_json_obj, zip_to_json_obj
+from hilbhasse.zips import (HilbertZip, line_in_block, max_hodge_level, zip_from_json_obj,
+                            zip_to_json_obj)
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
-                     cofactor_det, is_rref_basis_of, mat_mul_2x2, naive_rank,
+                     cofactor_det, filtration_level, is_rref_basis_of, mat_mul_2x2, naive_rank,
                      term_product, wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
@@ -313,7 +313,8 @@ def _moved(ctx, g, v):
 @given(st.one_of(moved_block_zips(), moved_block_zips(F256)))
 def test_filtration_level_of_a_moved_block_zip_is_its_hasse_order(case):
     # the level is linear algebra, so any g in GL_2n keeps it; on the moved
-    # zip the rows are dense, and the planted flags give the answer
+    # zip the rows are dense, and the planted flags give the answer, which
+    # the unmoved zip's sum of block levels must give too
     ctx, omega, conj, flags, g = case
     n, reps = len(omega), projective_line_reps(ctx)
     omega_lines = [line_in_block(ctx, n, i, reps[j]) for i, j in enumerate(omega)]
@@ -322,6 +323,7 @@ def test_filtration_level_of_a_moved_block_zip_is_its_hasse_order(case):
                                         [_moved(ctx, g, line.basis[0]) for line in omega_lines])
     moved_conj = [[e.index for e in _moved(ctx, g, line.basis[0])] for line in conj_lines]
     assert filtration_level(moved_omega, moved_conj) == sum(flags)
+    assert max_hodge_level(HilbertZip(ctx, n, omega_lines, conj_lines)) == sum(flags)
     pairs = [block_point_and_sign(ctx, o, c, i)[0]
              for i, (o, c) in enumerate(zip(omega_lines, conj_lines))]
     assert vanishing_order_at_point(hasse_section(ctx, n), PointP1n(ctx, pairs)) == sum(flags)

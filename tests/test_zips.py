@@ -1,13 +1,17 @@
 """Zip data: construction, Hasse flags, filtration levels and the
 exhaustive equivalence check."""
 
+import io
 import json
 import re
+import sys
 from itertools import product
 
 import pytest
 
+import hilbhasse.linalg as linalg_mod
 import hilbhasse.zips as zips_mod
+from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace
@@ -17,7 +21,7 @@ from hilbhasse.weyl import WeylElem
 from hilbhasse.zips import (HilbertZip, ZipReport, block_line_reps, check_equivalence,
                             enumerate_zips, hasse_order, line_in_block, max_hodge_level,
                             partial_hasse_flags, zip_from_json_obj, zip_to_json_obj)
-from oracles import block_point_and_sign
+from oracles import block_point_and_sign, filtration_level
 from test_acceptance import EQUIVALENCE_SCALE
 
 
@@ -28,6 +32,11 @@ def first_lines(ctx, n):
 
 def second_lines(ctx, n):
     return tuple(line_in_block(ctx, n, i, (0, 1)) for i in range(n))
+
+
+def wedge_level(z):
+    """The reference Hodge level: the least pivot count of the conjugate wedge."""
+    return filtration_level(z.hodge, [line.index_basis[0] for line in z.conj])
 
 
 # -- construction ------------------------------------------------------------------
@@ -158,36 +167,53 @@ def test_sweep_order_is_omega_then_conj_lexicographic(p, k):
 def test_seeded_hodge_and_level_match_a_fresh_zip():
     # these scales lie outside the acceptance sweeps; at n = 1 the first
     # block is already the leaf block.  A parsed zip stores no level, so
-    # max_hodge_level computes its own
+    # max_hodge_level computes its own, and the wedge is the reference
     for p, n in ((5, 1), (5, 2), (3, 3)):
         for z in enumerate_zips(FieldCtx(p), n):
             fresh = zip_from_json_obj(zip_to_json_obj(z))
             assert fresh._level is None
             assert z.hodge == fresh.hodge, zip_to_json_obj(z)
             assert z._level == max_hodge_level(fresh), zip_to_json_obj(z)
+            assert z._level == wedge_level(z), zip_to_json_obj(z)
+
+
+@pytest.mark.parametrize("p, k, n", EQUIVALENCE_SCALE)
+def test_stored_and_parsed_levels_are_the_wedge_level(p, k, n):
+    # the program sums block levels; the reference wedges the conjugate
+    # rows and reads the least pivot count
+    for z in enumerate_zips(FieldCtx(p, k), n):
+        fresh = zip_from_json_obj(zip_to_json_obj(z))
+        wedge = wedge_level(z)
+        assert z._level == max_hodge_level(fresh) == wedge, zip_to_json_obj(z)
 
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
-def test_sweep_work_has_closed_form_counts(monkeypatch, p, k, n):
-    # one adapted row and one support per (block, Omega_i, candidate C line),
-    # and per Omega tuple (q+1)^i wedge extensions at depth i of the C walk
-    counts = {"_wedge_extend": 0, "_support": 0, "adapted_row": 0}
+def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
+    # one block level per (block, Omega_i, candidate C line), and no wedge,
+    # neither in the sweep nor in a zip-check request
+    counts = {"_block_level": 0, "_wedge_terms": 0}
 
-    def counted(name):
-        fn = getattr(zips_mod, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args):
             counts[name] += 1
             return fn(*args)
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in counts:
-        monkeypatch.setattr(zips_mod, name, counted(name))
+    counted(zips_mod, "_block_level")
+    counted(linalg_mod, "_wedge_terms")
     ctx = FieldCtx(p, k)
     s = ctx.q + 1
-    assert sum(1 for _ in enumerate_zips(ctx, n)) == s ** (2 * n)
-    assert counts["_wedge_extend"] == s ** n * sum(s ** i for i in range(1, n + 1))
-    assert counts["_support"] == counts["adapted_row"] == n * s ** 2
+    last = None
+    for last in enumerate_zips(ctx, n):
+        pass
+    assert counts == {"_block_level": n * s ** 2, "_wedge_terms": 0}
+    counts.update(_block_level=0)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(zip_to_json_obj(last))))
+    assert main(["zip-check"]) == 0
+    assert capsys.readouterr().out.endswith(f"\t{n}\t{n}\t1\n")
+    assert counts == {"_block_level": n, "_wedge_terms": 0}
 
 
 def test_monotone_flag_flip_at_small_scale(zip_reports):
