@@ -219,8 +219,8 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     Any departure from that schema raises ValueError; keys outside it are
     ignored.  A valid zip with 2^n above ``DEFAULT_ENUM_BOUND`` (n >= 20)
     raises BoundExceededError before its 2n lines of 2n coordinates, a build
-    quadratic in n, are placed.  The message names the 2^n-term conjugate
-    wedge, which the Hodge level no longer expands.
+    quadratic in n, are placed.  The refusal keeps the name the CLI's
+    pinned output gives it, "conjugate-wedge expansion".
     """
     if not isinstance(obj, dict):
         raise ValueError("a zip must be a JSON object")

@@ -138,7 +138,6 @@ def wedge_coords_by_minors(vectors, n):
     return coords
 
 
-
 def adapted_row(omega, row):
     """A vector's coordinates (element indices) in the basis that ``induced_filtration``
     builds from: its entries at omega's pivots, its residual modulo omega elsewhere."""
@@ -164,6 +163,7 @@ def filtration_level(omega, rows):
         raise ValueError("need n vectors and an n-dim subspace of F^(2n)")
     terms = _wedge_terms([adapted_row(omega, r) for r in rows], omega.ctx)
     return least_pivot_count(sum(1 << p for p in omega.pivots), terms, n)
+
 
 def block_point_and_sign(ctx, omega_line, conj_line, i):
     """Block i of a zip as a point of P^1 and a sign, from the block

@@ -38,10 +38,6 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_rows_are_distinct():
-    assert len({json.dumps([row["argv"], row["stdin"], row["fault"]]) for row in ROWS}) == len(ROWS)
-
-
 @pytest.mark.parametrize("row", ROWS, ids=[_id(i, row) for i, row in enumerate(ROWS)])
 def test_cli_bytes_match_the_table(capsys, monkeypatch, row):
     if row["stdin"] is not None:

@@ -165,9 +165,9 @@ def test_sweep_order_is_omega_then_conj_lexicographic(p, k):
 
 
 def test_seeded_hodge_and_level_match_a_fresh_zip():
-    # these scales lie outside the acceptance sweeps; at n = 1 the first
-    # block is already the leaf block.  A parsed zip stores no level, so
-    # max_hodge_level computes its own, and the wedge is the reference
+    # these scales lie outside the acceptance sweeps.  A parsed zip stores
+    # no level, so max_hodge_level computes its own, and the wedge is the
+    # reference
     for p, n in ((5, 1), (5, 2), (3, 3)):
         for z in enumerate_zips(FieldCtx(p), n):
             fresh = zip_from_json_obj(zip_to_json_obj(z))
@@ -183,8 +183,7 @@ def test_stored_and_parsed_levels_are_the_wedge_level(p, k, n):
     # rows and reads the least pivot count
     for z in enumerate_zips(FieldCtx(p, k), n):
         fresh = zip_from_json_obj(zip_to_json_obj(z))
-        wedge = wedge_level(z)
-        assert z._level == max_hodge_level(fresh) == wedge, zip_to_json_obj(z)
+        assert z._level == max_hodge_level(fresh) == wedge_level(z), zip_to_json_obj(z)
 
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
@@ -205,12 +204,11 @@ def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     counted(linalg_mod, "_wedge_terms")
     ctx = FieldCtx(p, k)
     s = ctx.q + 1
-    last = None
-    for last in enumerate_zips(ctx, n):
-        pass
+    zips = list(enumerate_zips(ctx, n))
+    assert len(zips) == s ** (2 * n)
     assert counts == {"_block_level": n * s ** 2, "_wedge_terms": 0}
     counts.update(_block_level=0)
-    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(zip_to_json_obj(last))))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(zip_to_json_obj(zips[-1]))))
     assert main(["zip-check"]) == 0
     assert capsys.readouterr().out.endswith(f"\t{n}\t{n}\t1\n")
     assert counts == {"_block_level": n, "_wedge_terms": 0}
