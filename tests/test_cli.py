@@ -348,6 +348,40 @@ def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
 
 
+def test_orbit_label_inconsistency_along_the_torus_exits_1(capsys, monkeypatch):
+    # a fault no unipotent move can show: the label flips on factors whose
+    # top-left entry is 0 and top-right entry is 1.  Both entries are fixed
+    # along every U-orbit with a zero top-left entry, but the torus pair
+    # (diag(gamma, 1), diag(gamma^p, 1)) sends the top-right entry b to gamma b
+    import hilbhasse.zipgroup as zipgroup_mod
+    from hilbhasse.field import FieldCtx
+    from hilbhasse.schubert import GroupElem
+    from hilbhasse.weyl import CocharDatum, WeylElem
+    from hilbhasse.zipgroup import enumerate_E, zip_act
+    real = zipgroup_mod.stratum_label
+
+    def broken(g, datum):
+        signs = real(g, datum).signs
+        return WeylElem(tuple(-s if f[:2] == (0, 1) else s
+                              for s, f in zip(signs, g.index_factors)))
+
+    monkeypatch.setattr(zipgroup_mod, "stratum_label", broken)
+    code = main(["orbits", "--p", "3", "--n", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("orbit label inconsistency: orbit of size ")
+    replay = json.loads(captured.err.split("\t", 1)[1])
+    assert (replay["p"], replay["k"], replay["n"]) == (3, 1, 1)
+    ctx = FieldCtx(replay["p"], replay["k"])
+    datum = CocharDatum.split(replay["n"], ctx.p)
+    members = [GroupElem(ctx, m["factors"]) for m in replay["members"]]
+    labels = [m["label"] for m in replay["members"]]
+    assert len(members) == 2 and labels[0] != labels[1]
+    assert [broken(g, datum).to_string() for g in members] == labels
+    assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
+
+
 def test_census_json(capsys):
     code, out = run_cli(capsys, ["census", "--p", "3", "--n", "1", "--format", "json"])
     assert code == 0
