@@ -15,20 +15,20 @@ from .schubert import (INFINITE_ORDER, GroupElem, MultiPoly, PointP1n, all_point
 from .zips import (HilbertZip, ZipReport, check_equivalence, enumerate_zips, hasse_order,
                    line_in_block, max_hodge_level, partial_hasse_flags,
                    zip_from_json_obj, zip_to_json_obj)
-from .zipgroup import (OrbitLabelError, OrbitPartition, ZipGroupElem, bruhat_census,
-                       enumerate_E, enumerate_G, orbits, zip_act)
+from .zipgroup import (OrbitLabelError, ZipGroupElem, bruhat_census, enumerate_E, enumerate_G,
+                       zip_act)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundExceededError", "Character", "CocharDatum", "ContextMismatchError",
     "DEFAULT_ENUM_BOUND", "FieldCtx", "FieldElem", "GroupElem", "HilbertZip",
-    "INFINITE_ORDER", "MultiPoly", "OrbitLabelError", "OrbitPartition",
-    "PointP1n", "Subspace", "WeylElem", "ZipGroupElem", "ZipReport", "all_points",
+    "INFINITE_ORDER", "MultiPoly", "OrbitLabelError", "PointP1n", "Subspace", "WeylElem",
+    "ZipGroupElem", "ZipReport", "all_points",
     "all_weyl_elems", "bruhat_census", "bruhat_word", "check_equivalence",
     "enumerate_E", "enumerate_G", "enumerate_zips", "galois_act", "hasse_order",
     "hasse_section", "hodge_character", "induced_filtration", "line_in_block",
-    "max_hodge_level", "monomial_weight", "orbits", "partial_hasse_flags",
+    "max_hodge_level", "monomial_weight", "partial_hasse_flags",
     "projective_line_reps", "stratum_label", "torus_weight_space",
     "vanishing_order_at_point", "vanishing_order_on_stratum", "wedge_basis_index",
     "wedge_basis_subsets", "wedge_of_lines", "weyl_act", "zip_act",

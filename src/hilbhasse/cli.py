@@ -15,11 +15,10 @@ from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
 from .schubert import hasse_section, torus_weight_space, vanishing_order_on_stratum
 from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
-# enumerate_E is not called here; it stays a name of this module for code
-# that wraps cli.enumerate_E.
+# enumerate_E and enumerate_G are not called here; they stay names of this
+# module for code that wraps cli.enumerate_E and cli.enumerate_G.
 from .zipgroup import (OrbitLabelError, borel_order, bruhat_census, cell_witness,  # noqa: F401
-                       enumerate_E, enumerate_G, generator_count, group_order, orbits,
-                       zip_group_generators)
+                       enumerate_E, enumerate_G, group_order, orbits)
 from .zips import check_equivalence, enumerate_zips, zip_from_json_obj, zip_to_json_obj
 
 EXIT_OK = 0
@@ -131,13 +130,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
-    q, n = ctx.q, args.n
-    # |G| x |generators|, both in closed form, so a refusal builds nothing
-    refuse_above(args.bound, "orbit scan", q * (q * q - 1), n, (q - 1) * generator_count(ctx, n))
-    gens = zip_group_generators(ctx, n)
-    g_list = enumerate_G(ctx, n, bound=args.bound)
     try:
-        partition = orbits(g_list, gens)
+        by_label = orbits(ctx, args.n, args.bound)
     except OrbitLabelError as exc:
         # two members with different labels, replayable through GroupElem
         members = [{"factors": _factors_json(g), "label": w.to_string()}
@@ -146,13 +140,8 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         sys.stderr.write(f"orbit label inconsistency: {exc}\t"
                          f"{json.dumps(replay, sort_keys=True)}\n")
         return EXIT_CHECK_FAILED
-    by_label = partition.by_label()
-    out_rows = []
-    for w in all_weyl_elems(args.n):
-        sizes = sorted(map(len, by_label.get(w, [])), reverse=True)
-        out_rows.append({"w": w.to_string(), "length": w.length(),
-                         "cell_size": sum(sizes), "orbit_count": len(sizes),
-                         "orbit_sizes": sizes})
+    out_rows = [{"w": w.to_string(), "length": w.length(), "cell_size": sum(sizes),
+                 "orbit_count": len(sizes), "orbit_sizes": sizes} for w, sizes in by_label.items()]
     _emit(args, out_rows, ["w\tlength\tcell_size\torbit_count\torbit_sizes"]
           + [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['orbit_count']}\t"
              + ",".join(str(s) for s in r["orbit_sizes"]) for r in out_rows])

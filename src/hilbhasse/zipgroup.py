@@ -1,13 +1,11 @@
-"""Exhaustive zip-group machinery over a small finite field: the group of
+"""Zip-group machinery over a small finite field: the group of
 determinant-matched 2x2 tuples, the Frobenius-coupled Borel pairs acting on
-it by (a, b) . g = a g b^(-1) and a small generating set of them, orbit
-partition, and the Bruhat cell census.
+it by (a, b) . g = a g b^(-1) and a small generating set of them, the orbit
+sizes by stratum label, and the Bruhat cell census.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from functools import cache
 from itertools import chain, product
 from math import prod
 
@@ -27,8 +25,9 @@ class OrbitLabelError(RuntimeError):
     label) pairs from the orbit whose labels differ, so the failure can be
     replayed."""
 
-    def __init__(self, message: str, members: tuple[tuple[GroupElem, WeylElem], ...]):
-        super().__init__(message)
+    def __init__(self, size: int, members: tuple[tuple[GroupElem, WeylElem], ...]):
+        super().__init__(f"orbit of size {size} carries labels "
+                         f"{sorted(w.to_string() for _, w in members)}")
         self.members = members
 
 
@@ -167,64 +166,77 @@ def zip_group_generators(ctx: FieldCtx, n: int) -> list[ZipGroupElem]:
     return gens
 
 
-class OrbitPartition(FrozenRecord):
-    """Disjoint orbit classes covering the enumerated group, each with the
-    common stratum label of its members."""
+def _unipotent_orbits(ctx: FieldCtx, n: int):
+    """The orbits of the invertible 2x2 matrices under x -> [[1, 0], [t, 1]] x
+    and x -> x [[1, t], [0, 1]], t in the F_p-basis of F_q: each matrix's
+    orbit id, each orbit's first member, size and label, and the ids by
+    determinant index.  Each member's label is checked."""
+    mul, add = ctx._mul, ctx._add
+    datum = CocharDatum.split(1, ctx.p)
+    ts = [ctx.p ** j for j in range(ctx.k)]  # the indices of 1, u, ..., u^(k-1)
+    lowers, uppers = [(1, 0, t, 1) for t in ts], [(1, t, 0, 1) for t in ts]
+    orbit_of: dict[Factor, int] = {}
+    reps, sizes, signs, by_det = [], [], [], {}
+    for start in product(range(ctx.q), repeat=4):
+        if start in orbit_of or not (det := det_2x2(start, ctx)):
+            continue
+        orbit_of[start] = len(reps)
+        members = [start]
+        for x in members:  # the list grows as the search finds new members
+            for y in chain((mul_2x2(low, x, mul, add) for low in lowers),
+                           (mul_2x2(x, up, mul, add) for up in uppers)):
+                if y not in orbit_of:
+                    orbit_of[y] = len(reps)
+                    members.append(y)
+        first: dict[int, Factor] = {}  # the first member carrying each label
+        for x in members:
+            first.setdefault(stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0], x)
+        if len(first) != 1:  # the U-orbit of (x, ..., x) in G holds (y, x, ..., x)
+            (sx, x), (sy, y) = first.items()
+            raise OrbitLabelError(len(members) ** n, (
+                (GroupElem.from_indices(ctx, (x,) * n), WeylElem.from_signs((sx,) * n)),
+                (GroupElem.from_indices(ctx, (y,) + (x,) * (n - 1)),
+                 WeylElem.from_signs((sy,) + (sx,) * (n - 1)))))
+        by_det.setdefault(det, []).append(len(reps))
+        reps.append(start)
+        sizes.append(len(members))
+        signs.append(next(iter(first)))
+    return orbit_of, reps, sizes, signs, by_det
 
-    _fields = ("classes", "labels")
 
-    def __init__(self, classes: tuple[tuple[GroupElem, ...], ...], labels: tuple[WeylElem, ...]):
-        self.__dict__.update(classes=classes, labels=labels)
+def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylElem, list[int]]:
+    """The orbit sizes of the Frobenius-coupled Borel pairs on G by stratum
+    label, in ``all_weyl_elems`` order, each list in decreasing order,
+    without enumerating G.
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
-
-    def by_label(self) -> dict[WeylElem, list[tuple[GroupElem, ...]]]:
-        out: dict[WeylElem, list[tuple[GroupElem, ...]]] = {}
-        for cls, label in zip(self.classes, self.labels):
-            out.setdefault(label, []).append(cls)
-        return out
-
-
-def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> OrbitPartition:
-    """Orbit partition of the enumerated group under the group the acting
-    pairs generate, by the standard orbit search (Holt, Eick and O'Brien,
-    *Handbook of Computational Group Theory*, 2005, section 4.1): each
-    element not yet seen starts a class, closed under every pair's action,
-    so classes come out ordered by least member.  The inverse of each pair
-    is a power of it, so ``zip_group_generators`` and the full
-    ``enumerate_E`` give the same partition.
-
-    Each pair's action is tabulated once per factor, by small-int factor id.
-    z is the longest element in every factor, and products and Bruhat signs
-    work factor by factor, so each member's stratum label is the tuple of
-    its factors' one-factor labels; a class whose members' labels differ
+    The pairs form E = U x| T (Pink, Wedhorn and Ziegler, *Algebraic zip
+    data*, Doc. Math. 16, 2011).  U, the lower unipotents on the left and the
+    upper ones on the right, has no coupling between factors, so its orbits
+    are products of one-factor U-orbits.  T, the coupled diagonal, permutes
+    them factor by factor, so an E-orbit is the union of the products over a
+    T-orbit of tuples of U-orbit ids, found by the standard orbit search
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
+    section 4.1).  z is the longest element in every factor, so a label is
+    the tuple of one-factor labels; a U-orbit or T-orbit whose labels differ
     raises OrbitLabelError.
     """
-    if not g_list or not e_list:
-        raise ValueError("need non-empty group and acting lists")
-    ctx = g_list[0].ctx
-    # column i holds factor i of every element, by factor id
-    columns = list(zip(*(g.index_factors for g in g_list)))
-    factors = list(dict.fromkeys(chain.from_iterable(columns)))
-    factor_id = {x: i for i, x in enumerate(factors)}
-    columns = [list(map(factor_id.__getitem__, col)) for col in columns]
-    idx_of = {key: i for i, key in enumerate(zip(*columns))}
+    q = ctx.q
+    # |G| x |generators|, both in closed form, so a refusal builds nothing
+    refuse_above(bound, "orbit scan", q * (q * q - 1), n, (q - 1) * generator_count(ctx, n))
+    torus = [e for e in zip_group_generators(ctx, n)
+             if not any(f[1] or f[2] for f in e.a.index_factors + e.b.index_factors)]
+    orbit_of, reps, sizes, signs, by_det = _unipotent_orbits(ctx, n)
     mul, add = ctx._mul, ctx._add
-
-    @cache  # the id of a x b^(-1) by the id of x, once per (a, b^(-1))
-    def action(a: Factor, b_inv: Factor) -> list[int]:
-        return [factor_id[mul_2x2(mul_2x2(a, x, mul, add), b_inv, mul, add)] for x in factors]
-    moves = []  # each pair's action on g_list indices, factor by factor
-    for e in e_list:
-        tables = map(action, e.a.index_factors, e.b.inverse().index_factors)
-        images = zip(*[map(t.__getitem__, col) for t, col in zip(tables, columns)])
-        moves.append(list(map(idx_of.__getitem__, images)))
-    datum = CocharDatum.split(1, ctx.p)
-    sign = [stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0] for x in factors]
-    seen = [False] * len(g_list)
-    classes, labels = [], []
-    for start in range(len(g_list)):
+    tuples = list(_equal_det_tuples(by_det, n))
+    index = {t: i for i, t in enumerate(tuples)}
+    moves = []  # each diagonal pair's action on tuple indices, factor by factor
+    for e in torus:
+        tables = [[orbit_of[mul_2x2(mul_2x2(a, r, mul, add), b_inv, mul, add)] for r in reps]
+                  for a, b_inv in zip(e.a.index_factors, e.b.inverse().index_factors)]
+        moves.append([index[tuple(map(list.__getitem__, tables, t))] for t in tuples])
+    seen = [False] * len(tuples)
+    out: dict[tuple[int, ...], list[int]] = {}  # orbit sizes by label signs
+    for start in range(len(tuples)):
         if seen[start]:
             continue
         seen[start] = True
@@ -234,20 +246,16 @@ def orbits(g_list: Sequence[GroupElem], e_list: Sequence[ZipGroupElem]) -> Orbit
                 if not seen[j := move[m]]:
                     seen[j] = True
                     orbit.append(j)
-        orbit.sort()
-        member_signs = zip(*[map(sign.__getitem__, map(c.__getitem__, orbit)) for c in columns])
-        first: dict[tuple[int, ...], int] = {}  # the first member carrying each label
-        for i, signs in zip(orbit, member_signs):
-            first.setdefault(signs, i)
-        by_label = {WeylElem.from_signs(signs): g_list[i] for signs, i in first.items()}
-        if len(by_label) != 1:
-            raise OrbitLabelError(
-                f"orbit of size {len(orbit)} carries labels "
-                f"{sorted(w.to_string() for w in by_label)}",
-                tuple((g, w) for w, g in list(by_label.items())[:2]))
-        classes.append(tuple(map(g_list.__getitem__, orbit)))
-        labels.append(next(iter(by_label)))
-    return OrbitPartition(tuple(classes), tuple(labels))
+        size = sum(prod(map(sizes.__getitem__, tuples[i])) for i in orbit)
+        first: dict[tuple[int, ...], int] = {}  # the first tuple carrying each label
+        for i in sorted(orbit):
+            first.setdefault(tuple(map(signs.__getitem__, tuples[i])), i)
+        if len(first) != 1:
+            raise OrbitLabelError(size, tuple(
+                (GroupElem.from_indices(ctx, tuple(map(reps.__getitem__, tuples[i]))),
+                 WeylElem.from_signs(s)) for s, i in list(first.items())[:2]))
+        out.setdefault(next(iter(first)), []).append(size)
+    return {w: sorted(out.get(w.signs, []), reverse=True) for w in all_weyl_elems(n)}
 
 
 def _det_sign_table(ctx: FieldCtx, bound: int) -> dict[tuple[int, int], list]:

@@ -10,18 +10,24 @@ lines, Bruhat cell sizes come from enumerating the whole group, 2x2 matrix
 products are schoolbook sums on FieldElem rows, and products of
 polynomials are schoolbook sums on FieldElem term dicts.
 
-One is a reference rather than an independent path: the Hodge level as the
-definition gives it, the least pivot count over the terms of the wedge of
-adapted rows, on the library's wedge kernel (which the tests check against
-cofactor minors).  The program sums one-block levels instead.
+Two are references rather than independent paths.  One is the Hodge level
+as the definition gives it, the least pivot count over the terms of the
+wedge of adapted rows, on the library's wedge kernel (which the tests check
+against cofactor minors); the program sums one-block levels instead.  The
+other is the orbit partition of the whole enumerated group under the acting
+pairs, on the library's integer 2x2 products; the program searches one
+factor's unipotent orbits and then the coupled torus instead.
 """
 
 from collections import Counter
-from itertools import combinations
+from functools import cache
+from itertools import chain, combinations
 
 from hilbhasse.linalg import _wedge_terms
-from hilbhasse.schubert import bruhat_signs
-from hilbhasse.zipgroup import enumerate_G
+from hilbhasse.record import FrozenRecord
+from hilbhasse.schubert import GroupElem, bruhat_signs, mul_2x2, stratum_label
+from hilbhasse.weyl import CocharDatum, WeylElem
+from hilbhasse.zipgroup import OrbitLabelError, enumerate_G
 
 
 def poly_divmod(a, b, p):
@@ -265,3 +271,84 @@ def enumerated_census(ctx, n):
     """Bruhat cell sizes by enumeration: a Counter from each sign vector to
     the number of elements of G whose factors carry those signs."""
     return Counter(map(bruhat_signs, enumerate_G(ctx, n)))
+
+
+class OrbitPartition(FrozenRecord):
+    """Disjoint orbit classes covering the enumerated group, each with the
+    common stratum label of its members."""
+
+    _fields = ("classes", "labels")
+
+    def __init__(self, classes: tuple[tuple[GroupElem, ...], ...], labels: tuple[WeylElem, ...]):
+        self.__dict__.update(classes=classes, labels=labels)
+
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(len(c) for c in self.classes)
+
+    def by_label(self) -> dict[WeylElem, list[tuple[GroupElem, ...]]]:
+        out: dict[WeylElem, list[tuple[GroupElem, ...]]] = {}
+        for cls, label in zip(self.classes, self.labels):
+            out.setdefault(label, []).append(cls)
+        return out
+
+
+def orbit_partition(g_list, e_list):
+    """Orbit partition of the enumerated group under the group the acting
+    pairs generate, by the standard orbit search over every element (Holt,
+    Eick and O'Brien, *Handbook of Computational Group Theory*, 2005, section
+    4.1): each element not yet seen starts a class, closed under every pair's
+    action, so classes come out ordered by least member.  The inverse of each pair
+    is a power of it, so ``zip_group_generators`` and the full
+    ``enumerate_E`` give the same partition.
+
+    Each pair's action is tabulated once per factor, by small-int factor id.
+    z is the longest element in every factor, and products and Bruhat signs
+    work factor by factor, so each member's stratum label is the tuple of
+    its factors' one-factor labels; a class whose members' labels differ
+    raises OrbitLabelError.
+    """
+    if not g_list or not e_list:
+        raise ValueError("need non-empty group and acting lists")
+    ctx = g_list[0].ctx
+    # column i holds factor i of every element, by factor id
+    columns = list(zip(*(g.index_factors for g in g_list)))
+    factors = list(dict.fromkeys(chain.from_iterable(columns)))
+    factor_id = {x: i for i, x in enumerate(factors)}
+    columns = [list(map(factor_id.__getitem__, col)) for col in columns]
+    idx_of = {key: i for i, key in enumerate(zip(*columns))}
+    mul, add = ctx._mul, ctx._add
+
+    @cache  # the id of a x b^(-1) by the id of x, once per (a, b^(-1))
+    def action(a, b_inv):
+        return [factor_id[mul_2x2(mul_2x2(a, x, mul, add), b_inv, mul, add)] for x in factors]
+    moves = []  # each pair's action on g_list indices, factor by factor
+    for e in e_list:
+        tables = map(action, e.a.index_factors, e.b.inverse().index_factors)
+        images = zip(*[map(t.__getitem__, col) for t, col in zip(tables, columns)])
+        moves.append(list(map(idx_of.__getitem__, images)))
+    datum = CocharDatum.split(1, ctx.p)
+    sign = [stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0] for x in factors]
+    seen = [False] * len(g_list)
+    classes, labels = [], []
+    for start in range(len(g_list)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for m in orbit:  # the list grows as the search finds new members
+            for move in moves:
+                if not seen[j := move[m]]:
+                    seen[j] = True
+                    orbit.append(j)
+        orbit.sort()
+        member_signs = zip(*[map(sign.__getitem__, map(c.__getitem__, orbit)) for c in columns])
+        first: dict[tuple[int, ...], int] = {}  # the first member carrying each label
+        for i, signs in zip(orbit, member_signs):
+            first.setdefault(signs, i)
+        by_label = {WeylElem.from_signs(signs): g_list[i] for signs, i in first.items()}
+        if len(by_label) != 1:
+            raise OrbitLabelError(len(orbit),
+                                  tuple((g, w) for w, g in list(by_label.items())[:2]))
+        classes.append(tuple(map(g_list.__getitem__, orbit)))
+        labels.append(next(iter(by_label)))
+    return OrbitPartition(tuple(classes), tuple(labels))

@@ -16,10 +16,10 @@ from hilbhasse.schubert import (hasse_section, stratum_label,
                                 torus_weight_space, vanishing_order_on_stratum)
 from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
                             hodge_character, weyl_act, zipflag_pullback)
-from hilbhasse.zipgroup import (borel_order, bruhat_census, enumerate_E, enumerate_G, orbits,
+from hilbhasse.zipgroup import (borel_order, bruhat_census, enumerate_E, enumerate_G,
                                 zip_group_generators)
 from hilbhasse.zips import check_equivalence, enumerate_zips
-from oracles import enumerated_census
+from oracles import enumerated_census, orbit_partition
 
 # (p, k, n): F_2, F_3 and F_4, each with n <= 3.  F_4 is the one field here
 # on which Frobenius is not the identity.
@@ -122,12 +122,12 @@ def run_orbit_refinement():
     for p, k, n in ORBIT_SCALE:
         ctx = FieldCtx(p, k)
         g_list = enumerate_G(ctx, n)
-        partition = orbits(g_list, zip_group_generators(ctx, n))
+        partition = orbit_partition(g_list, zip_group_generators(ctx, n))
         h = hasse_section(ctx, n)
         assert sum(partition.sizes()) == len(g_list)
         for label in partition.labels:
             assert vanishing_order_on_stratum(h, label) == n - label.length()
-        # constancy of labels is enforced inside orbits(); make it explicit
+        # constancy of labels is enforced inside orbit_partition(); make it explicit
         datum = CocharDatum.split(n, p)
         for cls, label in zip(partition.classes, partition.labels):
             assert all(stratum_label(g, datum) == label for g in cls), (p, k, n)

@@ -191,12 +191,12 @@ def test_refusal_is_exact_up_to_the_bound_and_estimates_huge_counts():
      "refused: orbit scan would visit about 2^4584985 items, above the bound 1000000\n"),
 ])
 def test_orbit_scan_is_refused_before_any_generator_is_built(capsys, monkeypatch, argv, err):
-    import hilbhasse.cli as cli_mod
+    import hilbhasse.zipgroup as zipgroup_mod
 
     def unexpected(ctx, n):
         raise AssertionError("generators built for a refused scan")
 
-    monkeypatch.setattr(cli_mod, "zip_group_generators", unexpected)
+    monkeypatch.setattr(zipgroup_mod, "zip_group_generators", unexpected)
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (3, "", err)
@@ -380,6 +380,40 @@ def test_orbit_label_inconsistency_along_the_torus_exits_1(capsys, monkeypatch):
     assert len(members) == 2 and labels[0] != labels[1]
     assert [broken(g, datum).to_string() for g in members] == labels
     assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)])
+def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
+    # one label per invertible 2x2 matrix, one visit per tuple of U-orbit
+    # ids of one determinant (q - 1 orbits of size q^2 and q - 1 of size q
+    # per determinant), and G is never enumerated
+    import hilbhasse.cli as cli_mod
+    import hilbhasse.zipgroup as zipgroup_mod
+    counts = {"labels": 0, "tuples": 0}
+    real_label, real_tuples = zipgroup_mod.stratum_label, zipgroup_mod._equal_det_tuples
+
+    def counted_label(g, datum):
+        counts["labels"] += 1
+        return real_label(g, datum)
+
+    def counted_tuples(groups, n):
+        for t in real_tuples(groups, n):
+            counts["tuples"] += 1
+            yield t
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("G enumerated")
+
+    monkeypatch.setattr(zipgroup_mod, "stratum_label", counted_label)
+    monkeypatch.setattr(zipgroup_mod, "_equal_det_tuples", counted_tuples)
+    monkeypatch.setattr(cli_mod, "enumerate_G", unexpected)
+    monkeypatch.setattr(zipgroup_mod, "enumerate_G", unexpected)
+    for command in ("orbits", "census"):
+        code, out, err = _run_in_process(capsys, [command, "--p", str(p), "--k", str(k),
+                                                  "--n", str(n)])
+        assert (code, err) == (0, ""), command
+    q = p ** k
+    assert counts == {"labels": (q - 1) * q * (q * q - 1), "tuples": (q - 1) * (2 * (q - 1)) ** n}
 
 
 def test_census_json(capsys):

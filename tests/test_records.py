@@ -8,8 +8,9 @@ import pytest
 from hilbhasse.field import ContextMismatchError, FieldCtx
 from hilbhasse.schubert import GroupElem
 from hilbhasse.weyl import Character, CocharDatum, WeylElem
-from hilbhasse.zipgroup import OrbitPartition, ZipGroupElem
+from hilbhasse.zipgroup import ZipGroupElem
 from hilbhasse.zips import HilbertZip, ZipReport, line_in_block
+from oracles import OrbitPartition
 
 F2 = FieldCtx(2)
 F2_REPR = "FieldCtx(p=2, k=1, modulus=x)"

@@ -14,6 +14,8 @@ from hilbhasse.weyl import CocharDatum, WeylElem, all_weyl_elems
 from hilbhasse.zipgroup import (ZipGroupElem, borel_order, bruhat_census, cell_witness,
                                 enumerate_E, enumerate_G, generator_count, group_order, orbits,
                                 zip_act, zip_group_generators)
+from oracles import orbit_partition
+from test_acceptance import ORBIT_SCALE
 
 
 def det(m):
@@ -121,7 +123,7 @@ def test_action_law_exhaustively(F2):
 def test_orbits_partition_the_group(p, n):
     ctx = FieldCtx(p)
     g_list = enumerate_G(ctx, n)
-    partition = orbits(g_list, enumerate_E(ctx, n))
+    partition = orbit_partition(g_list, enumerate_E(ctx, n))
     assert sum(partition.sizes()) == len(g_list)
     seen = set()
     for cls in partition.classes:
@@ -133,10 +135,10 @@ def test_orbits_partition_the_group(p, n):
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
 def test_orbit_labels_are_constant(p, n):
-    # orbits() raises on non-constant labels; verify the labels again here
+    # orbit_partition() raises on non-constant labels; verify the labels again here
     ctx = FieldCtx(p)
     datum = CocharDatum.split(n, p)
-    partition = orbits(enumerate_G(ctx, n), enumerate_E(ctx, n))
+    partition = orbit_partition(enumerate_G(ctx, n), enumerate_E(ctx, n))
     for cls, label in zip(partition.classes, partition.labels):
         assert {stratum_label(g, datum) for g in cls} == {label}
 
@@ -144,7 +146,7 @@ def test_orbit_labels_are_constant(p, n):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
 def test_translated_lift_lands_in_its_label_class(p, n):
     ctx = FieldCtx(p)
-    partition = orbits(enumerate_G(ctx, n), enumerate_E(ctx, n))
+    partition = orbit_partition(enumerate_G(ctx, n), enumerate_E(ctx, n))
     z_inv = GroupElem.weyl_lift(ctx, WeylElem.longest(n)).inverse()
     for w in all_weyl_elems(n):
         probe = GroupElem.weyl_lift(ctx, w) * z_inv
@@ -201,7 +203,7 @@ def test_orbit_labels_agree_with_stratum_orders(p, n):
     # cross-module consistency: the order of the product section along the
     # stratum labeled w is the codimension n - l(w)
     ctx = FieldCtx(p)
-    partition = orbits(enumerate_G(ctx, n), enumerate_E(ctx, n))
+    partition = orbit_partition(enumerate_G(ctx, n), enumerate_E(ctx, n))
     h = hasse_section(ctx, n)
     for label in partition.labels:
         assert vanishing_order_on_stratum(h, label) == n - label.length()
@@ -242,7 +244,19 @@ def test_generators_generate_the_full_group(p, k, n):
 def test_generator_orbits_equal_full_group_orbits(p, k, n):
     ctx = FieldCtx(p, k)
     g_list = enumerate_G(ctx, n)
-    assert orbits(g_list, zip_group_generators(ctx, n)) == orbits(g_list, enumerate_E(ctx, n))
+    assert (orbit_partition(g_list, zip_group_generators(ctx, n))
+            == orbit_partition(g_list, enumerate_E(ctx, n)))
+
+
+@pytest.mark.parametrize("p,k,n", ORBIT_SCALE + [(5, 1, 2), (3, 1, 3)])
+def test_orbit_sizes_equal_the_exhaustive_partition(p, k, n):
+    # the factor scan and the torus search against the orbit search over all
+    # of G, label by label, orbit size by orbit size
+    ctx = FieldCtx(p, k)
+    partition = orbit_partition(enumerate_G(ctx, n), zip_group_generators(ctx, n))
+    expected = {w: sorted(map(len, classes), reverse=True)
+                for w, classes in partition.by_label().items()}
+    assert orbits(ctx, n) == expected
 
 
 def powers(e):
@@ -263,7 +277,7 @@ def test_one_pair_has_the_orbits_of_its_powers(p, k, n, stride):
     g_list = enumerate_G(ctx, n)
     e_list = enumerate_E(ctx, n)
     for e in zip_group_generators(ctx, n) + e_list[stride // 2::stride]:
-        assert orbits(g_list, [e]) == orbits(g_list, powers(e))
+        assert orbit_partition(g_list, [e]) == orbit_partition(g_list, powers(e))
 
 
 def test_generators_in_f4_carry_frobenius_coupled_diagonals(F4):
