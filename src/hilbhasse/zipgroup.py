@@ -223,7 +223,7 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
     q = ctx.q
     # |G| x |generators|, both in closed form, so a refusal builds nothing
     refuse_above(bound, "orbit scan", q * (q * q - 1), n, (q - 1) * generator_count(ctx, n))
-    torus = [e for e in zip_group_generators(ctx, n)
+    torus = [e for e in zip_group_generators(ctx, n)  # the pairs with no off-diagonal entry
              if not any(f[1] or f[2] for f in e.a.index_factors + e.b.index_factors)]
     orbit_of, reps, sizes, signs, by_det = _unipotent_orbits(ctx, n)
     mul, add = ctx._mul, ctx._add
