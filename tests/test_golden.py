@@ -1,6 +1,8 @@
 """The CLI's bytes, pinned: each row of ``golden_cli.json`` holds an argv,
-the text fed to stdin (or null), an injected fault (or null), the exit code,
-and the sha256 of the UTF-8 stdout and of the stderr.
+the text fed to stdin (or null), an injected fault (or null), the exit code
+(``["SystemExit", code]`` where argparse exits on help or malformed argv),
+and the sha256 of the UTF-8 stdout and of the stderr.  Every row runs with
+``COLUMNS=80``, since argparse wraps help and usage to the terminal width.
 
 The table is data, never rewritten by this test.  A change that alters a
 digest on purpose replaces that row and names its argv and the reason in
@@ -17,6 +19,7 @@ import pytest
 
 import hilbhasse.cli as cli_mod
 from hilbhasse.cli import main
+from hilbhasse.zipgroup import bruhat_census
 from hilbhasse.zips import ZipReport
 
 ROWS = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -27,7 +30,13 @@ def every_report_fails(z):
     return ZipReport((False,) * z.n, z.n)
 
 
-FAULTS = {"every_report_fails": (cli_mod, "check_equivalence", every_report_fails)}
+def census_doubled(ctx, n, bound):
+    # every cell twice its size; drives the census-mismatch output
+    return [(w, 2 * count) for w, count in bruhat_census(ctx, n, bound)]
+
+
+FAULTS = {"every_report_fails": (cli_mod, "check_equivalence", every_report_fails),
+          "census_doubled": (cli_mod, "bruhat_census", census_doubled)}
 
 
 def _id(i, row):
@@ -40,11 +49,15 @@ def _sha256(text):
 
 @pytest.mark.parametrize("row", ROWS, ids=[_id(i, row) for i, row in enumerate(ROWS)])
 def test_cli_bytes_match_the_table(capsys, monkeypatch, row):
+    monkeypatch.setenv("COLUMNS", "80")
     if row["stdin"] is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(row["stdin"]))
     if row["fault"] is not None:
         monkeypatch.setattr(*FAULTS[row["fault"]])
-    code = main(row["argv"])
+    try:
+        code = main(row["argv"])
+    except SystemExit as exc:
+        code = ["SystemExit", exc.code]
     captured = capsys.readouterr()
     assert (code, _sha256(captured.out), _sha256(captured.err)) == (
         row["code"], row["stdout"], row["stderr"]), captured.err
