@@ -162,14 +162,34 @@ def _cmd_zip_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.consistent else EXIT_CHECK_FAILED
 
 
+# name: (run, help)
 _COMMANDS = {
-    "verify-equivalence": _cmd_verify_equivalence,
-    "strata-table": _cmd_strata_table,
-    "weight-space": _cmd_weight_space,
-    "census": _cmd_census,
-    "orbits": _cmd_orbits,
-    "zip-check": _cmd_zip_check,
+    "verify-equivalence": (_cmd_verify_equivalence,
+                           "check hasse order == filtration level on every zip"),
+    "strata-table": (_cmd_strata_table, "vanishing orders along all cells"),
+    "weight-space": (_cmd_weight_space, "monomial basis of a torus weight space"),
+    "census": (_cmd_census, "Bruhat cell sizes vs the q^l(w) law"),
+    "orbits": (_cmd_orbits, "orbit partition refined by stratum labels"),
+    "zip-check": (_cmd_zip_check, "run the equivalence check on a zip JSON file"),
 }
+
+
+def _add_arguments(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s arguments, on its subparser or on a parser of its own."""
+    if name == "zip-check":
+        sp.add_argument("--file", default="-", help="zip JSON path, - for stdin")
+    else:
+        sp.add_argument("--p", type=int, default=2, help="field characteristic")
+        sp.add_argument("--k", type=int, default=1, help="field extension degree")
+        sp.add_argument("--n", type=int, required=True, help="number of factors")
+        sp.add_argument("--bound", type=int, default=DEFAULT_ENUM_BOUND,
+                        help="refuse enumerations larger than this")
+    sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    sp.add_argument("--output", default="-",
+                    help=None if name == "zip-check" else "output path, - for stdout")
+    if name == "weight-space":
+        sp.add_argument("--target", default="eta", help="eta, w0eta, or explicit 'a1,...,an;c'")
+    return sp
 
 
 @cache  # parse_args does not mutate the parser, so one serves every main call
@@ -180,47 +200,35 @@ def build_parser() -> argparse.ArgumentParser:
                     "exterior-power filtration levels, Bruhat cells and "
                     "zip-group orbits over small finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--p", type=int, default=2, help="field characteristic")
-        sp.add_argument("--k", type=int, default=1, help="field extension degree")
-        sp.add_argument("--n", type=int, required=True, help="number of factors")
-        sp.add_argument("--bound", type=int, default=DEFAULT_ENUM_BOUND,
-                        help="refuse enumerations larger than this")
-        sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        sp.add_argument("--output", default="-", help="output path, - for stdout")
-
-    sp = sub.add_parser("verify-equivalence",
-                        help="check hasse order == filtration level on every zip")
-    add_common(sp)
-
-    sp = sub.add_parser("strata-table", help="vanishing orders along all cells")
-    add_common(sp)
-
-    sp = sub.add_parser("weight-space", help="monomial basis of a torus weight space")
-    add_common(sp)
-    sp.add_argument("--target", default="eta",
-                    help="eta, w0eta, or explicit 'a1,...,an;c'")
-
-    sp = sub.add_parser("census", help="Bruhat cell sizes vs the q^l(w) law")
-    add_common(sp)
-
-    sp = sub.add_parser("orbits", help="orbit partition refined by stratum labels")
-    add_common(sp)
-
-    sp = sub.add_parser("zip-check", help="run the equivalence check on a zip JSON file")
-    sp.add_argument("--file", default="-", help="zip JSON path, - for stdin")
-    sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    sp.add_argument("--output", default="-")
+    for name, (_, help_text) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    return _add_arguments(argparse.ArgumentParser(prog=f"hilbhasse {name}"), name)
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """A well-formed command needs only its own parser.  The full tree parses
+    help, an unknown command and stray words, so its messages name them."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv and argv[0] in _COMMANDS:
+        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if "n" in args and args.n < 1:  # zip-check reads n from its file
             raise ValueError("need at least one factor")
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except BoundExceededError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_BOUND
