@@ -485,16 +485,19 @@ def _run_in_process(capsys, argv):
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
-    # one parser serves every main call in a process, so a call must not see
-    # anything an earlier call left behind
+    # the parsers are cached, so a call must not see anything an earlier
+    # call left behind
     import subprocess
     import sys
     from pathlib import Path
 
     import hilbhasse
 
-    runs = [["census", "--p", "3"], ["--help"], ["orbits", "--p", "3", "--n", "2"],
-            ["census", "--p", "3", "--n", "2"], ["orbits", "--p", "3", "--n", "2"]]
+    orbits, census = ["orbits", "--p", "3", "--n", "2"], ["census", "--p", "3", "--n", "2"]
+    runs = [["census", "--p", "3"], ["--help"], orbits, census, orbits]
+    # the full tree after a cached command parser, and that parser after it
+    for malformed in (["bogus"], ["orbits", "--n", "2", "extra"], ["orbits", "--help"]):
+        runs += [malformed, orbits, census]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
     env = {"PYTHONPATH": str(Path(hilbhasse.__file__).parents[1]), "COLUMNS": "80",
            "PYTHONDONTWRITEBYTECODE": "1"}
@@ -503,7 +506,56 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
              for argv in runs]
     in_process = [_run_in_process(capsys, argv) for argv in runs]
     assert in_process == [(r.returncode, r.stdout, r.stderr) for r in fresh]
-    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0]
+
+
+# the parsers build_parser makes: the top level, then one per command
+FULL_TREE = ["hilbhasse"] + [f"hilbhasse {name}" for name in (
+    "verify-equivalence", "strata-table", "weight-space", "census", "orbits", "zip-check")]
+
+
+@pytest.mark.parametrize("argv, code, parsers", [
+    (["verify-equivalence", "--n", "1"], 0, ["hilbhasse verify-equivalence"]),
+    (["strata-table", "--n", "1"], 0, ["hilbhasse strata-table"]),
+    (["weight-space", "--n", "1"], 0, ["hilbhasse weight-space"]),
+    (["census", "--n", "1"], 0, ["hilbhasse census"]),
+    (["orbits", "--n", "1"], 0, ["hilbhasse orbits"]),
+    (["zip-check", "--file", "{tmp}/zip.json"], 0, ["hilbhasse zip-check"]),
+    (["--help"], 0, FULL_TREE),
+    (["bogus"], 2, FULL_TREE),
+    (["orbits", "--n", "1", "extra"], 2, ["hilbhasse orbits"] + FULL_TREE),
+])
+def test_parser_builds_have_closed_form_counts(capsys, monkeypatch, tmp_path, argv, code,
+                                               parsers):
+    # a well-formed command builds its own parser and never asks for the
+    # full tree; help, an unknown command and a stray word build the tree's
+    # 7 parsers, a stray word after its command's one.  Parsers are cached,
+    # so the same call again builds none
+    import argparse
+
+    import hilbhasse.cli as cli_mod
+    built, trees = [], []
+    real_init, real_tree = argparse.ArgumentParser.__init__, cli_mod.build_parser
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    def counted_tree():
+        trees.append(1)
+        return real_tree()
+
+    (tmp_path / "zip.json").write_text(json.dumps(CONSISTENT_ZIP))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(cli_mod, "build_parser", counted_tree)
+    real_tree.cache_clear()
+    cli_mod._command_parser.cache_clear()
+    for expected in (parsers, []):
+        del built[:], trees[:]
+        assert _run_in_process(capsys, argv)[0] == code
+        assert built == expected
+        assert len(trees) == (FULL_TREE[0] in parsers)
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import hilbhasse.cli as cli_mod
 from hilbhasse.cli import _COMMANDS, _factors_json, main
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
 from hilbhasse.linalg import Subspace, _wedge_terms, induced_filtration, wedge_of_lines
@@ -802,6 +803,12 @@ def test_zip_check_on_fuzzed_json_keeps_the_exit_code_contract(text):
 
 
 COMMANDS = sorted(_COMMANDS)
+# first words that are no command, options before the command, and words
+# after it that some or all commands do not take
+NOT_COMMANDS = ["bogus", "Orbits", "orbit", "", "-h", "--help", "--", "--p=3", "-x"]
+OPTIONS = ["-h", "--help", "--", "--p=3", "--n=2", "-x", "orbits"]
+STRAYS = ["extra", "--", "-h", "-x", "--perm=x", "--target=eta", "--file={tmp}/zip.json",
+          "--n", "--n=2", "--fo=json", "orbits"]
 # zip-check's file, when the fuzzed argv names it
 F4_ZIP = '{"p": 2, "k": 2, "n": 2, "omega": [[1, 0], [[0, 1], 1]], "conj": [[0, 1], [1, 1]]}'
 
@@ -819,7 +826,9 @@ def fuzzed_argv(draw):
     -1..4, malformed targets and formats, and a directory or a path under a
     missing directory as --output.  --bound is always passed and at most
     10,000, so no example runs long; zip-check takes no --bound, and its
-    file is a small zip, the directory or a missing path."""
+    file is a small zip, the directory or a missing path.  One draw in four
+    also puts a word that is not a command first, prepends an option or
+    appends a stray word, so that argparse's own help and errors are drawn."""
     command = draw(st.sampled_from(COMMANDS))
     argv = [command]
     if command == "zip-check":
@@ -840,6 +849,13 @@ def fuzzed_argv(draw):
                                       st.sampled_from(["", "TSV", "xml"])))
     argv.append("--output=" + _mostly(draw, st.sampled_from(["-", "{tmp}/out"]),
                                       st.sampled_from(["{tmp}", "{tmp}/none/out"])))
+    mangle = draw(st.integers(0, 11))
+    if mangle == 0:
+        argv[0] = draw(st.sampled_from(NOT_COMMANDS))
+    elif mangle == 1:
+        argv.insert(0, draw(st.sampled_from(OPTIONS)))
+    elif mangle == 2:
+        argv.append(draw(st.sampled_from(STRAYS)))
     return argv
 
 
@@ -859,15 +875,57 @@ def fuzzed_argv(draw):
           "--output={tmp}/out"])
 @example(["zip-check", "--file={tmp}/zip.json", "--format=json", "--output={tmp}/out"])
 def test_every_command_on_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    code, _, err, _ = _run_fuzzed([argv])[0]
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+def _run_fuzzed(argvs, parse=None):
+    """main on each argv in turn, with {tmp} a fresh temporary directory that
+    holds zip.json and ``cli._parse_args`` replaced by ``parse`` if given:
+    (exit code, stdout, stderr, text written to {tmp}/out or None) each, with
+    the directory's name written back as {tmp}."""
     # hypothesis refuses function-scoped fixtures such as tmp_path
-    with tempfile.TemporaryDirectory() as tmp:
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli_mod, "_parse_args", parse or cli_mod._parse_args):
         with open(os.path.join(tmp, "zip.json"), "w") as fh:
             fh.write(F4_ZIP)
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            try:
-                code = main([arg.replace("{tmp}", tmp) for arg in argv])
-            except SystemExit as exc:  # argparse refuses malformed argv
-                code = exc.code
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main([arg.replace("{tmp}", tmp) for arg in argv])
+                except SystemExit as exc:  # argparse exits on help and malformed argv
+                    code = exc.code
+            written = None
+            if os.path.isfile(os.path.join(tmp, "out")):
+                with open(os.path.join(tmp, "out")) as fh:
+                    written = fh.read()
+                os.remove(fh.name)
+            runs.append((code, out.getvalue().replace(tmp, "{tmp}"),
+                         err.getvalue().replace(tmp, "{tmp}"), written))
+    return runs
+
+
+@settings(PROPERTY, max_examples=200)
+@given(fuzzed_argv())
+@example(["bogus", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=tsv", "--output=-"])
+@example(["--p=3", "orbits", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=tsv",
+          "--output=-"])
+@example(["orbits", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=tsv",
+          "--output={tmp}/out", "extra"])
+@example(["orbits", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=tsv",
+          "--output=-", "--"])
+@example(["strata-table", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=tsv",
+          "--output=-", "--target=eta"])
+@example(["census", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=tsv",
+          "--output=-", "-h"])
+def test_every_command_parses_fuzzed_argv_as_the_full_parser_does(argv):
+    # main parses a well-formed command with that command's parser alone; the
+    # full tree and the same dispatch must give the same code and bytes, here
+    # and in a second call after a first in the same process
+    def full(argv):
+        return cli_mod.build_parser().parse_args(argv)
+
+    assert _run_fuzzed([argv, argv]) == _run_fuzzed([argv, argv], parse=full)
