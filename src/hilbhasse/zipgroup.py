@@ -6,7 +6,7 @@ sizes by stratum label, and the Bruhat cell census.
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import product
 from math import prod
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
@@ -166,77 +166,13 @@ def zip_group_generators(ctx: FieldCtx, n: int) -> list[ZipGroupElem]:
     return gens
 
 
-def _unipotent_orbits(ctx: FieldCtx, n: int):
-    """The orbits of the invertible 2x2 matrices under x -> [[1, 0], [t, 1]] x
-    and x -> x [[1, t], [0, 1]], t in the F_p-basis of F_q: each matrix's
-    orbit id, each orbit's first member, size and label, and the ids by
-    determinant index.  Each member's label is checked."""
-    mul, add = ctx._mul, ctx._add
-    datum = CocharDatum.split(1, ctx.p)
-    ts = [ctx.p ** j for j in range(ctx.k)]  # the indices of 1, u, ..., u^(k-1)
-    lowers, uppers = [(1, 0, t, 1) for t in ts], [(1, t, 0, 1) for t in ts]
-    orbit_of: dict[Factor, int] = {}
-    reps, sizes, signs, by_det = [], [], [], {}
-    for start in product(range(ctx.q), repeat=4):
-        if start in orbit_of or not (det := det_2x2(start, ctx)):
-            continue
-        orbit_of[start] = len(reps)
-        members = [start]
-        for x in members:  # the list grows as the search finds new members
-            for y in chain((mul_2x2(low, x, mul, add) for low in lowers),
-                           (mul_2x2(x, up, mul, add) for up in uppers)):
-                if y not in orbit_of:
-                    orbit_of[y] = len(reps)
-                    members.append(y)
-        first: dict[int, Factor] = {}  # the first member carrying each label
-        for x in members:
-            first.setdefault(stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0], x)
-        if len(first) != 1:  # the U-orbit of (x, ..., x) in G holds (y, x, ..., x)
-            (sx, x), (sy, y) = first.items()
-            raise OrbitLabelError(len(members) ** n, (
-                (GroupElem.from_indices(ctx, (x,) * n), WeylElem.from_signs((sx,) * n)),
-                (GroupElem.from_indices(ctx, (y,) + (x,) * (n - 1)),
-                 WeylElem.from_signs((sy,) + (sx,) * (n - 1)))))
-        by_det.setdefault(det, []).append(len(reps))
-        reps.append(start)
-        sizes.append(len(members))
-        signs.append(next(iter(first)))
-    return orbit_of, reps, sizes, signs, by_det
-
-
-def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylElem, list[int]]:
-    """The orbit sizes of the Frobenius-coupled Borel pairs on G by stratum
-    label, in ``all_weyl_elems`` order, each list in decreasing order,
-    without enumerating G.
-
-    The pairs form E = U x| T (Pink, Wedhorn and Ziegler, *Algebraic zip
-    data*, Doc. Math. 16, 2011).  U, the lower unipotents on the left and the
-    upper ones on the right, has no coupling between factors, so its orbits
-    are products of one-factor U-orbits.  T, the coupled diagonal, permutes
-    them factor by factor, so an E-orbit is the union of the products over a
-    T-orbit of tuples of U-orbit ids, found by the standard orbit search
-    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*, 2005,
-    section 4.1).  z is the longest element in every factor, so a label is
-    the tuple of one-factor labels; a U-orbit or T-orbit whose labels differ
-    raises OrbitLabelError.
-    """
-    q = ctx.q
-    # |G| x |generators|, both in closed form, so a refusal builds nothing
-    refuse_above(bound, "orbit scan", q * (q * q - 1), n, (q - 1) * generator_count(ctx, n))
-    torus = [e for e in zip_group_generators(ctx, n)  # the pairs with no off-diagonal entry
-             if not any(f[1] or f[2] for f in e.a.index_factors + e.b.index_factors)]
-    orbit_of, reps, sizes, signs, by_det = _unipotent_orbits(ctx, n)
-    mul, add = ctx._mul, ctx._add
-    tuples = list(_equal_det_tuples(by_det, n))
-    index = {t: i for i, t in enumerate(tuples)}
-    moves = []  # each diagonal pair's action on tuple indices, factor by factor
-    for e in torus:
-        tables = [[orbit_of[mul_2x2(mul_2x2(a, r, mul, add), b_inv, mul, add)] for r in reps]
-                  for a, b_inv in zip(e.a.index_factors, e.b.inverse().index_factors)]
-        moves.append([index[tuple(map(list.__getitem__, tables, t))] for t in tuples])
-    seen = [False] * len(tuples)
-    out: dict[tuple[int, ...], list[int]] = {}  # orbit sizes by label signs
-    for start in range(len(tuples)):
+def _orbit_search(count: int, moves: list[list[int]]):
+    """Each orbit of 0, ..., count - 1 under the tabulated moves, in order of
+    least member, as its members in the order the standard orbit search
+    finds them (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005, section 4.1)."""
+    seen = [False] * count
+    for start in range(count):
         if seen[start]:
             continue
         seen[start] = True
@@ -246,8 +182,68 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
                 if not seen[j := move[m]]:
                     seen[j] = True
                     orbit.append(j)
+        yield orbit
+
+
+def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylElem, list[int]]:
+    """The orbit sizes of the Frobenius-coupled Borel pairs on G by stratum
+    label, in ``all_weyl_elems`` order, each list in decreasing order,
+    without enumerating G.
+
+    The pairs of ``zip_group_generators`` generate E = U x| T (Pink, Wedhorn
+    and Ziegler, *Algebraic zip data*, Doc. Math. 16, 2011).  U, generated by
+    the pairs with an off-diagonal entry, has no coupling between factors, so
+    its orbits are products of one-factor U-orbits.  T, the coupled diagonal,
+    permutes them factor by factor, so an E-orbit is the union of the
+    products over a T-orbit of tuples of U-orbit ids.  ``_orbit_search``
+    finds the orbits at both levels.  z is the longest element in every
+    factor, so a label is the tuple of one-factor labels; a U-orbit or
+    T-orbit whose labels differ raises OrbitLabelError.
+    """
+    q = ctx.q
+    # |G| x |generators|, both in closed form, so a refusal builds nothing
+    refuse_above(bound, "orbit scan", q * (q * q - 1), n, (q - 1) * generator_count(ctx, n))
+    mul, add = ctx._mul, ctx._add
+    pairs = [tuple(zip(e.a.index_factors, e.b.inverse().index_factors))  # (a, b^(-1)) by factor
+             for e in zip_group_generators(ctx, n)]
+    gl2 = [f for f in product(range(q), repeat=4) if det_2x2(f, ctx)]
+    position = {f: i for i, f in enumerate(gl2)}
+    u_moves = []  # factor 0's unipotents on gl2 positions; each is the identity on one side
+    for (a, b_inv), *_ in pairs:
+        if a[2]:
+            u_moves.append([position[mul_2x2(a, x, mul, add)] for x in gl2])
+        elif b_inv[1]:
+            u_moves.append([position[mul_2x2(x, b_inv, mul, add)] for x in gl2])
+    datum = CocharDatum.split(1, ctx.p)
+    # each matrix's U-orbit id; each U-orbit's first member, size and sign; ids by determinant
+    orbit_of, reps, sizes, signs, by_det = {}, [], [], [], {}
+    for members in _orbit_search(len(gl2), u_moves):
+        first: dict[int, Factor] = {}  # the first member carrying each label
+        for x in map(gl2.__getitem__, members):
+            orbit_of[x] = len(reps)
+            first.setdefault(stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0], x)
+        if len(first) != 1:  # the U-orbit of (x, ..., x) in G holds (y, x, ..., x)
+            (sx, x), (sy, y) = first.items()
+            raise OrbitLabelError(len(members) ** n, (
+                (GroupElem.from_indices(ctx, (x,) * n), WeylElem.from_signs((sx,) * n)),
+                (GroupElem.from_indices(ctx, (y,) + (x,) * (n - 1)),
+                 WeylElem.from_signs((sy,) + (sx,) * (n - 1)))))
+        reps.append(gl2[members[0]])
+        by_det.setdefault(det_2x2(reps[-1], ctx), []).append(len(sizes))
+        sizes.append(len(members))
+        signs.append(next(iter(first)))
+    tuples = list(_equal_det_tuples(by_det, n))
+    index = {t: i for i, t in enumerate(tuples)}
+    t_moves = []  # each diagonal pair's action on tuple indices, factor by factor
+    for e in pairs:
+        if not any(a[2] or b_inv[1] for a, b_inv in e):
+            tables = [[orbit_of[mul_2x2(mul_2x2(a, r, mul, add), b_inv, mul, add)] for r in reps]
+                      for a, b_inv in e]
+            t_moves.append([index[tuple(map(list.__getitem__, tables, t))] for t in tuples])
+    out: dict[tuple[int, ...], list[int]] = {}  # orbit sizes by label signs
+    for orbit in _orbit_search(len(tuples), t_moves):
         size = sum(prod(map(sizes.__getitem__, tuples[i])) for i in orbit)
-        first: dict[tuple[int, ...], int] = {}  # the first tuple carrying each label
+        first = {}  # the first tuple carrying each label
         for i in sorted(orbit):
             first.setdefault(tuple(map(signs.__getitem__, tuples[i])), i)
         if len(first) != 1:
