@@ -382,15 +382,18 @@ def test_orbit_label_inconsistency_along_the_torus_exits_1(capsys, monkeypatch):
     assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
 
 
-@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2)])
+@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 2, 1)])
 def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # one label per invertible 2x2 matrix, one visit per tuple of U-orbit
     # ids of one determinant (q - 1 orbits of size q^2 and q - 1 of size q
-    # per determinant), and G is never enumerated
+    # per determinant), one generating set, one product per matrix and
+    # unipotent of one factor, two per U-orbit, factor and diagonal pair,
+    # and G is never enumerated.  census does none of this work
     import hilbhasse.cli as cli_mod
     import hilbhasse.zipgroup as zipgroup_mod
-    counts = {"labels": 0, "tuples": 0}
+    counts = {"labels": 0, "tuples": 0, "generators": 0, "products": 0}
     real_label, real_tuples = zipgroup_mod.stratum_label, zipgroup_mod._equal_det_tuples
+    real_generators, real_mul = zipgroup_mod.zip_group_generators, zipgroup_mod.mul_2x2
 
     def counted_label(g, datum):
         counts["labels"] += 1
@@ -401,19 +404,32 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
             counts["tuples"] += 1
             yield t
 
+    def counted_generators(ctx, n):
+        counts["generators"] += 1
+        return real_generators(ctx, n)
+
+    def counted_mul(x, y, mul, add):
+        counts["products"] += 1
+        return real_mul(x, y, mul, add)
+
     def unexpected(*args, **kwargs):
         raise AssertionError("G enumerated")
 
     monkeypatch.setattr(zipgroup_mod, "stratum_label", counted_label)
     monkeypatch.setattr(zipgroup_mod, "_equal_det_tuples", counted_tuples)
+    monkeypatch.setattr(zipgroup_mod, "zip_group_generators", counted_generators)
+    monkeypatch.setattr(zipgroup_mod, "mul_2x2", counted_mul)
     monkeypatch.setattr(cli_mod, "enumerate_G", unexpected)
     monkeypatch.setattr(zipgroup_mod, "enumerate_G", unexpected)
+    q = p ** k
+    gl2 = (q - 1) * q * (q * q - 1)
+    expected = {"labels": gl2, "tuples": (q - 1) * (2 * (q - 1)) ** n, "generators": 1,
+                "products": 2 * k * gl2 + (q > 2) * 4 * n * (n + 1) * (q - 1) ** 2}
     for command in ("orbits", "census"):
         code, out, err = _run_in_process(capsys, [command, "--p", str(p), "--k", str(k),
                                                   "--n", str(n)])
         assert (code, err) == (0, ""), command
-    q = p ** k
-    assert counts == {"labels": (q - 1) * q * (q * q - 1), "tuples": (q - 1) * (2 * (q - 1)) ** n}
+        assert counts == expected, command
 
 
 def test_census_json(capsys):

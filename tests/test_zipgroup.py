@@ -248,15 +248,38 @@ def test_generator_orbits_equal_full_group_orbits(p, k, n):
             == orbit_partition(g_list, enumerate_E(ctx, n)))
 
 
+def exhaustive_sizes(ctx, n, gens):
+    """The orbit sizes by label, in decreasing order, from the orbit search
+    over all of G under the given pairs."""
+    partition = orbit_partition(enumerate_G(ctx, n), gens)
+    return {w: sorted(map(len, classes), reverse=True)
+            for w, classes in partition.by_label().items()}
+
+
 @pytest.mark.parametrize("p,k,n", ORBIT_SCALE + [(5, 1, 2), (3, 1, 3)])
 def test_orbit_sizes_equal_the_exhaustive_partition(p, k, n):
     # the factor scan and the torus search against the orbit search over all
     # of G, label by label, orbit size by orbit size
     ctx = FieldCtx(p, k)
-    partition = orbit_partition(enumerate_G(ctx, n), zip_group_generators(ctx, n))
-    expected = {w: sorted(map(len, classes), reverse=True)
-                for w, classes in partition.by_label().items()}
-    assert orbits(ctx, n) == expected
+    assert orbits(ctx, n) == exhaustive_sizes(ctx, n, zip_group_generators(ctx, n))
+
+
+@pytest.mark.parametrize("side, entry", [("b", 1), ("a", 2)])
+@pytest.mark.parametrize("p,k,n", GENERATOR_SCALE)
+def test_orbits_follow_the_generating_set(monkeypatch, p, k, n, side, entry):
+    # orbits reads every move from zip_group_generators, so without the
+    # pairs whose b (or a) has an off-diagonal entry it finds the orbits of
+    # the smaller group that the rest generate
+    import hilbhasse.zipgroup as zipgroup_mod
+    real = zipgroup_mod.zip_group_generators
+
+    def patched(ctx, n):
+        return [e for e in real(ctx, n)
+                if not any(f[entry] for f in getattr(e, side).index_factors)]
+
+    monkeypatch.setattr(zipgroup_mod, "zip_group_generators", patched)
+    ctx = FieldCtx(p, k)
+    assert orbits(ctx, n) == exhaustive_sizes(ctx, n, patched(ctx, n))
 
 
 def powers(e):
