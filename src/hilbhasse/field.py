@@ -68,16 +68,17 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     Irreducibility is decided by trial division against every monic
-    polynomial of degree 1 .. k//2, which is exhaustive at this scale.
+    irreducible of degree 1 .. k//2, which is exhaustive at this scale; those
+    divisors are found first, by the same test in increasing degree.
     """
-    divisors = []
-    for d in range(1, k // 2 + 1):
+    divisors: list[list[int]] = []
+    for d in [*range(1, k // 2 + 1), k]:
         for low in product(range(p), repeat=d):
-            divisors.append(list(low) + [1])
-    for low in product(range(p), repeat=k):
-        candidate = list(low) + [1]
-        if all(_poly_rem(candidate, div, p) for div in divisors):
-            return tuple(candidate)
+            candidate = list(low) + [1]
+            if all(_poly_rem(candidate, div, p) for div in divisors if 2 * len(div) - 2 <= d):
+                if d == k:
+                    return tuple(candidate)
+                divisors.append(candidate)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import cache
 from itertools import product
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
@@ -95,29 +96,30 @@ class MultiPoly:
 
 class PointP1n:
     """A point of the n-fold product of projective lines, one normalized
-    pair per factor (first nonzero coordinate scaled to 1)."""
+    pair per factor (first nonzero coordinate scaled to 1), held as element
+    indices in ``index_coords``; ``coords`` gives the pairs as field elements."""
 
-    __slots__ = ("ctx", "coords")
+    __slots__ = ("ctx", "index_coords")
 
     def __init__(self, ctx: FieldCtx, pairs: Sequence[Sequence]):
-        elems = ctx._elems
-        coords = []
-        for u, v in pairs:
-            a, b = normalized_index_pair(ctx, u, v)
-            coords.append((elems[a], elems[b]))
         self.ctx = ctx
-        self.coords = tuple(coords)
+        self.index_coords = tuple([normalized_index_pair(ctx, u, v) for u, v in pairs])
 
     @property
     def n(self) -> int:
-        return len(self.coords)
+        return len(self.index_coords)
+
+    @property
+    def coords(self) -> tuple[tuple[FieldElem, FieldElem], ...]:
+        e = self.ctx._elems
+        return tuple([(e[a], e[b]) for a, b in self.index_coords])
 
     def __eq__(self, other):
         return (isinstance(other, PointP1n) and self.ctx == other.ctx
-                and self.coords == other.coords)
+                and self.index_coords == other.index_coords)
 
     def __hash__(self):
-        return hash((self.ctx, self.coords))
+        return hash((self.ctx, self.index_coords))
 
     def __repr__(self):
         body = "; ".join(f"[{u!r}:{v!r}]" for u, v in self.coords)
@@ -340,9 +342,12 @@ def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:
 # -- vanishing orders ------------------------------------------------------------
 
 
-def _binomial_row(ctx: FieldCtx, v: int, d: int) -> list[tuple[int, int]]:
+@cache
+def _binomial_row(ctx: FieldCtx, v: int, d: int) -> tuple[tuple[int, int], ...]:
     """The nonzero terms (j, C(d, j) v^(d-j)) of (v + w)^d as coefficient
-    indices.  C(d, j) is reduced mod p: the prime-field element c has index c."""
+    indices.  C(d, j) is reduced mod p: the prime-field element c has index c.
+    Memoized for the process: the keys are bounded by the contexts built
+    times their q element indices v times the degrees d of the sections seen."""
     mul, p = ctx._mul, ctx.p
     row = []
     power = 1  # v^(d-j) as j runs down from d
@@ -351,7 +356,7 @@ def _binomial_row(ctx: FieldCtx, v: int, d: int) -> list[tuple[int, int]]:
         if c:
             row.append((j, c))
         power = mul[power][v]
-    return row
+    return tuple(row)
 
 
 def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
@@ -375,15 +380,15 @@ def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
     restricted: dict[tuple[int, ...], int] = {}
     for exps, coeff in f.terms.items():
         # chart x0 != 0: x0 -> 1, x1 -> v + w; chart x1 != 0: x0 -> w, x1 -> 1
-        rows = [_binomial_row(ctx, v.index, d1) if u else [(d0, 1)]
-                for (d0, d1), (u, v) in zip(exps, pt.coords)]
+        rows = [_binomial_row(ctx, v, d1) if u else ((d0, 1),)
+                for (d0, d1), (u, v) in zip(exps, pt.index_coords)]
         for choice in product(*rows):
             c = coeff
             for _, b in choice:
                 c = mul[c][b]
             e = tuple([j for j, _ in choice])
             restricted[e] = add[restricted.get(e, 0)][c]
-    return min((sum(e) for e, c in restricted.items() if c), default=INFINITE_ORDER)
+    return min([sum(e) for e, c in restricted.items() if c], default=INFINITE_ORDER)
 
 
 def vanishing_order_on_stratum(f: MultiPoly, w: WeylElem):
@@ -402,10 +407,11 @@ def vanishing_order_on_stratum(f: MultiPoly, w: WeylElem):
         raise ValueError("sign vector and polynomial are incompatible")
     add = f.ctx._add
     signs = w.signs
-    restricted: dict[tuple[int, ...], int] = {}
+    restricted: dict[tuple[int, ...], list[int]] = {}  # key -> [coefficient, s-degree]
     for exps, coeff in f.terms.items():
-        e = tuple(d1 if sign == -1 else d0 for (d0, d1), sign in zip(exps, signs))
-        restricted[e] = add[restricted.get(e, 0)][coeff]
-    normal = [i for i, sign in enumerate(signs) if sign == 1]
-    return min((sum([e[i] for i in normal]) for e, c in restricted.items() if c),
-               default=INFINITE_ORDER)
+        e = tuple([d1 if sign == -1 else d0 for (d0, d1), sign in zip(exps, signs)])
+        if (entry := restricted.get(e)) is not None:
+            entry[0] = add[entry[0]][coeff]
+        else:
+            restricted[e] = [coeff, sum([d0 for (d0, _), sign in zip(exps, signs) if sign == 1])]
+    return min([s for c, s in restricted.values() if c], default=INFINITE_ORDER)

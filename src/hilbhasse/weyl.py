@@ -74,7 +74,7 @@ class WeylElem:
         return self  # every sign vector is an involution
 
     def to_string(self) -> str:
-        return "".join("+" if s > 0 else "-" for s in self.signs)
+        return "".join(["+" if s > 0 else "-" for s in self.signs])
 
     def __eq__(self, other):
         return isinstance(other, WeylElem) and self.signs == other.signs

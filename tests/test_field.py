@@ -131,6 +131,31 @@ def test_table_build_makes_no_polynomial_product(monkeypatch):
     assert not hasattr(field, "_poly_mul")
 
 
+def test_modulus_search_divides_by_irreducibles_only(monkeypatch):
+    # F_256's search trial-divides by the 8 monic irreducibles of degree 1..4
+    # over F_2, not by all 30 monic polynomials of those degrees, and makes
+    # fewer _poly_rem calls than the 260 of a search by all 30
+    from itertools import product
+
+    from hilbhasse import field
+    modulus = FieldCtx(2, 8).modulus
+    poly_rem, divisors = field._poly_rem, []
+
+    def counted_rem(a, monic, p):
+        divisors.append(tuple(monic))
+        return poly_rem(a, monic, p)
+
+    def monic(d):
+        return [low + (1,) for low in product((0, 1), repeat=d)]
+
+    monkeypatch.setattr(field, "_poly_rem", counted_rem)
+    assert field._smallest_irreducible(2, 8) == modulus
+    irreducible = {f for d in range(1, 5) for f in monic(d)
+                   if all(poly_divmod(f, g, 2)[1] for e in range(1, d // 2 + 1) for g in monic(e))}
+    assert len(irreducible) == 8 and set(divisors) == irreducible
+    assert len(divisors) < 260
+
+
 def test_addition_in_characteristic_two(F2):
     assert F2(1) + F2(1) == F2(0)
 

@@ -1,6 +1,7 @@
 """The package's public names, and the imports of its modules."""
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,18 @@ import hilbhasse
 
 MODULES = sorted(p for p in Path(hilbhasse.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+
+# Every memo in src/ that lives as long as the process (a function decorated
+# with functools.cache or lru_cache), with what bounds its keys.  A memo that
+# is not listed here, or a listed one that is gone, fails the test below.
+MEMOS = {
+    "cli.build_parser": "no argument: one parser",
+    "cli._command_parser": "one parser per command name, six in all",
+    "linalg._colex_ranks": "one table per wedge rank n asked for",
+    "linalg.induced_filtration": "the n-dim subspaces of F^(2n) passed, times n + 1 levels",
+    "schubert._binomial_row": "contexts built x their q indices v x the section degrees d seen",
+}
+MEMO_WRAPPERS = {"cache", "lru_cache"}
 
 
 def test_every_public_name_resolves_once():
@@ -42,6 +55,34 @@ def test_every_import_is_used_or_marked(path):
             assert unused, f"{where} is marked but imports no unused name"
         else:
             assert not unused, f"{where} imports {unused} and never reads them"
+
+
+def _wrapper_names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))} & MEMO_WRAPPERS
+
+
+def test_every_memo_is_listed_with_its_key_bound():
+    # a memo is a function decorated with cache or lru_cache; any other use
+    # of either name would make a memo this scan cannot name, so it fails too
+    found, stray = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        in_decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if _wrapper_names(dec):
+                        found.append(f"{path.stem}.{node.name}")
+                        in_decorators.update(map(id, ast.walk(dec)))
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute)) and _wrapper_names(node)
+                  and id(node) not in in_decorators]
+    assert (sorted(found), stray) == (sorted(MEMOS), [])
+    for name in MEMOS:
+        module, attr = name.split(".")
+        memo = getattr(importlib.import_module(f"hilbhasse.{module}"), attr)
+        assert callable(memo.cache_info) and callable(memo.cache_clear), name
 
 
 def test_cli_import_loads_no_dataclass_or_typing_machinery():

@@ -12,6 +12,7 @@ example.  Zip JSON round-trips and the zip-check exit-code contract on
 fuzzed input are checked here too, and so is the exit-code contract of all
 six commands on fuzzed argv."""
 
+import copy
 import io
 import json
 import os
@@ -30,8 +31,8 @@ from hilbhasse.cli import _COMMANDS, _factors_json, main
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
 from hilbhasse.linalg import Subspace, _wedge_terms, induced_filtration, wedge_of_lines
 from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, hasse_section,
-                                projective_line_reps, stratum_label, vanishing_order_at_point,
-                                vanishing_order_on_stratum)
+                                normalized_index_pair, projective_line_reps, stratum_label,
+                                vanishing_order_at_point, vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, all_weyl_elems
 from hilbhasse.zipgroup import ZipGroupElem, zip_act
 from hilbhasse.zips import (HilbertZip, line_in_block, max_hodge_level, zip_from_json_obj,
@@ -732,6 +733,27 @@ def test_point_coords_are_the_normalized_pairs(case):
     assert PointP1n(ctx, pairs).coords == tuple(expected)
     with pytest.raises(ValueError):
         PointP1n(ctx, pairs + [(0, [0])])
+
+
+@PROPERTY
+@given(point_pairs())
+@example((F256, [(F256.gen(), [1, 1]), ([0, 0, 0], 3), (-1, 0)]))
+def test_point_holds_the_normalized_index_pairs(case):
+    # the index pairs are the point; the elements, repr and copies are read
+    # off them and give what they gave when the point held elements
+    ctx, pairs = case
+    one, zero = ctx.one(), ctx.zero()
+    pt = PointP1n(ctx, pairs)
+    assert pt.index_coords == tuple(normalized_index_pair(ctx, u, v) for u, v in pairs)
+    again = PointP1n(ctx, pt.coords)
+    assert again == pt and hash(again) == hash(pt)
+    shown = []
+    for u, v in pairs:
+        u, v = ctx(u), ctx(v)
+        shown.append(f"[{one!r}:{v * u.inverse()!r}]" if u else f"[{zero!r}:{one!r}]")
+    assert repr(pt) == f"PointP1n({'; '.join(shown)})"
+    copied = copy.deepcopy(pt)
+    assert copied == pt and copied.ctx is ctx and repr(copied) == repr(pt)
 
 
 @PROPERTY

@@ -14,7 +14,7 @@ from hilbhasse.schubert import (INFINITE_ORDER, GroupElem, MultiPoly, PointP1n,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
                             hodge_character, weyl_act)
-from oracles import mat_mul_2x2
+from oracles import chart_order_at_point, mat_mul_2x2
 
 
 def borel_elements(ctx):
@@ -219,6 +219,29 @@ def test_order_at_point_sums_before_dropping_zeros(F3):
     # x11 - x10 at [1 : 1]: (1 + w) - 1 = w, the constants cancel
     f = MultiPoly(F3, 1, {((0, 1),): 1, ((1, 0),): -1})
     assert vanishing_order_at_point(f, PointP1n(F3, [(1, 1)])) == 1
+
+
+def test_chart_row_memo_is_keyed_by_field_and_degree():
+    # x11^d - v^d x10^d at [1 : v] restricts to (v + w)^d - v^d, of order the
+    # least j >= 1 with C(d, j) != 0 mod p: the chart rows of one v index
+    # differ between fields of different p, and within one field with d
+    import hilbhasse.schubert as schubert_mod
+    schubert_mod._binomial_row.cache_clear()
+    orders = {}
+    for d in (2, 3, 4):
+        for ctx in (FieldCtx(2), FieldCtx(3), FieldCtx(2, 2)):
+            for v in range(1, min(ctx.q, 3)):
+                c = ctx.from_index(v)
+                f = MultiPoly(ctx, 1, {((0, d),): 1, ((d, 0),): -(c ** d)})
+                pt = PointP1n(ctx, [(1, c)])
+                orders[ctx.q, v, d] = vanishing_order_at_point(f, pt)
+                assert orders[ctx.q, v, d] == chart_order_at_point(f, pt), (ctx, v, d)
+    assert [orders[q, 1, d] for q in (2, 3, 4) for d in (2, 3, 4)] == [2, 1, 4, 1, 3, 1, 2, 1, 4]
+
+
+def test_points_of_different_fields_differ(F2, F4):
+    assert PointP1n(F2, [(1, 1)]).index_coords == PointP1n(F4, [(1, 1)]).index_coords
+    assert PointP1n(F2, [(1, 1)]) != PointP1n(F4, [(1, 1)])
 
 
 def test_order_on_stratum_of_a_cancelling_restriction(F2):

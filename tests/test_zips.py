@@ -9,13 +9,15 @@ from itertools import product
 
 import pytest
 
+import hilbhasse.cli as cli_mod
 import hilbhasse.linalg as linalg_mod
+import hilbhasse.schubert as schubert_mod
 import hilbhasse.zips as zips_mod
 from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace
-from hilbhasse.schubert import (PointP1n, hasse_section, vanishing_order_at_point,
+from hilbhasse.schubert import (PointP1n, all_points, hasse_section, vanishing_order_at_point,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import WeylElem
 from hilbhasse.zips import (HilbertZip, ZipReport, block_line_reps, check_equivalence,
@@ -186,22 +188,23 @@ def test_stored_and_parsed_levels_are_the_wedge_level(p, k, n):
         assert z._level == max_hodge_level(fresh) == wedge_level(z), zip_to_json_obj(z)
 
 
+def count_calls(monkeypatch, counts, owner, name):
+    """Patch ``owner.name`` to add one to ``counts[name]`` per call."""
+    fn = getattr(owner, name)
+
+    def wrapper(*args):
+        counts[name] += 1
+        return fn(*args)
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 @pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
 def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # one block level per (block, Omega_i, candidate C line), and no wedge,
     # neither in the sweep nor in a zip-check request
     counts = {"_block_level": 0, "_wedge_terms": 0}
-
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(zips_mod, "_block_level")
-    counted(linalg_mod, "_wedge_terms")
+    count_calls(monkeypatch, counts, zips_mod, "_block_level")
+    count_calls(monkeypatch, counts, linalg_mod, "_wedge_terms")
     ctx = FieldCtx(p, k)
     s = ctx.q + 1
     zips = list(enumerate_zips(ctx, n))
@@ -212,6 +215,26 @@ def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     assert main(["zip-check"]) == 0
     assert capsys.readouterr().out.endswith(f"\t{n}\t{n}\t1\n")
     assert counts == {"_block_level": n, "_wedge_terms": 0}
+
+
+@pytest.mark.parametrize("p, k, n", [(2, 1, 8), (3, 1, 4), (2, 2, 3)])
+def test_order_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
+    # strata-table takes one order and writes one word per sign vector; the
+    # orders of the Hasse section at all (q+1)^n points ask for one chart row
+    # per factor off [0 : 1], and build each of the q rows (v, 0) once
+    counts = {"vanishing_order_on_stratum": 0, "to_string": 0}
+    count_calls(monkeypatch, counts, cli_mod, "vanishing_order_on_stratum")
+    count_calls(monkeypatch, counts, WeylElem, "to_string")
+    assert main(["strata-table", "--p", str(p), "--k", str(k), "--n", str(n)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 ** n
+    assert counts == {"vanishing_order_on_stratum": 2 ** n, "to_string": 2 ** n}
+    ctx = FieldCtx(p, k)
+    q, h = ctx.q, hasse_section(ctx, n)
+    schubert_mod._binomial_row.cache_clear()
+    for pt in all_points(ctx, n):
+        vanishing_order_at_point(h, pt)
+    rows = schubert_mod._binomial_row.cache_info()
+    assert (rows.misses, rows.hits + rows.misses) == (q, n * q * (q + 1) ** (n - 1))
 
 
 def test_monotone_flag_flip_at_small_scale(zip_reports):
