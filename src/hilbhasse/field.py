@@ -74,6 +74,8 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     divisors: list[list[int]] = []
     for d in [*range(1, k // 2 + 1), k]:
         for low in product(range(p), repeat=d):
+            if d > 1 and not low[0]:
+                continue  # x divides it
             candidate = list(low) + [1]
             if all(_poly_rem(candidate, div, p) for div in divisors if 2 * len(div) - 2 <= d):
                 if d == k:

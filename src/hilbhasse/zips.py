@@ -4,14 +4,14 @@ it supports.
 A zip here is the block-line datum extracted from the first de Rham
 cohomology of a point: the ambient 2n-dimensional space splits into n blocks
 of dimension 2, block i holding a Hodge line Omega_i and a conjugate line
-C_i.  The partial Hasse flag at i records whether the two lines coincide;
-the total Hasse order is the flag count.  Independently, the conjugate lines
-wedge to a line of the n-th exterior power, whose largest filtration level
-with respect to the induced filtration of Omega is the Hodge level.  On a
-block zip that wedge is the tensor product of the n block lines, so its
-level is the sum of one-block levels: block i gives 1 iff C_i has no
-residual modulo Omega_i.  The consistency of the two numbers is the content
-of the equivalence check.
+C_i, each as its normalized element-index pair (1, t) or (0, 1).  The
+partial Hasse flag at i records whether the two lines coincide; the total
+Hasse order is the flag count.  Independently, the conjugate lines wedge to a
+line of the n-th exterior power, whose largest filtration level with respect
+to the induced filtration of Omega is the Hodge level.  On a block zip that
+wedge is the tensor product of the n block lines, so its level is the sum of
+one-block levels: block i gives 1 iff C_i lies in Omega_i.  The consistency
+of the two numbers is the content of the equivalence check.
 """
 
 from __future__ import annotations
@@ -25,22 +25,16 @@ from .linalg import Subspace
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .record import FrozenRecord
-from .schubert import normalized_index_pair, projective_line_reps
+from .schubert import det_2x2, normalized_index_pair
 
 
 def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspace:
     """The line of F^(2n) spanned by a nonzero 2-vector placed in the given
-    block."""
+    block, with its pivot at the block's first nonzero coordinate."""
     if not 0 <= block < n:
         raise ValueError("block index out of range")
     x, y = local
-    return _placed(ctx, n, block, normalized_index_pair(ctx, x, y))
-
-
-def _placed(ctx: FieldCtx, n: int, block: int, pair: tuple[int, int]) -> Subspace:
-    """A normalized index pair placed alone in its block: the line's reduced
-    row echelon basis, with the pivot at the block's first nonzero coordinate."""
-    a, b = pair
+    a, b = normalized_index_pair(ctx, x, y)
     vec = [0] * (2 * n)
     vec[2 * block], vec[2 * block + 1] = a, b
     return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
@@ -48,7 +42,7 @@ def _placed(ctx: FieldCtx, n: int, block: int, pair: tuple[int, int]) -> Subspac
 
 class HilbertZip(FrozenRecord):
     """Block-line zip datum: context, degree, Hodge lines and conjugate
-    lines (line i supported in coordinates {2i, 2i+1}).
+    lines, line i of each the normalized index pair of its point in block i.
 
     ``enumerate_zips`` stores on each zip the Hodge level it computed from
     lines equal to the zip's own; ``max_hodge_level`` reads it, or computes
@@ -58,48 +52,33 @@ class HilbertZip(FrozenRecord):
     _fields = ("ctx", "n", "omega", "conj")
     _level = None  # not a field: equality, hash and repr ignore it
 
-    def __init__(self, ctx: FieldCtx, n: int, omega: Sequence[Subspace], conj: Sequence[Subspace]):
+    def __init__(self, ctx: FieldCtx, n: int, omega: Sequence[tuple], conj: Sequence[tuple]):
         self.__dict__.update(ctx=ctx, n=n, omega=tuple(omega), conj=tuple(conj))
-        for name, lines in (("omega", self.omega), ("conj", self.conj)):
-            if len(lines) != n:
+        for name, pairs in (("omega", self.omega), ("conj", self.conj)):
+            if len(pairs) != n:
                 raise ValueError(f"{name} must hold {n} lines")
-            for i, line in enumerate(lines):
-                _check_line(ctx, n, i, line, f"{name}[{i}]")
+            for i, pair in enumerate(pairs):
+                if type(pair) is not tuple or len(pair) != 2:
+                    raise ValueError(f"{name}[{i}] = {pair!r} is not a 2-tuple")
+                if not all(type(x) is int and 0 <= x < ctx.q for x in pair):  # no bool passes
+                    raise ValueError(f"{name}[{i}] = {pair!r} is not two ints in range({ctx.q})")
+                if pair[0] != 1 and pair != (0, 1):
+                    raise ValueError(f"{name}[{i}] = {pair} is not normalized to (1, t) or (0, 1)")
 
     @classmethod
     def _of_checked_lines(cls, ctx: FieldCtx, n: int, omega: tuple, conj: tuple,
                           level: int | None = None) -> "HilbertZip":
-        """The zip of line tuples that ``_check_line`` passed or ``_placed``
-        put in their blocks, with no check run again and ``level`` (computed
-        from lines equal to these, or None) stored as given."""
+        """The zip of pair tuples the constructor would pass, unchecked, with
+        ``level`` (computed from lines equal to these, or None) stored as given."""
         z = object.__new__(cls)
         z.__dict__.update(ctx=ctx, n=n, omega=omega, conj=conj, _level=level)
         return z
 
-    @property
-    def hodge(self) -> Subspace:
-        """The total Hodge subspace: the span of the Omega lines.  Each line's
-        basis row is normalized at its pivot and the supports are disjoint, so
-        the rows stacked in block order are already the span's reduced row
-        echelon basis."""
-        return Subspace(self.ctx, 2 * self.n, tuple(line.index_basis[0] for line in self.omega),
-                        tuple(line.pivots[0] for line in self.omega))
-
-
-def _check_line(ctx: FieldCtx, n: int, i: int, line: Subspace, name: str):
-    """Raise ValueError unless ``line`` is a line of F^(2n) over ``ctx`` in block i."""
-    if line.ctx != ctx or line.ambient_dim != 2 * n or line.dim != 1:
-        raise ValueError(f"{name} is not a line of the ambient space")
-    row = line.index_basis[0]
-    if any(row[:2 * i]) or any(row[2 * i + 2:]):
-        raise ValueError(f"{name} is not supported in block {i}")
-
 
 def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
-    """Flag i is set iff the conjugate line equals the Hodge line in block i.
-    The lines of a zip share its context and ambient space (``_check_line``,
-    ``line_in_block``), so their canonical bases decide equality."""
-    return tuple([c.index_basis == o.index_basis for c, o in zip(z.conj, z.omega)])
+    """Flag i is set iff the conjugate line equals the Hodge line in block i;
+    two normalized pairs are equal iff their lines are."""
+    return tuple([c == o for c, o in zip(z.conj, z.omega)])
 
 
 def hasse_order(z: HilbertZip) -> int:
@@ -107,10 +86,10 @@ def hasse_order(z: HilbertZip) -> int:
     return sum(partial_hasse_flags(z))
 
 
-def _block_level(omega_i: Subspace, c_i: Subspace) -> int:
-    """The Hodge level of one block: 1 iff C_i has no residual modulo
-    Omega_i, else 0."""
-    return int(not any(omega_i.reduce(c_i.index_basis[0])))
+def _block_level(ctx: FieldCtx, omega_i: tuple, c_i: tuple) -> int:
+    """The Hodge level of one block: 1 iff C_i lies in Omega_i, that is iff
+    the 2x2 matrix of their pairs is singular, else 0."""
+    return int(not det_2x2(omega_i + c_i, ctx))
 
 
 def max_hodge_level(z: HilbertZip) -> int:
@@ -120,7 +99,7 @@ def max_hodge_level(z: HilbertZip) -> int:
     ``enumerate_zips`` stored, if any."""
     if z._level is not None:
         return z._level
-    return sum(map(_block_level, z.omega, z.conj))
+    return sum([_block_level(z.ctx, o, c) for o, c in zip(z.omega, z.conj)])
 
 
 class ZipReport(FrozenRecord):
@@ -158,28 +137,21 @@ def check_equivalence(z: HilbertZip) -> ZipReport:
     return ZipReport(partial_hasse_flags(z), max_hodge_level(z))
 
 
-def block_line_reps(ctx: FieldCtx, n: int, block: int) -> list[Subspace]:
-    """All q+1 lines of one block, in deterministic order."""
-    return [line_in_block(ctx, n, block, pair) for pair in projective_line_reps(ctx)]
-
-
 def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[HilbertZip]:
     """Yield every (Omega, C) line configuration, (q+1)^(2n) in total, in
-    lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n).
+    lexicographic order over (Omega_1, ..., Omega_n, C_1, ..., C_n), each
+    over the pairs (1, t) for t in element order, then (0, 1).
 
-    ``line_in_block`` puts each candidate line in its block, so no line is
-    checked again.  Each zip stores its level, the sum of its block levels;
-    ``_block_level`` runs once per (block, Omega_i, C_i), n(q+1)^2 times in
-    all.
+    Each zip stores its level, the sum of its block levels.  Every block has
+    the same q+1 pairs, so ``_block_level`` runs (q+1)^2 times in all.
     """
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
-    per_block = [block_line_reps(ctx, n, i) for i in range(n)]
-    # per block, each Omega_i with its candidate C lines and their block levels
-    tables = [[(o, [(c, _block_level(o, c)) for c in lines]) for o in lines]
-              for lines in per_block]
-    for choice in product(*tables):
+    lines = [(1, t) for t in range(ctx.q)] + [(0, 1)]
+    # each Omega_i with its candidate C lines and their block levels
+    table = [(o, [(c, _block_level(ctx, o, c)) for c in lines]) for o in lines]
+    for choice in product(table, repeat=n):
         omega, candidates = zip(*choice)
         for pairs in product(*candidates):
             conj, levels = zip(*pairs)
@@ -189,15 +161,14 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
 # -- serialization ---------------------------------------------------------------
 
 
-def _line_to_json(line: Subspace, block: int) -> list:
-    row = line.basis[0]
-    return [row[2 * block].to_list(), row[2 * block + 1].to_list()]
+def _line_to_json(ctx: FieldCtx, pair: tuple) -> list:
+    return [ctx.from_index(x).to_list() for x in pair]
 
 
 def zip_to_json_obj(z: HilbertZip) -> dict:
     return {"p": z.ctx.p, "k": z.ctx.k, "n": z.n,
-            "omega": [_line_to_json(line, i) for i, line in enumerate(z.omega)],
-            "conj": [_line_to_json(line, i) for i, line in enumerate(z.conj)]}
+            "omega": [_line_to_json(z.ctx, pair) for pair in z.omega],
+            "conj": [_line_to_json(z.ctx, pair) for pair in z.conj]}
 
 
 def _check_lines(name: str, lines, n: int):
@@ -214,13 +185,13 @@ def _check_lines(name: str, lines, n: int):
 
 def zip_from_json_obj(obj: dict) -> HilbertZip:
     """Parse {"p", "k", "n", "omega", "conj"}; each line is a pair of field
-    elements given as coefficient arrays (plain ints also accepted).
+    elements given as coefficient arrays (plain ints also accepted), kept as
+    its normalized index pair, so the parse is linear in n.
 
     Any departure from that schema raises ValueError; keys outside it are
     ignored.  A valid zip with 2^n above ``DEFAULT_ENUM_BOUND`` (n >= 20)
-    raises BoundExceededError before its 2n lines of 2n coordinates, a build
-    quadratic in n, are placed.  The refusal keeps the name the CLI's
-    pinned output gives it, "conjugate-wedge expansion".
+    still raises BoundExceededError under the name the CLI's pinned output
+    gives it, "conjugate-wedge expansion", which keeps zip-check's exit codes.
     """
     if not isinstance(obj, dict):
         raise ValueError("a zip must be a JSON object")
@@ -237,8 +208,6 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     _check_lines("conj", obj["conj"], n)
     ctx = FieldCtx(p, k)
     pairs = [normalized_index_pair(ctx, x, y) for x, y in obj["omega"] + obj["conj"]]
-    # bounds the quadratic line build below (an n = 4,000 file once took 507 MB)
     refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
-    # _check_lines counted n lines of each kind; line i of each goes in block i
-    lines = [_placed(ctx, n, i % n, pair) for i, pair in enumerate(pairs)]
-    return HilbertZip._of_checked_lines(ctx, n, tuple(lines[:n]), tuple(lines[n:]))
+    # _check_lines counted n lines of each kind
+    return HilbertZip._of_checked_lines(ctx, n, tuple(pairs[:n]), tuple(pairs[n:]))

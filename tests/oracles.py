@@ -13,21 +13,24 @@ polynomials are schoolbook sums on FieldElem term dicts.
 Two are references rather than independent paths.  One is the Hodge level
 as the definition gives it, the least pivot count over the terms of the
 wedge of adapted rows, on the library's wedge kernel (which the tests check
-against cofactor minors); the program sums one-block levels instead.  The
-other is the orbit partition of the whole enumerated group under the acting
-pairs, on the library's integer 2x2 products; the program searches one
-factor's unipotent orbits and then the coupled torus instead.
+against cofactor minors), with a zip's lines placed in F^(2n) by
+``line_in_block`` (``hodge_span``, ``conj_rows``); the program takes one 2x2
+determinant per block instead.  The other is the orbit partition of the
+whole enumerated group under the acting pairs, on the library's integer 2x2
+products; the program searches one factor's unipotent orbits and then the
+coupled torus instead.
 """
 
 from collections import Counter
 from functools import cache
 from itertools import chain, combinations
 
-from hilbhasse.linalg import _wedge_terms
+from hilbhasse.linalg import Subspace, _wedge_terms
 from hilbhasse.record import FrozenRecord
 from hilbhasse.schubert import GroupElem, bruhat_signs, mul_2x2, stratum_label
 from hilbhasse.weyl import CocharDatum, WeylElem
 from hilbhasse.zipgroup import OrbitLabelError, enumerate_G
+from hilbhasse.zips import line_in_block
 
 
 def poly_divmod(a, b, p):
@@ -171,15 +174,37 @@ def filtration_level(omega, rows):
     return least_pivot_count(sum(1 << p for p in omega.pivots), terms, n)
 
 
-def block_point_and_sign(ctx, omega_line, conj_line, i):
-    """Block i of a zip as a point of P^1 and a sign, from the block
-    coordinates (a, b) of omega_i and (x, y) of c_i on the field's tables:
-    the pair [det(c_i, omega_i) : det(e_i, c_i)], where e_i is the first
-    standard vector of the block off Omega_i, and the sign +1 iff
-    det(c_i, omega_i) = 0.  Nothing here reads the Hasse flags."""
+def _block_lines(z, pairs):
+    """Line i of ``pairs`` placed in block i of F^(2n) by ``line_in_block``."""
+    ctx = z.ctx
+    return [line_in_block(ctx, z.n, i, [ctx.from_index(x) for x in pair])
+            for i, pair in enumerate(pairs)]
+
+
+def hodge_span(z):
+    """The total Hodge subspace of a zip: the span of its Omega lines.  Each
+    line's basis row is normalized at its pivot and the supports are
+    disjoint, so the rows stacked in block order are already the span's
+    reduced row echelon basis."""
+    lines = _block_lines(z, z.omega)
+    return Subspace(z.ctx, 2 * z.n, tuple(line.index_basis[0] for line in lines),
+                    tuple(line.pivots[0] for line in lines))
+
+
+def conj_rows(z):
+    """The basis rows (element indices) of a zip's conjugate lines in F^(2n)."""
+    return [line.index_basis[0] for line in _block_lines(z, z.conj)]
+
+
+def block_point_and_sign(ctx, omega_pair, conj_pair):
+    """A zip block as a point of P^1 and a sign, from the index pairs (a, b)
+    of omega_i and (x, y) of c_i on the field's tables: the pair
+    [det(c_i, omega_i) : det(e_i, c_i)], where e_i is the first standard
+    vector of the block off Omega_i, and the sign +1 iff det(c_i, omega_i) =
+    0.  Nothing here reads the Hasse flags."""
     add, mul, neg = ctx._add, ctx._mul, ctx._neg
-    a, b = omega_line.index_basis[0][2 * i:2 * i + 2]
-    x, y = conj_line.index_basis[0][2 * i:2 * i + 2]
+    a, b = omega_pair
+    x, y = conj_pair
     d = add[mul[x][b]][neg[mul[y][a]]]
     # Omega_i is normalized: index 1 is the field's one
     e_det_c = neg[x] if (a, b) == (1, 0) else y

@@ -57,11 +57,9 @@ def streamed_reports(ctx, n):
     ranks, in (Omega_1, ..., Omega_n, C_1, ..., C_n) order, must strictly
     increase from zip to zip: a line ranks t for (1, t) and q for (0, 1) in
     its block, so the zips are distinct and in lexicographic order."""
-    last = ()
-    starts = [2 * i for i in range(n)] * 2  # each line's first coordinate
+    last, q = (), ctx.q
     for z in enumerate_zips(ctx, n):
-        rows = (line.index_basis[0] for line in z.omega + z.conj)
-        ranks = tuple(row[j + 1] if row[j] else ctx.q for row, j in zip(rows, starts))
+        ranks = tuple([b if a else q for a, b in z.omega + z.conj])
         assert ranks > last, (ctx.p, ctx.k, n, ranks, last)
         last = ranks
         yield check_equivalence(z)

@@ -7,7 +7,7 @@ import pytest
 from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError, refuse_above
 from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
-from oracles import filtration_level
+from oracles import conj_rows, filtration_level, hodge_span
 from test_acceptance import EQUIVALENCE_SCALE
 
 CONSISTENT_ZIP = {"p": 2, "k": 1, "n": 2,
@@ -55,10 +55,9 @@ def test_sweep_agrees_with_fresh_zips(capsys, monkeypatch, p, k, n):
     assert len(seen) == total
     for z, report in seen:
         fresh = zip_from_json_obj(zip_to_json_obj(z))
-        assert z.hodge == fresh.hodge, zip_to_json_obj(z)
+        assert fresh == z, zip_to_json_obj(z)
         assert report == check_equivalence(fresh), zip_to_json_obj(z)
-        rows = [line.index_basis[0] for line in z.conj]
-        assert report.m_max == filtration_level(z.hodge, rows), zip_to_json_obj(z)
+        assert report.m_max == filtration_level(hodge_span(z), conj_rows(z)), zip_to_json_obj(z)
 
 
 def test_strata_table(capsys):

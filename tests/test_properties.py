@@ -38,8 +38,8 @@ from hilbhasse.zipgroup import ZipGroupElem, zip_act
 from hilbhasse.zips import (HilbertZip, line_in_block, max_hodge_level, zip_from_json_obj,
                             zip_to_json_obj)
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
-                     cofactor_det, filtration_level, is_rref_basis_of, mat_mul_2x2, naive_rank,
-                     term_product, wedge_coords_by_minors)
+                     cofactor_det, filtration_level, hodge_span, is_rref_basis_of, mat_mul_2x2,
+                     naive_rank, term_product, wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -325,9 +325,10 @@ def test_filtration_level_of_a_moved_block_zip_is_its_hasse_order(case):
                                         [_moved(ctx, g, line.basis[0]) for line in omega_lines])
     moved_conj = [[e.index for e in _moved(ctx, g, line.basis[0])] for line in conj_lines]
     assert filtration_level(moved_omega, moved_conj) == sum(flags)
-    assert max_hodge_level(HilbertZip(ctx, n, omega_lines, conj_lines)) == sum(flags)
-    pairs = [block_point_and_sign(ctx, o, c, i)[0]
-             for i, (o, c) in enumerate(zip(omega_lines, conj_lines))]
+    omega_pairs = [normalized_index_pair(ctx, *reps[j]) for j in omega]
+    conj_pairs = [normalized_index_pair(ctx, *reps[j]) for j in conj]
+    assert max_hodge_level(HilbertZip(ctx, n, omega_pairs, conj_pairs)) == sum(flags)
+    pairs = [block_point_and_sign(ctx, o, c)[0] for o, c in zip(omega_pairs, conj_pairs)]
     assert vanishing_order_at_point(hasse_section(ctx, n), PointP1n(ctx, pairs)) == sum(flags)
 
 
@@ -673,9 +674,9 @@ def zips(draw, ctx=None):
     ctx = ctx or draw(fields)
     n = draw(st.integers(1, 3))
     pair = st.tuples(elements(ctx), elements(ctx)).filter(any)
-    omega = [line_in_block(ctx, n, i, draw(pair)) for i in range(n)]
-    conj = [line_in_block(ctx, n, i, draw(pair)) for i in range(n)]
-    return HilbertZip(ctx, n, tuple(omega), tuple(conj))
+    omega = [normalized_index_pair(ctx, *draw(pair)) for _ in range(n)]
+    conj = [normalized_index_pair(ctx, *draw(pair)) for _ in range(n)]
+    return HilbertZip(ctx, n, omega, conj)
 
 
 @PROPERTY
@@ -761,17 +762,18 @@ def test_point_holds_the_normalized_index_pairs(case):
 @example((F256, [(F256.gen(), F256.one()), (F256.zero(), F256.gen() ** 9),
                  (F256.one(), F256.zero())]))
 def test_hodge_span_is_the_eliminated_span(lines):
-    # the Hodge lines are built by elimination, not by line_in_block
+    # the wedge reference's Hodge subspace stacks the placed rows; here the
+    # span is built by elimination from the unnormalized pairs instead
     ctx, pairs = lines
     n = len(pairs)
-    omega = []
+    vectors = []
     for i, (a, b) in enumerate(pairs):
         vec = [ctx.zero()] * (2 * n)
         vec[2 * i], vec[2 * i + 1] = a, b
-        omega.append(Subspace.from_vectors(ctx, 2 * n, [vec]))
-    z = HilbertZip(ctx, n, tuple(omega), tuple(omega))
-    expected = Subspace.from_index_rows(ctx, 2 * z.n, [line.index_basis[0] for line in z.omega])
-    assert z.hodge == expected and z.hodge.pivots == expected.pivots
+        vectors.append(vec)
+    z = HilbertZip(ctx, n, [normalized_index_pair(ctx, a, b) for a, b in pairs], [(0, 1)] * n)
+    expected = Subspace.from_vectors(ctx, 2 * n, vectors)
+    assert hodge_span(z) == expected and hodge_span(z).pivots == expected.pivots
 
 
 json_values = st.recursive(

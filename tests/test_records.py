@@ -1,6 +1,7 @@
 """Value semantics of the package's frozen records: equality, hashing, repr,
 immutability, keyword construction and validation messages."""
 
+import copy
 import pickle
 
 import pytest
@@ -9,17 +10,13 @@ from hilbhasse.field import ContextMismatchError, FieldCtx
 from hilbhasse.schubert import GroupElem
 from hilbhasse.weyl import Character, CocharDatum, WeylElem
 from hilbhasse.zipgroup import ZipGroupElem
-from hilbhasse.zips import HilbertZip, ZipReport, line_in_block
+from hilbhasse.zips import HilbertZip, ZipReport, check_equivalence
 from oracles import OrbitPartition
 
 F2 = FieldCtx(2)
 F2_REPR = "FieldCtx(p=2, k=1, modulus=x)"
 ONE = f"GroupElem({F2_REPR}, [((F2(1), F2(0)), (F2(0), F2(1)))])"
 LOW = f"GroupElem({F2_REPR}, [((F2(1), F2(0)), (F2(1), F2(1)))])"
-
-
-def _line(n, block, pair):
-    return line_in_block(F2, n, block, pair)
 
 
 def _elem(*factors):
@@ -34,12 +31,9 @@ CASES = {
     "CocharDatum": (CocharDatum, dict(n=2, p=3, sigma=[0, 1], z=WeylElem.longest(2)),
                     dict(n=2, p=3, sigma=(1, 0), z=WeylElem.longest(2)),
                     "CocharDatum(n=2, p=3, sigma=(0, 1), z=WeylElem(--))"),
-    "HilbertZip": (HilbertZip, dict(ctx=F2, n=1, omega=[_line(1, 0, (1, 0))],
-                                    conj=[_line(1, 0, (0, 1))]),
-                   dict(ctx=F2, n=1, omega=[_line(1, 0, (1, 0))], conj=[_line(1, 0, (1, 0))]),
-                   f"HilbertZip(ctx={F2_REPR}, n=1, "
-                   "omega=(Subspace(dim=1 of 2: [F2(1), F2(0)]),), "
-                   "conj=(Subspace(dim=1 of 2: [F2(0), F2(1)]),))"),
+    "HilbertZip": (HilbertZip, dict(ctx=F2, n=1, omega=[(1, 0)], conj=[(0, 1)]),
+                   dict(ctx=F2, n=1, omega=[(1, 0)], conj=[(1, 0)]),
+                   f"HilbertZip(ctx={F2_REPR}, n=1, omega=((1, 0),), conj=((0, 1),))"),
     "ZipReport": (ZipReport, dict(flags=(True, False), m_max=1), dict(flags=(True, False), m_max=0),
                   "ZipReport(flags=(True, False), m_max=1)"),
     "ZipGroupElem": (ZipGroupElem, dict(a=_elem((1, 0, 1, 1)), b=_elem((1, 0, 0, 1))),
@@ -83,6 +77,20 @@ def test_stored_level_is_outside_equality_hash_and_repr():
     assert seeded == z and hash(seeded) == hash(z) and repr(seeded) == text
 
 
+@pytest.mark.parametrize("p, k", [(2, 2), (3, 2)])
+def test_zip_rebuilds_from_its_fields_over_extension_fields(p, k):
+    # the fields are the normalized index pairs, and the constructor takes
+    # them as indices: over F_4 the index 3 is u + 1, not the int 3 = 1
+    ctx = FieldCtx(p, k)
+    top = (1, ctx.q - 1)
+    z = HilbertZip(ctx, 2, [top, (0, 1)], [top, (1, ctx.p)])
+    fields = tuple(getattr(z, name) for name in HilbertZip._fields)
+    for again in (HilbertZip(*fields), pickle.loads(pickle.dumps(z)), copy.copy(z)):
+        assert again == z
+        assert (again.omega, again.conj) == ((top, (0, 1)), (top, (1, ctx.p)))
+        assert check_equivalence(again) == check_equivalence(z) == ZipReport((True, False), 1)
+
+
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Character((1,), 0), ValueError, "parity violated: sum(a)=1 vs c=0"),
     (lambda: CocharDatum(2, 4, (0, 1), WeylElem.longest(2)), ValueError, "p must be prime, got 4"),
@@ -90,13 +98,18 @@ def test_stored_level_is_outside_equality_hash_and_repr():
      "not a permutation of 0..1: (0, 0)"),
     (lambda: CocharDatum(2, 3, (0, 1), WeylElem.longest(1)), ValueError,
      "rank mismatch between z and n"),
-    (lambda: HilbertZip(F2, 2, [_line(2, 0, (1, 0))], [_line(2, 0, (1, 0)), _line(2, 1, (1, 0))]),
-     ValueError, "omega must hold 2 lines"),
-    (lambda: HilbertZip(F2, 2, [_line(2, 0, (1, 0)), _line(2, 1, (1, 0))],
-                        [_line(2, 1, (1, 0)), _line(2, 1, (1, 0))]),
-     ValueError, "conj[0] is not supported in block 0"),
-    (lambda: HilbertZip(F2, 1, [_line(2, 0, (1, 0))], [_line(1, 0, (1, 0))]), ValueError,
-     "omega[0] is not a line of the ambient space"),
+    (lambda: HilbertZip(F2, 2, [(1, 0)], [(1, 0), (1, 0)]), ValueError,
+     "omega must hold 2 lines"),
+    (lambda: HilbertZip(F2, 1, [(1, 0)], [[1, 0]]), ValueError,
+     "conj[0] = [1, 0] is not a 2-tuple"),
+    (lambda: HilbertZip(F2, 1, [(True, 0)], [(1, 0)]), ValueError,
+     "omega[0] = (True, 0) is not two ints in range(2)"),
+    (lambda: HilbertZip(F2, 1, [(1, 2)], [(1, 0)]), ValueError,
+     "omega[0] = (1, 2) is not two ints in range(2)"),
+    (lambda: HilbertZip(F2, 1, [(1, 0)], [(0, 0)]), ValueError,
+     "conj[0] = (0, 0) is not normalized to (1, t) or (0, 1)"),
+    (lambda: HilbertZip(FieldCtx(3), 1, [(2, 1)], [(1, 0)]), ValueError,
+     "omega[0] = (2, 1) is not normalized to (1, t) or (0, 1)"),
     (lambda: ZipGroupElem(_elem((1, 0, 0, 1)), _elem((1, 0, 0, 1), (1, 0, 0, 1))), ValueError,
      "factor count mismatch"),
     (lambda: ZipGroupElem(_elem((1, 0, 0, 1)), GroupElem.identity(FieldCtx(3), 1)),

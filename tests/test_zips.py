@@ -17,40 +17,40 @@ from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace
-from hilbhasse.schubert import (PointP1n, all_points, hasse_section, vanishing_order_at_point,
+from hilbhasse.schubert import (PointP1n, all_points, hasse_section, normalized_index_pair,
+                                projective_line_reps, vanishing_order_at_point,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import WeylElem
-from hilbhasse.zips import (HilbertZip, ZipReport, block_line_reps, check_equivalence,
+from hilbhasse.zips import (HilbertZip, ZipReport, _block_level, check_equivalence,
                             enumerate_zips, hasse_order, line_in_block, max_hodge_level,
                             partial_hasse_flags, zip_from_json_obj, zip_to_json_obj)
-from oracles import block_point_and_sign, filtration_level
+from oracles import block_point_and_sign, conj_rows, filtration_level, hodge_span
 from test_acceptance import EQUIVALENCE_SCALE
 
 
-def first_lines(ctx, n):
+def first_lines(n):
     """Omega_i = span(first basis vector of block i) for every block."""
-    return tuple(line_in_block(ctx, n, i, (1, 0)) for i in range(n))
+    return ((1, 0),) * n
 
 
-def second_lines(ctx, n):
-    return tuple(line_in_block(ctx, n, i, (0, 1)) for i in range(n))
+def second_lines(n):
+    return ((0, 1),) * n
 
 
 def wedge_level(z):
     """The reference Hodge level: the least pivot count of the conjugate wedge."""
-    return filtration_level(z.hodge, [line.index_basis[0] for line in z.conj])
+    return filtration_level(hodge_span(z), conj_rows(z))
 
 
 # -- construction ------------------------------------------------------------------
 
 
 def test_zip_validation(F2):
-    omega = first_lines(F2, 2)
+    omega = first_lines(2)
     with pytest.raises(ValueError):
         HilbertZip(F2, 2, omega[:1], omega)  # fewer lines than n
-    off_block = (line_in_block(F2, 2, 1, (1, 0)), line_in_block(F2, 2, 1, (0, 1)))
     with pytest.raises(ValueError):
-        HilbertZip(F2, 2, off_block, omega)
+        HilbertZip(F2, 2, (omega[0], (0, 0)), omega)  # no line in block 1
 
 
 def test_line_in_block_rejects_zero_vector(F2):
@@ -63,7 +63,7 @@ def test_line_in_block_rejects_zero_vector(F2):
 
 def test_flags_all_set_when_lines_coincide(F2):
     n = 3
-    omega = first_lines(F2, n)
+    omega = first_lines(n)
     z = HilbertZip(F2, n, omega, omega)
     assert partial_hasse_flags(z) == (True,) * n
     assert hasse_order(z) == n
@@ -71,29 +71,28 @@ def test_flags_all_set_when_lines_coincide(F2):
 
 def test_flags_all_clear_when_lines_differ(F2):
     n = 3
-    z = HilbertZip(F2, n, first_lines(F2, n), second_lines(F2, n))
+    z = HilbertZip(F2, n, first_lines(n), second_lines(n))
     assert partial_hasse_flags(z) == (False,) * n
     assert hasse_order(z) == 0
 
 
 def test_flags_mixed_case(F2):
-    omega = first_lines(F2, 2)
-    conj = (line_in_block(F2, 2, 0, (1, 0)), line_in_block(F2, 2, 1, (1, 1)))
-    z = HilbertZip(F2, 2, omega, conj)
+    omega = first_lines(2)
+    z = HilbertZip(F2, 2, omega, ((1, 0), (1, 1)))
     assert partial_hasse_flags(z) == (True, False)
     assert hasse_order(z) == 1
 
 
 def test_max_level_when_conjugate_equals_hodge(F2):
     for n in (1, 2, 3):
-        omega = first_lines(F2, n)
+        omega = first_lines(n)
         z = HilbertZip(F2, n, omega, omega)
         assert max_hodge_level(z) == n
 
 
 def test_max_level_when_all_lines_differ(F2):
     for n in (1, 2, 3):
-        z = HilbertZip(F2, n, first_lines(F2, n), second_lines(F2, n))
+        z = HilbertZip(F2, n, first_lines(n), second_lines(n))
         assert max_hodge_level(z) == 0
 
 
@@ -107,16 +106,31 @@ def test_max_level_zero_for_every_fully_split_configuration(F2):
 
 
 def test_max_level_mixed_case(F2):
-    omega = first_lines(F2, 2)
-    conj = (omega[0], line_in_block(F2, 2, 1, (0, 1)))
-    z = HilbertZip(F2, 2, omega, conj)
+    omega = first_lines(2)
+    z = HilbertZip(F2, 2, omega, (omega[0], (0, 1)))
     assert max_hodge_level(z) == 1
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_block_kernel_is_the_one_block_wedge(p, k):
+    # every field with q <= 9 and all (q+1)^2 (Omega, C) pairs: the level is
+    # the wedge reference on the lines line_in_block places with n = 1, and
+    # the flag is the equality of those lines
+    ctx = FieldCtx(p, k)
+    reps = projective_line_reps(ctx)
+    for omega_xy, conj_xy in product(reps, repeat=2):
+        o, c = normalized_index_pair(ctx, *omega_xy), normalized_index_pair(ctx, *conj_xy)
+        omega_line = line_in_block(ctx, 1, 0, omega_xy)
+        conj_line = line_in_block(ctx, 1, 0, conj_xy)
+        level = filtration_level(omega_line, list(conj_line.index_basis))
+        assert _block_level(ctx, o, c) == level, (o, c)
+        assert partial_hasse_flags(HilbertZip(ctx, 1, (o,), (c,))) == (omega_line == conj_line,)
 
 
 def test_check_equivalence_reports(F2):
     n = 2
-    omega = first_lines(F2, n)
-    ordinary = HilbertZip(F2, n, omega, second_lines(F2, n))
+    omega = first_lines(n)
+    ordinary = HilbertZip(F2, n, omega, second_lines(n))
     r = check_equivalence(ordinary)
     assert (r.hasse_order, r.m_max, r.consistent) == (0, 0, True)
     superspecial = HilbertZip(F2, n, omega, omega)
@@ -161,8 +175,9 @@ def test_sweep_order_is_omega_then_conj_lexicographic(p, k):
     # the sweep bench's expected flags and the failure order of
     # verify-equivalence --format json both follow this order
     ctx, n = FieldCtx(p, k), 2
-    reps = [block_line_reps(ctx, n, i) for i in range(n)]
-    expected = [(omega, conj) for omega in product(*reps) for conj in product(*reps)]
+    reps = [normalized_index_pair(ctx, x, y) for x, y in projective_line_reps(ctx)]
+    expected = [(omega, conj) for omega in product(reps, repeat=n)
+                for conj in product(reps, repeat=n)]
     assert [(z.omega, z.conj) for z in enumerate_zips(ctx, n)] == expected
 
 
@@ -174,7 +189,7 @@ def test_seeded_hodge_and_level_match_a_fresh_zip():
         for z in enumerate_zips(FieldCtx(p), n):
             fresh = zip_from_json_obj(zip_to_json_obj(z))
             assert fresh._level is None
-            assert z.hodge == fresh.hodge, zip_to_json_obj(z)
+            assert fresh == z and hodge_span(fresh) == hodge_span(z), zip_to_json_obj(z)
             assert z._level == max_hodge_level(fresh), zip_to_json_obj(z)
             assert z._level == wedge_level(z), zip_to_json_obj(z)
 
@@ -200,21 +215,23 @@ def count_calls(monkeypatch, counts, owner, name):
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
 def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
-    # one block level per (block, Omega_i, candidate C line), and no wedge,
-    # neither in the sweep nor in a zip-check request
-    counts = {"_block_level": 0, "_wedge_terms": 0}
+    # one block level per (Omega_i, candidate C line), shared by all blocks,
+    # and no wedge and no vector of F^(2n), neither in the sweep nor in a
+    # zip-check request
+    counts = {"_block_level": 0, "_wedge_terms": 0, "__init__": 0}
     count_calls(monkeypatch, counts, zips_mod, "_block_level")
     count_calls(monkeypatch, counts, linalg_mod, "_wedge_terms")
+    count_calls(monkeypatch, counts, linalg_mod.Subspace, "__init__")
     ctx = FieldCtx(p, k)
     s = ctx.q + 1
     zips = list(enumerate_zips(ctx, n))
     assert len(zips) == s ** (2 * n)
-    assert counts == {"_block_level": n * s ** 2, "_wedge_terms": 0}
+    assert counts == {"_block_level": s ** 2, "_wedge_terms": 0, "__init__": 0}
     counts.update(_block_level=0)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(zip_to_json_obj(zips[-1]))))
     assert main(["zip-check"]) == 0
     assert capsys.readouterr().out.endswith(f"\t{n}\t{n}\t1\n")
-    assert counts == {"_block_level": n, "_wedge_terms": 0}
+    assert counts == {"_block_level": n, "_wedge_terms": 0, "__init__": 0}
 
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 8), (3, 1, 4), (2, 2, 3)])
@@ -262,8 +279,7 @@ def test_zip_point_and_word_give_one_order(zip_reports, p, k, n):
     ctx = FieldCtx(p, k)
     h = hasse_section(ctx, n)
     for (omega, conj), report in zip_reports(p, k, n).items():
-        pairs, signs = zip(*(block_point_and_sign(ctx, omega[i], conj[i], i)
-                             for i in range(n)))
+        pairs, signs = zip(*(block_point_and_sign(ctx, o, c) for o, c in zip(omega, conj)))
         w = WeylElem(signs)
         orders = (report.hasse_order, report.m_max,
                   vanishing_order_at_point(h, PointP1n(ctx, pairs)),
@@ -276,9 +292,7 @@ def test_zip_point_and_word_give_one_order(zip_reports, p, k, n):
 
 
 def test_json_round_trip(F3):
-    omega = first_lines(F3, 2)
-    conj = (line_in_block(F3, 2, 0, (1, 2)), line_in_block(F3, 2, 1, (0, 1)))
-    z = HilbertZip(F3, 2, omega, conj)
+    z = HilbertZip(F3, 2, first_lines(2), ((1, 2), (0, 1)))
     obj = zip_to_json_obj(z)
     assert set(obj) == {"p", "k", "n", "omega", "conj"}
     assert obj["p"] == 3 and obj["k"] == 1
@@ -290,19 +304,17 @@ def test_parsed_zip_equals_the_checked_construction(F4):
     obj = {"p": 2, "k": 2, "n": 2, "omega": [[[0, 1], 1], [0, [1]]],
            "conj": [[1, [1, 1]], [[1], 0]]}
     z = zip_from_json_obj(obj)
-    checked = HilbertZip(F4, 2, tuple(line_in_block(F4, 2, i, pair)
-                                      for i, pair in enumerate(obj["omega"])),
-                         tuple(line_in_block(F4, 2, i, pair)
-                               for i, pair in enumerate(obj["conj"])))
+    checked = HilbertZip(F4, 2, [normalized_index_pair(F4, *pair) for pair in obj["omega"]],
+                         [normalized_index_pair(F4, *pair) for pair in obj["conj"]])
     assert z == checked and hash(z) == hash(checked)
-    assert z.hodge == checked.hodge and max_hodge_level(z) == max_hodge_level(checked)
+    assert z.omega == ((1, 3), (0, 1)) and z.conj == ((1, 3), (1, 0))
+    assert max_hodge_level(z) == max_hodge_level(checked) == 1
 
 
 def test_json_accepts_plain_int_coefficients():
     obj = {"p": 2, "k": 1, "n": 1, "omega": [[1, 0]], "conj": [[1, 1]]}
     z = zip_from_json_obj(obj)
-    assert z.omega[0] == line_in_block(z.ctx, 1, 0, (1, 0))
-    assert z.conj[0] == line_in_block(z.ctx, 1, 0, (1, 1))
+    assert z.omega == ((1, 0),) and z.conj == ((1, 1),)
 
 
 GOOD_OBJ = {"p": 2, "k": 1, "n": 1, "omega": [[1, 0]], "conj": [[1, 1]]}
@@ -346,7 +358,7 @@ def test_json_that_is_no_zip_object_raises_value_error(obj):
 
 
 def test_report_serialization(F2):
-    z = HilbertZip(F2, 2, first_lines(F2, 2), first_lines(F2, 2))
+    z = HilbertZip(F2, 2, first_lines(2), first_lines(2))
     r = check_equivalence(z)
     assert r.to_json_obj() == {"flags": [True, True], "hasse_order": 2,
                                "m_max": 2, "consistent": True}
@@ -360,9 +372,9 @@ def test_report_serialization(F2):
 
 
 def test_zip_equality_ignores_nothing(F2):
-    omega = first_lines(F2, 1)
+    omega = first_lines(1)
     z1 = HilbertZip(F2, 1, omega, omega)
-    z2 = HilbertZip(F2, 1, omega, second_lines(F2, 1))
+    z2 = HilbertZip(F2, 1, omega, second_lines(1))
     assert z1 != z2
 
 
@@ -370,6 +382,6 @@ def test_consistency_with_subspace_wedge(F2):
     # the top filtration piece of the total Hodge subspace is exactly the
     # wedge line of the Hodge lines themselves
     from hilbhasse.linalg import induced_filtration, wedge_of_lines
-    omega_lines = first_lines(F2, 2)
+    omega_lines = [line_in_block(F2, 2, i, (1, 0)) for i in range(2)]
     total = Subspace.from_vectors(F2, 4, [r for s in omega_lines for r in s.basis])
     assert induced_filtration(total, 2) == wedge_of_lines(omega_lines)
