@@ -319,16 +319,13 @@ def test_orbit_scan_refusal(capsys):
 def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     # no real orbit carries two labels, so make the label depend on an entry
     # that varies along every orbit of more than one element
-    import hilbhasse.zipgroup as zipgroup_mod
     from hilbhasse.field import FieldCtx
     from hilbhasse.schubert import GroupElem
-    from hilbhasse.weyl import CocharDatum, all_weyl_elems
+    from hilbhasse.weyl import CocharDatum
     from hilbhasse.zipgroup import enumerate_E, zip_act
+    from test_golden import FAULTS, label_follows_lower_left as broken
 
-    def broken(g, datum):
-        return all_weyl_elems(g.n)[bool(g.factors[0][1][0])]
-
-    monkeypatch.setattr(zipgroup_mod, "stratum_label", broken)
+    monkeypatch.setattr(*FAULTS["label_follows_lower_left"])
     code = main(["orbits", "--p", "2", "--n", "1"])
     captured = capsys.readouterr()
     assert code == 1
@@ -352,19 +349,13 @@ def test_orbit_label_inconsistency_along_the_torus_exits_1(capsys, monkeypatch):
     # top-left entry is 0 and top-right entry is 1.  Both entries are fixed
     # along every U-orbit with a zero top-left entry, but the torus pair
     # (diag(gamma, 1), diag(gamma^p, 1)) sends the top-right entry b to gamma b
-    import hilbhasse.zipgroup as zipgroup_mod
     from hilbhasse.field import FieldCtx
     from hilbhasse.schubert import GroupElem
-    from hilbhasse.weyl import CocharDatum, WeylElem
+    from hilbhasse.weyl import CocharDatum
     from hilbhasse.zipgroup import enumerate_E, zip_act
-    real = zipgroup_mod.stratum_label
+    from test_golden import FAULTS, label_flips_at_top_row_0_1 as broken
 
-    def broken(g, datum):
-        signs = real(g, datum).signs
-        return WeylElem(tuple(-s if f[:2] == (0, 1) else s
-                              for s, f in zip(signs, g.index_factors)))
-
-    monkeypatch.setattr(zipgroup_mod, "stratum_label", broken)
+    monkeypatch.setattr(*FAULTS["label_flips_at_top_row_0_1"])
     code = main(["orbits", "--p", "3", "--n", "1"])
     captured = capsys.readouterr()
     assert code == 1

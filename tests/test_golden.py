@@ -18,7 +18,10 @@ from pathlib import Path
 import pytest
 
 import hilbhasse.cli as cli_mod
+import hilbhasse.zipgroup as zipgroup_mod
 from hilbhasse.cli import main
+from hilbhasse.schubert import stratum_label
+from hilbhasse.weyl import WeylElem, all_weyl_elems
 from hilbhasse.zipgroup import bruhat_census
 from hilbhasse.zips import ZipReport
 
@@ -35,8 +38,26 @@ def census_doubled(ctx, n, bound):
     return [(w, 2 * count) for w, count in bruhat_census(ctx, n, bound)]
 
 
+def label_follows_lower_left(g, datum):
+    # no real orbit carries two labels; this label follows factor 0's
+    # bottom-left entry, which a lower unipotent moves along every U-orbit
+    return all_weyl_elems(g.n)[bool(g.factors[0][1][0])]
+
+
+def label_flips_at_top_row_0_1(g, datum):
+    # flips the label of each factor whose top row is (0, 1).  That row is
+    # fixed along every U-orbit, but the torus pair (diag(gamma, 1),
+    # diag(gamma^p, 1)) scales it, so only a T-orbit shows two labels; F_2
+    # has no torus pair, so there the broken labels reach the table
+    signs = stratum_label(g, datum).signs
+    return WeylElem(tuple(-s if f[:2] == (0, 1) else s for s, f in zip(signs, g.index_factors)))
+
+
 FAULTS = {"every_report_fails": (cli_mod, "check_equivalence", every_report_fails),
-          "census_doubled": (cli_mod, "bruhat_census", census_doubled)}
+          "census_doubled": (cli_mod, "bruhat_census", census_doubled),
+          "label_follows_lower_left": (zipgroup_mod, "stratum_label", label_follows_lower_left),
+          "label_flips_at_top_row_0_1": (zipgroup_mod, "stratum_label",
+                                         label_flips_at_top_row_0_1)}
 
 
 def _id(i, row):
@@ -47,17 +68,23 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[_id(i, row) for i, row in enumerate(ROWS)])
-def test_cli_bytes_match_the_table(capsys, monkeypatch, row):
+def run_row(row, monkeypatch):
+    """The row's exit code: its argv run with its stdin, its fault and
+    ``COLUMNS=80``, each set through ``monkeypatch``."""
     monkeypatch.setenv("COLUMNS", "80")
     if row["stdin"] is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(row["stdin"]))
     if row["fault"] is not None:
         monkeypatch.setattr(*FAULTS[row["fault"]])
     try:
-        code = main(row["argv"])
+        return main(row["argv"])
     except SystemExit as exc:
-        code = ["SystemExit", exc.code]
+        return ["SystemExit", exc.code]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[_id(i, row) for i, row in enumerate(ROWS)])
+def test_cli_bytes_match_the_table(capsys, monkeypatch, row):
+    code = run_row(row, monkeypatch)
     captured = capsys.readouterr()
     assert (code, _sha256(captured.out), _sha256(captured.err)) == (
         row["code"], row["stdout"], row["stderr"]), captured.err
