@@ -12,9 +12,8 @@ from .schubert import (INFINITE_ORDER, GroupElem, MultiPoly, PointP1n, all_point
                        bruhat_word, hasse_section, monomial_weight,
                        projective_line_reps, stratum_label, torus_weight_space,
                        vanishing_order_at_point, vanishing_order_on_stratum)
-from .zips import (HilbertZip, ZipReport, check_equivalence, enumerate_zips, hasse_order,
-                   line_in_block, max_hodge_level, partial_hasse_flags,
-                   zip_from_json_obj, zip_to_json_obj)
+from .zips import (HilbertZip, ZipReport, check_equivalence, enumerate_zips, line_in_block,
+                   max_hodge_level, partial_hasse_flags, zip_from_json_obj, zip_to_json_obj)
 from .zipgroup import (OrbitLabelError, ZipGroupElem, bruhat_census, enumerate_E, enumerate_G,
                        zip_act)
 
@@ -26,7 +25,7 @@ __all__ = [
     "INFINITE_ORDER", "MultiPoly", "OrbitLabelError", "PointP1n", "Subspace", "WeylElem",
     "ZipGroupElem", "ZipReport", "all_points",
     "all_weyl_elems", "bruhat_census", "bruhat_word", "check_equivalence",
-    "enumerate_E", "enumerate_G", "enumerate_zips", "galois_act", "hasse_order",
+    "enumerate_E", "enumerate_G", "enumerate_zips", "galois_act",
     "hasse_section", "hodge_character", "induced_filtration", "line_in_block",
     "max_hodge_level", "monomial_weight", "partial_hasse_flags",
     "projective_line_reps", "stratum_label", "torus_weight_space",

@@ -3,8 +3,8 @@
 import math
 
 # Refuse exhaustive enumerations whose implied size exceeds this cap unless
-# the caller raises it explicitly.  Large enough for every desk-scale run
-# (q <= 3, n <= 3), small enough to reject accidental blowups up front.
+# the caller raises it explicitly.  Large enough for every desk-scale run (up
+# to the 10^6 zips of F_9 with n = 3), small enough to reject blowups up front.
 DEFAULT_ENUM_BOUND = 1_000_000
 
 

@@ -179,16 +179,15 @@ class GroupElem:
     Each factor is given as two rows of two values that ``ctx.index_of``
     accepts, as in the replay JSON the CLI prints, and is stored as its
     row-major element indices (a, b, c, d) in ``index_factors``; ``factors``
-    gives the rows back as field elements.  With ``hilbert=True`` (the
-    default) all factor determinants must agree, which is the determinant
-    condition cutting the group of interest out of the plain product of 2x2
-    groups.  Products and inverses are not re-checked: the group is closed
-    under both.
+    gives the rows back as field elements.  All factor determinants must
+    agree, the condition cutting the group of interest out of the plain
+    product of 2x2 groups.  Products and inverses are not re-checked: the
+    group is closed under both.
     """
 
     __slots__ = ("ctx", "index_factors")
 
-    def __init__(self, ctx: FieldCtx, factors: Sequence[Sequence[Sequence]], hilbert: bool = True):
+    def __init__(self, ctx: FieldCtx, factors: Sequence[Sequence[Sequence]]):
         index_factors = []
         dets = set()
         for i, f in enumerate(factors):
@@ -203,7 +202,7 @@ class GroupElem:
             dets.add(det)
         if not index_factors:
             raise ValueError("need at least one factor")
-        if hilbert and len(dets) > 1:
+        if len(dets) > 1:
             raise ValueError("factor determinants differ")
         self.ctx = ctx
         self.index_factors = tuple(index_factors)

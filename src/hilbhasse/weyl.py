@@ -52,26 +52,12 @@ class WeylElem:
         """Coxeter length: the number of -1 entries."""
         return self.signs.count(-1)
 
-    def bruhat_leq(self, other: "WeylElem") -> bool:
-        """True iff the cell of self lies in the closure of the cell of other.
-
-        Factorwise: a -1 entry of self forces a -1 entry of other (the affine
-        cell of a factor is dense only in the whole line, while the point
-        cell sits inside every closure).
-        """
-        if other.n != self.n:
-            raise ValueError("rank mismatch")
-        return all(o == -1 for s, o in zip(self.signs, other.signs) if s == -1)
-
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         if not isinstance(other, WeylElem):
             return NotImplemented
         if other.n != self.n:
             raise ValueError("rank mismatch")
         return WeylElem.from_signs(tuple([a * b for a, b in zip(self.signs, other.signs)]))
-
-    def inverse(self) -> "WeylElem":
-        return self  # every sign vector is an involution
 
     def to_string(self) -> str:
         return "".join(["+" if s > 0 else "-" for s in self.signs])
@@ -109,9 +95,6 @@ class Character(FrozenRecord):
 
     def __neg__(self) -> "Character":
         return Character(tuple(-x for x in self.a), -self.c)
-
-    def __sub__(self, other: "Character") -> "Character":
-        return self + (-other)
 
     def __rmul__(self, k: int) -> "Character":
         if not isinstance(k, int):
@@ -165,9 +148,8 @@ class CocharDatum(FrozenRecord):
         return cls(n, p, tuple((i - 1) % n for i in range(n)), WeylElem.longest(n))
 
 
-def hodge_character(datum: CocharDatum | int) -> Character:
+def hodge_character(n: int) -> Character:
     """The character (-1, ..., -1; -n) attached to the Hodge line bundle."""
-    n = datum.n if isinstance(datum, CocharDatum) else int(datum)
     return Character((-1,) * n, -n)
 
 

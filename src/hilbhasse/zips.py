@@ -81,11 +81,6 @@ def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
     return tuple([c == o for c, o in zip(z.conj, z.omega)])
 
 
-def hasse_order(z: HilbertZip) -> int:
-    """Total vanishing order: the number of set partial Hasse flags."""
-    return sum(partial_hasse_flags(z))
-
-
 def _block_level(ctx: FieldCtx, omega_i: tuple, c_i: tuple) -> int:
     """The Hodge level of one block: 1 iff C_i lies in Omega_i, that is iff
     the 2x2 matrix of their pairs is singular, else 0."""

@@ -18,8 +18,8 @@ from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
                             hodge_character, weyl_act, zipflag_pullback)
 from hilbhasse.zipgroup import (borel_order, bruhat_census, enumerate_E, enumerate_G,
                                 zip_group_generators)
-from hilbhasse.zips import check_equivalence, enumerate_zips
-from oracles import enumerated_census, orbit_partition
+from hilbhasse.zips import HilbertZip, check_equivalence, enumerate_zips
+from oracles import conj_rows, enumerated_census, filtration_level, hodge_span, orbit_partition
 
 # (p, k, n): F_2, F_3 and F_4, each with n <= 3.  F_4 is the one field here
 # on which Frobenius is not the identity.
@@ -52,17 +52,35 @@ def make_sweep():
 # -- criterion bodies -------------------------------------------------------------
 
 
+def block_levels(ctx):
+    """The wedge reference's level of each one-block zip, keyed by its
+    (Omega, C) pair of lines: (q+1)^2 levels."""
+    lines = [(1, t) for t in range(ctx.q)] + [(0, 1)]
+    levels = {}
+    for o in lines:
+        for c in lines:
+            z = HilbertZip(ctx, 1, (o,), (c,))
+            levels[o, c] = filtration_level(hodge_span(z), conj_rows(z))
+    return levels
+
+
 def streamed_reports(ctx, n):
     """Each zip's report in sweep order, keeping none.  Each zip's line
     ranks, in (Omega_1, ..., Omega_n, C_1, ..., C_n) order, must strictly
     increase from zip to zip: a line ranks t for (1, t) and q for (0, 1) in
-    its block, so the zips are distinct and in lexicographic order."""
+    its block, so the zips are distinct and in lexicographic order.  Flag i
+    must be set iff C_i and Omega_i have one rank, and the level must be the
+    sum of the blocks' levels in the wedge reference's table."""
     last, q = (), ctx.q
+    levels = block_levels(ctx)
     for z in enumerate_zips(ctx, n):
         ranks = tuple([b if a else q for a, b in z.omega + z.conj])
         assert ranks > last, (ctx.p, ctx.k, n, ranks, last)
         last = ranks
-        yield check_equivalence(z)
+        report = check_equivalence(z)
+        assert report.flags == tuple([ranks[i] == ranks[n + i] for i in range(n)]), ranks
+        assert report.m_max == sum([levels[pair] for pair in zip(z.omega, z.conj)]), ranks
+        yield report
 
 
 def run_equivalence(sweep):
@@ -106,7 +124,7 @@ def run_pullback_identity():
         for n in range(1, 5):
             for preset in (CocharDatum.split, CocharDatum.inert):
                 datum = preset(n, p)
-                eta = hodge_character(datum)
+                eta = hodge_character(datum.n)
                 w0eta = weyl_act(WeylElem.longest(n), eta)
                 assert zipflag_pullback(-eta, w0eta, datum) == (p - 1) * eta, (p, n)
 

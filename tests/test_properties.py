@@ -418,21 +418,29 @@ def factor_lists(draw, ctx=None, n=None, equal_dets=None):
     return factors
 
 
+def plain_product(ctx, factors):
+    """A tuple of invertible factors, determinants equal or not, built
+    unchecked as an element of the plain product of 2x2 groups."""
+    return GroupElem.from_indices(ctx, tuple(tuple(ctx.index_of(e) for row in f for e in row)
+                                             for f in factors))
+
+
 @st.composite
 def group_pairs(draw, ctx=None):
-    """Two group elements with the same field and factor count; each is
-    built with hilbert=True when its determinants are equal."""
+    """Two tuples with the same field and factor count; each is built by the
+    checked constructor when its determinants are equal, else by
+    ``plain_product``."""
     ctx = ctx or draw(fields)
     first = draw(factor_lists(ctx))
     second = draw(factor_lists(ctx, len(first)))
-    return tuple(GroupElem(ctx, fs, hilbert=len({det2(f) for f in fs}) == 1)
+    return tuple(GroupElem(ctx, fs) if len({det2(f) for f in fs}) == 1 else plain_product(ctx, fs)
                  for fs in (first, second))
 
 
 def f256_group_pair():
-    """Determinants u^7 and u^253: a product of hilbert=False elements."""
+    """Determinants u^7 and u^253: a product of plain-product tuples."""
     u = F256.gen()
-    g = GroupElem(F256, [[[u, 1], [u ** 7, 0]], [[0, u ** 3], [u ** 250, u]]], hilbert=False)
+    g = plain_product(F256, [[[u, 1], [u ** 7, 0]], [[0, u ** 3], [u ** 250, u]]])
     h = GroupElem(F256, [[[u ** 9, 0], [1, u ** 2]], [[1, 1], [0, u ** 11]]])
     return g, h
 
@@ -545,14 +553,12 @@ def f256_invalid_case():
 def test_group_elem_refuses_singular_factors_and_unequal_determinants(case):
     ctx, factors, singular, where, scale = case
     assert GroupElem(ctx, factors).factors == tuple(factors)
-    for hilbert in (True, False):
-        with pytest.raises(ValueError):
-            GroupElem(ctx, factors[:where] + [singular] + factors[where:], hilbert=hilbert)
+    with pytest.raises(ValueError, match="singular"):
+        GroupElem(ctx, factors[:where] + [singular] + factors[where:])
     f = factors[-1]
     rescaled = factors[:-1] + [(tuple(scale * e for e in f[0]), f[1])]
-    GroupElem(ctx, rescaled, hilbert=False)
     if len(factors) > 1 and scale != 1:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="determinants differ"):
             GroupElem(ctx, rescaled)
 
 
@@ -576,10 +582,9 @@ def test_group_elem_refuses_factors_over_different_fields(factors):
     # the identities share their index factors, so only the field tells them
     # apart; index_of refuses an element of another field under either field
     for ctx in {f[0][0].ctx for f in factors}:
-        for hilbert in (True, False):
-            with pytest.raises(ContextMismatchError):
-                GroupElem(ctx, factors, hilbert=hilbert)
-    by_field = [GroupElem(f[0][0].ctx, [f], hilbert=False) for f in factors[:2]]
+        with pytest.raises(ContextMismatchError):
+            GroupElem(ctx, factors)
+    by_field = [GroupElem(f[0][0].ctx, [f]) for f in factors[:2]]
     if by_field[0].ctx is not by_field[1].ctx:
         with pytest.raises(ValueError):
             by_field[0] * by_field[1]

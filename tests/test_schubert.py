@@ -131,14 +131,14 @@ def test_weight_space_is_read_off_the_target(n, F3):
 
 
 def test_bruhat_word_of_lower_triangular(F3):
-    g = GroupElem(F3, ([[1, 0], [2, 1]], [[2, 0], [0, 2]]), hilbert=False)
+    g = GroupElem(F3, ([[1, 0], [2, 1]], [[2, 0], [0, 2]]))
     assert bruhat_word(g) == WeylElem.identity(2)
 
 
 def test_bruhat_word_of_reflection_lift(F2):
     s = [[0, 1], [1, 0]]
     e = [[1, 0], [0, 1]]
-    assert bruhat_word(GroupElem(F2, (s, e), hilbert=False)) == WeylElem((-1, 1))
+    assert bruhat_word(GroupElem(F2, (s, e))) == WeylElem((-1, 1))
 
 
 def test_bruhat_word_against_brute_force_cells(F2):
@@ -179,8 +179,6 @@ def test_group_elem_validation(F3):
                     [identity, det2]):  # unequal determinants
         with pytest.raises(ValueError):
             GroupElem(F3, factors)
-    g = GroupElem(F3, [identity, det2], hilbert=False)  # allowed outside the preset
-    assert g.factors == tuple(tuple(tuple(map(F3, row)) for row in f) for f in (identity, det2))
 
 
 # -- vanishing orders ----------------------------------------------------------------
@@ -377,7 +375,7 @@ def test_translated_pullback_is_the_top_left_product(p):
         assert order == (1 if not g.factors[0][0][0] else 0)
         for a in B:
             for b in B_plus:
-                moved = GroupElem(ctx, (a,)) * g * GroupElem(ctx, (b,), hilbert=False)
+                moved = GroupElem(ctx, (a,)) * g * GroupElem(ctx, (b,))
                 moved_pt = quotient_point(moved * z_lift)
                 assert vanishing_order_at_point(h, moved_pt) == order
 
