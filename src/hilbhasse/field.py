@@ -138,21 +138,26 @@ class FieldCtx:
         """The element index of ``value``, coerced as ``__call__`` does: an
         int is a prime-subfield value reduced mod p, a sequence holds at most
         k coefficients low-degree first (missing ones are 0), and an element
-        must belong to this context."""
+        must belong to this context.  A float or Fraction coefficient, or a
+        value that is no iterable (a bare float), raises ValueError."""
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, FieldElem):
             if value._ctx is not self:
                 raise ContextMismatchError("element belongs to a different field")
             return value._idx
-        # len() and reversed() need a sequence; a list or tuple is folded as it is
-        seq = value if isinstance(value, (list, tuple)) else list(value)
+        try:  # len() and reversed() need a sequence; a list or tuple is folded as it is
+            seq = value if isinstance(value, (list, tuple)) else list(value)
+        except TypeError:  # a bare float, or any other value that is no iterable
+            raise ValueError(f"cannot coerce {value!r} into {self!r}") from None
         if len(seq) > self.k:
             raise ValueError(f"expected at most {self.k} coefficients")
         # base-p fold from the top coefficient down, reducing each mod p
         p, idx = self.p, 0
         for c in reversed(seq):
             idx = idx * p + c % p
+        if type(idx) is not int:  # a float or Fraction coefficient was folded in
+            raise ValueError(f"coefficients must be ints, got {value!r}")
         return idx
 
     def from_index(self, idx: int) -> "FieldElem":

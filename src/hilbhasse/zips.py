@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import product
+from operator import eq
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
@@ -78,7 +79,7 @@ class HilbertZip(FrozenRecord):
 def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
     """Flag i is set iff the conjugate line equals the Hodge line in block i;
     two normalized pairs are equal iff their lines are."""
-    return tuple([c == o for c, o in zip(z.conj, z.omega)])
+    return tuple(map(eq, z.conj, z.omega))
 
 
 def _block_level(ctx: FieldCtx, omega_i: tuple, c_i: tuple) -> int:
@@ -113,7 +114,7 @@ class ZipReport(FrozenRecord):
 
     @property
     def consistent(self) -> bool:
-        return self.hasse_order == self.m_max
+        return sum(self.flags) == self.m_max
 
     def to_json_obj(self) -> dict:
         return {"flags": list(self.flags), "hasse_order": self.hasse_order,
@@ -138,19 +139,22 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
     over the pairs (1, t) for t in element order, then (0, 1).
 
     Each zip stores its level, the sum of its block levels.  Every block has
-    the same q+1 pairs, so ``_block_level`` runs (q+1)^2 times in all.
+    the same q+1 pairs, so ``_block_level`` runs (q+1)^2 times in all.  The
+    (q+1)^n conjugate tuples are built once and shared by every Omega tuple;
+    a zip's level sums the tuple in the same place of the product of its
+    Omega tuple's level rows.
     """
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
     lines = [(1, t) for t in range(ctx.q)] + [(0, 1)]
-    # each Omega_i with its candidate C lines and their block levels
-    table = [(o, [(c, _block_level(ctx, o, c)) for c in lines]) for o in lines]
+    # each Omega_i with the block levels of the candidate C lines, in line order
+    table = [(o, [_block_level(ctx, o, c) for c in lines]) for o in lines]
+    conjs = list(product(lines, repeat=n))
     for choice in product(table, repeat=n):
-        omega, candidates = zip(*choice)
-        for pairs in product(*candidates):
-            conj, levels = zip(*pairs)
-            yield HilbertZip._of_checked_lines(ctx, n, omega, conj, sum(levels))
+        omega, level_rows = zip(*choice)
+        for conj, level in zip(conjs, map(sum, product(*level_rows))):
+            yield HilbertZip._of_checked_lines(ctx, n, omega, conj, level)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import pickle
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -263,6 +264,17 @@ def test_serialization_round_trip(F4):
 def test_int_coercion_embeds_prime_subfield(F4):
     assert F4(3).coeffs == (1, 0)
     assert F4.gen() + 1 == F4([1, 1])
+
+
+def test_non_int_coefficients_are_refused(F4):
+    # the base-p fold of 1.0 and 1 would be the "index" 3.0, and a bare float
+    # is no iterable; a bool coefficient is still the int it equals
+    for value in ([1.0, 1], [1.5], [Fraction(1), 1], (Fraction(1, 2),), 1.0, None):
+        with pytest.raises(ValueError):
+            F4.index_of(value)
+        with pytest.raises(ValueError):
+            F4(value)
+    assert F4.index_of([True, 1]) == F4.index_of(True) + 2 == 3
 
 
 def test_iterated_frobenius_twist(F4):

@@ -214,21 +214,31 @@ def count_calls(monkeypatch, counts, owner, name):
 def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # one block level per (Omega_i, candidate C line), shared by all blocks,
     # and no wedge and no vector of F^(2n), neither in the sweep nor in a
-    # zip-check request
-    counts = {"_block_level": 0, "_wedge_terms": 0, "__init__": 0}
-    count_calls(monkeypatch, counts, zips_mod, "_block_level")
+    # zip-check request; a CLI sweep computes no block level again, and takes
+    # one flag tuple and one stored level per zip
+    counts = dict.fromkeys(["_block_level", "partial_hasse_flags", "max_hodge_level",
+                            "_wedge_terms", "__init__"], 0)
+    for name in ("_block_level", "partial_hasse_flags", "max_hodge_level"):
+        count_calls(monkeypatch, counts, zips_mod, name)
     count_calls(monkeypatch, counts, linalg_mod, "_wedge_terms")
     count_calls(monkeypatch, counts, linalg_mod.Subspace, "__init__")
     ctx = FieldCtx(p, k)
     s = ctx.q + 1
     zips = list(enumerate_zips(ctx, n))
     assert len(zips) == s ** (2 * n)
-    assert counts == {"_block_level": s ** 2, "_wedge_terms": 0, "__init__": 0}
+    assert counts == {"_block_level": s ** 2, "partial_hasse_flags": 0, "max_hodge_level": 0,
+                      "_wedge_terms": 0, "__init__": 0}
     counts.update(_block_level=0)
+    assert main(["verify-equivalence", "--p", str(p), "--k", str(k), "--n", str(n)]) == 0
+    assert capsys.readouterr().out == f"{len(zips)}/{len(zips)} consistent\n"
+    assert counts == {"_block_level": s ** 2, "partial_hasse_flags": len(zips),
+                      "max_hodge_level": len(zips), "_wedge_terms": 0, "__init__": 0}
+    counts.update(dict.fromkeys(counts, 0))
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(zip_to_json_obj(zips[-1]))))
     assert main(["zip-check"]) == 0
     assert capsys.readouterr().out.endswith(f"\t{n}\t{n}\t1\n")
-    assert counts == {"_block_level": n, "_wedge_terms": 0, "__init__": 0}
+    assert counts == {"_block_level": n, "partial_hasse_flags": 1, "max_hodge_level": 1,
+                      "_wedge_terms": 0, "__init__": 0}
 
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 8), (3, 1, 4), (2, 2, 3)])
