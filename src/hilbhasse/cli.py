@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache
+from itertools import islice, starmap
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
@@ -36,14 +38,41 @@ def _parse_target(spec: str, n: int):
     return (tuple(int(x) for x in a_part.split(",")), int(c_part))
 
 
+def _open_output(args: argparse.Namespace):
+    """--output as a context manager: the file, opened once and closed on
+    leaving, or stdout, left open."""
+    return nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w")
+
+
 def _emit(args: argparse.Namespace, obj, lines: list[str]):
     """obj as sorted JSON, or the tsv lines, to --output."""
     text = (json.dumps(obj, sort_keys=True) if args.format == "json" else "\n".join(lines)) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    with _open_output(args) as out:
+        out.write(text)
+
+
+_CHUNK = 1024  # rows built and written at a time, so memory stays flat in 2^n
+
+
+def _stream(args: argparse.Namespace, fields: tuple[str, ...], rows, frame=("[", "]"),
+            tail: tuple[str, ...] = ()):
+    """An iterator of rows, tuples over fields, to --output _CHUNK at a time,
+    in the bytes _emit writes for them: a sorted JSON list of objects
+    between the frame's two halves, or tsv lines under the fields and above
+    the tail."""
+    as_json = args.format == "json"
+    line = "\t".join(["{}"] * len(fields)) + "\n"
+    with _open_output(args) as out:
+        out.write(frame[0] if as_json else "\t".join(fields) + "\n")
+        sep = ""
+        while chunk := list(islice(rows, _CHUNK)):
+            if as_json:
+                out.write(sep + json.dumps([dict(zip(fields, r)) for r in chunk],
+                                           sort_keys=True)[1:-1])
+                sep = ", "
+            else:
+                out.write("".join(starmap(line.format, chunk)))
+        out.write(frame[1] + "\n" if as_json else "".join(t + "\n" for t in tail))
 
 
 def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
@@ -73,14 +102,9 @@ def _cmd_strata_table(args: argparse.Namespace) -> int:
     _refuse_sign_vectors(args)
     ctx = FieldCtx(args.p, args.k)
     h = hasse_section(ctx, args.n)
-    rows = []
-    for w in all_weyl_elems(args.n):
-        length = w.length()
-        order = vanishing_order_on_stratum(h, w)
-        rows.append({"w": w.to_string(), "length": length,
-                     "codim": args.n - length, "ord": int(order)})
-    _emit(args, rows, ["w\tlength\tcodim\tord"]
-          + [f"{r['w']}\t{r['length']}\t{r['codim']}\t{r['ord']}" for r in rows])
+    rows = ((w.to_string(), (length := w.length()), args.n - length,
+             int(vanishing_order_on_stratum(h, w))) for w in all_weyl_elems(args.n))
+    _stream(args, ("w", "length", "codim", "ord"), rows)
     return EXIT_OK
 
 
@@ -102,28 +126,36 @@ def _factors_json(g) -> list:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
-    rows = bruhat_census(ctx, args.n, bound=args.bound)
+    cells = bruhat_census(ctx, args.n, bound=args.bound)  # refuses before the closed forms
     # closed forms, independent of the counts under test
     borel_size = borel_order(ctx, args.n)
     group_size = group_order(ctx, args.n)
-    out_rows = [{"w": w.to_string(), "length": w.length(), "cell_size": count,
-                 "expected": ctx.q ** w.length() * borel_size} for w, count in rows]
-    # the first row that breaks the cell law
-    bad = next((i for i, r in enumerate(out_rows) if r["cell_size"] != r["expected"]), None)
-    total = sum(count for _, count in rows)
+    expected = [ctx.q ** length * borel_size for length in range(args.n + 1)]
+    # the counts as plain ints, and the first cell that breaks the law, before
+    # any row is written: the JSON's "ok" precedes its "rows"
+    counts, bad = [], None
+    for w, count in cells:
+        if bad is None and count != expected[w.length()]:
+            bad = w, count
+        counts.append(count)
+    total = sum(counts)
     ok = bad is None and total == group_size
-    _emit(args, {"rows": out_rows, "total": total, "group_size": group_size, "ok": ok},
-          ["w\tlength\tcell_size\texpected"]
-          + [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['expected']}" for r in out_rows]
-          + [f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}"])
+    rows = ((w.to_string(), (length := w.length()), count, expected[length])
+            for w, count in zip(all_weyl_elems(args.n), counts))
+    head, tail = json.dumps({"rows": [], "total": total, "group_size": group_size, "ok": ok},
+                            sort_keys=True).split('"rows": []')
+    _stream(args, ("w", "length", "cell_size", "expected"), rows,
+            frame=(head + '"rows": [', "]" + tail),
+            tail=(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}",))
     if bad is not None:
         # one element of the bad cell, replayable through GroupElem and
         # built from per-factor witnesses of one determinant, not from G
-        r = out_rows[bad]
-        g = cell_witness(ctx, rows[bad][0], args.bound)
-        replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "w": r["w"], "factors": _factors_json(g)}
-        sys.stderr.write(f"census mismatch: cell {r['w']} holds {r['cell_size']} "
-                         f"elements, expected {r['expected']}\t"
+        w, count = bad
+        g = cell_witness(ctx, w, args.bound)
+        replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "w": w.to_string(),
+                  "factors": _factors_json(g)}
+        sys.stderr.write(f"census mismatch: cell {w.to_string()} holds {count} "
+                         f"elements, expected {expected[w.length()]}\t"
                          f"{json.dumps(replay, sort_keys=True)}\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -138,8 +138,9 @@ class FieldCtx:
         """The element index of ``value``, coerced as ``__call__`` does: an
         int is a prime-subfield value reduced mod p, a sequence holds at most
         k coefficients low-degree first (missing ones are 0), and an element
-        must belong to this context.  A float or Fraction coefficient, or a
-        value that is no iterable (a bare float), raises ValueError."""
+        must belong to this context.  A coefficient that is no int (a float,
+        a Fraction, a str, None), or a value that is no iterable (a bare
+        float), raises ValueError."""
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, FieldElem):
@@ -154,8 +155,11 @@ class FieldCtx:
             raise ValueError(f"expected at most {self.k} coefficients")
         # base-p fold from the top coefficient down, reducing each mod p
         p, idx = self.p, 0
-        for c in reversed(seq):
-            idx = idx * p + c % p
+        try:  # a str or None coefficient raises TypeError in the fold
+            for c in reversed(seq):
+                idx = idx * p + c % p
+        except TypeError:
+            idx = None
         if type(idx) is not int:  # a float or Fraction coefficient was folded in
             raise ValueError(f"coefficients must be ints, got {value!r}")
         return idx

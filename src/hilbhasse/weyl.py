@@ -11,7 +11,7 @@ character on the zip-flag side.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from itertools import product
 
 from .field import _is_prime
@@ -177,9 +177,10 @@ def zipflag_pullback(mu: Character, nu: Character, datum: CocharDatum) -> Charac
     return mu + datum.p * twisted
 
 
-def all_weyl_elems(n: int) -> list[WeylElem]:
-    """All 2^n sign vectors, identity first, longest element last, the last
-    entry varying fastest."""
+def all_weyl_elems(n: int) -> Iterator[WeylElem]:
+    """All 2^n sign vectors, built one at a time as the iterator is read:
+    identity first, longest element last, the last entry varying fastest.
+    n < 1 raises ValueError at the call."""
     if n < 1:
         raise ValueError("need at least one factor")
-    return [WeylElem.from_signs(signs) for signs in product((1, -1), repeat=n)]
+    return map(WeylElem.from_signs, product((1, -1), repeat=n))

@@ -132,6 +132,26 @@ def test_output_file(tmp_path, capsys):
     assert target.read_text().startswith("w\tlength\tcodim\tord\n")
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("argv", [["strata-table", "--n", "13"],
+                                  ["census", "--p", "2", "--n", "13"]],
+                         ids=["strata-table", "census"])
+def test_streamed_tables_hold_flat_memory(capsys, tmp_path, argv, fmt):
+    # both commands write their 2^13 rows in chunks as they compute them;
+    # built whole, the rows and their text peak at 3.7-8.7 MB here
+    import tracemalloc
+    argv = argv + ["--format", fmt]
+    target = tmp_path / "table.out"
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--output", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 2 * 2 ** 20, peak
+    assert run_cli(capsys, argv) == (0, target.read_text())
+
+
 def test_bound_refusal_exit_code(capsys):
     code = main(["verify-equivalence", "--p", "3", "--n", "3", "--bound", "100"])
     assert code == 3

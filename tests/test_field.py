@@ -267,9 +267,11 @@ def test_int_coercion_embeds_prime_subfield(F4):
 
 
 def test_non_int_coefficients_are_refused(F4):
-    # the base-p fold of 1.0 and 1 would be the "index" 3.0, and a bare float
-    # is no iterable; a bool coefficient is still the int it equals
-    for value in ([1.0, 1], [1.5], [Fraction(1), 1], (Fraction(1, 2),), 1.0, None):
+    # the base-p fold of 1.0 and 1 would be the "index" 3.0, a bare float is
+    # no iterable, and a str or None coefficient has no int fold; a bool
+    # coefficient is still the int it equals
+    for value in ([1.0, 1], [1.5], [Fraction(1), 1], (Fraction(1, 2),), 1.0, None,
+                  "ab", ["1"], [None]):
         with pytest.raises(ValueError):
             F4.index_of(value)
         with pytest.raises(ValueError):

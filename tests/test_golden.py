@@ -38,10 +38,17 @@ def census_doubled(ctx, n, bound):
     return [(w, 2 * count) for w, count in bruhat_census(ctx, n, bound)]
 
 
+def census_doubled_from_length_2(ctx, n, bound):
+    # the cells of length 2 and up twice their size: the first bad cell
+    # follows rows that pass
+    return [(w, 2 * count if w.length() >= 2 else count)
+            for w, count in bruhat_census(ctx, n, bound)]
+
+
 def label_follows_lower_left(g, datum):
     # no real orbit carries two labels; this label follows factor 0's
     # bottom-left entry, which a lower unipotent moves along every U-orbit
-    return all_weyl_elems(g.n)[bool(g.factors[0][1][0])]
+    return list(all_weyl_elems(g.n))[bool(g.factors[0][1][0])]
 
 
 def label_flips_at_top_row_0_1(g, datum):
@@ -55,6 +62,8 @@ def label_flips_at_top_row_0_1(g, datum):
 
 FAULTS = {"every_report_fails": (cli_mod, "check_equivalence", every_report_fails),
           "census_doubled": (cli_mod, "bruhat_census", census_doubled),
+          "census_doubled_from_length_2": (cli_mod, "bruhat_census",
+                                           census_doubled_from_length_2),
           "label_follows_lower_left": (zipgroup_mod, "stratum_label", label_follows_lower_left),
           "label_flips_at_top_row_0_1": (zipgroup_mod, "stratum_label",
                                          label_flips_at_top_row_0_1)}

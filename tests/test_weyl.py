@@ -20,7 +20,7 @@ def test_unchecked_constructor_matches_the_checked_one(n):
         w, checked = WeylElem.from_signs(signs), WeylElem(list(signs))
         assert type(w) is WeylElem and w.signs == checked.signs == signs
         assert w == checked and hash(w) == hash(checked) and repr(w) == repr(checked)
-    assert all_weyl_elems(n) == [WeylElem(s) for s in product((1, -1), repeat=n)]
+    assert list(all_weyl_elems(n)) == [WeylElem(s) for s in product((1, -1), repeat=n)]
 
 
 def test_length_endpoints():
@@ -31,7 +31,7 @@ def test_length_endpoints():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_length_is_subadditive(n):
-    elems = all_weyl_elems(n)
+    elems = list(all_weyl_elems(n))
     for u in elems:
         for w in elems:
             assert (u * w).length() <= u.length() + w.length()

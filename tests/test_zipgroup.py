@@ -168,7 +168,7 @@ def test_census_over_f3(F3):
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_census_law(p, n):
     ctx = FieldCtx(p)
-    rows = bruhat_census(ctx, n)
+    rows = list(bruhat_census(ctx, n))
     counts = {w.signs: c for w, c in rows}
     borel_size = counts[(1,) * n]
     q = ctx.q
@@ -182,8 +182,8 @@ def test_census_law_beyond_enumeration(p, k, n):
     # |G| is about 10^37 for F_16 with n = 10 and 10^24 for F_7 with n = 8,
     # so only the factored census reaches these; |B| and |G| are closed forms
     ctx = FieldCtx(p, k)
-    rows = bruhat_census(ctx, n)
-    assert [w for w, _ in rows] == all_weyl_elems(n)
+    rows = list(bruhat_census(ctx, n))
+    assert [w for w, _ in rows] == list(all_weyl_elems(n))
     for w, count in rows:
         assert count == ctx.q ** w.length() * borel_order(ctx, n), w.to_string()
     assert sum(count for _, count in rows) == group_order(ctx, n)
