@@ -11,7 +11,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cache
-from itertools import islice, starmap
+from itertools import islice, product, starmap
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
@@ -132,20 +132,28 @@ def _cmd_census(args: argparse.Namespace) -> int:
     group_size = group_order(ctx, args.n)
     expected = [ctx.q ** length * borel_size for length in range(args.n + 1)]
     # the counts as plain ints, and the first cell that breaks the law, before
-    # any row is written: the JSON's "ok" precedes its "rows"
+    # any row is written: the JSON's "ok" precedes its "rows".  Every row is
+    # labelled and checked by the sign vector of its place in all_weyl_elems
+    # order; a cell yielded out of its place, or a census of other than 2^n
+    # cells, is refused before the table
     counts, bad = [], None
-    for w, count in cells:
-        if bad is None and count != expected[w.length()]:
+    for signs, (w, count) in zip(product((1, -1), repeat=args.n), cells, strict=True):
+        if w.signs != signs:
+            raise ValueError(f"census yielded cell {w.to_string()} out of order")
+        if bad is None and count != expected[signs.count(-1)]:
             bad = w, count
         counts.append(count)
     total = sum(counts)
     ok = bad is None and total == group_size
-    rows = ((w.to_string(), (length := w.length()), count, expected[length])
-            for w, count in zip(all_weyl_elems(args.n), counts))
-    head, tail = json.dumps({"rows": [], "total": total, "group_size": group_size, "ok": ok},
-                            sort_keys=True).split('"rows": []')
-    _stream(args, ("w", "length", "cell_size", "expected"), rows,
-            frame=(head + '"rows": [', "]" + tail),
+    # the same places' labels, in to_string's alphabet
+    rows = (("".join(s), (length := s.count("-")), count, expected[length])
+            for s, count in zip(product("+-", repeat=args.n), counts))
+    frame = ("[", "]")  # unused by tsv
+    if args.format == "json":
+        head, tail = json.dumps({"rows": [], "total": total, "group_size": group_size,
+                                 "ok": ok}, sort_keys=True).split('"rows": []')
+        frame = (head + '"rows": [', "]" + tail)
+    _stream(args, ("w", "length", "cell_size", "expected"), rows, frame,
             tail=(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}",))
     if bad is not None:
         # one element of the bad cell, replayable through GroupElem and

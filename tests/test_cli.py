@@ -475,6 +475,24 @@ def test_census_mismatch_exits_1(capsys, monkeypatch):
     assert bruhat_word(g).to_string() == replay["w"]
 
 
+@pytest.mark.parametrize("reshape, err", [
+    (lambda cells: cells[::-1], "error: census yielded cell -- out of order\n"),
+    (lambda cells: cells[:-1], "error: zip() argument 2 is shorter than argument 1\n"),
+    (lambda cells: cells + cells[:1], "error: zip() argument 2 is longer than argument 1\n")],
+    ids=["reordered", "short", "long"])
+def test_census_out_of_place_is_refused_before_the_table(capsys, monkeypatch, reshape, err):
+    # each row is labelled by its place in all_weyl_elems order, so a census
+    # whose cells are not those places, one to one, writes no table: its
+    # counts would sit beside other cells' labels
+    import hilbhasse.cli as cli_mod
+    real = cli_mod.bruhat_census
+    monkeypatch.setattr(cli_mod, "bruhat_census",
+                        lambda ctx, n, bound: reshape(list(real(ctx, n, bound))))
+    for fmt in ("tsv", "json"):
+        assert main(["census", "--p", "2", "--n", "2", "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 def test_orbits_frobenius_coupled_n2(capsys):
     code, out = run_cli(capsys, ["orbits", "--p", "2", "--k", "2", "--n", "2"])
     assert code == 0

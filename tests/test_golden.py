@@ -6,7 +6,10 @@ and the sha256 of the UTF-8 stdout and of the stderr.  Every row runs with
 
 The table is data, never rewritten by this test.  A change that alters a
 digest on purpose replaces that row and names its argv and the reason in
-CHANGES.md.
+CHANGES.md.  A new row is built with ``python tests/make_golden_row.py
+ARGV... [--stdin FILE] [--fault NAME]``, with ``PYTHONPATH`` pointing at
+the ``src`` of the commit whose bytes it pins (the parent, for a row that
+must pass before and after a change).
 """
 
 import hashlib
