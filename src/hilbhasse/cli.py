@@ -12,6 +12,7 @@ import sys
 from contextlib import nullcontext
 from functools import cache
 from itertools import islice, product, starmap
+from math import comb
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
@@ -126,28 +127,20 @@ def _factors_json(g) -> list:
 
 def _cmd_census(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
-    cells = bruhat_census(ctx, args.n, bound=args.bound)  # refuses before the closed forms
+    counts = bruhat_census(ctx, args.n, bound=args.bound)  # refuses before the closed forms
     # closed forms, independent of the counts under test
     borel_size = borel_order(ctx, args.n)
     group_size = group_order(ctx, args.n)
     expected = [ctx.q ** length * borel_size for length in range(args.n + 1)]
-    # the counts as plain ints, and the first cell that breaks the law, before
-    # any row is written: the JSON's "ok" precedes its "rows".  Every row is
-    # labelled and checked by the sign vector of its place in all_weyl_elems
-    # order; a cell yielded out of its place, or a census of other than 2^n
-    # cells, is refused before the table
-    counts, bad = [], None
-    for signs, (w, count) in zip(product((1, -1), repeat=args.n), cells, strict=True):
-        if w.signs != signs:
-            raise ValueError(f"census yielded cell {w.to_string()} out of order")
-        if bad is None and count != expected[signs.count(-1)]:
-            bad = w, count
-        counts.append(count)
-    total = sum(counts)
+    # counts[l] is the size of each of the comb(n, l) cells of length l.  The
+    # first of them, "+" * (n - l) + "-" * l, sits at place 2^l - 1 in
+    # all_weyl_elems order, so the first bad cell is the first of the least bad length
+    total = sum(comb(args.n, length) * count for length, count in enumerate(counts))
+    bad = next((length for length, law in enumerate(expected) if counts[length] != law), None)
     ok = bad is None and total == group_size
-    # the same places' labels, in to_string's alphabet
-    rows = (("".join(s), (length := s.count("-")), count, expected[length])
-            for s, count in zip(product("+-", repeat=args.n), counts))
+    # each place's label, in to_string's alphabet
+    rows = (("".join(s), (length := s.count("-")), counts[length], expected[length])
+            for s in product("+-", repeat=args.n))
     frame = ("[", "]")  # unused by tsv
     if args.format == "json":
         head, tail = json.dumps({"rows": [], "total": total, "group_size": group_size,
@@ -158,13 +151,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if bad is not None:
         # one element of the bad cell, replayable through GroupElem and
         # built from per-factor witnesses of one determinant, not from G
-        w, count = bad
+        w = WeylElem.from_signs((1,) * (args.n - bad) + (-1,) * bad)
         g = cell_witness(ctx, w, args.bound)
         replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "w": w.to_string(),
                   "factors": _factors_json(g)}
-        sys.stderr.write(f"census mismatch: cell {w.to_string()} holds {count} "
-                         f"elements, expected {expected[w.length()]}\t"
-                         f"{json.dumps(replay, sort_keys=True)}\n")
+        sys.stderr.write(f"census mismatch: cell {w.to_string()} holds {counts[bad]} elements, "
+                         f"expected {expected[bad]}\t{json.dumps(replay, sort_keys=True)}\n")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

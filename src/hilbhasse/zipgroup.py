@@ -6,7 +6,6 @@ sizes by stratum label, and the Bruhat cell census.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from itertools import product
 from math import prod
 
@@ -266,18 +265,17 @@ def _det_sign_table(ctx: FieldCtx, bound: int) -> dict[tuple[int, int], list]:
     return table
 
 
-def bruhat_census(ctx: FieldCtx, n: int,
-                  bound: int = DEFAULT_ENUM_BOUND) -> Iterator[tuple[WeylElem, int]]:
-    """Cell sizes of the Bruhat partition of G, yielded as (w, size) in
-    ``all_weyl_elems`` order, without enumerating G: g is in the cell of w
-    iff each factor i has sign w_i, and its factors share one determinant d,
-    so the cell holds the sum over d of the product over i of c(d, w_i).
-    The bound is checked and the matrices scanned at the call."""
+def bruhat_census(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[int]:
+    """Cell sizes of the Bruhat partition of G by length, without enumerating
+    G: g is in the cell of w iff each factor i has sign w_i, and its factors
+    share one determinant d, so the cell holds the sum over d of the product
+    over i of c(d, w_i).  That depends on w only through l(w): entry l is the
+    sum over d of c(d, +1)^(n - l) c(d, -1)^l, for l = 0, ..., n."""
     refuse_above(bound, "census row terms", 2, n, ctx.q - 1)
     table = _det_sign_table(ctx, bound)
     dets = {d for d, _ in table}
-    return ((w, sum(prod(table[d, s][0] for s in w.signs) for d in dets))
-            for w in all_weyl_elems(n))
+    return [sum(table[d, 1][0] ** (n - length) * table[d, -1][0] ** length for d in dets)
+            for length in range(n + 1)]
 
 
 def cell_witness(ctx: FieldCtx, w: WeylElem, bound: int = DEFAULT_ENUM_BOUND) -> GroupElem:

@@ -140,11 +140,14 @@ def run_census():
                          if all(not f[0][1] for f in g.factors))
         # the closed form the census command checks its cells against
         assert borel_size == borel_order(ctx, n), (p, k, n)
-        counts = dict((w.signs, c) for w, c in bruhat_census(ctx, n))
-        assert counts == enumerated_census(ctx, n), (p, k, n)
-        assert sum(counts.values()) == len(g_list), (p, k, n)
+        # each cell w holds counts[l(w)]
+        counts = bruhat_census(ctx, n)
+        enumerated = enumerated_census(ctx, n)
+        assert sum(comb(n, length) * count
+                   for length, count in enumerate(counts)) == len(g_list), (p, k, n)
         for w in all_weyl_elems(n):
-            assert counts[w.signs] == ctx.q ** w.length() * borel_size, (p, k, n, w)
+            assert counts[w.length()] == enumerated[w.signs], (p, k, n, w)
+            assert counts[w.length()] == ctx.q ** w.length() * borel_size, (p, k, n, w)
 
 
 def run_orbit_refinement():

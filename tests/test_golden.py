@@ -38,14 +38,21 @@ def every_report_fails(z):
 
 def census_doubled(ctx, n, bound):
     # every cell twice its size; drives the census-mismatch output
-    return [(w, 2 * count) for w, count in bruhat_census(ctx, n, bound)]
+    return [2 * count for count in bruhat_census(ctx, n, bound)]
 
 
 def census_doubled_from_length_2(ctx, n, bound):
     # the cells of length 2 and up twice their size: the first bad cell
     # follows rows that pass
-    return [(w, 2 * count if w.length() >= 2 else count)
-            for w, count in bruhat_census(ctx, n, bound)]
+    return [2 * count if length >= 2 else count
+            for length, count in enumerate(bruhat_census(ctx, n, bound))]
+
+
+def census_shifted_between_lengths(ctx, n, bound):
+    # the length-1 cells one smaller and the length-3 cell three larger: at
+    # n = 3 the total still equals |G|, so only the cells show the fault
+    return [count - (length == 1) + 3 * (length == 3)
+            for length, count in enumerate(bruhat_census(ctx, n, bound))]
 
 
 def label_follows_lower_left(g, datum):
@@ -67,6 +74,8 @@ FAULTS = {"every_report_fails": (cli_mod, "check_equivalence", every_report_fail
           "census_doubled": (cli_mod, "bruhat_census", census_doubled),
           "census_doubled_from_length_2": (cli_mod, "bruhat_census",
                                            census_doubled_from_length_2),
+          "census_shifted_between_lengths": (cli_mod, "bruhat_census",
+                                             census_shifted_between_lengths),
           "label_follows_lower_left": (zipgroup_mod, "stratum_label", label_follows_lower_left),
           "label_flips_at_top_row_0_1": (zipgroup_mod, "stratum_label",
                                          label_flips_at_top_row_0_1)}
