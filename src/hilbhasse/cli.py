@@ -46,7 +46,7 @@ def _open_output(args: argparse.Namespace):
 
 
 def _emit(args: argparse.Namespace, obj, lines: list[str]):
-    """obj as sorted JSON, or the tsv lines, to --output."""
+    """A single object as sorted JSON, or its tsv lines, to --output."""
     text = (json.dumps(obj, sort_keys=True) if args.format == "json" else "\n".join(lines)) + "\n"
     with _open_output(args) as out:
         out.write(text)
@@ -57,10 +57,9 @@ _CHUNK = 1024  # rows built and written at a time, so memory stays flat in 2^n
 
 def _stream(args: argparse.Namespace, fields: tuple[str, ...], rows, frame=("[", "]"),
             tail: tuple[str, ...] = ()):
-    """An iterator of rows, tuples over fields, to --output _CHUNK at a time,
-    in the bytes _emit writes for them: a sorted JSON list of objects
-    between the frame's two halves, or tsv lines under the fields and above
-    the tail."""
+    """An iterator of rows, tuples over fields, to --output _CHUNK at a time:
+    a sorted JSON list of objects between the frame's two halves, or tsv
+    lines under the fields and above the tail."""
     as_json = args.format == "json"
     line = "\t".join(["{}"] * len(fields)) + "\n"
     with _open_output(args) as out:
@@ -172,11 +171,10 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         sys.stderr.write(f"orbit label inconsistency: {exc}\t"
                          f"{json.dumps(replay, sort_keys=True)}\n")
         return EXIT_CHECK_FAILED
-    out_rows = [{"w": w.to_string(), "length": w.length(), "cell_size": sum(sizes),
-                 "orbit_count": len(sizes), "orbit_sizes": sizes} for w, sizes in by_label.items()]
-    _emit(args, out_rows, ["w\tlength\tcell_size\torbit_count\torbit_sizes"]
-          + [f"{r['w']}\t{r['length']}\t{r['cell_size']}\t{r['orbit_count']}\t"
-             + ",".join(str(s) for s in r["orbit_sizes"]) for r in out_rows])
+    as_json = args.format == "json"
+    rows = ((w.to_string(), w.length(), sum(sizes), len(sizes),
+             sizes if as_json else ",".join(map(str, sizes))) for w, sizes in by_label.items())
+    _stream(args, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), rows)
     return EXIT_OK
 
 

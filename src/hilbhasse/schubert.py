@@ -406,11 +406,10 @@ def vanishing_order_on_stratum(f: MultiPoly, w: WeylElem):
         raise ValueError("sign vector and polynomial are incompatible")
     add = f.ctx._add
     signs = w.signs
-    restricted: dict[tuple[int, ...], list[int]] = {}  # key -> [coefficient, s-degree]
+    restricted: dict[tuple[int, ...], int] = {}
     for exps, coeff in f.terms.items():
         e = tuple([d1 if sign == -1 else d0 for (d0, d1), sign in zip(exps, signs)])
-        if (entry := restricted.get(e)) is not None:
-            entry[0] = add[entry[0]][coeff]
-        else:
-            restricted[e] = [coeff, sum([d0 for (d0, _), sign in zip(exps, signs) if sign == 1])]
-    return min([s for c, s in restricted.values() if c], default=INFINITE_ORDER)
+        restricted[e] = add[restricted.get(e, 0)][coeff]
+    # a monomial's s-degree is its exponent sum over the +1 entries
+    return min([sum([d for d, sign in zip(e, signs) if sign == 1])
+                for e, c in restricted.items() if c], default=INFINITE_ORDER)

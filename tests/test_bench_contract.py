@@ -1,5 +1,5 @@
 """The benchmark runs on the program: its workloads pass, and the names its
-tracer patches and its counts read exist.
+tracer patches and its counts read exist, traced as well as untraced.
 
 ``perfbench/tracing.py`` wraps each ``BOUNDARIES`` path, a name as a calling
 module sees it (``zips.induced_filtration``), and reads hits and misses off
@@ -7,11 +7,17 @@ the ``lru_cache`` of every ``MEMOIZED`` span.  ``perfbench/run.py`` counts
 the calls of each ``COUNTED`` function and ``FIELD_OPS`` method.  A name that
 stops being bound would break a traced run, so each is resolved here on a
 fresh import of the package, and one untraced pass of every workload must
-pass.  The benchmark's modules are loaded by path and not modified.
+pass.  A traced run of every workload must exit 0: it fails when a counted
+span's calls differ from cProfile's, when the two cProfile passes differ,
+when the memo's hits disagree with its ``cache_info``, or when an item
+fails.  The benchmark's modules are loaded by path and not modified.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -101,3 +107,14 @@ def test_every_workload_passes_once_untraced(bench_run):
     for name, workload in bench_run.WORKLOADS.items():
         run = workload(1, 1).run_pass(hb)
         assert (run.items > 0, run.failed) == (True, 0), name
+
+
+@pytest.mark.parametrize("workload", ["sweep", "sample", "orbits", "cells"])
+def test_every_workload_passes_traced(workload):
+    # about a second of passes; the spans go to the gitignored .perfbench/
+    argv = [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+            "--seed", "1", "--seconds", "1", "--trace", "1"]
+    run = subprocess.run(argv, cwd=PERFBENCH.parent, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout.splitlines()[-1])["correct"] is True

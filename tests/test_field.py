@@ -68,6 +68,8 @@ def test_create_rejects_bad_parameters():
         FieldCtx(1)
     with pytest.raises(ValueError):
         FieldCtx(2, 0)
+    with pytest.raises(ValueError, match="^prime field has no polynomial generator$"):
+        FieldCtx(3).gen()
 
 
 def test_bools_are_refused_and_leave_the_shared_context_alone(monkeypatch):

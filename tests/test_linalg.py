@@ -90,6 +90,8 @@ def test_ambient_mismatch_is_an_error(F2):
     b = full_space(F2, 3)
     with pytest.raises(ValueError):
         a.contains(b)
+    with pytest.raises(ValueError, match="^vector length differs from ambient dimension$"):
+        Subspace.from_index_rows(F2, 2, [[1]])
 
 
 def all_subspaces_of_plane(ctx):
@@ -203,6 +205,8 @@ def test_wedge_of_lines_rejects_non_lines(F2):
     plane = full_space(F2, 2)
     with pytest.raises(ValueError):
         wedge_of_lines([plane])
+    with pytest.raises(ValueError, match="^need at least one line$"):
+        wedge_of_lines([])
 
 
 def test_wedge_of_lines_rejects_wrong_block(F2):
@@ -258,6 +262,8 @@ def test_filtration_rejects_bad_input(F2):
     line = Subspace.from_vectors(F2, 4, [[1, 0, 0, 0]])
     with pytest.raises(ValueError):
         induced_filtration(line, 1)
+    with pytest.raises(ValueError, match="^ambient dimension must be even$"):
+        induced_filtration(Subspace.from_vectors(F2, 3, [[1, 0, 0]]), 1)
 
 
 def test_filtration_level_rejects_bad_shapes(F2):

@@ -1,6 +1,7 @@
 """Sections on products of projective lines, Bruhat words, stratum labels
 and exact vanishing orders."""
 
+import re
 from itertools import product
 
 import pytest
@@ -179,6 +180,42 @@ def test_group_elem_validation(F3):
                     [identity, det2]):  # unequal determinants
         with pytest.raises(ValueError):
             GroupElem(F3, factors)
+    with pytest.raises(ValueError, match="^factor count mismatch$"):
+        GroupElem(F3, [identity]) * GroupElem(F3, [identity, identity])
+
+
+# (a call on malformed input, its exact message)
+VIOLATIONS = {
+    "label of rank 1 by a rank 2 datum": (
+        lambda: stratum_label(GroupElem(FieldCtx(3), [[[1, 0], [0, 1]]]), CocharDatum.split(2, 3)),
+        "rank mismatch"),
+    "section of no factor": (lambda: hasse_section(FieldCtx(2), 0), "need at least one factor"),
+    "weight space of no factor": (lambda: torus_weight_space(FieldCtx(2), 0, ((), 0)),
+                                  "need at least one factor"),
+    "weight space of a rank 1 target": (
+        lambda: torus_weight_space(FieldCtx(2), 2, hodge_character(1)), "target rank mismatch"),
+    "exponent record of 1 factor": (lambda: MultiPoly(FieldCtx(2), 2, {((1, 0),): 1}),
+                                    "exponent record has 1 factors, expected 2"),
+    "negative exponent": (lambda: MultiPoly(FieldCtx(2), 1, {((-1, 0),): 1}),
+                          "negative exponent"),
+    "order at a point of 2 factors": (
+        lambda: vanishing_order_at_point(hasse_section(FieldCtx(2), 1),
+                                         PointP1n(FieldCtx(2), [(1, 0), (1, 0)])),
+        "point and polynomial are incompatible"),
+    "order at a point of another field": (
+        lambda: vanishing_order_at_point(hasse_section(FieldCtx(2), 1),
+                                         PointP1n(FieldCtx(3), [(1, 0)])),
+        "point and polynomial are incompatible"),
+    "order on a cell of rank 2": (
+        lambda: vanishing_order_on_stratum(hasse_section(FieldCtx(2), 1), WeylElem((1, -1))),
+        "sign vector and polynomial are incompatible"),
+}
+
+
+@pytest.mark.parametrize("call, message", VIOLATIONS.values(), ids=VIOLATIONS)
+def test_malformed_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- vanishing orders ----------------------------------------------------------------

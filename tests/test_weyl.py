@@ -1,5 +1,7 @@
 """Sign-vector Weyl group, characters with parity, and the pullback rule."""
 
+import re
+
 import pytest
 
 from hilbhasse.weyl import (Character, CocharDatum, WeylElem, all_weyl_elems,
@@ -47,6 +49,26 @@ def test_character_parity_is_enforced():
     Character((1, 0), 1)  # fine
     with pytest.raises(ValueError):
         Character((1, 0), 0)
+
+
+# (a call on malformed input, its exact message)
+VIOLATIONS = {
+    "no signs": (lambda: WeylElem(()), "signs must be a non-empty sequence over {+1, -1}"),
+    "product of ranks 1 and 2": (lambda: WeylElem((1,)) * WeylElem((1, -1)), "rank mismatch"),
+    "sum of ranks 1 and 2": (lambda: Character((1,), 1) + Character((1, 1), 2), "rank mismatch"),
+    "act of rank 2 on rank 1": (lambda: weyl_act(WeylElem((1, -1)), Character((1,), 1)),
+                                "rank mismatch"),
+    "pullback of rank 1 by rank 2": (
+        lambda: zipflag_pullback(Character((1,), 1), Character((1,), 1), CocharDatum.split(2, 3)),
+        "rank mismatch"),
+    "no factor": (lambda: all_weyl_elems(0), "need at least one factor"),
+}
+
+
+@pytest.mark.parametrize("call, message", VIOLATIONS.values(), ids=VIOLATIONS)
+def test_malformed_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_character_arithmetic():

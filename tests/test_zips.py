@@ -58,6 +58,12 @@ def test_line_in_block_rejects_zero_vector(F2):
         line_in_block(F2, 2, 0, (0, 0))
 
 
+@pytest.mark.parametrize("block", [-1, 2])
+def test_line_in_block_rejects_a_block_out_of_range(F2, block):
+    with pytest.raises(ValueError, match="^block index out of range$"):
+        line_in_block(F2, 2, block, (1, 0))
+
+
 # -- flags and orders ------------------------------------------------------------------
 
 
