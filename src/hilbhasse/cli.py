@@ -17,9 +17,11 @@ from math import comb
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
 from .schubert import hasse_section, torus_weight_space, vanishing_order_on_stratum
-from .weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
-# enumerate_E and enumerate_G are not called here; they stay names of this
-# module for code that wraps cli.enumerate_E and cli.enumerate_G.
+from .weyl import WeylElem, hodge_character, weyl_act
+# all_weyl_elems, enumerate_E and enumerate_G are not called here; they stay
+# names of this module for code that wraps cli.all_weyl_elems,
+# cli.enumerate_E and cli.enumerate_G.
+from .weyl import all_weyl_elems  # noqa: F401
 from .zipgroup import (OrbitLabelError, borel_order, bruhat_census, cell_witness,  # noqa: F401
                        enumerate_E, enumerate_G, group_order, orbits)
 from .zips import check_equivalence, enumerate_zips, zip_from_json_obj, zip_to_json_obj
@@ -100,10 +102,20 @@ def _refuse_sign_vectors(args: argparse.Namespace):
 
 def _cmd_strata_table(args: argparse.Namespace) -> int:
     _refuse_sign_vectors(args)
-    ctx = FieldCtx(args.p, args.k)
-    h = hasse_section(ctx, args.n)
-    rows = ((w.to_string(), (length := w.length()), args.n - length,
-             int(vanishing_order_on_stratum(h, w))) for w in all_weyl_elems(args.n))
+    n = args.n
+    h = hasse_section(FieldCtx(args.p, args.k), n)
+    # The Hasse section is the product of the first coordinates, so permuting
+    # the factors fixes it and carries the cell of w onto the cell of the
+    # permuted sign vector.  Its order along a cell therefore depends on w
+    # only through l(w), as a census cell's size does: one order on the first
+    # cell of each length, "+" * (n - l) + "-" * l, serves all comb(n, l)
+    # cells of that length.
+    firsts = (WeylElem.from_signs((1,) * (n - length) + (-1,) * length)
+              for length in range(n + 1))
+    orders = [int(vanishing_order_on_stratum(h, w)) for w in firsts]
+    # each place's label, in to_string's alphabet and all_weyl_elems order
+    rows = (("".join(s), (length := s.count("-")), n - length, orders[length])
+            for s in product("+-", repeat=n))
     _stream(args, ("w", "length", "codim", "ord"), rows)
     return EXIT_OK
 

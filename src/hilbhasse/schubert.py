@@ -346,7 +346,9 @@ def _binomial_row(ctx: FieldCtx, v: int, d: int) -> tuple[tuple[int, int], ...]:
     """The nonzero terms (j, C(d, j) v^(d-j)) of (v + w)^d as coefficient
     indices.  C(d, j) is reduced mod p: the prime-field element c has index c.
     Memoized for the process: the keys are bounded by the contexts built
-    times their q element indices v times the degrees d of the sections seen."""
+    times their q element indices v times the degrees d >= 1 of the sections
+    seen.  ``vanishing_order_at_point`` never asks for d = 0, whose row is
+    the constant ((0, 1),), so the Hasse section's points add no key."""
     mul, p = ctx._mul, ctx.p
     row = []
     power = 1  # v^(d-j) as j runs down from d
@@ -366,7 +368,11 @@ def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
     degree of a surviving monomial of the restricted polynomial.  The
     restriction is expanded term by term into one dict of chart monomials,
     and coefficients are summed on the field's index tables before zeros
-    are dropped, so cancellation is exact.  Returns INFINITE_ORDER when the
+    are dropped, so cancellation is exact.  A factor in chart x0 != 0
+    contributes the row of (v + w)^d1 from ``_binomial_row``, or the
+    constant row ((0, 1),) when d1 = 0, with no memo lookup: the Hasse
+    section's one term has d1 = 0 in every factor, so its orders make no
+    lookup.  Returns INFINITE_ORDER when the
     restriction is identically zero, which cannot happen for a nonzero
     section of the (1, ..., 1) bundle.
     """
@@ -379,15 +385,15 @@ def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
     restricted: dict[tuple[int, ...], int] = {}
     for exps, coeff in f.terms.items():
         # chart x0 != 0: x0 -> 1, x1 -> v + w; chart x1 != 0: x0 -> w, x1 -> 1
-        rows = [_binomial_row(ctx, v, d1) if u else ((d0, 1),)
+        rows = [((_binomial_row(ctx, v, d1) if d1 else ((0, 1),)) if u else ((d0, 1),))
                 for (d0, d1), (u, v) in zip(exps, pt.index_coords)]
         for choice in product(*rows):
+            e, factors = zip(*choice)
             c = coeff
-            for _, b in choice:
+            for b in factors:
                 c = mul[c][b]
-            e = tuple([j for j, _ in choice])
             restricted[e] = add[restricted.get(e, 0)][c]
-    return min([sum(e) for e, c in restricted.items() if c], default=INFINITE_ORDER)
+    return min([sum(e) for e, c in restricted.items() if c] or [INFINITE_ORDER])
 
 
 def vanishing_order_on_stratum(f: MultiPoly, w: WeylElem):

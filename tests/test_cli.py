@@ -4,10 +4,15 @@ import json
 
 import pytest
 
+import hilbhasse.cli as cli_mod
+import test_acceptance
 from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError, refuse_above
+from hilbhasse.field import FieldCtx
+from hilbhasse.schubert import hasse_section, vanishing_order_on_stratum
+from hilbhasse.weyl import all_weyl_elems
 from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
-from oracles import conj_rows, filtration_level, hodge_span
+from oracles import chart_order_on_stratum, conj_rows, filtration_level, hodge_span
 from test_acceptance import EQUIVALENCE_SCALE
 
 CONSISTENT_ZIP = {"p": 2, "k": 1, "n": 2,
@@ -69,6 +74,49 @@ def test_strata_table(capsys):
     for line in lines[1:]:
         w, length, codim, order = line.split("\t")
         assert int(order) == 3 - int(length) == int(codim)
+
+
+def table_orders(out: str, fmt: str) -> list[tuple[str, int]]:
+    """(w, ord) per row of a strata-table in either format."""
+    if fmt == "json":
+        return [(row["w"], row["ord"]) for row in json.loads(out)]
+    return [(w, int(order)) for w, _, _, order in
+            (line.split("\t") for line in out.splitlines()[1:])]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("p, k, max_n", [(2, 1, 10), (3, 1, 6), (2, 2, 5)])
+def test_strata_table_orders_match_the_chart_oracle(capsys, p, k, max_n, fmt):
+    # the table takes one order per length; each row's ord must still be the
+    # order along its own cell, restricted by the oracle's ChartPoly algebra
+    ctx = FieldCtx(p, k)
+    for n in range(1, max_n + 1):
+        code, out = run_cli(capsys, ["strata-table", "--p", str(p), "--k", str(k),
+                                     "--n", str(n), "--format", fmt])
+        assert code == 0
+        rows = table_orders(out, fmt)
+        assert len(rows) == 2 ** n
+        h = hasse_section(ctx, n)
+        for (label, order), w in zip(rows, all_weyl_elems(n)):
+            assert (label, order) == (w.to_string(), chart_order_on_stratum(h, w)), (p, k, n)
+
+
+def test_a_fault_beyond_the_length_fails_criterion_2(capsys, monkeypatch):
+    # one too large on every cell but the first of its length: strata-table
+    # asks only those first cells, so its rows stay those of the true order,
+    # and criterion 2, which asks every cell up to n = 6, must fail
+    def fault(f, w):
+        n, length = w.n, w.length()
+        first = w.signs == (1,) * (n - length) + (-1,) * length
+        return vanishing_order_on_stratum(f, w) + (not first)
+
+    argv = ["strata-table", "--n", "6"]
+    expected = run_cli(capsys, argv)
+    monkeypatch.setattr(cli_mod, "vanishing_order_on_stratum", fault)
+    monkeypatch.setattr(test_acceptance, "vanishing_order_on_stratum", fault)
+    assert run_cli(capsys, argv) == expected
+    with pytest.raises(AssertionError):
+        test_acceptance.run_stratum_orders()
 
 
 def test_weight_space_eta(capsys):

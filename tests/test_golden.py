@@ -23,7 +23,7 @@ import pytest
 import hilbhasse.cli as cli_mod
 import hilbhasse.zipgroup as zipgroup_mod
 from hilbhasse.cli import main
-from hilbhasse.schubert import stratum_label
+from hilbhasse.schubert import stratum_label, vanishing_order_on_stratum
 from hilbhasse.weyl import WeylElem, all_weyl_elems
 from hilbhasse.zipgroup import bruhat_census
 from hilbhasse.zips import ZipReport
@@ -55,6 +55,12 @@ def census_shifted_between_lengths(ctx, n, bound):
             for length, count in enumerate(bruhat_census(ctx, n, bound))]
 
 
+def order_one_too_large_from_length_2(f, w):
+    # the order along each cell of length 2 and up one too large: a fault
+    # that depends on w only through l(w), so it reaches every such row
+    return vanishing_order_on_stratum(f, w) + (w.length() >= 2)
+
+
 def label_follows_lower_left(g, datum):
     # no real orbit carries two labels; this label follows factor 0's
     # bottom-left entry, which a lower unipotent moves along every U-orbit
@@ -76,6 +82,8 @@ FAULTS = {"every_report_fails": (cli_mod, "check_equivalence", every_report_fail
                                            census_doubled_from_length_2),
           "census_shifted_between_lengths": (cli_mod, "bruhat_census",
                                              census_shifted_between_lengths),
+          "order_one_too_large_from_length_2": (cli_mod, "vanishing_order_on_stratum",
+                                                order_one_too_large_from_length_2),
           "label_follows_lower_left": (zipgroup_mod, "stratum_label", label_follows_lower_left),
           "label_flips_at_top_row_0_1": (zipgroup_mod, "stratum_label",
                                          label_flips_at_top_row_0_1)}

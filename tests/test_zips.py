@@ -17,9 +17,9 @@ from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace
-from hilbhasse.schubert import (PointP1n, all_points, hasse_section, normalized_index_pair,
-                                projective_line_reps, vanishing_order_at_point,
-                                vanishing_order_on_stratum)
+from hilbhasse.schubert import (MultiPoly, PointP1n, all_points, hasse_section,
+                                normalized_index_pair, projective_line_reps,
+                                vanishing_order_at_point, vanishing_order_on_stratum)
 from hilbhasse.weyl import WeylElem
 from hilbhasse.zips import (HilbertZip, ZipReport, _block_level, check_equivalence,
                             enumerate_zips, line_in_block, max_hodge_level, partial_hasse_flags,
@@ -249,20 +249,28 @@ def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 8), (3, 1, 4), (2, 2, 3)])
 def test_order_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
-    # strata-table takes one order and writes one word per sign vector; the
-    # orders of the Hasse section at all (q+1)^n points ask for one chart row
-    # per factor off [0 : 1], and build each of the q rows (v, 0) once
+    # strata-table takes one order per length and builds no word; the orders
+    # of the Hasse section at all (q+1)^n points ask for no chart row; those
+    # of the product of the second coordinates ask for one row per factor
+    # off [0 : 1], and build each of the q rows (v, 1) once
     counts = {"vanishing_order_on_stratum": 0, "to_string": 0}
     count_calls(monkeypatch, counts, cli_mod, "vanishing_order_on_stratum")
     count_calls(monkeypatch, counts, WeylElem, "to_string")
     assert main(["strata-table", "--p", str(p), "--k", str(k), "--n", str(n)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 ** n
-    assert counts == {"vanishing_order_on_stratum": 2 ** n, "to_string": 2 ** n}
+    assert counts == {"vanishing_order_on_stratum": n + 1, "to_string": 0}
     ctx = FieldCtx(p, k)
     q, h = ctx.q, hasse_section(ctx, n)
+    second = MultiPoly(ctx, n, {((0, 1),) * n: 1})
+    points = all_points(ctx, n)
     schubert_mod._binomial_row.cache_clear()
-    for pt in all_points(ctx, n):
+    for pt in points:
         vanishing_order_at_point(h, pt)
+    rows = schubert_mod._binomial_row.cache_info()
+    assert (rows.misses, rows.hits) == (0, 0)
+    for pt in points:
+        # the second coordinate vanishes at [1 : 0] alone
+        assert vanishing_order_at_point(second, pt) == pt.index_coords.count((1, 0))
     rows = schubert_mod._binomial_row.cache_info()
     assert (rows.misses, rows.hits + rows.misses) == (q, n * q * (q + 1) ** (n - 1))
 
