@@ -11,7 +11,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cache
-from itertools import islice, product, starmap
+from itertools import islice, product
 from math import comb
 
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
@@ -59,22 +59,46 @@ _CHUNK = 1024  # rows built and written at a time, so memory stays flat in 2^n
 
 def _stream(args: argparse.Namespace, fields: tuple[str, ...], rows, frame=("[", "]"),
             tail: tuple[str, ...] = ()):
-    """An iterator of rows, tuples over fields, to --output _CHUNK at a time:
-    a sorted JSON list of objects between the frame's two halves, or tsv
-    lines under the fields and above the tail."""
+    """An iterator of rows, (label, values) with the label under the first
+    field and the values under the rest, to --output _CHUNK at a time: a
+    sorted JSON list of objects between the frame's two halves, or tsv lines
+    under the fields and above the tail.
+
+    The text around the label is rendered once per distinct values tuple,
+    and each row joins it with its label.  A label is written as it is, so
+    it must need no JSON escaping, as a sign string does."""
     as_json = args.format == "json"
-    line = "\t".join(["{}"] * len(fields)) + "\n"
+    key = fields[0]
+    hole = f'"{key}": ""'  # the label's place in a rendered object
+
+    def render(values) -> tuple[str, str]:
+        if as_json:
+            obj = dict(zip(fields[1:], values), **{key: ""})
+            before, _, after = json.dumps(obj, sort_keys=True).partition(hole)
+            return before + hole[:-1], '"' + after
+        return "", "\t" + "\t".join(map(str, values)) + "\n"
+
+    texts: dict[tuple, tuple[str, str]] = {}  # values -> text before and after the label
+    joint = ", " if as_json else ""
     with _open_output(args) as out:
         out.write(frame[0] if as_json else "\t".join(fields) + "\n")
         sep = ""
         while chunk := list(islice(rows, _CHUNK)):
-            if as_json:
-                out.write(sep + json.dumps([dict(zip(fields, r)) for r in chunk],
-                                           sort_keys=True)[1:-1])
-                sep = ", "
-            else:
-                out.write("".join(starmap(line.format, chunk)))
+            for _, values in chunk:
+                if values not in texts:
+                    texts[values] = render(values)
+            out.write(sep + joint.join([label.join(texts[values]) for label, values in chunk]))
+            sep = joint
         out.write(frame[1] + "\n" if as_json else "".join(t + "\n" for t in tail))
+
+
+def _sign_rows(n: int, by_length):
+    """(label, by_length[l]) for each sign string of length n, in
+    ``product("+-", repeat=n)`` order, l its count of "-": each label joins
+    a precomputed first and second half."""
+    halves = [[("".join(s), s.count("-")) for s in product("+-", repeat=m)]
+              for m in (n - n // 2, n // 2)]
+    return ((head + foot, by_length[lh + lf]) for head, lh in halves[0] for foot, lf in halves[1])
 
 
 def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
@@ -114,8 +138,7 @@ def _cmd_strata_table(args: argparse.Namespace) -> int:
               for length in range(n + 1))
     orders = [int(vanishing_order_on_stratum(h, w)) for w in firsts]
     # each place's label, in to_string's alphabet and all_weyl_elems order
-    rows = (("".join(s), (length := s.count("-")), n - length, orders[length])
-            for s in product("+-", repeat=n))
+    rows = _sign_rows(n, [(length, n - length, order) for length, order in enumerate(orders)])
     _stream(args, ("w", "length", "codim", "ord"), rows)
     return EXIT_OK
 
@@ -150,8 +173,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     bad = next((length for length, law in enumerate(expected) if counts[length] != law), None)
     ok = bad is None and total == group_size
     # each place's label, in to_string's alphabet
-    rows = (("".join(s), (length := s.count("-")), counts[length], expected[length])
-            for s in product("+-", repeat=args.n))
+    rows = _sign_rows(args.n, list(zip(range(args.n + 1), counts, expected)))
     frame = ("[", "]")  # unused by tsv
     if args.format == "json":
         head, tail = json.dumps({"rows": [], "total": total, "group_size": group_size,
@@ -184,8 +206,9 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
                          f"{json.dumps(replay, sort_keys=True)}\n")
         return EXIT_CHECK_FAILED
     as_json = args.format == "json"
-    rows = ((w.to_string(), w.length(), sum(sizes), len(sizes),
-             sizes if as_json else ",".join(map(str, sizes))) for w, sizes in by_label.items())
+    rows = ((w.to_string(), (w.length(), sum(sizes), len(sizes),
+                             tuple(sizes) if as_json else ",".join(map(str, sizes))))
+            for w, sizes in by_label.items())
     _stream(args, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), rows)
     return EXIT_OK
 

@@ -87,14 +87,15 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldCtx:
     """The finite field F_{p^k}.
 
-    A context owns its modulus, the interned element pool and the arithmetic
-    tables.  ``FieldCtx(p, k)`` hands out one shared instance per (p, k);
-    contexts are never mutated after construction, so sharing is safe.
+    A context owns its modulus, the interned element pool, the arithmetic
+    tables and the interned normalized pairs of the projective line.
+    ``FieldCtx(p, k)`` hands out one shared instance per (p, k); contexts
+    are never mutated after construction, so sharing is safe.
     Equality is identity: no two contexts describe the same field.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "_hash", "_elems",
-                 "_add", "_mul", "_neg", "_inv", "_frob", "_primitive")
+                 "_add", "_mul", "_neg", "_inv", "_frob", "_primitive", "_lines")
 
     _shared: dict[tuple[int, int], "FieldCtx"] = {}
 
@@ -163,6 +164,25 @@ class FieldCtx:
         if type(idx) is not int:  # a float or Fraction coefficient was folded in
             raise ValueError(f"coefficients must be ints, got {value!r}")
         return idx
+
+    def lines_of(self, pairs) -> tuple[tuple[int, int], ...]:
+        """The normalized pairs of the points [u : v] of the projective line,
+        as entries of ``_lines``: (1, v/u) if u != 0, else (0, 1).  An exact
+        int is reduced mod p, as ``index_of`` reduces it; every other value,
+        a bool included, is coerced by ``index_of``.  Pairs are read in
+        order, u before v, and both zero is no point and raises ValueError."""
+        p, mul, inv, lines, index_of = self.p, self._mul, self._inv, self._lines, self.index_of
+        out = []
+        for u, v in pairs:
+            a = u % p if type(u) is int else index_of(u)
+            b = v % p if type(v) is int else index_of(v)
+            if a:
+                out.append(lines[mul[b][inv[a]]])
+            elif b:
+                out.append(lines[-1])
+            else:
+                raise ValueError("both coordinates are zero")
+        return tuple(out)
 
     def from_index(self, idx: int) -> "FieldElem":
         return self._elems[idx]
@@ -233,6 +253,9 @@ class FieldCtx:
                                  for x in range(1, q)]
         self._inv = [None] + [exp[q - 1 - log[x]] for x in range(1, q)]
         self._frob = [0] + [exp[log[x] * p % (q - 1)] for x in range(1, q)]
+        # the q+1 points of the projective line as interned normalized pairs:
+        # (1, t) at index t, then (0, 1)
+        self._lines = tuple([(1, t) for t in range(q)]) + ((0, 1),)
 
     def __hash__(self):
         # from (p, k, modulus), not the address, so hash order is reproducible

@@ -103,7 +103,7 @@ class PointP1n:
 
     def __init__(self, ctx: FieldCtx, pairs: Sequence[Sequence]):
         self.ctx = ctx
-        self.index_coords = tuple([normalized_index_pair(ctx, u, v) for u, v in pairs])
+        self.index_coords = ctx.lines_of(pairs)
 
     @property
     def n(self) -> int:
@@ -133,24 +133,12 @@ def projective_line_reps(ctx: FieldCtx) -> list[tuple[FieldElem, FieldElem]]:
     return [(one, t) for t in ctx.elements()] + [(zero, one)]
 
 
-def normalized_index_pair(ctx: FieldCtx, a, b) -> tuple[int, int]:
-    """The element indices of the normalized pair of the point [a : b] of
-    the projective line: (1, b/a) if a != 0, else (0, 1).  a and b are
-    coerced as ``ctx`` coerces; both zero is no point and raises ValueError."""
-    a, b = ctx.index_of(a), ctx.index_of(b)
-    if a:
-        return 1, ctx._mul[b][ctx._inv[a]]
-    if b:
-        return 0, 1
-    raise ValueError("both coordinates are zero")
-
-
-def all_points(ctx: FieldCtx, n: int) -> list[PointP1n]:
+def all_points(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[PointP1n]:
     """All (q+1)^n rational points of the n-fold product, lexicographic;
-    refused above ``DEFAULT_ENUM_BOUND`` points."""
+    refused above ``bound`` points."""
     if n < 1:
         raise ValueError("need at least one factor")
-    refuse_above(DEFAULT_ENUM_BOUND, "point enumeration", ctx.q + 1, n)
+    refuse_above(bound, "point enumeration", ctx.q + 1, n)
     reps = projective_line_reps(ctx)
     return [PointP1n(ctx, combo) for combo in product(reps, repeat=n)]
 

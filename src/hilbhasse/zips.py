@@ -26,7 +26,7 @@ from .linalg import Subspace
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .record import FrozenRecord
-from .schubert import det_2x2, normalized_index_pair
+from .schubert import det_2x2
 
 
 def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspace:
@@ -34,8 +34,7 @@ def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspac
     block, with its pivot at the block's first nonzero coordinate."""
     if not 0 <= block < n:
         raise ValueError("block index out of range")
-    x, y = local
-    a, b = normalized_index_pair(ctx, x, y)
+    [(a, b)] = ctx.lines_of([local])
     vec = [0] * (2 * n)
     vec[2 * block], vec[2 * block + 1] = a, b
     return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
@@ -147,7 +146,7 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
     if n < 1:
         raise ValueError("need at least one factor")
     refuse_above(bound, "zip enumeration", ctx.q + 1, 2 * n)
-    lines = [(1, t) for t in range(ctx.q)] + [(0, 1)]
+    lines = ctx._lines
     # each Omega_i with the block levels of the candidate C lines, in line order
     table = [(o, [_block_level(ctx, o, c) for c in lines]) for o in lines]
     conjs = list(product(lines, repeat=n))
@@ -206,7 +205,7 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     _check_lines("omega", obj["omega"], n)
     _check_lines("conj", obj["conj"], n)
     ctx = FieldCtx(p, k)
-    pairs = [normalized_index_pair(ctx, x, y) for x, y in obj["omega"] + obj["conj"]]
+    pairs = ctx.lines_of(obj["omega"] + obj["conj"])
     refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
     # _check_lines counted n lines of each kind
-    return HilbertZip._of_checked_lines(ctx, n, tuple(pairs[:n]), tuple(pairs[n:]))
+    return HilbertZip._of_checked_lines(ctx, n, pairs[:n], pairs[n:])

@@ -7,8 +7,10 @@ substitution, wedge coordinates come from cofactor-expanded minors,
 vanishing orders come from multiplying out chart substitutions on FieldElem
 objects, a zip block's point of P^1 comes from 2x2 determinants of its two
 lines, Bruhat cell sizes come from enumerating the whole group, 2x2 matrix
-products are schoolbook sums on FieldElem rows, and products of
-polynomials are schoolbook sums on FieldElem term dicts.
+products are schoolbook sums on FieldElem rows, products of polynomials
+are schoolbook sums on FieldElem term dicts, a point of P^1 is normalized
+by FieldElem division, and a table's text is one dict per row through
+``json.dumps`` or one tab-joined line per row.
 
 Two are references rather than independent paths.  One is the Hodge level
 as the definition gives it, the least pivot count over the terms of the
@@ -21,6 +23,7 @@ products; the program searches one factor's unipotent orbits and then the
 coupled torus instead.
 """
 
+import json
 from collections import Counter
 from functools import cache
 from itertools import chain, combinations
@@ -209,6 +212,31 @@ def block_point_and_sign(ctx, omega_pair, conj_pair):
     # Omega_i is normalized: index 1 is the field's one
     e_det_c = neg[x] if (a, b) == (1, 0) else y
     return (ctx.from_index(d), ctx.from_index(e_det_c)), 1 if d == 0 else -1
+
+
+def normalized_pair(ctx, u, v):
+    """The element indices of the normalized pair of [u : v] in FieldElem
+    arithmetic: (1, v / u) if u != 0, else (0, 1).  u and v are coerced by
+    calling the context, u first; both zero raises ValueError."""
+    u, v = ctx(u), ctx(v)
+    if u:
+        return 1, (v / u).index
+    if v:
+        return 0, 1
+    raise ValueError("both coordinates are zero")
+
+
+def render_table(fmt, fields, rows, tail=(), **extra):
+    """A table's text as the CLI writes it, one dict or line per row: in json
+    the list of row dicts under "rows" beside the ``extra`` keys, or the bare
+    list without them, encoded with sorted keys; in tsv the fields, each
+    row's entries joined by tabs, then the tail lines.  ``rows`` are tuples
+    over the fields."""
+    if fmt == "json":
+        table = [dict(zip(fields, r)) for r in rows]
+        return json.dumps(dict(extra, rows=table) if extra else table, sort_keys=True) + "\n"
+    lines = ["\t".join(fields)] + ["\t".join(map(str, r)) for r in rows] + list(tail)
+    return "".join(line + "\n" for line in lines)
 
 
 class ChartPoly:

@@ -1,6 +1,7 @@
 """Command-line driver: outputs, exit codes, determinism."""
 
 import json
+from math import comb
 
 import pytest
 
@@ -11,8 +12,10 @@ from hilbhasse.errors import BoundExceededError, refuse_above
 from hilbhasse.field import FieldCtx
 from hilbhasse.schubert import hasse_section, vanishing_order_on_stratum
 from hilbhasse.weyl import all_weyl_elems
+from hilbhasse.zipgroup import borel_order, bruhat_census, group_order, orbits
 from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
-from oracles import chart_order_on_stratum, conj_rows, filtration_level, hodge_span
+from oracles import (chart_order_on_stratum, conj_rows, filtration_level, hodge_span,
+                     render_table)
 from test_acceptance import EQUIVALENCE_SCALE
 
 CONSISTENT_ZIP = {"p": 2, "k": 1, "n": 2,
@@ -198,6 +201,78 @@ def test_streamed_tables_hold_flat_memory(capsys, tmp_path, argv, fmt):
         tracemalloc.stop()
     assert code == 0 and peak < 2 * 2 ** 20, peak
     assert run_cli(capsys, argv) == (0, target.read_text())
+
+
+TABLE_NS = [1, 2, 3, 4, 5, 6, 7, 8, 13]
+
+
+def oracle_table(command, ctx, n, fmt):
+    """The bytes a table command wrote with one dict or line per row, from
+    the library's values, or None where the command refuses n."""
+    if command == "strata-table":
+        h = hasse_section(ctx, n)
+        rows = [(w.to_string(), w.length(), n - w.length(), int(vanishing_order_on_stratum(h, w)))
+                for w in all_weyl_elems(n)]
+        return render_table(fmt, ("w", "length", "codim", "ord"), rows)
+    if command == "census":
+        counts = bruhat_census(ctx, n)
+        borel, group = borel_order(ctx, n), group_order(ctx, n)
+        expected = [ctx.q ** length * borel for length in range(n + 1)]
+        total = sum(comb(n, length) * c for length, c in enumerate(counts))
+        ok = counts == expected and total == group
+        rows = [(w.to_string(), w.length(), counts[w.length()], expected[w.length()])
+                for w in all_weyl_elems(n)]
+        return render_table(fmt, ("w", "length", "cell_size", "expected"), rows,
+                            tail=[f"total\t{total}\tgroup\t{group}\t{'OK' if ok else 'MISMATCH'}"],
+                            **({"total": total, "group_size": group, "ok": ok}
+                               if fmt == "json" else {}))
+    try:
+        by_label = orbits(ctx, n)
+    except BoundExceededError:
+        return None
+    rows = [(w.to_string(), w.length(), sum(sizes), len(sizes),
+             sizes if fmt == "json" else ",".join(map(str, sizes)))
+            for w, sizes in by_label.items()]
+    return render_table(fmt, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), rows)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)], ids=["F2", "F3", "F4"])
+@pytest.mark.parametrize("command", ["strata-table", "census", "orbits"])
+def test_tables_match_one_render_per_row(capsys, command, p, k):
+    # the writer renders the text around each label once per distinct row
+    # values; the bytes are those of one dict or line per row
+    ctx = FieldCtx(p, k)
+    for n in TABLE_NS:
+        for fmt in ("tsv", "json"):
+            expected = oracle_table(command, ctx, n, fmt)
+            argv = [command, "--p", str(p), "--k", str(k), "--n", str(n), "--format", fmt]
+            assert run_cli(capsys, argv) == ((0, expected) if expected else (3, "")), (n, fmt)
+
+
+def test_table_output_file_matches_one_render_per_row(tmp_path, capsys):
+    target = tmp_path / "census.json"
+    code, out = run_cli(capsys, ["census", "--p", "3", "--n", "5", "--format", "json",
+                                 "--output", str(target)])
+    assert (code, out) == (0, "")
+    assert target.read_text() == oracle_table("census", FieldCtx(3), 5, "json")
+
+
+@pytest.mark.parametrize("argv", [["strata-table", "--n", "16"],
+                                  ["census", "--p", "2", "--n", "16"]],
+                         ids=["strata-table", "census"])
+def test_json_tables_encode_once_per_length(monkeypatch, tmp_path, argv):
+    # the rows' values depend only on the length, so the 2^16 rows need
+    # n + 1 encodings and the census frame one more: at most 2(n + 2)
+    calls = []
+    dumps = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    assert main(argv + ["--format", "json", "--output", str(tmp_path / "t.json")]) == 0
+    assert 0 < len(calls) <= 2 * (16 + 2), len(calls)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])

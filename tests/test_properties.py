@@ -31,7 +31,7 @@ from hilbhasse.cli import _COMMANDS, _factors_json, main
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx, FieldElem
 from hilbhasse.linalg import Subspace, _wedge_terms, induced_filtration, wedge_of_lines
 from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, hasse_section,
-                                normalized_index_pair, projective_line_reps, stratum_label,
+                                projective_line_reps, stratum_label,
                                 vanishing_order_at_point, vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, all_weyl_elems
 from hilbhasse.zipgroup import ZipGroupElem, zip_act
@@ -39,7 +39,7 @@ from hilbhasse.zips import (HilbertZip, line_in_block, max_hodge_level, zip_from
                             zip_to_json_obj)
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
                      cofactor_det, filtration_level, hodge_span, is_rref_basis_of, mat_mul_2x2,
-                     naive_rank, term_product, wedge_coords_by_minors)
+                     naive_rank, normalized_pair, term_product, wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -325,8 +325,8 @@ def test_filtration_level_of_a_moved_block_zip_is_its_hasse_order(case):
                                         [_moved(ctx, g, line.basis[0]) for line in omega_lines])
     moved_conj = [[e.index for e in _moved(ctx, g, line.basis[0])] for line in conj_lines]
     assert filtration_level(moved_omega, moved_conj) == sum(flags)
-    omega_pairs = [normalized_index_pair(ctx, *reps[j]) for j in omega]
-    conj_pairs = [normalized_index_pair(ctx, *reps[j]) for j in conj]
+    omega_pairs = ctx.lines_of([reps[j] for j in omega])
+    conj_pairs = ctx.lines_of([reps[j] for j in conj])
     assert max_hodge_level(HilbertZip(ctx, n, omega_pairs, conj_pairs)) == sum(flags)
     pairs = [block_point_and_sign(ctx, o, c)[0] for o, c in zip(omega_pairs, conj_pairs)]
     assert vanishing_order_at_point(hasse_section(ctx, n), PointP1n(ctx, pairs)) == sum(flags)
@@ -679,8 +679,8 @@ def zips(draw, ctx=None):
     ctx = ctx or draw(fields)
     n = draw(st.integers(1, 3))
     pair = st.tuples(elements(ctx), elements(ctx)).filter(any)
-    omega = [normalized_index_pair(ctx, *draw(pair)) for _ in range(n)]
-    conj = [normalized_index_pair(ctx, *draw(pair)) for _ in range(n)]
+    omega = ctx.lines_of([draw(pair) for _ in range(n)])
+    conj = ctx.lines_of([draw(pair) for _ in range(n)])
     return HilbertZip(ctx, n, omega, conj)
 
 
@@ -750,7 +750,7 @@ def test_point_holds_the_normalized_index_pairs(case):
     ctx, pairs = case
     one, zero = ctx.one(), ctx.zero()
     pt = PointP1n(ctx, pairs)
-    assert pt.index_coords == tuple(normalized_index_pair(ctx, u, v) for u, v in pairs)
+    assert pt.index_coords == tuple(normalized_pair(ctx, u, v) for u, v in pairs)
     again = PointP1n(ctx, pt.coords)
     assert again == pt and hash(again) == hash(pt)
     shown = []
@@ -760,6 +760,81 @@ def test_point_holds_the_normalized_index_pairs(case):
     assert repr(pt) == f"PointP1n({'; '.join(shown)})"
     copied = copy.deepcopy(pt)
     assert copied == pt and copied.ctx is ctx and repr(copied) == repr(pt)
+
+
+def line_values(ctx):
+    """Values the pair kernel coerces: those of ``coercible`` and bools."""
+    return st.one_of(coercible(ctx), st.booleans())
+
+
+def line_pair(ctx):
+    """A pair of coercible values or bools, not both zero."""
+    return st.tuples(line_values(ctx), line_values(ctx)).filter(lambda uv: any(map(ctx, uv)))
+
+
+@st.composite
+def line_pairs(draw):
+    """A field and up to four pairs of ``line_pair``."""
+    ctx = draw(fields)
+    return ctx, draw(st.lists(line_pair(ctx), max_size=4))
+
+
+@PROPERTY
+@given(line_pairs())
+@example((F256, [(True, [1, 1]), (-3, 2 ** 70), ([0] * 8, F256.gen()), (False, True)]))
+@example((FieldCtx(5), [(-1, 7), (2 ** 70, False), ([0], [3])]))
+def test_lines_of_is_the_normalization_in_field_arithmetic(case):
+    ctx, pairs = case
+    lines = ctx.lines_of(pairs)
+    assert lines == tuple(normalized_pair(ctx, u, v) for u, v in pairs)
+    assert all(any(line is entry for entry in ctx._lines) for line in lines)
+
+
+def refused_values(ctx):
+    """(value, exception type, message) for values no context coerces, or
+    that belong to another field, with the messages ``index_of`` gives."""
+    foreign = FieldCtx(3) if ctx.p == 2 else FieldCtx(2)
+    return st.sampled_from([
+        (1.5, ValueError, f"cannot coerce 1.5 into {ctx!r}"),
+        (None, ValueError, f"cannot coerce None into {ctx!r}"),
+        ("a", ValueError, "coefficients must be ints, got 'a'"),
+        ([None], ValueError, "coefficients must be ints, got [None]"),
+        ([1.5], ValueError, "coefficients must be ints, got [1.5]"),
+        ([0] * (ctx.k + 1), ValueError, f"expected at most {ctx.k} coefficients"),
+        (foreign.one(), ContextMismatchError, "element belongs to a different field"),
+    ])
+
+
+@st.composite
+def refused_lines(draw):
+    """A field, pairs whose first refused one follows good ones, and the
+    exception type and message of that first refusal: a refused u, a
+    refused v after a good u, or both coordinates zero."""
+    ctx = draw(fields)
+    pairs = draw(st.lists(line_pair(ctx), max_size=3))
+    value, error, message = draw(refused_values(ctx))
+    anything = st.one_of(line_values(ctx), refused_values(ctx).map(lambda r: r[0]))
+    zero = st.sampled_from([0, False, [], [0] * ctx.k, ctx.zero(), ctx.p])
+    kind = draw(st.sampled_from(["u", "v", "zero"]))
+    if kind == "u":
+        pairs.append((value, draw(anything)))
+    elif kind == "v":
+        pairs.append((draw(line_values(ctx)), value))
+    else:
+        pairs.append((draw(zero), draw(zero)))
+        error, message = ValueError, "both coordinates are zero"
+    pairs += draw(st.lists(st.tuples(anything, anything), max_size=2))
+    return ctx, pairs, error, message
+
+
+@PROPERTY
+@given(refused_lines())
+@example((F256, [(1, 1), (0, [0] * 8)], ValueError, "both coordinates are zero"))
+def test_lines_of_refuses_the_first_bad_pair_as_index_of_does(case):
+    ctx, pairs, error, message = case
+    with pytest.raises(error) as exc:
+        ctx.lines_of(pairs)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 @PROPERTY
@@ -776,7 +851,7 @@ def test_hodge_span_is_the_eliminated_span(lines):
         vec = [ctx.zero()] * (2 * n)
         vec[2 * i], vec[2 * i + 1] = a, b
         vectors.append(vec)
-    z = HilbertZip(ctx, n, [normalized_index_pair(ctx, a, b) for a, b in pairs], [(0, 1)] * n)
+    z = HilbertZip(ctx, n, ctx.lines_of(pairs), [(0, 1)] * n)
     expected = Subspace.from_vectors(ctx, 2 * n, vectors)
     assert hodge_span(z) == expected and hodge_span(z).pivots == expected.pivots
 

@@ -18,7 +18,7 @@ from hilbhasse.errors import BoundExceededError
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace
 from hilbhasse.schubert import (MultiPoly, PointP1n, all_points, hasse_section,
-                                normalized_index_pair, projective_line_reps,
+                                projective_line_reps,
                                 vanishing_order_at_point, vanishing_order_on_stratum)
 from hilbhasse.weyl import WeylElem
 from hilbhasse.zips import (HilbertZip, ZipReport, _block_level, check_equivalence,
@@ -122,7 +122,7 @@ def test_block_kernel_is_the_one_block_wedge(p, k):
     ctx = FieldCtx(p, k)
     reps = projective_line_reps(ctx)
     for omega_xy, conj_xy in product(reps, repeat=2):
-        o, c = normalized_index_pair(ctx, *omega_xy), normalized_index_pair(ctx, *conj_xy)
+        o, c = ctx.lines_of([omega_xy, conj_xy])
         omega_line = line_in_block(ctx, 1, 0, omega_xy)
         conj_line = line_in_block(ctx, 1, 0, conj_xy)
         level = filtration_level(omega_line, list(conj_line.index_basis))
@@ -173,12 +173,19 @@ def test_enumeration_needs_a_factor(F2):
             next(enumerate_zips(F2, n))
 
 
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (2, 8)])
+def test_field_lines_are_the_projective_line_reps(p, k):
+    # one line order for the sweep, the zip parse and the points
+    ctx = FieldCtx(p, k)
+    assert ctx._lines == tuple((u.index, v.index) for u, v in projective_line_reps(ctx))
+
+
 @pytest.mark.parametrize("p, k", [(3, 1), (2, 2)])
 def test_sweep_order_is_omega_then_conj_lexicographic(p, k):
     # the sweep bench's expected flags and the failure order of
     # verify-equivalence --format json both follow this order
     ctx, n = FieldCtx(p, k), 2
-    reps = [normalized_index_pair(ctx, x, y) for x, y in projective_line_reps(ctx)]
+    reps = [(u.index, v.index) for u, v in projective_line_reps(ctx)]
     expected = [(omega, conj) for omega in product(reps, repeat=n)
                 for conj in product(reps, repeat=n)]
     assert [(z.omega, z.conj) for z in enumerate_zips(ctx, n)] == expected
@@ -325,8 +332,7 @@ def test_parsed_zip_equals_the_checked_construction(F4):
     obj = {"p": 2, "k": 2, "n": 2, "omega": [[[0, 1], 1], [0, [1]]],
            "conj": [[1, [1, 1]], [[1], 0]]}
     z = zip_from_json_obj(obj)
-    checked = HilbertZip(F4, 2, [normalized_index_pair(F4, *pair) for pair in obj["omega"]],
-                         [normalized_index_pair(F4, *pair) for pair in obj["conj"]])
+    checked = HilbertZip(F4, 2, F4.lines_of(obj["omega"]), F4.lines_of(obj["conj"]))
     assert z == checked and hash(z) == hash(checked)
     assert z.omega == ((1, 3), (0, 1)) and z.conj == ((1, 3), (1, 0))
     assert max_hodge_level(z) == max_hodge_level(checked) == 1
