@@ -65,8 +65,11 @@ def _stream(args: argparse.Namespace, fields: tuple[str, ...], rows, frame=("[",
     under the fields and above the tail.
 
     The text around the label is rendered once per distinct values tuple,
-    and each row joins it with its label.  A label is written as it is, so
-    it must need no JSON escaping, as a sign string does."""
+    and each row joins it with its label, so the memo holds one entry per
+    distinct tuple.  The rows of strata-table, census and orbits hold n + 1,
+    one per length: permuting the factors carries a cell, and the orbits in
+    it, onto the cell of the permuted sign vector.  A label is written as it
+    is, so it must need no JSON escaping, as a sign string does."""
     as_json = args.format == "json"
     key = fields[0]
     hole = f'"{key}": ""'  # the label's place in a rendered object

@@ -133,12 +133,12 @@ def projective_line_reps(ctx: FieldCtx) -> list[tuple[FieldElem, FieldElem]]:
     return [(one, t) for t in ctx.elements()] + [(zero, one)]
 
 
-def all_points(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[PointP1n]:
+def all_points(ctx: FieldCtx, n: int) -> list[PointP1n]:
     """All (q+1)^n rational points of the n-fold product, lexicographic;
-    refused above ``bound`` points."""
+    refused above ``DEFAULT_ENUM_BOUND`` points."""
     if n < 1:
         raise ValueError("need at least one factor")
-    refuse_above(bound, "point enumeration", ctx.q + 1, n)
+    refuse_above(DEFAULT_ENUM_BOUND, "point enumeration", ctx.q + 1, n)
     reps = projective_line_reps(ctx)
     return [PointP1n(ctx, combo) for combo in product(reps, repeat=n)]
 

@@ -258,11 +258,13 @@ def test_table_output_file_matches_one_render_per_row(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["strata-table", "--n", "16"],
-                                  ["census", "--p", "2", "--n", "16"]],
-                         ids=["strata-table", "census"])
+                                  ["census", "--p", "2", "--n", "16"],
+                                  ["orbits", "--n", "5"]],
+                         ids=["strata-table", "census", "orbits"])
 def test_json_tables_encode_once_per_length(monkeypatch, tmp_path, argv):
-    # the rows' values depend only on the length, so the 2^16 rows need
+    # the rows' values depend only on the length, so the 2^n rows need
     # n + 1 encodings and the census frame one more: at most 2(n + 2)
+    n = int(argv[-1])
     calls = []
     dumps = json.dumps
 
@@ -272,7 +274,7 @@ def test_json_tables_encode_once_per_length(monkeypatch, tmp_path, argv):
 
     monkeypatch.setattr(json, "dumps", counted)
     assert main(argv + ["--format", "json", "--output", str(tmp_path / "t.json")]) == 0
-    assert 0 < len(calls) <= 2 * (16 + 2), len(calls)
+    assert 0 < len(calls) <= 2 * (n + 2), len(calls)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])

@@ -333,20 +333,6 @@ def test_all_points_refuses_before_building(monkeypatch):
                               "above the bound 1000000")
 
 
-@pytest.mark.parametrize("p,k,n", [(2, 1, 3), (3, 1, 2), (2, 2, 2)])
-def test_all_points_honours_the_callers_bound(monkeypatch, p, k, n):
-    import hilbhasse.schubert as schubert_mod
-
-    ctx = FieldCtx(p, k)
-    size = (ctx.q + 1) ** n
-    assert len(all_points(ctx, n, bound=size)) == size
-    monkeypatch.setattr(schubert_mod, "PointP1n", None)  # building a point would raise
-    with pytest.raises(BoundExceededError) as exc:
-        all_points(ctx, n, bound=size - 1)
-    assert str(exc.value) == (f"point enumeration would visit {size} items, "
-                              f"above the bound {size - 1}")
-
-
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cells_partition_the_points(p, k, n):
