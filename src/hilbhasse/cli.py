@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from functools import cache
 from itertools import islice, product
 from math import comb
 
@@ -260,7 +259,6 @@ def _add_arguments(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
     return sp
 
 
-@cache  # parse_args does not mutate the parser, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hilbhasse",
@@ -273,20 +271,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    return _add_arguments(argparse.ArgumentParser(prog=f"hilbhasse {name}"), name)
-
-
 def _parse_args(argv) -> argparse.Namespace:
     """A well-formed command needs only its own parser.  The full tree parses
     help, an unknown command and stray words, so its messages name them."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in _COMMANDS:
-        args, extras = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if argv and (name := argv[0]) in _COMMANDS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"hilbhasse {name}"), name)
+        args, extras = parser.parse_known_args(argv[1:])
         if not extras:
-            args.command = argv[0]
+            args.command = name
             return args
     return build_parser().parse_args(argv)
 

@@ -139,7 +139,6 @@ def wedge_basis_subsets(n: int) -> list[tuple[int, ...]]:
     return sorted(combinations(range(2 * n), n), key=lambda s: tuple(reversed(s)))
 
 
-@lru_cache(maxsize=None)
 def _colex_ranks(n: int) -> dict[int, int]:
     """Colex rank of each n-element subset of {0, ..., 2n-1}, keyed by its bitmask."""
     return {sum(1 << s for s in subset): i for i, subset in enumerate(wedge_basis_subsets(n))}
@@ -174,9 +173,9 @@ def _wedge_terms(vectors: Sequence[Sequence[int]], ctx: FieldCtx,
     return acc
 
 
-def _wedge_coords(terms: dict[int, int], n: int) -> list[int]:
-    """The colex coordinate vector of an n-fold wedge given by its terms."""
-    ranks = _colex_ranks(n)
+def _wedge_coords(terms: dict[int, int], ranks: dict[int, int]) -> list[int]:
+    """The colex coordinate vector of a wedge given by its terms, ``ranks``
+    being ``_colex_ranks`` of its number of factors."""
     coords = [0] * len(ranks)
     for subset, coeff in terms.items():
         coords[ranks[subset]] = coeff
@@ -204,7 +203,8 @@ def wedge_of_lines(lines: Sequence[Subspace]) -> Subspace:
         if any(row[j] for j in range(ambient) if j not in (2 * i, 2 * i + 1)):
             raise ValueError(f"line {i} is not supported in block {{{2 * i}, {2 * i + 1}}}")
     terms = _wedge_terms([line.index_basis[0] for line in lines], ctx)
-    return Subspace.from_index_rows(ctx, comb(ambient, n), [_wedge_coords(terms, n)])
+    coords = _wedge_coords(terms, _colex_ranks(n))
+    return Subspace.from_index_rows(ctx, comb(ambient, n), [coords])
 
 
 @lru_cache(maxsize=None)
@@ -232,11 +232,12 @@ def induced_filtration(omega: Subspace, m: int) -> Subspace:
     # element index 1 is the field's one, 0 its zero
     complement = [tuple(int(j == c) for j in range(ambient))
                   for c in range(ambient) if c not in pivot_set]
+    ranks = _colex_ranks(n)
     spanning = []
     for j in range(m, n + 1):
         for part_a in combinations(omega.index_basis, j):
             wedge_a = _wedge_terms(part_a, ctx)
             for part_b in combinations(complement, n - j):
-                spanning.append(_wedge_coords(_wedge_terms(part_b, ctx, wedge_a), n))
+                spanning.append(_wedge_coords(_wedge_terms(part_b, ctx, wedge_a), ranks))
     return Subspace.from_index_rows(ctx, comb(ambient, n), spanning)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cache
 from itertools import product
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
@@ -34,12 +33,12 @@ Factor = tuple[int, int, int, int]
 class MultiPoly:
     """A multihomogeneous-style polynomial in n projective coordinate pairs.
 
-    Terms map an exponent record, one (d_i0, d_i1) pair per factor, to the
-    element index of a nonzero field coefficient.  Sections of the
-    (1, ..., 1) bundle have d_i0 + d_i1 = 1 in every factor of every term.
-    Coefficients are given as values that ``ctx.index_of`` accepts; those
-    of equal records are summed on the field's tables before zeros are
-    dropped.
+    Terms map an exponent record, a tuple of one (d_i0, d_i1) pair of
+    non-negative ints per factor, to the element index of a nonzero field
+    coefficient.  Sections of the (1, ..., 1) bundle have d_i0 + d_i1 = 1 in
+    every factor of every term.  Coefficients are given as values that
+    ``ctx.index_of`` accepts; those of equal records are summed on the
+    field's tables before zeros are dropped.
     """
 
     __slots__ = ("ctx", "n", "terms")
@@ -50,11 +49,16 @@ class MultiPoly:
         add = ctx._add
         summed: dict[ExpKey, int] = {}
         for exps, coeff in terms.items():
-            exps = tuple((int(d0), int(d1)) for d0, d1 in exps)
+            if type(exps) is not tuple:
+                raise ValueError(f"exponent record {exps!r} is not a tuple")
             if len(exps) != n:
                 raise ValueError(f"exponent record has {len(exps)} factors, expected {n}")
-            if any(d0 < 0 or d1 < 0 for d0, d1 in exps):
-                raise ValueError("negative exponent")
+            for i, pair in enumerate(exps):
+                # type(d) is int: no float, str or bool passes
+                if type(pair) is not tuple or len(pair) != 2 or {type(d) for d in pair} != {int}:
+                    raise ValueError(f"factor {i + 1} has exponents {pair!r}, not two ints")
+                if min(pair) < 0:
+                    raise ValueError("negative exponent")
             summed[exps] = add[summed.get(exps, 0)][ctx.index_of(coeff)]
         self.terms = {e: c for e, c in summed.items() if c}
 
@@ -329,14 +333,9 @@ def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:
 # -- vanishing orders ------------------------------------------------------------
 
 
-@cache
 def _binomial_row(ctx: FieldCtx, v: int, d: int) -> tuple[tuple[int, int], ...]:
     """The nonzero terms (j, C(d, j) v^(d-j)) of (v + w)^d as coefficient
-    indices.  C(d, j) is reduced mod p: the prime-field element c has index c.
-    Memoized for the process: the keys are bounded by the contexts built
-    times their q element indices v times the degrees d >= 1 of the sections
-    seen.  ``vanishing_order_at_point`` never asks for d = 0, whose row is
-    the constant ((0, 1),), so the Hasse section's points add no key."""
+    indices.  C(d, j) is reduced mod p: the prime-field element c has index c."""
     mul, p = ctx._mul, ctx.p
     row = []
     power = 1  # v^(d-j) as j runs down from d
@@ -358,11 +357,10 @@ def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
     and coefficients are summed on the field's index tables before zeros
     are dropped, so cancellation is exact.  A factor in chart x0 != 0
     contributes the row of (v + w)^d1 from ``_binomial_row``, or the
-    constant row ((0, 1),) when d1 = 0, with no memo lookup: the Hasse
-    section's one term has d1 = 0 in every factor, so its orders make no
-    lookup.  Returns INFINITE_ORDER when the
-    restriction is identically zero, which cannot happen for a nonzero
-    section of the (1, ..., 1) bundle.
+    constant row ((0, 1),) when d1 = 0 without building one: the Hasse
+    section's one term has d1 = 0 in every factor, so its orders build no
+    row.  Returns INFINITE_ORDER when the restriction is identically zero,
+    which cannot happen for a nonzero section of the (1, ..., 1) bundle.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no well-defined order")

@@ -691,8 +691,8 @@ def _run_in_process(capsys, argv):
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
-    # the parsers are cached, so a call must not see anything an earlier
-    # call left behind
+    # the shared field contexts outlive a call, so a call must not see
+    # anything an earlier call left behind
     import subprocess
     import sys
     from pathlib import Path
@@ -701,7 +701,7 @@ def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
 
     orbits, census = ["orbits", "--p", "3", "--n", "2"], ["census", "--p", "3", "--n", "2"]
     runs = [["census", "--p", "3"], ["--help"], orbits, census, orbits]
-    # the full tree after a cached command parser, and that parser after it
+    # the full tree after a command's own parser, and that parser after it
     for malformed in (["bogus"], ["orbits", "--n", "2", "extra"], ["orbits", "--help"]):
         runs += [malformed, orbits, census]
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
@@ -735,8 +735,8 @@ def test_parser_builds_have_closed_form_counts(capsys, monkeypatch, tmp_path, ar
                                                parsers):
     # a well-formed command builds its own parser and never asks for the
     # full tree; help, an unknown command and a stray word build the tree's
-    # 7 parsers, a stray word after its command's one.  Parsers are cached,
-    # so the same call again builds none
+    # 7 parsers, a stray word after its command's one.  No parser outlives
+    # its call, so the same call again builds the same parsers
     import argparse
 
     import hilbhasse.cli as cli_mod
@@ -755,12 +755,10 @@ def test_parser_builds_have_closed_form_counts(capsys, monkeypatch, tmp_path, ar
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     monkeypatch.setattr(cli_mod, "build_parser", counted_tree)
-    real_tree.cache_clear()
-    cli_mod._command_parser.cache_clear()
-    for expected in (parsers, []):
+    for _ in range(2):
         del built[:], trees[:]
         assert _run_in_process(capsys, argv)[0] == code
-        assert built == expected
+        assert built == parsers
         assert len(trees) == (FULL_TREE[0] in parsers)
 
 

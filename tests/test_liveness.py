@@ -49,8 +49,8 @@ ROLES = {
     "field.FieldCtx.elements":
         "value: every element in index order, tests/test_field.py's exhaustive field checks",
     "field.FieldCtx.__hash__":
-        "value: keys memos and dicts by field, "
-        "tests/test_schubert.py::test_chart_row_memo_is_keyed_by_field_and_degree",
+        "value: a polynomial's hash includes its field's, "
+        "tests/test_schubert.py::test_multipoly_printing_and_equality",
     "field.FieldCtx.__repr__": "value: names the field in records' reprs, tests/test_records.py",
     "field.FieldElem.ctx": "oracle: tests/oracles.py reads an element's field (is_rref_basis_of)",
     "field.FieldElem.index": "oracle: tests/test_properties.py turns oracle elements into indices",

@@ -14,14 +14,13 @@ MODULES = sorted(p for p in Path(hilbhasse.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
 # Every memo in src/ that lives as long as the process (a function decorated
-# with functools.cache or lru_cache), with what bounds its keys.  A memo that
-# is not listed here, or a listed one that is gone, fails the test below.
+# with functools.cache or lru_cache), with what bounds its keys and what needs
+# it.  A memo that is not listed here, or a listed one that is gone, fails the
+# test below.
 MEMOS = {
-    "cli.build_parser": "no argument: one parser",
-    "cli._command_parser": "one parser per command name, six in all",
-    "linalg._colex_ranks": "one table per wedge rank n asked for",
-    "linalg.induced_filtration": "the n-dim subspaces of F^(2n) passed, times n + 1 levels",
-    "schubert._binomial_row": "contexts built x their q indices v x the section degrees d seen",
+    "linalg.induced_filtration":
+        "the n-dim subspaces of F^(2n) passed, times n + 1 levels; perfbench/workloads.py "
+        "cold_start clears it and perfbench/tracing.py MEMOIZED reads its hits",
 }
 MEMO_WRAPPERS = {"cache", "lru_cache"}
 

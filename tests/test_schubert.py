@@ -198,6 +198,18 @@ VIOLATIONS = {
                                     "exponent record has 1 factors, expected 2"),
     "negative exponent": (lambda: MultiPoly(FieldCtx(2), 1, {((-1, 0),): 1}),
                           "negative exponent"),
+    "float exponent": (lambda: MultiPoly(FieldCtx(3), 1, {((1.5, 0),): 1}),
+                       "factor 1 has exponents (1.5, 0), not two ints"),
+    "str exponent": (lambda: MultiPoly(FieldCtx(3), 2, {((1, 0), ("1", 0)): 1}),
+                     "factor 2 has exponents ('1', 0), not two ints"),
+    "bool exponent": (lambda: MultiPoly(FieldCtx(3), 1, {((0, True),): 1}),
+                      "factor 1 has exponents (0, True), not two ints"),
+    "None for a pair": (lambda: MultiPoly(FieldCtx(3), 1, {(None,): 1}),
+                        "factor 1 has exponents None, not two ints"),
+    "exponent triple": (lambda: MultiPoly(FieldCtx(3), 1, {((1, 0, 0),): 1}),
+                        "factor 1 has exponents (1, 0, 0), not two ints"),
+    "exponent record not a tuple": (lambda: MultiPoly(FieldCtx(3), 1, {5: 1}),
+                                    "exponent record 5 is not a tuple"),
     "order at a point of 2 factors": (
         lambda: vanishing_order_at_point(hasse_section(FieldCtx(2), 1),
                                          PointP1n(FieldCtx(2), [(1, 0), (1, 0)])),
@@ -256,12 +268,10 @@ def test_order_at_point_sums_before_dropping_zeros(F3):
     assert vanishing_order_at_point(f, PointP1n(F3, [(1, 1)])) == 1
 
 
-def test_chart_row_memo_is_keyed_by_field_and_degree():
+def test_chart_rows_depend_on_field_and_degree():
     # x11^d - v^d x10^d at [1 : v] restricts to (v + w)^d - v^d, of order the
     # least j >= 1 with C(d, j) != 0 mod p: the chart rows of one v index
     # differ between fields of different p, and within one field with d
-    import hilbhasse.schubert as schubert_mod
-    schubert_mod._binomial_row.cache_clear()
     orders = {}
     for d in (2, 3, 4):
         for ctx in (FieldCtx(2), FieldCtx(3), FieldCtx(2, 2)):
