@@ -13,6 +13,7 @@ from contextlib import nullcontext
 from itertools import islice, product
 from math import comb
 
+from . import schubert
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
 from .schubert import hasse_section, torus_weight_space, vanishing_order_on_stratum
@@ -129,20 +130,36 @@ def _refuse_sign_vectors(args: argparse.Namespace):
 def _cmd_strata_table(args: argparse.Namespace) -> int:
     _refuse_sign_vectors(args)
     n = args.n
-    h = hasse_section(FieldCtx(args.p, args.k), n)
+    ctx = FieldCtx(args.p, args.k)
+    h = hasse_section(ctx, n)
     # The Hasse section is the product of the first coordinates, so permuting
     # the factors fixes it and carries the cell of w onto the cell of the
     # permuted sign vector.  Its order along a cell therefore depends on w
     # only through l(w), as a census cell's size does: one order on the first
     # cell of each length, "+" * (n - l) + "-" * l, serves all comb(n, l)
     # cells of that length.
-    firsts = (WeylElem.from_signs((1,) * (n - length) + (-1,) * length)
-              for length in range(n + 1))
+    firsts = [WeylElem.from_signs((1,) * (n - length) + (-1,) * length)
+              for length in range(n + 1)]
     orders = [int(vanishing_order_on_stratum(h, w)) for w in firsts]
+    # The paper's pointwise claim at the same cells: the order at the point
+    # that is [0 : 1] in each + factor and [1 : 0] in each - factor.  Called
+    # as schubert's attribute, where code that wraps it looks.
+    points = [schubert.PointP1n(ctx, [(0, 1)] * (n - length) + [(1, 0)] * length)
+              for length in range(n + 1)]
+    at_points = [schubert.vanishing_order_at_point(h, pt) for pt in points]
+    bad = next((length for length in range(n + 1)
+                if orders[length] != n - length or at_points[length] != n - length), None)
     # each place's label, in to_string's alphabet and all_weyl_elems order
     rows = _sign_rows(n, [(length, n - length, order) for length, order in enumerate(orders)])
     _stream(args, ("w", "length", "codim", "ord"), rows)
-    return EXIT_OK
+    if bad is None:
+        return EXIT_OK
+    w = firsts[bad].to_string()
+    replay = {"p": ctx.p, "k": ctx.k, "n": n, "w": w,
+              "point": [[u.to_list(), v.to_list()] for u, v in points[bad].coords]}
+    _write_replay(f"strata-table mismatch: cell {w} has codimension {n - bad} but order "
+                  f"{orders[bad]} along the cell and {at_points[bad]} at its point", replay)
+    return EXIT_CHECK_FAILED
 
 
 def _cmd_weight_space(args: argparse.Namespace) -> int:
@@ -154,6 +171,11 @@ def _cmd_weight_space(args: argparse.Namespace) -> int:
     _emit(args, {"dimension": len(basis), "basis": shown},
           [f"dimension\t{len(basis)}"] + shown)
     return EXIT_OK
+
+
+def _write_replay(message: str, replay: dict):
+    """One stderr line: what failed, a tab, and the JSON that replays it."""
+    sys.stderr.write(f"{message}\t{json.dumps(replay, sort_keys=True)}\n")
 
 
 def _factors_json(g) -> list:
@@ -190,8 +212,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
         g = cell_witness(ctx, w, args.bound)
         replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "w": w.to_string(),
                   "factors": _factors_json(g)}
-        sys.stderr.write(f"census mismatch: cell {w.to_string()} holds {counts[bad]} elements, "
-                         f"expected {expected[bad]}\t{json.dumps(replay, sort_keys=True)}\n")
+        _write_replay(f"census mismatch: cell {w.to_string()} holds {counts[bad]} elements, "
+                      f"expected {expected[bad]}", replay)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -204,8 +226,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         members = [{"factors": _factors_json(g), "label": w.to_string()}
                    for g, w in exc.members]
         replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "members": members}
-        sys.stderr.write(f"orbit label inconsistency: {exc}\t"
-                         f"{json.dumps(replay, sort_keys=True)}\n")
+        _write_replay(f"orbit label inconsistency: {exc}", replay)
         return EXIT_CHECK_FAILED
     as_json = args.format == "json"
     rows = ((w.to_string(), (w.length(), sum(sizes), len(sizes),

@@ -6,7 +6,8 @@ pair [x_i0 : x_i1] per factor.  The distinguished section is the product of
 the first coordinates; its zero locus stratifies the space into cells
 indexed by sign vectors, with an affine line at each -1 entry and the point
 [0 : 1] at each +1 entry.  Vanishing orders are computed symbolically in
-chart parameters, never by sampling: coefficients of the restriction are
+chart parameters, never by sampling: a term's order at a point is read off
+its exponents, and where terms tie, coefficients of the restriction are
 summed exactly on the field's index tables, so the orders are exact over
 any finite field.
 """
@@ -350,29 +351,50 @@ def _binomial_row(ctx: FieldCtx, v: int, d: int) -> tuple[tuple[int, int], ...]:
 def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
     """Exact vanishing order of f at a rational point.
 
-    The point is moved to the origin of the affine chart selected by its
-    nonvanishing coordinate in each factor; the order is the least total
-    degree of a surviving monomial of the restricted polynomial.  The
-    restriction is expanded term by term into one dict of chart monomials,
-    and coefficients are summed on the field's index tables before zeros
-    are dropped, so cancellation is exact.  A factor in chart x0 != 0
-    contributes the row of (v + w)^d1 from ``_binomial_row``, or the
-    constant row ((0, 1),) when d1 = 0 without building one: the Hasse
-    section's one term has d1 = 0 in every factor, so its orders build no
-    row.  Returns INFINITE_ORDER when the restriction is identically zero,
-    which cannot happen for a nonzero section of the (1, ..., 1) bundle.
+    Orders add over products, so a term's order at the point is read off
+    its exponents: d0 at a factor [0 : 1], where x0 vanishes, d1 at a factor
+    [1 : 0], where x1 vanishes, and 0 at every other factor.  When one term
+    alone has the least order, its part of that degree, one chart monomial
+    with a nonzero coefficient, meets no other term's part of that degree,
+    and that order is the answer: a single term, such as the Hasse section,
+    always takes this path.  Only when terms tie is the
+    restriction expanded.  The point is moved to the origin of the affine
+    chart selected by its nonvanishing coordinate in each factor; a factor
+    in chart x0 != 0 contributes the row of (v + w)^d1 from
+    ``_binomial_row``, and one in chart x1 != 0 the single term w^d0.  The
+    expansion is collected in one dict of chart monomials whose
+    coefficients are summed on the field's index tables before zeros are
+    dropped, so cancellation is exact, and the order is the least total
+    degree of a surviving monomial.  Returns INFINITE_ORDER when the
+    restriction is identically zero, which cannot happen for a nonzero
+    section of the (1, ..., 1) bundle.
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no well-defined order")
     if pt.n != f.n or pt.ctx != f.ctx:
         raise ValueError("point and polynomial are incompatible")
+    coords = pt.index_coords
+    orders = []
+    for exps in f.terms:
+        order = 0
+        for (d0, d1), (u, v) in zip(exps, coords):
+            if not u:
+                order += d0
+            elif not v:
+                order += d1
+        orders.append(order)
+    if len(orders) == 1:
+        return orders[0]
+    least = min(orders)
+    if orders.count(least) == 1:
+        return least
     ctx = f.ctx
     add, mul = ctx._add, ctx._mul
     restricted: dict[tuple[int, ...], int] = {}
     for exps, coeff in f.terms.items():
         # chart x0 != 0: x0 -> 1, x1 -> v + w; chart x1 != 0: x0 -> w, x1 -> 1
-        rows = [((_binomial_row(ctx, v, d1) if d1 else ((0, 1),)) if u else ((d0, 1),))
-                for (d0, d1), (u, v) in zip(exps, pt.index_coords)]
+        rows = [_binomial_row(ctx, v, d1) if u else ((d0, 1),)
+                for (d0, d1), (u, v) in zip(exps, coords)]
         for choice in product(*rows):
             e, factors = zip(*choice)
             c = coeff

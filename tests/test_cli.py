@@ -6,15 +6,17 @@ from math import comb
 import pytest
 
 import hilbhasse.cli as cli_mod
+import hilbhasse.schubert as schubert_mod
 import test_acceptance
 from hilbhasse.cli import main
 from hilbhasse.errors import BoundExceededError, refuse_above
 from hilbhasse.field import FieldCtx
-from hilbhasse.schubert import hasse_section, vanishing_order_on_stratum
+from hilbhasse.schubert import (PointP1n, hasse_section, vanishing_order_at_point,
+                                vanishing_order_on_stratum)
 from hilbhasse.weyl import all_weyl_elems
 from hilbhasse.zipgroup import borel_order, bruhat_census, group_order, orbits
 from hilbhasse.zips import check_equivalence, zip_from_json_obj, zip_to_json_obj
-from oracles import (chart_order_on_stratum, conj_rows, filtration_level, hodge_span,
+from oracles import (chart_order_at_point, chart_order_on_stratum, conj_rows, filtration_level, hodge_span,
                      render_table)
 from test_acceptance import EQUIVALENCE_SCALE
 
@@ -120,6 +122,55 @@ def test_a_fault_beyond_the_length_fails_criterion_2(capsys, monkeypatch):
     assert run_cli(capsys, argv) == expected
     with pytest.raises(AssertionError):
         test_acceptance.run_stratum_orders()
+
+
+def test_strata_table_order_mismatch_exits_1(capsys, monkeypatch):
+    # each length's order along its cell is compared with the codimension:
+    # one too large from length 2 on is written as it is, and the first bad
+    # length's cell replays with its point, whose order is the true one
+    def fault(f, w):
+        return vanishing_order_on_stratum(f, w) + (w.length() >= 2)
+
+    monkeypatch.setattr(cli_mod, "vanishing_order_on_stratum", fault)
+    code = main(["strata-table", "--n", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out.splitlines()) == 1 + 2 ** 5
+    assert "+++--\t2\t3\t4\n" in captured.out
+    message, replay = captured.err.split("\t")
+    assert message == ("strata-table mismatch: cell +++-- has codimension 3 but order 4 "
+                       "along the cell and 3 at its point")
+    replay = json.loads(replay)
+    assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 1, 5, "+++--")
+    # [0 : 1] in each + factor, [1 : 0] in each - factor
+    ctx = FieldCtx(replay["p"], replay["k"])
+    pt = PointP1n(ctx, replay["point"])
+    assert pt.index_coords == ((0, 1),) * 3 + ((1, 0),) * 2
+    h = hasse_section(ctx, replay["n"])
+    assert vanishing_order_at_point(h, pt) == chart_order_at_point(h, pt) == 3
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_strata_table_point_order_mismatch_exits_1(capsys, monkeypatch, fmt):
+    # the order at each length's point is asked through schubert's
+    # attribute and compared too: one too small wherever a factor is
+    # [1 : 0] leaves every row's bytes as they were, and fails at length 1
+    argv = ["strata-table", "--p", "3", "--n", "4", "--format", fmt]
+    expected = run_cli(capsys, argv)[1]
+    real = schubert_mod.vanishing_order_at_point
+
+    def fault(f, pt):
+        return real(f, pt) - ((1, 0) in pt.index_coords)
+
+    monkeypatch.setattr(schubert_mod, "vanishing_order_at_point", fault)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, expected)
+    message, replay = captured.err.split("\t")
+    assert message == ("strata-table mismatch: cell +++- has codimension 3 but order 3 "
+                       "along the cell and 2 at its point")
+    assert json.loads(replay) == {"p": 3, "k": 1, "n": 4, "w": "+++-",
+                                  "point": [[[0], [1]]] * 3 + [[[1], [0]]]}
 
 
 def test_weight_space_eta(capsys):

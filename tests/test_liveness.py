@@ -124,11 +124,6 @@ ROLES = {
         "value: tests/test_schubert.py::test_multipoly_printing_and_equality",
     "schubert.MultiPoly.__repr__":
         "value: shows a polynomial in a failure, tests/test_properties.py",
-    "schubert.PointP1n.__init__":
-        "claim: the order at a point is its stratum's codim, tests/test_schubert.py; "
-        "perfbench/workloads.py Cells builds 6,561",
-    "schubert.PointP1n.n": "claim: vanishing_order_at_point checks it, tests/test_schubert.py",
-    "schubert.PointP1n.coords": "oracle: tests/oracles.py::chart_order_at_point substitutes them",
     "schubert.PointP1n.__eq__":
         "value: tests/test_schubert.py::test_points_of_different_fields_differ",
     "schubert.PointP1n.__hash__":
@@ -150,10 +145,7 @@ ROLES = {
         "claim: each monomial's torus weight, "
         "tests/test_schubert.py::test_weight_spaces_exhaust_the_section_space",
     "schubert._binomial_row":
-        "claim: chart rows of vanishing_order_at_point, tests/test_schubert.py",
-    "schubert.vanishing_order_at_point":
-        "claim: tests/test_schubert.py::test_point_orders_match_stratum_orders_on_cells; "
-        "perfbench/run.py COUNTED",
+        "claim: chart rows of vanishing_order_at_point where terms tie, tests/test_schubert.py",
     "weyl.WeylElem.identity": "value: the identity sign vector, tests/test_weyl.py",
     "weyl.WeylElem.__mul__":
         "claim: the group law weyl_act is an action of, "

@@ -660,10 +660,36 @@ def f256_planted():
             (MultiPoly(F256, 2, {**twins, **x11_line_squared}), pts)]
 
 
+@st.composite
+def monomials(draw):
+    """One term with exponents 0..3 in each of n <= 3 factors and a nonzero
+    coefficient, over a random field, with one to three random points."""
+    ctx = draw(fields)
+    n = draw(st.integers(1, 3))
+    exponent = st.integers(0, 3)
+    exps = tuple((draw(exponent), draw(exponent)) for _ in range(n))
+    f = MultiPoly(ctx, n, {exps: draw(elements(ctx, nonzero=True))})
+    return f, draw(st.lists(points(ctx, n), min_size=1, max_size=3))
+
+
+def f256_lone_least():
+    """Over F_256: u^200 x10^3 x11 x21^2 has order 3 + 2 at [0 : 1] x [1 : 0];
+    in x10 x21 + u x10^2 x21 + u^9 x10 x21^2 there the first term alone has
+    the least order 2, and the other two tie at 3."""
+    u, one = F256.gen(), F256.one()
+    pts = [PointP1n(F256, [(0, 1), (1, 0)]), PointP1n(F256, [(1, u ** 9), (1, 0)]),
+           PointP1n(F256, [(1, 0), (0, 1)])]
+    monomial = {((3, 1), (0, 2)): u ** 200}
+    lone = {((1, 0), (0, 1)): one, ((2, 0), (0, 1)): u, ((1, 0), (0, 2)): u ** 9}
+    return [(MultiPoly(F256, 2, monomial), pts), (MultiPoly(F256, 2, lone), pts)]
+
+
 @PROPERTY
-@given(planted_sections())
+@given(st.one_of(planted_sections(), monomials()))
 @example(f256_planted()[0])
 @example(f256_planted()[1])
+@example(f256_lone_least()[0])
+@example(f256_lone_least()[1])
 def test_vanishing_orders_match_chart_substitution(case):
     f, pts = case
     for w in all_weyl_elems(f.n):

@@ -256,20 +256,14 @@ def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 8), (3, 1, 4), (2, 2, 3)])
 def test_order_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
-    # strata-table takes one order per length and builds no word; the orders
-    # of the Hasse section at all (q+1)^n points build no chart row; those of
-    # the product of the second coordinates build one row per factor off
-    # [0 : 1], and among them each of the q rows (v, 1)
-    counts = {"vanishing_order_on_stratum": 0, "to_string": 0}
-    count_calls(monkeypatch, counts, cli_mod, "vanishing_order_on_stratum")
-    count_calls(monkeypatch, counts, WeylElem, "to_string")
-    assert main(["strata-table", "--p", str(p), "--k", str(k), "--n", str(n)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 ** n
-    assert counts == {"vanishing_order_on_stratum": n + 1, "to_string": 0}
-    ctx = FieldCtx(p, k)
-    q, h = ctx.q, hasse_section(ctx, n)
-    second = MultiPoly(ctx, n, {((0, 1),) * n: 1})
-    points = all_points(ctx, n)
+    # strata-table takes one order along a cell and one at a point per
+    # length, and builds no word and no chart row.  A lone term's order at a
+    # point is read off its exponents, so neither the Hasse section nor the
+    # product of the second coordinates builds a chart row at any of the
+    # (q+1)^n points.  The terms of (x11 - c x10) x20 ... xn0, c != 0, tie
+    # where the first factor is [1 : t], t != 0, and there each term builds
+    # one row per factor off [0 : 1]: (t, 1) or (t, 0) in the first factor,
+    # (v, 0) in a factor [1 : v]
     rows, real_row = [], schubert_mod._binomial_row
 
     def recorded_row(ctx, v, d):
@@ -277,13 +271,33 @@ def test_order_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
         return real_row(ctx, v, d)
 
     monkeypatch.setattr(schubert_mod, "_binomial_row", recorded_row)
+    counts = {"vanishing_order_on_stratum": 0, "vanishing_order_at_point": 0, "to_string": 0}
+    count_calls(monkeypatch, counts, cli_mod, "vanishing_order_on_stratum")
+    count_calls(monkeypatch, counts, schubert_mod, "vanishing_order_at_point")
+    count_calls(monkeypatch, counts, WeylElem, "to_string")
+    assert main(["strata-table", "--p", str(p), "--k", str(k), "--n", str(n)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 ** n
+    assert counts == {"vanishing_order_on_stratum": n + 1, "vanishing_order_at_point": n + 1,
+                      "to_string": 0}
+    assert rows == []
+    ctx = FieldCtx(p, k)
+    q, h = ctx.q, hasse_section(ctx, n)
+    second = MultiPoly(ctx, n, {((0, 1),) * n: 1})
+    c = q - 1
+    rest = ((1, 0),) * (n - 1)
+    tied = MultiPoly(ctx, n, {((0, 1),) + rest: 1, ((1, 0),) + rest: -ctx.from_index(c)})
+    points = all_points(ctx, n)
     for pt in points:
-        vanishing_order_at_point(h, pt)
+        # the first coordinate vanishes at [0 : 1] alone, the second at [1 : 0]
+        assert vanishing_order_at_point(h, pt) == pt.index_coords.count((0, 1))
+        assert vanishing_order_at_point(second, pt) == pt.index_coords.count((1, 0))
     assert rows == []
     for pt in points:
-        # the second coordinate vanishes at [1 : 0] alone
-        assert vanishing_order_at_point(second, pt) == pt.index_coords.count((1, 0))
-    assert (len(rows), set(rows)) == (n * q * (q + 1) ** (n - 1), {(v, 1) for v in range(q)})
+        # x11 - c x10 restricts to (t - c) + w at [1 : t], and to 1 - c w at [0 : 1]
+        first, others = pt.index_coords[0], pt.index_coords[1:]
+        assert vanishing_order_at_point(tied, pt) == (first == (1, c)) + others.count((0, 1))
+    assert len(rows) == 2 * (q - 1) * ((q + 1) ** (n - 1) + (n - 1) * q * (q + 1) ** (n - 2))
+    assert set(rows) == {(t, 1) for t in range(1, q)} | {(v, 0) for v in range(q)}
 
 
 def test_monotone_flag_flip_at_small_scale(zip_reports):
