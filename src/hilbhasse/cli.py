@@ -16,7 +16,7 @@ from math import comb
 from . import schubert
 from .errors import DEFAULT_ENUM_BOUND, BoundExceededError, refuse_above
 from .field import FieldCtx
-from .schubert import hasse_section, torus_weight_space, vanishing_order_on_stratum
+from .schubert import GroupElem, hasse_section, torus_weight_space, vanishing_order_on_stratum
 from .weyl import WeylElem, hodge_character, weyl_act
 # all_weyl_elems, enumerate_E and enumerate_G are not called here; they stay
 # names of this module for code that wraps cli.all_weyl_elems,
@@ -183,6 +183,14 @@ def _factors_json(g) -> list:
     return [[[e.to_list() for e in row] for row in f] for f in g.factors]
 
 
+def _write_cell_mismatch(args: argparse.Namespace, ctx: FieldCtx, w, size: int, law: int, g):
+    """The stderr line of a cell off the q^l(w) |B| law, with g, an element
+    of the cell, replayable through GroupElem."""
+    _write_replay(f"{args.command} mismatch: cell {w.to_string()} holds {size} elements, "
+                  f"expected {law}", {"p": ctx.p, "k": ctx.k, "n": args.n, "w": w.to_string(),
+                                      "factors": _factors_json(g)})
+
+
 def _cmd_census(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
     counts = bruhat_census(ctx, args.n, bound=args.bound)  # refuses before the closed forms
@@ -209,11 +217,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
         # one element of the bad cell, replayable through GroupElem and
         # built from per-factor witnesses of one determinant, not from G
         w = WeylElem.from_signs((1,) * (args.n - bad) + (-1,) * bad)
-        g = cell_witness(ctx, w, args.bound)
-        replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "w": w.to_string(),
-                  "factors": _factors_json(g)}
-        _write_replay(f"census mismatch: cell {w.to_string()} holds {counts[bad]} elements, "
-                      f"expected {expected[bad]}", replay)
+        _write_cell_mismatch(args, ctx, w, counts[bad], expected[bad],
+                             cell_witness(ctx, w, args.bound))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -228,11 +233,28 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         replay = {"p": ctx.p, "k": ctx.k, "n": args.n, "members": members}
         _write_replay(f"orbit label inconsistency: {exc}", replay)
         return EXIT_CHECK_FAILED
+    # closed forms, independent of the sizes under test: each cell holds
+    # q^l(w) |B| elements, as census's Bruhat cells do, and all of them |G|
+    expected = [ctx.q ** length * borel_order(ctx, args.n) for length in range(args.n + 1)]
+    cells = {w: sum(sizes) for w, sizes in by_label.items()}
+    bad = next((w for w, size in cells.items() if size != expected[w.length()]), None)
     as_json = args.format == "json"
-    rows = ((w.to_string(), (w.length(), sum(sizes), len(sizes),
+    rows = ((w.to_string(), (w.length(), cells[w], len(sizes),
                              tuple(sizes) if as_json else ",".join(map(str, sizes))))
             for w, sizes in by_label.items())
     _stream(args, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), rows)
+    if bad is not None:
+        # c z^(-1) has stratum label bruhat_word(c), z the longest element as
+        # orbits labels with: the first element of the Bruhat cell of w, from
+        # per-factor witnesses, times the lift of z^(-1)
+        z_inv = GroupElem.weyl_lift(ctx, WeylElem.longest(args.n)).inverse()
+        _write_cell_mismatch(args, ctx, bad, cells[bad], expected[bad.length()],
+                             cell_witness(ctx, bad, args.bound) * z_inv)
+        return EXIT_CHECK_FAILED
+    if (total := sum(cells.values())) != (group_size := group_order(ctx, args.n)):
+        _write_replay(f"orbits mismatch: the cells hold {total} elements, expected {group_size}",
+                      {"p": ctx.p, "k": ctx.k, "n": args.n})
+        return EXIT_CHECK_FAILED
     return EXIT_OK
 
 

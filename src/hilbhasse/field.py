@@ -20,7 +20,7 @@ tables are built once however many callers ask for the field.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence, Set
 from itertools import product
 
 TABLE_LIMIT = 256
@@ -140,18 +140,23 @@ class FieldCtx:
         int is a prime-subfield value reduced mod p, a sequence holds at most
         k coefficients low-degree first (missing ones are 0), and an element
         must belong to this context.  A coefficient that is no int (a float,
-        a Fraction, a str, None), or a value that is no iterable (a bare
-        float), raises ValueError."""
+        a Fraction, a str, None), a value that is no iterable (a bare
+        float), a set or a mapping raises ValueError."""
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, FieldElem):
             if value._ctx is not self:
                 raise ContextMismatchError("element belongs to a different field")
             return value._idx
-        try:  # len() and reversed() need a sequence; a list or tuple is folded as it is
-            seq = value if isinstance(value, (list, tuple)) else list(value)
-        except TypeError:  # a bare float, or any other value that is no iterable
-            raise ValueError(f"cannot coerce {value!r} into {self!r}") from None
+        if isinstance(value, (list, tuple)):  # len() and reversed() need a sequence
+            seq = value
+        else:
+            try:  # a set has no coefficient order, and a mapping's keys are no coefficients
+                if isinstance(value, (Set, Mapping)):
+                    raise TypeError
+                seq = list(value)
+            except TypeError:  # nor is a bare float, or any other value that is no iterable
+                raise ValueError(f"cannot coerce {value!r} into {self!r}") from None
         if len(seq) > self.k:
             raise ValueError(f"expected at most {self.k} coefficients")
         # base-p fold from the top coefficient down, reducing each mod p

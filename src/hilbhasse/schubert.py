@@ -308,27 +308,23 @@ def torus_weight_space(ctx: FieldCtx, n: int, target) -> list[MultiPoly]:
 # -- Bruhat words and stratum labels --------------------------------------------
 
 
-def bruhat_signs(g: GroupElem) -> tuple[int, ...]:
-    """The sign vector of the cell of g: factor i contributes +1 iff its
-    top-right entry is 0.
-
-    A zero top-right entry means the factor lies in the lower-triangular
-    subgroup; otherwise it lies in the cell of the reflection.
-    """
-    return tuple([1 if not f[1] else -1 for f in g.index_factors])
-
-
 def bruhat_word(g: GroupElem) -> WeylElem:
-    """The cell of g as a Weyl element; see ``bruhat_signs``."""
-    return WeylElem.from_signs(bruhat_signs(g))
+    """The cell of g as a Weyl element: factor i contributes +1 iff its
+    top-right entry is 0, that is iff it lies in the lower-triangular
+    subgroup; otherwise it lies in the cell of the reflection."""
+    return WeylElem.from_signs(tuple([1 if not f[1] else -1 for f in g.index_factors]))
 
 
 def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:
     """Zip-side stratum of g: the Bruhat word of g translated on the right
-    by the standard lift of z."""
+    by the standard lift of z.  The lift's factor is [[0, 1], [-1, 0]] at a
+    -1 entry of z and the identity at a +1 entry, so factor i's product with
+    it has top-right entry x00 or x01, and the sign is read off that entry
+    of g itself: no lift or product is built."""
     if datum.n != g.n:
         raise ValueError("rank mismatch")
-    return bruhat_word(g * GroupElem.weyl_lift(g.ctx, datum.z))
+    return WeylElem.from_signs(tuple([-1 if f[0 if sign == -1 else 1] else 1
+                                      for f, sign in zip(g.index_factors, datum.z.signs)]))
 
 
 # -- vanishing orders ------------------------------------------------------------

@@ -14,8 +14,7 @@ from .field import ContextMismatchError, FieldCtx
 from .record import FrozenRecord
 # bruhat_word is not called here; it stays a name of this module for code
 # that wraps zipgroup.bruhat_word.
-from .schubert import (Factor, GroupElem, bruhat_word, det_2x2, mul_2x2,  # noqa: F401
-                       stratum_label)
+from .schubert import Factor, GroupElem, bruhat_word, det_2x2, stratum_label  # noqa: F401
 from .weyl import CocharDatum, WeylElem, all_weyl_elems
 
 
@@ -196,9 +195,13 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
     its orbits are products of one-factor U-orbits.  T, the coupled diagonal,
     permutes them factor by factor, so an E-orbit is the union of the
     products over a T-orbit of tuples of U-orbit ids.  ``_orbit_search``
-    finds the orbits at both levels.  z is the longest element in every
-    factor, so a label is the tuple of one-factor labels; a U-orbit or
-    T-orbit whose labels differ raises OrbitLabelError.
+    finds the orbits at both levels, over move tables read off the pairs'
+    entries with no matrix product: a unipotent adds t times row 0 to row 1
+    (a on the left) or t times column 0 to column 1 (b^(-1) on the right),
+    and a diagonal pair scales each entry of a U-orbit's first member.  z is
+    the longest element in every factor, so a label is the tuple of
+    one-factor labels, one ``stratum_label`` call per invertible 2x2 matrix;
+    a U-orbit or T-orbit whose labels differ raises OrbitLabelError.
     """
     q = ctx.q
     # |G| x |generators|, both in closed form, so a refusal builds nothing
@@ -210,10 +213,14 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
     position = {f: i for i, f in enumerate(gl2)}
     u_moves = []  # factor 0's unipotents on gl2 positions; each is the identity on one side
     for (a, b_inv), *_ in pairs:
-        if a[2]:
-            u_moves.append([position[mul_2x2(a, x, mul, add)] for x in gl2])
-        elif b_inv[1]:
-            u_moves.append([position[mul_2x2(x, b_inv, mul, add)] for x in gl2])
+        if t := a[2]:  # a x, a = [[1, 0], [t, 1]], adds t times row 0 to row 1
+            m = mul[t]
+            u_moves.append([position[x00, x01, add[x10][m[x00]], add[x11][m[x01]]]
+                            for x00, x01, x10, x11 in gl2])
+        elif t := b_inv[1]:  # x b^(-1), b^(-1) = [[1, t], [0, 1]], adds t times col 0 to col 1
+            m = mul[t]
+            u_moves.append([position[x00, add[x01][m[x00]], x10, add[x11][m[x10]]]
+                            for x00, x01, x10, x11 in gl2])
     datum = CocharDatum.split(1, ctx.p)
     # each matrix's U-orbit id; each U-orbit's first member, size and sign; ids by determinant
     orbit_of, reps, sizes, signs, by_det = {}, [], [], [], {}
@@ -237,8 +244,11 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
     t_moves = []  # each diagonal pair's action on tuple indices, factor by factor
     for e in pairs:
         if not any(a[2] or b_inv[1] for a, b_inv in e):
-            tables = [[orbit_of[mul_2x2(mul_2x2(a, r, mul, add), b_inv, mul, add)] for r in reps]
-                      for a, b_inv in e]
+            tables = []  # a r b^(-1) scales entry (i, j) of r by a_i c_j, b^(-1) = diag(c_0, c_1)
+            for (a0, _, _, a1), (c0, _, _, c1) in e:
+                s00, s01, s10, s11 = (mul[mul[a][c]] for a in (a0, a1) for c in (c0, c1))
+                tables.append([orbit_of[s00[r00], s01[r01], s10[r10], s11[r11]]
+                               for r00, r01, r10, r11 in reps])
             t_moves.append([index[tuple(map(list.__getitem__, tables, t))] for t in tuples])
     out: dict[tuple[int, ...], list[int]] = {}  # orbit sizes by label signs
     for orbit in _orbit_search(len(tuples), t_moves):

@@ -30,7 +30,7 @@ from itertools import chain, combinations
 
 from hilbhasse.linalg import Subspace, _wedge_terms
 from hilbhasse.record import FrozenRecord
-from hilbhasse.schubert import GroupElem, bruhat_signs, mul_2x2, stratum_label
+from hilbhasse.schubert import GroupElem, bruhat_word, mul_2x2, stratum_label
 from hilbhasse.weyl import CocharDatum, WeylElem
 from hilbhasse.zipgroup import OrbitLabelError, enumerate_G
 from hilbhasse.zips import line_in_block
@@ -323,7 +323,7 @@ def chart_order_on_stratum(f, w):
 def enumerated_census(ctx, n):
     """Bruhat cell sizes by enumeration: a Counter from each sign vector to
     the number of elements of G whose factors carry those signs."""
-    return Counter(map(bruhat_signs, enumerate_G(ctx, n)))
+    return Counter(bruhat_word(g).signs for g in enumerate_G(ctx, n))
 
 
 class OrbitPartition(FrozenRecord):

@@ -591,18 +591,21 @@ def test_orbit_label_inconsistency_along_the_torus_exits_1(capsys, monkeypatch):
     assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
 
 
-@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 2, 1)])
+@pytest.mark.parametrize("p, k, n", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 2, 1),
+                                     (2, 4, 1)])
 def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # one label per invertible 2x2 matrix, one visit per tuple of U-orbit
     # ids of one determinant (q - 1 orbits of size q^2 and q - 1 of size q
-    # per determinant), one generating set, one product per matrix and
-    # unipotent of one factor, two per U-orbit, factor and diagonal pair,
-    # and G is never enumerated.  census does none of this work
+    # per determinant), one generating set, one move-table entry per matrix
+    # and unipotent of one factor and per tuple and diagonal pair, no 2x2
+    # matrix product, and G is never enumerated.  census does none of this work
     import hilbhasse.cli as cli_mod
+    import hilbhasse.schubert as schubert_mod
     import hilbhasse.zipgroup as zipgroup_mod
-    counts = {"labels": 0, "tuples": 0, "generators": 0, "products": 0}
+    counts = {"labels": 0, "tuples": 0, "generators": 0, "entries": 0, "products": 0}
     real_label, real_tuples = zipgroup_mod.stratum_label, zipgroup_mod._equal_det_tuples
-    real_generators, real_mul = zipgroup_mod.zip_group_generators, zipgroup_mod.mul_2x2
+    real_generators, real_search = zipgroup_mod.zip_group_generators, zipgroup_mod._orbit_search
+    real_mul = schubert_mod.mul_2x2
 
     def counted_label(g, datum):
         counts["labels"] += 1
@@ -617,6 +620,11 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
         counts["generators"] += 1
         return real_generators(ctx, n)
 
+    def counted_search(count, moves):
+        assert all(len(move) == count for move in moves)
+        counts["entries"] += count * len(moves)
+        return real_search(count, moves)
+
     def counted_mul(x, y, mul, add):
         counts["products"] += 1
         return real_mul(x, y, mul, add)
@@ -627,13 +635,15 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     monkeypatch.setattr(zipgroup_mod, "stratum_label", counted_label)
     monkeypatch.setattr(zipgroup_mod, "_equal_det_tuples", counted_tuples)
     monkeypatch.setattr(zipgroup_mod, "zip_group_generators", counted_generators)
-    monkeypatch.setattr(zipgroup_mod, "mul_2x2", counted_mul)
+    monkeypatch.setattr(zipgroup_mod, "_orbit_search", counted_search)
+    monkeypatch.setattr(schubert_mod, "mul_2x2", counted_mul)
     monkeypatch.setattr(cli_mod, "enumerate_G", unexpected)
     monkeypatch.setattr(zipgroup_mod, "enumerate_G", unexpected)
     q = p ** k
     gl2 = (q - 1) * q * (q * q - 1)
-    expected = {"labels": gl2, "tuples": (q - 1) * (2 * (q - 1)) ** n, "generators": 1,
-                "products": 2 * k * gl2 + (q > 2) * 4 * n * (n + 1) * (q - 1) ** 2}
+    tuples = (q - 1) * (2 * (q - 1)) ** n
+    expected = {"labels": gl2, "tuples": tuples, "generators": 1,
+                "entries": 2 * k * gl2 + (q > 2) * (n + 1) * tuples, "products": 0}
     for command in ("orbits", "census"):
         code, out, err = _run_in_process(capsys, [command, "--p", str(p), "--k", str(k),
                                                   "--n", str(n)])
@@ -704,6 +714,78 @@ def test_census_mismatch_exits_1(capsys, monkeypatch):
     assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 1, 1, "+")
     g = GroupElem(FieldCtx(replay["p"], replay["k"]), replay["factors"])
     assert bruhat_word(g).to_string() == replay["w"]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_orbits_size_mismatch_exits_1(capsys, monkeypatch, fmt):
+    # the torus fault that only a T-orbit can show: F_2 has no torus pair,
+    # so the broken labels reach the table, whose cell sizes are then off the
+    # q^l(w) |B| law.  The table is finished before the stderr line
+    from hilbhasse.field import FieldCtx
+    from hilbhasse.schubert import GroupElem, stratum_label
+    from hilbhasse.weyl import CocharDatum
+    from test_golden import FAULTS
+
+    monkeypatch.setattr(*FAULTS["label_flips_at_top_row_0_1"])
+    code, out, err = _run_in_process(capsys, ["orbits", "--p", "2", "--n", "1",
+                                              "--format", fmt])
+    assert code == 1
+    if fmt == "tsv":
+        assert out == ("w\tlength\tcell_size\torbit_count\torbit_sizes\n"
+                       "+\t0\t0\t0\t\n"
+                       "-\t1\t6\t2\t4,2\n")
+    else:
+        assert json.loads(out) == [
+            {"w": "+", "length": 0, "cell_size": 0, "orbit_count": 0, "orbit_sizes": []},
+            {"w": "-", "length": 1, "cell_size": 6, "orbit_count": 2, "orbit_sizes": [4, 2]}]
+    # after a tab, the first bad cell and one element of it replay
+    assert err.startswith("orbits mismatch: cell + holds 0 elements, expected 2\t")
+    assert err.count("\n") == 1
+    replay = json.loads(err.split("\t", 1)[1])
+    assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 1, 1, "+")
+    g = GroupElem(FieldCtx(replay["p"], replay["k"]), replay["factors"])
+    datum = CocharDatum.split(replay["n"], replay["p"])
+    assert stratum_label(g, datum).to_string() == replay["w"]
+
+
+def test_orbits_size_mismatch_after_passing_rows(capsys, monkeypatch):
+    # sizes doubled from length 1 on, over F_3 where -1 != 1, so the
+    # replayed element is translated by the inverse of the lift of z: its
+    # stratum label, not its Bruhat word, is the bad cell's
+    import hilbhasse.cli as cli_mod
+    from hilbhasse.field import FieldCtx
+    from hilbhasse.schubert import GroupElem, bruhat_word, stratum_label
+    from hilbhasse.weyl import CocharDatum
+    real = cli_mod.orbits
+
+    def doubled(ctx, n, bound):
+        return {w: [2 * s for s in sizes] if w.length() else sizes
+                for w, sizes in real(ctx, n, bound).items()}
+
+    monkeypatch.setattr(cli_mod, "orbits", doubled)
+    code, out, err = _run_in_process(capsys, ["orbits", "--p", "3", "--n", "2"])
+    assert code == 1
+    assert [line.split("\t")[:3] for line in out.splitlines()[1:]] == [
+        ["++", "0", "72"], ["+-", "1", "432"], ["-+", "1", "432"], ["--", "2", "1296"]]
+    assert err.startswith("orbits mismatch: cell +- holds 432 elements, expected 216\t")
+    replay = json.loads(err.split("\t", 1)[1])
+    assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (3, 1, 2, "+-")
+    ctx = FieldCtx(replay["p"], replay["k"])
+    g = GroupElem(ctx, replay["factors"])
+    assert stratum_label(g, CocharDatum.split(2, 3)).to_string() == "+-"
+    assert bruhat_word(g).to_string() != "+-"
+
+
+def test_orbits_total_mismatch_exits_1(capsys, monkeypatch):
+    # the total is held to |G| from its own closed form, so a wrong |G|
+    # fails although every cell obeys the q^l(w) |B| law
+    import hilbhasse.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "group_order", lambda ctx, n: 7)
+    code, out, err = _run_in_process(capsys, ["orbits", "--p", "2", "--n", "1"])
+    assert code == 1
+    assert out.endswith("-\t1\t4\t1\t4\n")
+    assert err == ('orbits mismatch: the cells hold 6 elements, expected 7\t'
+                   '{"k": 1, "n": 1, "p": 2}\n')
 
 
 def test_orbits_frobenius_coupled_n2(capsys):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from hilbhasse.field import TABLE_LIMIT, ContextMismatchError, FieldCtx
+from hilbhasse.schubert import PointP1n
 from oracles import poly_divmod, poly_mul_mod
 
 # every field with at most 81 elements that the artifact might touch,
@@ -271,13 +272,22 @@ def test_int_coercion_embeds_prime_subfield(F4):
 def test_non_int_coefficients_are_refused(F4):
     # the base-p fold of 1.0 and 1 would be the "index" 3.0, a bare float is
     # no iterable, and a str or None coefficient has no int fold; a bool
-    # coefficient is still the int it equals
+    # coefficient is still the int it equals.  A set has no coefficient order
+    # (it would fold in hash order) and a mapping would fold its keys, so both
+    # are refused before any fold
     for value in ([1.0, 1], [1.5], [Fraction(1), 1], (Fraction(1, 2),), 1.0, None,
                   "ab", ["1"], [None]):
         with pytest.raises(ValueError):
             F4.index_of(value)
         with pytest.raises(ValueError):
             F4(value)
+    for value in ({1: "x"}, {0, 1}, frozenset({1}), {}, set()):
+        with pytest.raises(ValueError, match="^cannot coerce "):
+            F4.index_of(value)
+        with pytest.raises(ValueError, match="^cannot coerce "):
+            F4(value)
+    with pytest.raises(ValueError, match="^cannot coerce "):
+        PointP1n(F4, [({1: 0}, 1)])
     assert F4.index_of([True, 1]) == F4.index_of(True) + 2 == 3
 
 

@@ -141,6 +141,9 @@ ROLES = {
     "schubert.GroupElem.__hash__": "value: group elements in sets, tests/test_zipgroup.py",
     "schubert.GroupElem.__repr__":
         "value: shows a group element in a failure, tests/test_records.py",
+    "schubert.bruhat_word":
+        "oracle: tests/oracles.py::enumerated_census counts G's cells by it; "
+        "also perfbench/tracing.py wraps zipgroup.bruhat_word",
     "schubert.monomial_weight":
         "claim: each monomial's torus weight, "
         "tests/test_schubert.py::test_weight_spaces_exhaust_the_section_space",

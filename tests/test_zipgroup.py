@@ -254,10 +254,13 @@ def exhaustive_sizes(ctx, n, gens):
             for w, classes in partition.by_label().items()}
 
 
-@pytest.mark.parametrize("p,k,n", ORBIT_SCALE + [(5, 1, 2), (3, 1, 3)])
+@pytest.mark.parametrize("p,k,n", ORBIT_SCALE + [(5, 1, 2), (3, 1, 3), (2, 3, 1), (3, 2, 1),
+                                   (7, 1, 1), (2, 4, 1)])
 def test_orbit_sizes_equal_the_exhaustive_partition(p, k, n):
     # the factor scan and the torus search against the orbit search over all
-    # of G, label by label, orbit size by orbit size
+    # of G, label by label, orbit size by orbit size.  With k >= 3 the
+    # unipotent moves add u^j times a row or column for j >= 2, F_9 adds u
+    # in odd characteristic, and F_7 scales by a torus of order 6
     ctx = FieldCtx(p, k)
     assert orbits(ctx, n) == exhaustive_sizes(ctx, n, zip_group_generators(ctx, n))
 
