@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence, Set
 from itertools import product
+from operator import attrgetter
 
 TABLE_LIMIT = 256
 
@@ -87,14 +88,15 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldCtx:
     """The finite field F_{p^k}.
 
-    A context owns its modulus, the interned element pool, the arithmetic
-    tables and the interned normalized pairs of the projective line.
+    A context owns its modulus, the interned element pool, the map from
+    each element's ``coeffs`` tuple to the element, the arithmetic tables
+    and the interned normalized pairs of the projective line.
     ``FieldCtx(p, k)`` hands out one shared instance per (p, k); contexts
     are never mutated after construction, so sharing is safe.
     Equality is identity: no two contexts describe the same field.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_hash", "_elems",
+    __slots__ = ("p", "k", "q", "modulus", "_hash", "_elems", "_by_coeffs",
                  "_add", "_mul", "_neg", "_inv", "_frob", "_primitive", "_lines")
 
     _shared: dict[tuple[int, int], "FieldCtx"] = {}
@@ -161,10 +163,11 @@ class FieldCtx:
             raise ValueError(f"expected at most {self.k} coefficients")
         # base-p fold from the top coefficient down, reducing each mod p
         p, idx = self.p, 0
-        try:  # a str or None coefficient raises TypeError in the fold
+        try:  # a str or None coefficient raises TypeError in the fold, and a
+            # str or bytes holding a bare "%" raises ValueError as a format
             for c in reversed(seq):
                 idx = idx * p + c % p
-        except TypeError:
+        except (TypeError, ValueError):
             idx = None
         if type(idx) is not int:  # a float or Fraction coefficient was folded in
             raise ValueError(f"coefficients must be ints, got {value!r}")
@@ -173,14 +176,17 @@ class FieldCtx:
     def lines_of(self, pairs) -> tuple[tuple[int, int], ...]:
         """The normalized pairs of the points [u : v] of the projective line,
         as entries of ``_lines``: (1, v/u) if u != 0, else (0, 1).  An exact
-        int is reduced mod p, as ``index_of`` reduces it; every other value,
-        a bool included, is coerced by ``index_of``.  Pairs are read in
-        order, u before v, and both zero is no point and raises ValueError."""
+        int is reduced mod p, as ``index_of`` reduces it, and an element of
+        this context is read by its index; every other value, a bool
+        included, is coerced by ``index_of``.  Pairs are read in order, u
+        before v, and both zero is no point and raises ValueError."""
         p, mul, inv, lines, index_of = self.p, self._mul, self._inv, self._lines, self.index_of
         out = []
         for u, v in pairs:
-            a = u % p if type(u) is int else index_of(u)
-            b = v % p if type(v) is int else index_of(v)
+            a = (u % p if type(u) is int else
+                 u._idx if type(u) is FieldElem and u._ctx is self else index_of(u))
+            b = (v % p if type(v) is int else
+                 v._idx if type(v) is FieldElem and v._ctx is self else index_of(v))
             if a:
                 out.append(lines[mul[b][inv[a]]])
             elif b:
@@ -215,8 +221,10 @@ class FieldCtx:
         q, p = self.q, self.p
         powers = [p ** d for d in range(self.k)]
         # element i has the base-p digits of i as coefficients, low first
-        self._elems = [FieldElem(self, i, tuple([i // pd % p for pd in powers]))
-                       for i in range(q)]
+        self._elems = elems = [FieldElem(self, i, tuple([i // pd % p for pd in powers]))
+                               for i in range(q)]
+        # k reduced coefficients -> the element; any other tuple misses
+        self._by_coeffs = dict(zip(map(attrgetter("coeffs"), elems), elems))
         # addition is digit-wise mod p on indices: step[d] raises digit d by
         # one, and for p^d <= a < p^(d+1), row a is row a - p^d read through
         # step[d]; no Python call is made per entry

@@ -17,7 +17,7 @@ of the two numbers is the content of the equivalence check.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from itertools import product
+from itertools import product, repeat
 from operator import eq
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
@@ -94,7 +94,7 @@ def max_hodge_level(z: HilbertZip) -> int:
     ``enumerate_zips`` stored, if any."""
     if z._level is not None:
         return z._level
-    return sum([_block_level(z.ctx, o, c) for o, c in zip(z.omega, z.conj)])
+    return sum(map(_block_level, repeat(z.ctx), z.omega, z.conj))
 
 
 class ZipReport(FrozenRecord):
@@ -169,6 +169,9 @@ def zip_to_json_obj(z: HilbertZip) -> dict:
             "conj": [_line_to_json(z.ctx, pair) for pair in z.conj]}
 
 
+_INT = frozenset({int})
+
+
 def _check_lines(name: str, lines, n: int):
     """Shape and types only; the field rejects too many coefficients."""
     if not isinstance(lines, list) or len(lines) != n:
@@ -177,14 +180,17 @@ def _check_lines(name: str, lines, n: int):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{name}[{i}] must be a pair of field elements")
         for c in pair:  # type(c) is int: no bool passes
-            if not (type(c) is int or isinstance(c, list) and {int}.issuperset(map(type, c))):
+            if not (type(c) is int or isinstance(c, list) and _INT.issuperset(map(type, c))):
                 raise ValueError(f"{name}[{i}] holds {c!r}, not an int or a list of ints")
 
 
 def zip_from_json_obj(obj: dict) -> HilbertZip:
     """Parse {"p", "k", "n", "omega", "conj"}; each line is a pair of field
     elements given as coefficient arrays (plain ints also accepted), kept as
-    its normalized index pair, so the parse is linear in n.
+    its normalized index pair, so the parse is linear in n.  Each
+    coefficient is read once: a list of k reduced coefficients is looked up
+    in the field's coefficient map, and only a list that misses it (short,
+    unreduced or too long) is folded by ``FieldCtx.index_of``.
 
     Any departure from that schema raises ValueError; keys outside it are
     ignored.  A valid zip with 2^n above ``DEFAULT_ENUM_BOUND`` (n >= 20)
@@ -205,7 +211,11 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     _check_lines("omega", obj["omega"], n)
     _check_lines("conj", obj["conj"], n)
     ctx = FieldCtx(p, k)
-    pairs = ctx.lines_of(obj["omega"] + obj["conj"])
+    # _check_lines let through exact ints and lists of exact ints alone
+    get = ctx._by_coeffs.get
+    pairs = ctx.lines_of([(u if type(u) is int else get(tuple(u), u),
+                           v if type(v) is int else get(tuple(v), v))
+                          for u, v in obj["omega"] + obj["conj"]])
     refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
     # _check_lines counted n lines of each kind
     return HilbertZip._of_checked_lines(ctx, n, pairs[:n], pairs[n:])

@@ -28,12 +28,14 @@ from collections import Counter
 from functools import cache
 from itertools import chain, combinations
 
+from hilbhasse.errors import DEFAULT_ENUM_BOUND, refuse_above
+from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace, _wedge_terms
 from hilbhasse.record import FrozenRecord
 from hilbhasse.schubert import GroupElem, bruhat_word, mul_2x2, stratum_label
 from hilbhasse.weyl import CocharDatum, WeylElem
 from hilbhasse.zipgroup import OrbitLabelError, enumerate_G
-from hilbhasse.zips import line_in_block
+from hilbhasse.zips import HilbertZip, line_in_block
 
 
 def poly_divmod(a, b, p):
@@ -224,6 +226,40 @@ def normalized_pair(ctx, u, v):
     if v:
         return 0, 1
     raise ValueError("both coordinates are zero")
+
+
+def _two_walk_check_lines(name, lines, n):
+    if not isinstance(lines, list) or len(lines) != n:
+        raise ValueError(f"{name!r} must be a list of {n} coordinate pairs")
+    for i, pair in enumerate(lines):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValueError(f"{name}[{i}] must be a pair of field elements")
+        for c in pair:
+            if not (type(c) is int or isinstance(c, list) and {int}.issuperset(map(type, c))):
+                raise ValueError(f"{name}[{i}] holds {c!r}, not an int or a list of ints")
+
+
+def two_walk_zip_from_json_obj(obj):
+    """The zip of a zip-check request, parsed with every coefficient list
+    walked twice: once for its types, then once more by ``index_of``.  The
+    checks run in the program's order, so the first error is the same."""
+    if not isinstance(obj, dict):
+        raise ValueError("a zip must be a JSON object")
+    for key in ("p", "n", "omega", "conj"):
+        if key not in obj:
+            raise ValueError(f"zip is missing {key!r}")
+    p, k, n = obj["p"], obj.get("k", 1), obj["n"]
+    for key, value in (("p", p), ("k", k), ("n", n)):
+        if type(value) is not int:
+            raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    if n < 1:
+        raise ValueError(f"'n' must be at least 1, got {n}")
+    _two_walk_check_lines("omega", obj["omega"], n)
+    _two_walk_check_lines("conj", obj["conj"], n)
+    ctx = FieldCtx(p, k)
+    pairs = ctx.lines_of(obj["omega"] + obj["conj"])
+    refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
+    return HilbertZip(ctx, n, pairs[:n], pairs[n:])
 
 
 def render_table(fmt, fields, rows, tail=(), **extra):

@@ -39,7 +39,8 @@ from hilbhasse.zips import (HilbertZip, line_in_block, max_hodge_level, zip_from
                             zip_to_json_obj)
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
                      cofactor_det, filtration_level, hodge_span, is_rref_basis_of, mat_mul_2x2,
-                     naive_rank, normalized_pair, term_product, wedge_coords_by_minors)
+                     naive_rank, normalized_pair, term_product, two_walk_zip_from_json_obj,
+                     wedge_coords_by_minors)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -824,6 +825,10 @@ def refused_values(ctx):
         (1.5, ValueError, f"cannot coerce 1.5 into {ctx!r}"),
         (None, ValueError, f"cannot coerce None into {ctx!r}"),
         ("a", ValueError, "coefficients must be ints, got 'a'"),
+        # c % p formats a str or bytes, and a bare "%" is an incomplete format
+        ("%", ValueError, "coefficients must be ints, got '%'"),
+        (["%"], ValueError, "coefficients must be ints, got ['%']"),
+        ([b"%"], ValueError, "coefficients must be ints, got [b'%']"),
         ([None], ValueError, "coefficients must be ints, got [None]"),
         ([1.5], ValueError, "coefficients must be ints, got [1.5]"),
         ([0] * (ctx.k + 1), ValueError, f"expected at most {ctx.k} coefficients"),
@@ -856,6 +861,10 @@ def refused_lines(draw):
 @PROPERTY
 @given(refused_lines())
 @example((F256, [(1, 1), (0, [0] * 8)], ValueError, "both coordinates are zero"))
+@example((F256, [(1, 1), (FieldCtx(2, 4).gen(), 1)], ContextMismatchError,
+          "element belongs to a different field"))
+@example((F256, [(F256.gen(), FieldCtx(2, 4).gen())], ContextMismatchError,
+          "element belongs to a different field"))
 def test_lines_of_refuses_the_first_bad_pair_as_index_of_does(case):
     ctx, pairs, error, message = case
     with pytest.raises(error) as exc:
@@ -930,6 +939,47 @@ def test_zip_check_on_fuzzed_json_keeps_the_exit_code_contract(text):
         code = main(["zip-check"])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def f16_request(omega, conj, p=2, k=4):
+    """zip-check text for one block over F_16 (or the given field)."""
+    return json.dumps({"p": p, "k": k, "n": 1, "omega": [omega], "conj": [conj]})
+
+
+def outcome(parse, obj):
+    """The zip a parse returns, or the class and message of what it raises."""
+    try:
+        return parse(obj)
+    except Exception as exc:  # any refusal is compared by class and message
+        return type(exc), str(exc)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(fuzzed_zip_json())
+@example(f16_request([[1], [0, 1]], [[1, 0, 0, 0], [0, 1]]))  # short lists
+@example(f16_request([[3, 0, 0, 0], [1, 1, 0, 1]], [[1, 0, 0, 0], [1, 3, 0, 1]]))  # unreduced
+@example(f16_request([[-1, 0, 0, 0], [1, -1, 0, 1]], [[0, 0, 0, 0], [-3, 0, 0, 0]]))
+@example(f16_request([[1, 0, 0, 0], [0, 0, 0, 0, 1]], [[1, 0, 0, 0], [0, 0, 0, 0]]))  # k + 1
+@example(f16_request([[0, 0, 0, 0], [0, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]))  # zero pair
+@example(f16_request([[1, 0, 0, 0], [0, 0, 0, 0, 1]], [[1, 0], [0, 0]], p=4))  # bad p, long list
+@example(f16_request([[1, 0], "x"], [[1, 0], [0, 0]], p=4))  # bad p, bad line
+@example(f16_request([[True, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]))
+@example(f16_request([[1, 0, 0, 0], [1.0, 0, 0, 0]], [[1, 0, 0, 0], [0, 0, 0, 0]]))
+@example(f16_request([[1, 0, 0, 0, 0, 0, 0, 0], [0, 1, 1, 0, 1, 0, 0, 1]],
+                     [[0, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]], k=8))
+def test_zip_parse_matches_the_two_walk_reference(text):
+    # resolving lists through the coefficient map changes no zip, no error
+    # and no choice of which error a request raises first
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError):
+        assume(False)
+    expected = outcome(two_walk_zip_from_json_obj, obj)
+    got = outcome(zip_from_json_obj, obj)
+    assert got == expected
+    if isinstance(got, HilbertZip):
+        lines = got.ctx._lines
+        assert all(any(pair is entry for entry in lines) for pair in got.omega + got.conj)
 
 
 COMMANDS = sorted(_COMMANDS)
