@@ -172,16 +172,22 @@ def zip_to_json_obj(z: HilbertZip) -> dict:
 _INT = frozenset({int})
 
 
-def _check_lines(name: str, lines, n: int):
-    """Shape and types only; the field rejects too many coefficients."""
+def _check_lines(name: str, lines, n: int) -> bool:
+    """Shape and types only; the field rejects too many coefficients.
+    Returns whether any coordinate is a list rather than a plain int."""
     if not isinstance(lines, list) or len(lines) != n:
         raise ValueError(f"{name!r} must be a list of {n} coordinate pairs")
+    has_list = False
     for i, pair in enumerate(lines):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"{name}[{i}] must be a pair of field elements")
         for c in pair:  # type(c) is int: no bool passes
-            if not (type(c) is int or isinstance(c, list) and _INT.issuperset(map(type, c))):
+            if type(c) is int:
+                continue
+            if not (isinstance(c, list) and _INT.issuperset(map(type, c))):
                 raise ValueError(f"{name}[{i}] holds {c!r}, not an int or a list of ints")
+            has_list = True
+    return has_list
 
 
 def zip_from_json_obj(obj: dict) -> HilbertZip:
@@ -208,14 +214,16 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
             raise ValueError(f"{key!r} must be an integer, got {value!r}")
     if n < 1:
         raise ValueError(f"'n' must be at least 1, got {n}")
-    _check_lines("omega", obj["omega"], n)
-    _check_lines("conj", obj["conj"], n)
+    has_list = _check_lines("omega", obj["omega"], n)
+    has_list = _check_lines("conj", obj["conj"], n) or has_list
     ctx = FieldCtx(p, k)
-    # _check_lines let through exact ints and lists of exact ints alone
-    get = ctx._by_coeffs.get
-    pairs = ctx.lines_of([(u if type(u) is int else get(tuple(u), u),
-                           v if type(v) is int else get(tuple(v), v))
-                          for u, v in obj["omega"] + obj["conj"]])
+    lines = obj["omega"] + obj["conj"]
+    if has_list:  # plain ints alone go to lines_of as they are
+        # _check_lines let through exact ints and lists of exact ints alone
+        get = ctx._by_coeffs.get
+        lines = [(u if type(u) is int else get(tuple(u), u),
+                  v if type(v) is int else get(tuple(v), v)) for u, v in lines]
+    pairs = ctx.lines_of(lines)
     refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
     # _check_lines counted n lines of each kind
     return HilbertZip._of_checked_lines(ctx, n, pairs[:n], pairs[n:])

@@ -229,8 +229,9 @@ def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # and no wedge and no vector of F^(2n), neither in the sweep nor in a
     # zip-check request; a CLI sweep computes no block level again, and takes
     # one flag tuple and one stored level per zip.  A request whose lists
-    # hold k reduced coefficients each folds none of them in index_of; a
-    # short list misses the coefficient map and is folded once
+    # hold k reduced coefficients each folds none of them in index_of, nor
+    # does one whose omega is given as plain ints; a short list misses the
+    # coefficient map and is folded once
     counts = dict.fromkeys(["_block_level", "partial_hasse_flags", "max_hodge_level",
                             "_wedge_terms", "__init__", "index_of"], 0)
     for name in ("_block_level", "partial_hasse_flags", "max_hodge_level"):
@@ -250,17 +251,20 @@ def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     assert counts == {"_block_level": s ** 2, "partial_hasse_flags": len(zips),
                       "max_hodge_level": len(zips), "_wedge_terms": 0, "__init__": 0,
                       "index_of": 0}
-    request = zip_to_json_obj(zips[-1])
-    for short in (False, True):
+    for case in ("lists", "short", "int omega"):
+        request = zip_to_json_obj(zips[-1])
         counts.update(dict.fromkeys(counts, 0))
-        if short:  # the zero coordinate u of [0 : 1] given with no coefficients
+        if case == "short":  # the zero coordinate u of [0 : 1] given with no coefficients
             assert request["omega"][0][0] == [0] * k
             request["omega"][0][0] = []
+        if case == "int omega":  # every omega coordinate lies in F_p; conj keeps its lists
+            assert all(c[1:] == [0] * (k - 1) for pair in request["omega"] for c in pair)
+            request["omega"] = [[c[0] for c in pair] for pair in request["omega"]]
         monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(request)))
         assert main(["zip-check"]) == 0
         assert capsys.readouterr().out.endswith(f"\t{n}\t{n}\t1\n")
         assert counts == {"_block_level": n, "partial_hasse_flags": 1, "max_hodge_level": 1,
-                          "_wedge_terms": 0, "__init__": 0, "index_of": int(short)}
+                          "_wedge_terms": 0, "__init__": 0, "index_of": int(case == "short")}
 
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 8), (3, 1, 4), (2, 2, 3)])
