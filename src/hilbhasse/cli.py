@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from itertools import islice, product
+from itertools import product
 from math import comb
 
 from . import schubert
@@ -54,22 +54,21 @@ def _emit(args: argparse.Namespace, obj, lines: list[str]):
         out.write(text)
 
 
-_CHUNK = 1024  # rows built and written at a time, so memory stays flat in 2^n
-
-
-def _stream(args: argparse.Namespace, fields: tuple[str, ...], rows, frame=("[", "]"),
+def _stream(args: argparse.Namespace, fields: tuple[str, ...], blocks, frame=("[", "]"),
             tail: tuple[str, ...] = ()):
-    """An iterator of rows, (label, values) with the label under the first
-    field and the values under the rest, to --output _CHUNK at a time: a
-    sorted JSON list of objects between the frame's two halves, or tsv lines
-    under the fields and above the tail.
+    """Blocks (head, rows) to --output, one write each, a block standing for
+    the row (head + foot, values) of each (foot, values) in rows, the label
+    under the first field: a sorted JSON list of objects between the frame's
+    two halves, or tsv lines under the fields and above the tail.
 
-    The text around the label is rendered once per distinct values tuple,
-    and each row joins it with its label, so the memo holds one entry per
-    distinct tuple.  The rows of strata-table, census and orbits hold n + 1,
-    one per length: permuting the factors carries a cell, and the orbits in
-    it, onto the cell of the permuted sign vector.  A label is written as it
-    is, so it must need no JSON escaping, as a sign string does."""
+    The text around a label is rendered once per distinct values tuple.
+    Each rows list, by identity, is joined once into the text before its
+    first label and one link per row (foot, text after, joint, text before
+    the next label), so a block takes one join on its head.  The rows of
+    strata-table, census and orbits hold n + 1 values, one per length:
+    permuting the factors carries a cell, and the orbits in it, onto the
+    cell of the permuted sign vector.  A label is written as it is, so it
+    must need no JSON escaping, as a sign string does."""
     as_json = args.format == "json"
     key = fields[0]
     hole = f'"{key}": ""'  # the label's place in a rendered object
@@ -82,26 +81,31 @@ def _stream(args: argparse.Namespace, fields: tuple[str, ...], rows, frame=("[",
         return "", "\t" + "\t".join(map(str, values)) + "\n"
 
     texts: dict[tuple, tuple[str, str]] = {}  # values -> text before and after the label
+    joined: dict[int, tuple] = {}  # id(rows) -> (rows, first text, links), rows kept alive
     joint = ", " if as_json else ""
     with _open_output(args) as out:
         out.write(frame[0] if as_json else "\t".join(fields) + "\n")
         sep = ""
-        while chunk := list(islice(rows, _CHUNK)):
-            for _, values in chunk:
-                if values not in texts:
-                    texts[values] = render(values)
-            out.write(sep + joint.join([label.join(texts[values]) for label, values in chunk]))
+        for head, rows in blocks:
+            if (hit := joined.get(id(rows))) is None:
+                around = [texts[v] if v in texts else texts.setdefault(v, render(v))
+                          for _, v in rows]
+                ends = [foot + after for (foot, _), (_, after) in zip(rows, around)]
+                links = [end + joint + before for end, (before, _) in zip(ends, around[1:])]
+                hit = joined[id(rows)] = (rows, around[0][0], links + ends[-1:])
+            out.write(sep + hit[1] + head + head.join(hit[2]))
             sep = joint
         out.write(frame[1] + "\n" if as_json else "".join(t + "\n" for t in tail))
 
 
-def _sign_rows(n: int, by_length):
-    """(label, by_length[l]) for each sign string of length n, in
-    ``product("+-", repeat=n)`` order, l its count of "-": each label joins
-    a precomputed first and second half."""
-    halves = [[("".join(s), s.count("-")) for s in product("+-", repeat=m)]
-              for m in (n - n // 2, n // 2)]
-    return ((head + foot, by_length[lh + lf]) for head, lh in halves[0] for foot, lf in halves[1])
+def _sign_blocks(n: int, by_length):
+    """The rows (label, by_length[l]) of the sign strings of length n, l the
+    count of "-", as blocks in ``product("+-", repeat=n)`` order: each head of
+    n - m signs, m = min(n // 2, 6), with one rows list per count of "-"."""
+    m = min(n // 2, 6)  # 64 rows a list at most, so the joined lists stay small
+    feet = [("".join(s), s.count("-")) for s in product("+-", repeat=m)]
+    shared = [[(foot, by_length[lh + lf]) for foot, lf in feet] for lh in range(n - m + 1)]
+    return (("".join(s), shared[s.count("-")]) for s in product("+-", repeat=n - m))
 
 
 def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
@@ -150,8 +154,8 @@ def _cmd_strata_table(args: argparse.Namespace) -> int:
     bad = next((length for length in range(n + 1)
                 if orders[length] != n - length or at_points[length] != n - length), None)
     # each place's label, in to_string's alphabet and all_weyl_elems order
-    rows = _sign_rows(n, [(length, n - length, order) for length, order in enumerate(orders)])
-    _stream(args, ("w", "length", "codim", "ord"), rows)
+    blocks = _sign_blocks(n, [(length, n - length, order) for length, order in enumerate(orders)])
+    _stream(args, ("w", "length", "codim", "ord"), blocks)
     if bad is None:
         return EXIT_OK
     w = firsts[bad].to_string()
@@ -205,13 +209,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
     bad = next((length for length, law in enumerate(expected) if counts[length] != law), None)
     ok = bad is None and total == group_size
     # each place's label, in to_string's alphabet
-    rows = _sign_rows(args.n, list(zip(range(args.n + 1), counts, expected)))
+    blocks = _sign_blocks(args.n, list(zip(range(args.n + 1), counts, expected)))
     frame = ("[", "]")  # unused by tsv
     if args.format == "json":
         head, tail = json.dumps({"rows": [], "total": total, "group_size": group_size,
                                  "ok": ok}, sort_keys=True).split('"rows": []')
         frame = (head + '"rows": [', "]" + tail)
-    _stream(args, ("w", "length", "cell_size", "expected"), rows, frame,
+    _stream(args, ("w", "length", "cell_size", "expected"), blocks, frame,
             tail=(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}",))
     if bad is not None:
         # one element of the bad cell, replayable through GroupElem and
@@ -239,10 +243,10 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     cells = {w: sum(sizes) for w, sizes in by_label.items()}
     bad = next((w for w, size in cells.items() if size != expected[w.length()]), None)
     as_json = args.format == "json"
-    rows = ((w.to_string(), (w.length(), cells[w], len(sizes),
-                             tuple(sizes) if as_json else ",".join(map(str, sizes))))
-            for w, sizes in by_label.items())
-    _stream(args, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), rows)
+    blocks = ((w.to_string(), (("", (w.length(), cells[w], len(sizes),
+                                     tuple(sizes) if as_json else ",".join(map(str, sizes)))),))
+              for w, sizes in by_label.items())  # each row a block of one
+    _stream(args, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), blocks)
     if bad is not None:
         # c z^(-1) has stratum label bruhat_word(c), z the longest element as
         # orbits labels with: the first element of the Bruhat cell of w, from

@@ -365,11 +365,11 @@ def vanishing_order_at_point(f: MultiPoly, pt: PointP1n):
     restriction is identically zero, which cannot happen for a nonzero
     section of the (1, ..., 1) bundle.
     """
-    if f.is_zero():
+    if not f.terms:
         raise ValueError("zero polynomial has no well-defined order")
-    if pt.n != f.n or pt.ctx != f.ctx:
-        raise ValueError("point and polynomial are incompatible")
     coords = pt.index_coords
+    if len(coords) != f.n or pt.ctx is not f.ctx:  # contexts are shared per field
+        raise ValueError("point and polynomial are incompatible")
     orders = []
     for exps in f.terms:
         order = 0

@@ -6,7 +6,8 @@ sizes by stratum label, and the Bruhat cell census.
 
 from __future__ import annotations
 
-from itertools import product
+from collections import Counter
+from itertools import chain, product
 from math import prod
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
@@ -275,6 +276,18 @@ def _det_sign_table(ctx: FieldCtx, bound: int) -> dict[tuple[int, int], list]:
     return table
 
 
+def _det_sign_counts(ctx: FieldCtx) -> tuple[list[int], list[int]]:
+    """c(d, +1) and c(d, -1) by determinant index d from the q^2 entries of
+    the multiplication table: c(d, +1) = q #{(a, e) : a e = d}, and c(d, -1)
+    is the sum over x of #{(a, e) : a e = x} #{(b != 0, c) : b c = x - d}."""
+    q, add, neg = ctx.q, ctx._add, ctx._neg
+    products = Counter(chain.from_iterable(ctx._mul))  # (a, e) by a e
+    skew = Counter(chain.from_iterable(ctx._mul[1:]))  # (b, c), b != 0, by b c
+    plus = [q * products[d] for d in range(q)]
+    minus = [sum(products[x] * skew[add[x][neg[d]]] for x in range(q)) for d in range(q)]
+    return plus, minus
+
+
 def bruhat_census(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[int]:
     """Cell sizes of the Bruhat partition of G by length, without enumerating
     G: g is in the cell of w iff each factor i has sign w_i, and its factors
@@ -282,9 +295,9 @@ def bruhat_census(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> lis
     over i of c(d, w_i).  That depends on w only through l(w): entry l is the
     sum over d of c(d, +1)^(n - l) c(d, -1)^l, for l = 0, ..., n."""
     refuse_above(bound, "census row terms", 2, n, ctx.q - 1)
-    table = _det_sign_table(ctx, bound)
-    dets = {d for d, _ in table}
-    return [sum(table[d, 1][0] ** (n - length) * table[d, -1][0] ** length for d in dets)
+    refuse_above(bound, "2x2 matrix scan", ctx.q, 4)
+    plus, minus = _det_sign_counts(ctx)
+    return [sum(plus[d] ** (n - length) * minus[d] ** length for d in range(1, ctx.q))
             for length in range(n + 1)]
 
 

@@ -1,7 +1,9 @@
 """Command-line driver: outputs, exit codes, determinism."""
 
 import json
+import sys
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -239,7 +241,7 @@ def test_output_file(tmp_path, capsys):
                                   ["census", "--p", "2", "--n", "13"]],
                          ids=["strata-table", "census"])
 def test_streamed_tables_hold_flat_memory(capsys, tmp_path, argv, fmt):
-    # both commands write their 2^13 rows in chunks as they compute them;
+    # both commands write their 2^13 rows in blocks as they compute them;
     # built whole, the rows and their text peak at 3.7-8.7 MB here
     import tracemalloc
     argv = argv + ["--format", fmt]
@@ -291,9 +293,11 @@ def oracle_table(command, ctx, n, fmt):
 @pytest.mark.parametrize("command", ["strata-table", "census", "orbits"])
 def test_tables_match_one_render_per_row(capsys, command, p, k):
     # the writer renders the text around each label once per distinct row
-    # values; the bytes are those of one dict or line per row
+    # values and joins a block of rows per head; the bytes are those of one
+    # dict or line per row.  From n = 14 the 2^6 cap on a block's rows splits
+    # each head count into several blocks, at even and odd n
     ctx = FieldCtx(p, k)
-    for n in TABLE_NS:
+    for n in TABLE_NS + [14, 15] * (p ** k == 2):
         for fmt in ("tsv", "json"):
             expected = oracle_table(command, ctx, n, fmt)
             argv = [command, "--p", str(p), "--k", str(k), "--n", str(n), "--format", fmt]
@@ -326,6 +330,16 @@ def test_json_tables_encode_once_per_length(monkeypatch, tmp_path, argv):
     monkeypatch.setattr(json, "dumps", counted)
     assert main(argv + ["--format", "json", "--output", str(tmp_path / "t.json")]) == 0
     assert 0 < len(calls) <= 2 * (n + 2), len(calls)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_strata_table_writes_a_block_per_head(monkeypatch, fmt):
+    # 2^(n - 6) heads of 2^6 rows each at n = 16, one write per block, and
+    # one each for the header and the end
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    assert main(["strata-table", "--n", "16", "--format", fmt]) == 0
+    assert len(writes) <= 2 ** (16 - 6) + 2, len(writes)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
@@ -654,9 +668,9 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
 @pytest.mark.parametrize("p, k, n", [(2, 1, 12), (3, 1, 5), (2, 2, 3)])
 def test_census_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # a cell's size depends only on its length, so the census is n + 1 sums
-    # from one scan of the 2x2 matrices, and a passing census builds no
-    # WeylElem; a failing one builds the first bad cell and scans again for
-    # its witness
+    # of counts read off the multiplication table, with no scan of the 2x2
+    # matrices, and a passing census builds no WeylElem; a failing one builds
+    # the first bad cell and scans once for its witness
     import hilbhasse.zipgroup as zipgroup_mod
     from hilbhasse.weyl import WeylElem
     from test_golden import FAULTS
@@ -675,12 +689,25 @@ def test_census_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     monkeypatch.setattr(WeylElem, "from_signs", classmethod(counted_from_signs))
     argv = ["census", "--p", str(p), "--k", str(k), "--n", str(n)]
     code, out, err = _run_in_process(capsys, argv)
-    assert (code, err, counts) == (0, "", {"scans": 1, "cells": 0})
-    counts.update(scans=0)
+    assert (code, err, counts) == (0, "", {"scans": 0, "cells": 0})
     monkeypatch.setattr(*FAULTS["census_doubled"])
     code, out, err = _run_in_process(capsys, argv)
     assert code == 1 and err.startswith(f"census mismatch: cell {'+' * n} ")
-    assert counts == {"scans": 2, "cells": 1}
+    assert counts == {"scans": 1, "cells": 1}
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                  (31, 1)])
+def test_census_counts_from_products_match_the_matrix_scan(p, k):
+    # c(d, +1) and c(d, -1) from the q^2 products equal the counts of one
+    # scan of the q^4 2x2 matrices by determinant and top-right entry
+    import hilbhasse.zipgroup as zipgroup_mod
+    ctx = FieldCtx(p, k)
+    plus, minus = zipgroup_mod._det_sign_counts(ctx)
+    table = zipgroup_mod._det_sign_table(ctx, ctx.q ** 4)
+    assert {(d, s): c for (d, s), (c, _) in table.items()} == {
+        **{(d, 1): plus[d] for d in range(1, ctx.q)},
+        **{(d, -1): minus[d] for d in range(1, ctx.q)}}
 
 
 def test_census_json(capsys):

@@ -124,6 +124,9 @@ ROLES = {
         "value: tests/test_schubert.py::test_multipoly_printing_and_equality",
     "schubert.MultiPoly.__repr__":
         "value: shows a polynomial in a failure, tests/test_properties.py",
+    "schubert.PointP1n.n":
+        "value: the number of factors, "
+        "tests/test_properties.py::test_point_holds_the_normalized_index_pairs",
     "schubert.PointP1n.__eq__":
         "value: tests/test_schubert.py::test_points_of_different_fields_differ",
     "schubert.PointP1n.__hash__":

@@ -778,6 +778,7 @@ def test_point_holds_the_normalized_index_pairs(case):
     one, zero = ctx.one(), ctx.zero()
     pt = PointP1n(ctx, pairs)
     assert pt.index_coords == tuple(normalized_pair(ctx, u, v) for u, v in pairs)
+    assert pt.n == len(pairs)
     again = PointP1n(ctx, pt.coords)
     assert again == pt and hash(again) == hash(pt)
     shown = []
