@@ -22,8 +22,8 @@ from .weyl import WeylElem, hodge_character, weyl_act
 # names of this module for code that wraps cli.all_weyl_elems,
 # cli.enumerate_E and cli.enumerate_G.
 from .weyl import all_weyl_elems  # noqa: F401
-from .zipgroup import (OrbitLabelError, borel_order, bruhat_census, cell_witness,  # noqa: F401
-                       enumerate_E, enumerate_G, group_order, orbits)
+from .zipgroup import (OrbitLabelError, bruhat_census, cell_law, enumerate_E,  # noqa: F401
+                       enumerate_G, group_order, orbits)
 from .zips import check_equivalence, enumerate_zips, zip_from_json_obj, zip_to_json_obj
 
 EXIT_OK = 0
@@ -199,9 +199,8 @@ def _cmd_census(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.p, args.k)
     counts = bruhat_census(ctx, args.n, bound=args.bound)  # refuses before the closed forms
     # closed forms, independent of the counts under test
-    borel_size = borel_order(ctx, args.n)
+    expected = cell_law(ctx, args.n)
     group_size = group_order(ctx, args.n)
-    expected = [ctx.q ** length * borel_size for length in range(args.n + 1)]
     # counts[l] is the size of each of the comb(n, l) cells of length l.  The
     # first of them, "+" * (n - l) + "-" * l, sits at place 2^l - 1 in
     # all_weyl_elems order, so the first bad cell is the first of the least bad length
@@ -218,11 +217,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     _stream(args, ("w", "length", "cell_size", "expected"), blocks, frame,
             tail=(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}",))
     if bad is not None:
-        # one element of the bad cell, replayable through GroupElem and
-        # built from per-factor witnesses of one determinant, not from G
+        # one element of the bad cell, replayable through GroupElem: the Weyl
+        # lift, the cell's first element in enumerate_G order, since the least
+        # determinant index is 1, whose first matrices are the lift's factors
         w = WeylElem.from_signs((1,) * (args.n - bad) + (-1,) * bad)
-        _write_cell_mismatch(args, ctx, w, counts[bad], expected[bad],
-                             cell_witness(ctx, w, args.bound))
+        _write_cell_mismatch(args, ctx, w, counts[bad], expected[bad], GroupElem.weyl_lift(ctx, w))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -239,7 +238,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         return EXIT_CHECK_FAILED
     # closed forms, independent of the sizes under test: each cell holds
     # q^l(w) |B| elements, as census's Bruhat cells do, and all of them |G|
-    expected = [ctx.q ** length * borel_order(ctx, args.n) for length in range(args.n + 1)]
+    expected = cell_law(ctx, args.n)
     cells = {w: sum(sizes) for w, sizes in by_label.items()}
     bad = next((w for w, size in cells.items() if size != expected[w.length()]), None)
     as_json = args.format == "json"
@@ -249,11 +248,11 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     _stream(args, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), blocks)
     if bad is not None:
         # c z^(-1) has stratum label bruhat_word(c), z the longest element as
-        # orbits labels with: the first element of the Bruhat cell of w, from
-        # per-factor witnesses, times the lift of z^(-1)
+        # orbits labels with: the first element of the Bruhat cell of w, its
+        # Weyl lift, times the lift of z^(-1)
         z_inv = GroupElem.weyl_lift(ctx, WeylElem.longest(args.n)).inverse()
         _write_cell_mismatch(args, ctx, bad, cells[bad], expected[bad.length()],
-                             cell_witness(ctx, bad, args.bound) * z_inv)
+                             GroupElem.weyl_lift(ctx, bad) * z_inv)
         return EXIT_CHECK_FAILED
     if (total := sum(cells.values())) != (group_size := group_order(ctx, args.n)):
         _write_replay(f"orbits mismatch: the cells hold {total} elements, expected {group_size}",
@@ -276,34 +275,28 @@ def _cmd_zip_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.consistent else EXIT_CHECK_FAILED
 
 
-# name: (run, help)
+_FORMAT = ("--format", ("tsv", "json"), "tsv", None)
+# each option as (name, int or str or its choices, default, help); no default: required
+_FIELD_OPTIONS = (("--p", int, 2, "field characteristic"),
+                  ("--k", int, 1, "field extension degree"),
+                  ("--n", int, None, "number of factors"),
+                  ("--bound", int, DEFAULT_ENUM_BOUND, "refuse enumerations larger than this"),
+                  _FORMAT, ("--output", str, "-", "output path, - for stdout"))
+
+# name: (run, help, options)
 _COMMANDS = {
     "verify-equivalence": (_cmd_verify_equivalence,
-                           "check hasse order == filtration level on every zip"),
-    "strata-table": (_cmd_strata_table, "vanishing orders along all cells"),
-    "weight-space": (_cmd_weight_space, "monomial basis of a torus weight space"),
-    "census": (_cmd_census, "Bruhat cell sizes vs the q^l(w) law"),
-    "orbits": (_cmd_orbits, "orbit partition refined by stratum labels"),
-    "zip-check": (_cmd_zip_check, "run the equivalence check on a zip JSON file"),
+                           "check hasse order == filtration level on every zip", _FIELD_OPTIONS),
+    "strata-table": (_cmd_strata_table, "vanishing orders along all cells", _FIELD_OPTIONS),
+    "weight-space": (_cmd_weight_space, "monomial basis of a torus weight space",
+                     _FIELD_OPTIONS + (("--target", str, "eta",
+                                        "eta, w0eta, or explicit 'a1,...,an;c'"),)),
+    "census": (_cmd_census, "Bruhat cell sizes vs the q^l(w) law", _FIELD_OPTIONS),
+    "orbits": (_cmd_orbits, "orbit partition refined by stratum labels", _FIELD_OPTIONS),
+    "zip-check": (_cmd_zip_check, "run the equivalence check on a zip JSON file",
+                  (("--file", str, "-", "zip JSON path, - for stdin"), _FORMAT,
+                   ("--output", str, "-", None))),
 }
-
-
-def _add_arguments(sp: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Command ``name``'s arguments, on its subparser or on a parser of its own."""
-    if name == "zip-check":
-        sp.add_argument("--file", default="-", help="zip JSON path, - for stdin")
-    else:
-        sp.add_argument("--p", type=int, default=2, help="field characteristic")
-        sp.add_argument("--k", type=int, default=1, help="field extension degree")
-        sp.add_argument("--n", type=int, required=True, help="number of factors")
-        sp.add_argument("--bound", type=int, default=DEFAULT_ENUM_BOUND,
-                        help="refuse enumerations larger than this")
-    sp.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    sp.add_argument("--output", default="-",
-                    help=None if name == "zip-check" else "output path, - for stdout")
-    if name == "weight-space":
-        sp.add_argument("--target", default="eta", help="eta, w0eta, or explicit 'a1,...,an;c'")
-    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,23 +306,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "exterior-power filtration levels, Bruhat cells and "
                     "zip-group orbits over small finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
+    for name, (_, help_text, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for opt, kind, default, opt_help in options:
+            sp.add_argument(opt, **{"choices" if isinstance(kind, tuple) else "type": kind},
+                            default=default, required=default is None, help=opt_help)
     return parser
 
 
+def _read_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace the full tree gives a well-formed command, read off its
+    option table: exact names as --opt value or --opt=value, the last repeat
+    winning.  None for all else, for argparse to answer: help, "--", an
+    unknown or abbreviated word, a missing or bad value, a missing --n, or a
+    separate value that starts with "-", which argparse may take for an option."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][2]
+    kinds = {opt: kind for opt, kind, _, _ in options}
+    values = {opt[2:]: default for opt, _, default, _ in options}
+    words = iter(argv[1:])
+    for word in words:
+        opt, eq, value = word.partition("=")
+        if opt not in kinds or not eq and (value := next(words, "-")).startswith("-"):
+            return None
+        kind = kinds[opt]
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[opt[2:]] = value
+    return None if None in values.values() else argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_args(argv) -> argparse.Namespace:
-    """A well-formed command needs only its own parser.  The full tree parses
-    help, an unknown command and stray words, so its messages name them."""
+    """A well-formed command is read off its option table; argparse's full
+    tree parses the rest and writes every help text and usage error."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and (name := argv[0]) in _COMMANDS:
-        parser = _add_arguments(argparse.ArgumentParser(prog=f"hilbhasse {name}"), name)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = name
-            return args
-    return build_parser().parse_args(argv)
+    args = _read_args(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

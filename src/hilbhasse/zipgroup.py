@@ -90,6 +90,13 @@ def borel_order(ctx: FieldCtx, n: int) -> int:
     return (ctx.q - 1) ** (n + 1) * ctx.q ** n
 
 
+def cell_law(ctx: FieldCtx, n: int) -> list[int]:
+    """q^l |B| for l = 0, ..., n: the size of each Bruhat cell of length l,
+    and of the orbits in each stratum of length l, in closed form."""
+    borel = borel_order(ctx, n)
+    return [ctx.q ** length * borel for length in range(n + 1)]
+
+
 def generator_count(ctx: FieldCtx, n: int) -> int:
     """The number of pairs ``zip_group_generators(ctx, n)`` returns, in closed
     form: 2nk unipotents, and n + 1 diagonals when q > 2."""
@@ -265,17 +272,6 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
     return {w: sorted(out.get(w.signs, []), reverse=True) for w in all_weyl_elems(n)}
 
 
-def _det_sign_table(ctx: FieldCtx, bound: int) -> dict[tuple[int, int], list]:
-    """[c(d, s), first matrix] for each determinant index d and sign s (+1
-    iff the top-right entry is 0), from one scan of the q^4 2x2 matrices."""
-    refuse_above(bound, "2x2 matrix scan", ctx.q, 4)
-    table: dict[tuple[int, int], list] = {}
-    for f in product(range(ctx.q), repeat=4):
-        if det := det_2x2(f, ctx):
-            table.setdefault((det, -1 if f[1] else 1), [0, f])[0] += 1
-    return table
-
-
 def _det_sign_counts(ctx: FieldCtx) -> tuple[list[int], list[int]]:
     """c(d, +1) and c(d, -1) by determinant index d from the q^2 entries of
     the multiplication table: c(d, +1) = q #{(a, e) : a e = d}, and c(d, -1)
@@ -299,12 +295,3 @@ def bruhat_census(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> lis
     plus, minus = _det_sign_counts(ctx)
     return [sum(plus[d] ** (n - length) * minus[d] ** length for d in range(1, ctx.q))
             for length in range(n + 1)]
-
-
-def cell_witness(ctx: FieldCtx, w: WeylElem, bound: int = DEFAULT_ENUM_BOUND) -> GroupElem:
-    """The first element of the cell of w in ``enumerate_G`` order, from the
-    factor scan: the first matrix of sign w_i in each factor, at the least
-    determinant index."""
-    table = _det_sign_table(ctx, bound)
-    det = min(d for d, _ in table)
-    return GroupElem.from_indices(ctx, tuple(table[det, s][1] for s in w.signs))

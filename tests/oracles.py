@@ -12,7 +12,7 @@ are schoolbook sums on FieldElem term dicts, a point of P^1 is normalized
 by FieldElem division, and a table's text is one dict per row through
 ``json.dumps`` or one tab-joined line per row.
 
-Two are references rather than independent paths.  One is the Hodge level
+Three are references rather than independent paths.  One is the Hodge level
 as the definition gives it, the least pivot count over the terms of the
 wedge of adapted rows, on the library's wedge kernel (which the tests check
 against cofactor minors), with a zip's lines placed in F^(2n) by
@@ -20,19 +20,22 @@ against cofactor minors), with a zip's lines placed in F^(2n) by
 determinant per block instead.  The other is the orbit partition of the
 whole enumerated group under the acting pairs, on the library's integer 2x2
 products; the program searches one factor's unipotent orbits and then the
-coupled torus instead.
+coupled torus instead.  The third is one scan of the q^4 2x2 matrices by
+determinant and sign, on the library's ``det_2x2``; the program reads those
+counts off the multiplication table, and takes a cell's Weyl lift as its
+first element.
 """
 
 import json
 from collections import Counter
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from hilbhasse.errors import DEFAULT_ENUM_BOUND, refuse_above
 from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace, _wedge_terms
 from hilbhasse.record import FrozenRecord
-from hilbhasse.schubert import GroupElem, bruhat_word, mul_2x2, stratum_label
+from hilbhasse.schubert import GroupElem, bruhat_word, det_2x2, mul_2x2, stratum_label
 from hilbhasse.weyl import CocharDatum, WeylElem
 from hilbhasse.zipgroup import OrbitLabelError, enumerate_G
 from hilbhasse.zips import HilbertZip, line_in_block
@@ -360,6 +363,27 @@ def enumerated_census(ctx, n):
     """Bruhat cell sizes by enumeration: a Counter from each sign vector to
     the number of elements of G whose factors carry those signs."""
     return Counter(bruhat_word(g).signs for g in enumerate_G(ctx, n))
+
+
+@cache
+def det_sign_table(ctx):
+    """[c(d, s), first matrix] for each determinant index d and sign s (+1
+    iff the top-right entry is 0), from one scan of the q^4 2x2 index
+    matrices in ``enumerate_G``'s order, once per field."""
+    table = {}
+    for f in product(range(ctx.q), repeat=4):
+        if det := det_2x2(f, ctx):
+            table.setdefault((det, -1 if f[1] else 1), [0, f])[0] += 1
+    return table
+
+
+def scanned_cell_witness(ctx, w):
+    """The first element of the cell of w in ``enumerate_G`` order, from the
+    scan: the first matrix of sign w_i in each factor, at the least
+    determinant index."""
+    table = det_sign_table(ctx)
+    det = min(d for d, _ in table)
+    return GroupElem.from_indices(ctx, tuple(table[det, s][1] for s in w.signs))
 
 
 class OrbitPartition(FrozenRecord):

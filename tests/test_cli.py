@@ -668,46 +668,53 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
 @pytest.mark.parametrize("p, k, n", [(2, 1, 12), (3, 1, 5), (2, 2, 3)])
 def test_census_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # a cell's size depends only on its length, so the census is n + 1 sums
-    # of counts read off the multiplication table, with no scan of the 2x2
-    # matrices, and a passing census builds no WeylElem; a failing one builds
-    # the first bad cell and scans once for its witness
+    # of counts read off the multiplication table, with no 2x2 determinant
+    # taken, and a passing census builds no WeylElem; a failing one builds
+    # the first bad cell and names its Weyl lift, still with no determinant
     import hilbhasse.zipgroup as zipgroup_mod
     from hilbhasse.weyl import WeylElem
     from test_golden import FAULTS
-    counts = {"scans": 0, "cells": 0}
-    real_scan, real_from_signs = zipgroup_mod._det_sign_table, WeylElem.from_signs
+    counts = {"determinants": 0, "cells": 0}
+    real_det, real_from_signs = zipgroup_mod.det_2x2, WeylElem.from_signs
 
-    def counted_scan(ctx, bound):
-        counts["scans"] += 1
-        return real_scan(ctx, bound)
+    def counted_det(f, ctx):
+        counts["determinants"] += 1
+        return real_det(f, ctx)
 
     def counted_from_signs(cls, signs):
         counts["cells"] += 1
         return real_from_signs(signs)
 
-    monkeypatch.setattr(zipgroup_mod, "_det_sign_table", counted_scan)
+    monkeypatch.setattr(zipgroup_mod, "det_2x2", counted_det)
     monkeypatch.setattr(WeylElem, "from_signs", classmethod(counted_from_signs))
     argv = ["census", "--p", str(p), "--k", str(k), "--n", str(n)]
     code, out, err = _run_in_process(capsys, argv)
-    assert (code, err, counts) == (0, "", {"scans": 0, "cells": 0})
+    assert (code, err, counts) == (0, "", {"determinants": 0, "cells": 0})
     monkeypatch.setattr(*FAULTS["census_doubled"])
     code, out, err = _run_in_process(capsys, argv)
     assert code == 1 and err.startswith(f"census mismatch: cell {'+' * n} ")
-    assert counts == {"scans": 1, "cells": 1}
+    assert counts == {"determinants": 0, "cells": 1}
 
 
 @pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                                   (31, 1)])
 def test_census_counts_from_products_match_the_matrix_scan(p, k):
     # c(d, +1) and c(d, -1) from the q^2 products equal the counts of one
-    # scan of the q^4 2x2 matrices by determinant and top-right entry
+    # scan of the q^4 2x2 matrices by determinant and top-right entry; and
+    # the scan's first matrices at the least determinant index, 1, are the
+    # Weyl lift's factors, so the lift is the census witness
     import hilbhasse.zipgroup as zipgroup_mod
+    from hilbhasse.schubert import GroupElem
+    from oracles import det_sign_table, scanned_cell_witness
     ctx = FieldCtx(p, k)
     plus, minus = zipgroup_mod._det_sign_counts(ctx)
-    table = zipgroup_mod._det_sign_table(ctx, ctx.q ** 4)
+    table = det_sign_table(ctx)
     assert {(d, s): c for (d, s), (c, _) in table.items()} == {
         **{(d, 1): plus[d] for d in range(1, ctx.q)},
         **{(d, -1): minus[d] for d in range(1, ctx.q)}}
+    for n in (1, 2, 3):
+        for w in all_weyl_elems(n):
+            assert GroupElem.weyl_lift(ctx, w) == scanned_cell_witness(ctx, w)
 
 
 def test_census_json(capsys):
@@ -880,23 +887,30 @@ FULL_TREE = ["hilbhasse"] + [f"hilbhasse {name}" for name in (
     "verify-equivalence", "strata-table", "weight-space", "census", "orbits", "zip-check")]
 
 
+WELL_FORMED = [["verify-equivalence", "--n", "1"], ["strata-table", "--n", "1"],
+               ["weight-space", "--n", "1", "--target", "w0eta"], ["census", "--n", "1"],
+               ["orbits", "--n", "1", "--format", "json"],
+               ["zip-check", "--file", "{tmp}/zip.json"]]
+
+
 @pytest.mark.parametrize("argv, code, parsers", [
-    (["verify-equivalence", "--n", "1"], 0, ["hilbhasse verify-equivalence"]),
-    (["strata-table", "--n", "1"], 0, ["hilbhasse strata-table"]),
-    (["weight-space", "--n", "1"], 0, ["hilbhasse weight-space"]),
-    (["census", "--n", "1"], 0, ["hilbhasse census"]),
-    (["orbits", "--n", "1"], 0, ["hilbhasse orbits"]),
-    (["zip-check", "--file", "{tmp}/zip.json"], 0, ["hilbhasse zip-check"]),
+    *[(argv, 0, []) for argv in WELL_FORMED],
     (["--help"], 0, FULL_TREE),
     (["bogus"], 2, FULL_TREE),
-    (["orbits", "--n", "1", "extra"], 2, ["hilbhasse orbits"] + FULL_TREE),
+    (["orbits", "--n", "1", "extra"], 2, FULL_TREE),
+    *[([argv[0]] + [f"{opt}={value}" for opt, value in zip(argv[1::2], argv[2::2])], 0, [])
+      for argv in WELL_FORMED],
+    (["orbits", "--fo", "json", "--n", "1"], 0, FULL_TREE),
+    (["orbits", "--n", "1", "--output", "-"], 0, FULL_TREE),
 ])
 def test_parser_builds_have_closed_form_counts(capsys, monkeypatch, tmp_path, argv, code,
                                                parsers):
-    # a well-formed command builds its own parser and never asks for the
-    # full tree; help, an unknown command and a stray word build the tree's
-    # 7 parsers, a stray word after its command's one.  No parser outlives
-    # its call, so the same call again builds the same parsers
+    # a well-formed command, with its values as separate words or joined by
+    # "=", is read off its option table and builds no parser; help, an
+    # unknown command, a stray word, an abbreviation and a value that starts
+    # with "-" build the tree's 7 parsers once, and no parser of a command's
+    # own.  No parser outlives its call, so the same call again builds the
+    # same parsers
     import argparse
 
     import hilbhasse.cli as cli_mod
@@ -919,7 +933,7 @@ def test_parser_builds_have_closed_form_counts(capsys, monkeypatch, tmp_path, ar
         del built[:], trees[:]
         assert _run_in_process(capsys, argv)[0] == code
         assert built == parsers
-        assert len(trees) == (FULL_TREE[0] in parsers)
+        assert len(trees) == (parsers == FULL_TREE)
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -1004,32 +1004,48 @@ def _mostly(draw, valid, malformed):
 def fuzzed_argv(draw):
     """argv for one of the six commands, with {tmp} standing for a temporary
     directory that holds zip.json: any p in 0..260, k in -1..9 and n in
-    -1..4, malformed targets and formats, and a directory or a path under a
-    missing directory as --output.  --bound is always passed and at most
-    10,000, so no example runs long; zip-check takes no --bound, and its
-    file is a small zip, the directory or a missing path.  One draw in four
-    also puts a word that is not a command first, prepends an option or
-    appends a stray word, so that argparse's own help and errors are drawn."""
+    -1..4 or none, malformed targets and formats, and a directory or a path
+    under a missing directory as --output.  --bound is always passed and at
+    most 10,000, so no example runs long; zip-check takes no --bound, and its
+    file is a small zip, the directory or a missing path.  The options come
+    in any order, each as --opt=value or as two words, so that a value such
+    as -1 or - stands alone where argparse may take it for an option; --p,
+    --k, --target, --format and --output are sometimes left out, and one
+    draw in four repeats an option with a decoy value before or after it,
+    the last repeat winning.  One draw in four also puts a word that is not a
+    command first, prepends an option or appends a stray word, so that
+    argparse's own help and errors are drawn."""
     command = draw(st.sampled_from(COMMANDS))
-    argv = [command]
+    options = []  # (option, value, whether it may be left out)
     if command == "zip-check":
-        argv.append("--file=" + draw(st.sampled_from(["{tmp}/zip.json", "{tmp}", "{tmp}/none"])))
+        options.append(("--file", draw(st.sampled_from(["{tmp}/zip.json", "{tmp}",
+                                                         "{tmp}/none"])), False))
     else:
         p, k = _mostly(draw, st.sampled_from(FIELDS),
                        st.tuples(st.integers(0, 260), st.integers(-1, 9)))
-        n = _mostly(draw, st.integers(1, 4), st.integers(-1, 4))
-        argv += [f"--p={p}", f"--k={k}", f"--n={n}",
-                 "--bound=" + _mostly(draw, st.integers(-1, 10_000).map(str),
-                                      st.sampled_from(["", "1e3", "2.5", "x", "9" * 5000]))]
+        n = _mostly(draw, st.integers(1, 4), st.integers(-1, 4) | st.none())
+        options += [("--p", p, True), ("--k", k, True)] + [("--n", n, False)] * (n is not None)
+        options.append(("--bound", _mostly(draw, st.integers(-1, 10_000).map(str),
+                                           st.sampled_from(["", "1e3", "2.5", "x", "9" * 5000])),
+                        False))
     if command == "weight-space":
-        argv.append("--target=" + _mostly(
+        options.append(("--target", _mostly(
             draw, st.sampled_from(["eta", "w0eta"]),
             st.sampled_from(["", ";", "1;", ";1", "a;b", "1;2;3", "-1,-1;-2"])
-            | st.text(alphabet="0123456789,;- ", max_size=12)))
-    argv.append("--format=" + _mostly(draw, st.sampled_from(["tsv", "json"]),
-                                      st.sampled_from(["", "TSV", "xml"])))
-    argv.append("--output=" + _mostly(draw, st.sampled_from(["-", "{tmp}/out"]),
-                                      st.sampled_from(["{tmp}", "{tmp}/none/out"])))
+            | st.text(alphabet="0123456789,;- ", max_size=12)), True))
+    options.append(("--format", _mostly(draw, st.sampled_from(["tsv", "json"]),
+                                        st.sampled_from(["", "TSV", "xml"])), True))
+    options.append(("--output", _mostly(draw, st.sampled_from(["-", "{tmp}/out"]),
+                                        st.sampled_from(["{tmp}", "{tmp}/none/out"])), True))
+    pairs = [(opt, str(value)) for opt, value, optional in draw(st.permutations(options))
+             if not (optional and draw(st.integers(0, 3)) == 0)]
+    if pairs and draw(st.integers(0, 3)) == 0:
+        opt = draw(st.sampled_from(pairs))[0]
+        decoy = draw(st.sampled_from(["0", "1", "-1", "x", "json", "-", "{tmp}"]))
+        pairs.insert(draw(st.integers(0, len(pairs))), (opt, decoy))
+    argv = [command]
+    for opt, value in pairs:
+        argv += [opt, value] if draw(st.booleans()) else [f"{opt}={value}"]
     mangle = draw(st.integers(0, 11))
     if mangle == 0:
         argv[0] = draw(st.sampled_from(NOT_COMMANDS))
@@ -1102,10 +1118,16 @@ def _run_fuzzed(argvs, parse=None):
           "--output=-", "--target=eta"])
 @example(["census", "--p=3", "--k=1", "--n=2", "--bound=10000", "--format=tsv",
           "--output=-", "-h"])
+@example(["weight-space", "--n", "2", "--target", "-1,-1;-2"])
+@example(["orbits", "--n", "1", "--output", "-"])
+@example(["census", "--n", "2", "--n", "3"])
+@example(["orbits", "--fo", "json", "--n", "1"])
+@example(["orbits", "--p", "-3", "--n", "1"])
 def test_every_command_parses_fuzzed_argv_as_the_full_parser_does(argv):
-    # main parses a well-formed command with that command's parser alone; the
-    # full tree and the same dispatch must give the same code and bytes, here
-    # and in a second call after a first in the same process
+    # main reads a well-formed command off its option table and leaves the
+    # rest to argparse's full tree; the full tree alone and the same dispatch
+    # must give the same code and bytes, here and in a second call after a
+    # first in the same process
     def full(argv):
         return cli_mod.build_parser().parse_args(argv)
 

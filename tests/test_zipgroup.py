@@ -12,10 +12,10 @@ from hilbhasse.field import FieldCtx
 from hilbhasse.schubert import (GroupElem, bruhat_word, hasse_section, stratum_label,
                                 vanishing_order_on_stratum)
 from hilbhasse.weyl import CocharDatum, WeylElem, all_weyl_elems
-from hilbhasse.zipgroup import (ZipGroupElem, borel_order, bruhat_census, cell_witness,
-                                enumerate_E, enumerate_G, generator_count, group_order, orbits,
-                                zip_act, zip_group_generators)
-from oracles import orbit_partition
+from hilbhasse.zipgroup import (ZipGroupElem, borel_order, bruhat_census, cell_law, enumerate_E,
+                                enumerate_G, generator_count, group_order, orbits, zip_act,
+                                zip_group_generators)
+from oracles import orbit_partition, scanned_cell_witness
 from test_acceptance import ORBIT_SCALE
 
 
@@ -182,18 +182,21 @@ def test_census_law_beyond_enumeration(p, k, n):
     # so only the factored census reaches these; |B| and |G| are closed forms
     ctx = FieldCtx(p, k)
     counts = bruhat_census(ctx, n)
-    assert counts == [ctx.q ** length * borel_order(ctx, n) for length in range(n + 1)]
+    assert counts == cell_law(ctx, n) == [ctx.q ** length * borel_order(ctx, n)
+                                          for length in range(n + 1)]
     assert sum(comb(n, length) * count
                for length, count in enumerate(counts)) == group_order(ctx, n)
 
 
 @pytest.mark.parametrize("p,k,n", [(2, 1, 2), (3, 1, 2), (2, 2, 2)])
 def test_cell_witness_is_the_first_element_of_its_cell(p, k, n):
-    # the census replay names the element a scan of G would have found first
+    # the census replay names the element a scan of G would have found first:
+    # the Weyl lift, which the scan of the 2x2 matrices also finds
     ctx = FieldCtx(p, k)
     g_list = enumerate_G(ctx, n)
     for w in all_weyl_elems(n):
-        assert cell_witness(ctx, w) == next(g for g in g_list if bruhat_word(g) == w)
+        first = next(g for g in g_list if bruhat_word(g) == w)
+        assert GroupElem.weyl_lift(ctx, w) == scanned_cell_witness(ctx, w) == first
 
 
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2)])
