@@ -54,58 +54,49 @@ def _emit(args: argparse.Namespace, obj, lines: list[str]):
         out.write(text)
 
 
-def _stream(args: argparse.Namespace, fields: tuple[str, ...], blocks, frame=("[", "]"),
-            tail: tuple[str, ...] = ()):
-    """Blocks (head, rows) to --output, one write each, a block standing for
-    the row (head + foot, values) of each (foot, values) in rows, the label
-    under the first field: a sorted JSON list of objects between the frame's
-    two halves, or tsv lines under the fields and above the tail.
+def _stream(args: argparse.Namespace, fields: tuple[str, ...], n: int, by_length,
+            frame=("[", "]"), tail: tuple[str, ...] = ()):
+    """The 2^n rows (w, by_length[l]) of the sign strings w of length n, l
+    the count of "-" in w, in ``product("+-", repeat=n)`` order, to --output:
+    a sorted JSON list of objects, w under the first field, between the
+    frame's two halves, or tsv lines under the fields and above the tail.
 
-    The text around a label is rendered once per distinct values tuple.
-    Each rows list, by identity, is joined once into the text before its
-    first label and one link per row (foot, text after, joint, text before
-    the next label), so a block takes one join on its head.  The rows of
-    strata-table, census and orbits hold n + 1 values, one per length:
-    permuting the factors carries a cell, and the orbits in it, onto the
-    cell of the permuted sign vector.  A label is written as it is, so it
-    must need no JSON escaping, as a sign string does."""
+    Permuting the factors carries a cell onto the cell of the permuted sign
+    vector, so a row's values depend only on its length and the text around
+    a label is rendered once per length.  A label is a head of n - m signs
+    and a foot of m, m = min(n // 2, 6).  For each count of "-" in the head,
+    the text before the first label and one link per foot (the foot, the
+    text after its label, the joint, the text before the next label) are
+    joined once, so a head takes one join and one write.  A label is written
+    as it is, so it must need no JSON escaping, as a sign string does."""
     as_json = args.format == "json"
-    key = fields[0]
-    hole = f'"{key}": ""'  # the label's place in a rendered object
+    hole = f'"{fields[0]}": ""'  # the label's place in a rendered object
 
     def render(values) -> tuple[str, str]:
         if as_json:
-            obj = dict(zip(fields[1:], values), **{key: ""})
+            obj = dict(zip(fields[1:], values), **{fields[0]: ""})
             before, _, after = json.dumps(obj, sort_keys=True).partition(hole)
             return before + hole[:-1], '"' + after
         return "", "\t" + "\t".join(map(str, values)) + "\n"
 
-    texts: dict[tuple, tuple[str, str]] = {}  # values -> text before and after the label
-    joined: dict[int, tuple] = {}  # id(rows) -> (rows, first text, links), rows kept alive
+    around = [render(values) for values in by_length]  # text before and after, by length
     joint = ", " if as_json else ""
+    m = min(n // 2, 6)  # 64 links a head count at most, so the joined lists stay small
+    feet = [("".join(s), s.count("-")) for s in product("+-", repeat=m)]
+    joined = []  # by the head's count of "-": (text before its first label, links)
+    for count in range(n - m + 1):
+        ends = [foot + around[count + lf][1] for foot, lf in feet]
+        links = [end + joint + around[count + lf][0] for end, (_, lf) in zip(ends, feet[1:])]
+        joined.append((around[count][0], links + ends[-1:]))
     with _open_output(args) as out:
         out.write(frame[0] if as_json else "\t".join(fields) + "\n")
         sep = ""
-        for head, rows in blocks:
-            if (hit := joined.get(id(rows))) is None:
-                around = [texts[v] if v in texts else texts.setdefault(v, render(v))
-                          for _, v in rows]
-                ends = [foot + after for (foot, _), (_, after) in zip(rows, around)]
-                links = [end + joint + before for end, (before, _) in zip(ends, around[1:])]
-                hit = joined[id(rows)] = (rows, around[0][0], links + ends[-1:])
-            out.write(sep + hit[1] + head + head.join(hit[2]))
+        for s in product("+-", repeat=n - m):
+            first, links = joined[s.count("-")]
+            head = "".join(s)
+            out.write(sep + first + head + head.join(links))
             sep = joint
         out.write(frame[1] + "\n" if as_json else "".join(t + "\n" for t in tail))
-
-
-def _sign_blocks(n: int, by_length):
-    """The rows (label, by_length[l]) of the sign strings of length n, l the
-    count of "-", as blocks in ``product("+-", repeat=n)`` order: each head of
-    n - m signs, m = min(n // 2, 6), with one rows list per count of "-"."""
-    m = min(n // 2, 6)  # 64 rows a list at most, so the joined lists stay small
-    feet = [("".join(s), s.count("-")) for s in product("+-", repeat=m)]
-    shared = [[(foot, by_length[lh + lf]) for foot, lf in feet] for lh in range(n - m + 1)]
-    return (("".join(s), shared[s.count("-")]) for s in product("+-", repeat=n - m))
 
 
 def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
@@ -154,8 +145,8 @@ def _cmd_strata_table(args: argparse.Namespace) -> int:
     bad = next((length for length in range(n + 1)
                 if orders[length] != n - length or at_points[length] != n - length), None)
     # each place's label, in to_string's alphabet and all_weyl_elems order
-    blocks = _sign_blocks(n, [(length, n - length, order) for length, order in enumerate(orders)])
-    _stream(args, ("w", "length", "codim", "ord"), blocks)
+    _stream(args, ("w", "length", "codim", "ord"), n,
+            [(length, n - length, order) for length, order in enumerate(orders)])
     if bad is None:
         return EXIT_OK
     w = firsts[bad].to_string()
@@ -207,14 +198,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
     total = sum(comb(args.n, length) * count for length, count in enumerate(counts))
     bad = next((length for length, law in enumerate(expected) if counts[length] != law), None)
     ok = bad is None and total == group_size
-    # each place's label, in to_string's alphabet
-    blocks = _sign_blocks(args.n, list(zip(range(args.n + 1), counts, expected)))
     frame = ("[", "]")  # unused by tsv
     if args.format == "json":
         head, tail = json.dumps({"rows": [], "total": total, "group_size": group_size,
                                  "ok": ok}, sort_keys=True).split('"rows": []')
         frame = (head + '"rows": [', "]" + tail)
-    _stream(args, ("w", "length", "cell_size", "expected"), blocks, frame,
+    # each place's label, in to_string's alphabet
+    _stream(args, ("w", "length", "cell_size", "expected"), args.n,
+            list(zip(range(args.n + 1), counts, expected)), frame,
             tail=(f"total\t{total}\tgroup\t{group_size}\t{'OK' if ok else 'MISMATCH'}",))
     if bad is not None:
         # one element of the bad cell, replayable through GroupElem: the Weyl
@@ -241,11 +232,12 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     expected = cell_law(ctx, args.n)
     cells = {w: sum(sizes) for w, sizes in by_label.items()}
     bad = next((w for w, size in cells.items() if size != expected[w.length()]), None)
-    as_json = args.format == "json"
-    blocks = ((w.to_string(), (("", (w.length(), cells[w], len(sizes),
-                                     tuple(sizes) if as_json else ",".join(map(str, sizes)))),))
-              for w, sizes in by_label.items())  # each row a block of one
-    _stream(args, ("w", "length", "cell_size", "orbit_count", "orbit_sizes"), blocks)
+    fields = ("w", "length", "cell_size", "orbit_count", "orbit_sizes")
+    rows = [(w.to_string(), w.length(), cells[w], len(sizes), sizes)
+            for w, sizes in by_label.items()]
+    _emit(args, [dict(zip(fields, row)) for row in rows],
+          ["\t".join(fields)] + [f"{w}\t{length}\t{size}\t{count}\t{','.join(map(str, sizes))}"
+                                 for w, length, size, count, sizes in rows])
     if bad is not None:
         # c z^(-1) has stratum label bruhat_word(c), z the longest element as
         # orbits labels with: the first element of the Bruhat cell of w, its
@@ -317,9 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_args(argv: list[str]) -> argparse.Namespace | None:
     """The Namespace the full tree gives a well-formed command, read off its
     option table: exact names as --opt value or --opt=value, the last repeat
-    winning.  None for all else, for argparse to answer: help, "--", an
-    unknown or abbreviated word, a missing or bad value, a missing --n, or a
-    separate value that starts with "-", which argparse may take for an option."""
+    winning, a lone "-" a value as argparse reads it.  None for all else, for
+    argparse to answer: help, "--", an unknown or abbreviated word, a missing
+    or bad value, a missing --n, or a separate value other than "-" that
+    starts with "-", which argparse may take for an option."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     options = _COMMANDS[argv[0]][2]
@@ -328,7 +321,8 @@ def _read_args(argv: list[str]) -> argparse.Namespace | None:
     words = iter(argv[1:])
     for word in words:
         opt, eq, value = word.partition("=")
-        if opt not in kinds or not eq and (value := next(words, "-")).startswith("-"):
+        if opt not in kinds or not eq and ((value := next(words, None)) is None  # argv ended
+                                           or value != "-" and value.startswith("-")):
             return None
         kind = kinds[opt]
         if isinstance(kind, tuple):

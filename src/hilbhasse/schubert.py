@@ -20,7 +20,7 @@ from itertools import product
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import ContextMismatchError, FieldCtx, FieldElem
-from .weyl import Character, CocharDatum, WeylElem
+from .weyl import Character, WeylElem
 
 #: Distinguished return value for a section restricting to the zero function
 #: on the probed locus.  Not an error: callers may probe non-generic loci.
@@ -315,16 +315,13 @@ def bruhat_word(g: GroupElem) -> WeylElem:
     return WeylElem.from_signs(tuple([1 if not f[1] else -1 for f in g.index_factors]))
 
 
-def stratum_label(g: GroupElem, datum: CocharDatum) -> WeylElem:
+def stratum_label(g: GroupElem) -> WeylElem:
     """Zip-side stratum of g: the Bruhat word of g translated on the right
-    by the standard lift of z.  The lift's factor is [[0, 1], [-1, 0]] at a
-    -1 entry of z and the identity at a +1 entry, so factor i's product with
-    it has top-right entry x00 or x01, and the sign is read off that entry
-    of g itself: no lift or product is built."""
-    if datum.n != g.n:
-        raise ValueError("rank mismatch")
-    return WeylElem.from_signs(tuple([-1 if f[0 if sign == -1 else 1] else 1
-                                      for f, sign in zip(g.index_factors, datum.z.signs)]))
+    by the standard lift of z, the longest element.  The lift's factor is
+    [[0, 1], [-1, 0]], so factor i's product with it has top-right entry
+    x00, and the sign is read off that entry of g itself: no lift or
+    product is built."""
+    return WeylElem.from_signs(tuple([-1 if f[0] else 1 for f in g.index_factors]))
 
 
 # -- vanishing orders ------------------------------------------------------------

@@ -16,7 +16,7 @@ from .record import FrozenRecord
 # bruhat_word is not called here; it stays a name of this module for code
 # that wraps zipgroup.bruhat_word.
 from .schubert import Factor, GroupElem, bruhat_word, det_2x2, stratum_label  # noqa: F401
-from .weyl import CocharDatum, WeylElem, all_weyl_elems
+from .weyl import WeylElem, all_weyl_elems
 
 
 class OrbitLabelError(RuntimeError):
@@ -54,11 +54,6 @@ class ZipGroupElem(FrozenRecord):
             if b00 != frob[a00] or b11 != frob[a11]:
                 raise ValueError(f"diagonal of right factor {i} is not the "
                                  f"Frobenius of the left diagonal")
-
-
-def zip_act(e: ZipGroupElem, g: GroupElem) -> GroupElem:
-    """(a, b) . g = a g b^(-1)."""
-    return e.a * g * e.b.inverse()
 
 
 def _by_det(ctx: FieldCtx, factors) -> dict[int, list[Factor]]:
@@ -229,14 +224,13 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
             m = mul[t]
             u_moves.append([position[x00, add[x01][m[x00]], x10, add[x11][m[x10]]]
                             for x00, x01, x10, x11 in gl2])
-    datum = CocharDatum.split(1, ctx.p)
     # each matrix's U-orbit id; each U-orbit's first member, size and sign; ids by determinant
     orbit_of, reps, sizes, signs, by_det = {}, [], [], [], {}
     for members in _orbit_search(len(gl2), u_moves):
         first: dict[int, Factor] = {}  # the first member carrying each label
         for x in map(gl2.__getitem__, members):
             orbit_of[x] = len(reps)
-            first.setdefault(stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0], x)
+            first.setdefault(stratum_label(GroupElem.from_indices(ctx, (x,))).signs[0], x)
         if len(first) != 1:  # the U-orbit of (x, ..., x) in G holds (y, x, ..., x)
             (sx, x), (sy, y) = first.items()
             raise OrbitLabelError(len(members) ** n, (

@@ -22,22 +22,10 @@ from operator import eq
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
-from .linalg import Subspace
 # perfbench traces zips.induced_filtration and zips.wedge_of_lines
 from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .record import FrozenRecord
 from .schubert import det_2x2
-
-
-def line_in_block(ctx: FieldCtx, n: int, block: int, local: Sequence) -> Subspace:
-    """The line of F^(2n) spanned by a nonzero 2-vector placed in the given
-    block, with its pivot at the block's first nonzero coordinate."""
-    if not 0 <= block < n:
-        raise ValueError("block index out of range")
-    [(a, b)] = ctx.lines_of([local])
-    vec = [0] * (2 * n)
-    vec[2 * block], vec[2 * block + 1] = a, b
-    return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
 
 
 class HilbertZip(FrozenRecord):

@@ -15,9 +15,13 @@ import io
 import json
 import sys
 
-import pytest
+# set before the package is first imported, as tests/conftest.py does: a
+# row built here leaves no bytecode under src/ for a later fresh import
+sys.dont_write_bytecode = True
 
-from test_golden import FAULTS, _sha256, run_row
+import pytest  # noqa: E402
+
+from test_golden import FAULTS, _sha256, run_row  # noqa: E402
 
 
 def parse(words: list[str]) -> dict:

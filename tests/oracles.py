@@ -24,6 +24,10 @@ coupled torus instead.  The third is one scan of the q^4 2x2 matrices by
 determinant and sign, on the library's ``det_2x2``; the program reads those
 counts off the multiplication table, and takes a cell's Weyl lift as its
 first element.
+
+``line_in_block`` (a zip's line as a ``Subspace`` of F^(2n)) and ``zip_act``
+(a pair acting on an element) are here rather than in the package because
+no command calls them; only these references and the tests do.
 """
 
 import json
@@ -36,9 +40,9 @@ from hilbhasse.field import FieldCtx
 from hilbhasse.linalg import Subspace, _wedge_terms
 from hilbhasse.record import FrozenRecord
 from hilbhasse.schubert import GroupElem, bruhat_word, det_2x2, mul_2x2, stratum_label
-from hilbhasse.weyl import CocharDatum, WeylElem
+from hilbhasse.weyl import WeylElem
 from hilbhasse.zipgroup import OrbitLabelError, enumerate_G
-from hilbhasse.zips import HilbertZip, line_in_block
+from hilbhasse.zips import HilbertZip
 
 
 def poly_divmod(a, b, p):
@@ -180,6 +184,18 @@ def filtration_level(omega, rows):
         raise ValueError("need n vectors and an n-dim subspace of F^(2n)")
     terms = _wedge_terms([adapted_row(omega, r) for r in rows], omega.ctx)
     return least_pivot_count(sum(1 << p for p in omega.pivots), terms, n)
+
+
+def line_in_block(ctx, n, block, local):
+    """The line of F^(2n) spanned by a nonzero 2-vector placed in the given
+    block, with its pivot at the block's first nonzero coordinate: the
+    normalized pair, placed in its block, is the reduced row echelon basis."""
+    if not 0 <= block < n:
+        raise ValueError("block index out of range")
+    [(a, b)] = ctx.lines_of([local])
+    vec = [0] * (2 * n)
+    vec[2 * block], vec[2 * block + 1] = a, b
+    return Subspace(ctx, 2 * n, (tuple(vec),), (2 * block if a else 2 * block + 1,))
 
 
 def _block_lines(z, pairs):
@@ -386,6 +402,11 @@ def scanned_cell_witness(ctx, w):
     return GroupElem.from_indices(ctx, tuple(table[det, s][1] for s in w.signs))
 
 
+def zip_act(e, g):
+    """(a, b) . g = a g b^(-1), the action the orbits are taken under."""
+    return e.a * g * e.b.inverse()
+
+
 class OrbitPartition(FrozenRecord):
     """Disjoint orbit classes covering the enumerated group, each with the
     common stratum label of its members."""
@@ -439,8 +460,7 @@ def orbit_partition(g_list, e_list):
         tables = map(action, e.a.index_factors, e.b.inverse().index_factors)
         images = zip(*[map(t.__getitem__, col) for t, col in zip(tables, columns)])
         moves.append(list(map(idx_of.__getitem__, images)))
-    datum = CocharDatum.split(1, ctx.p)
-    sign = [stratum_label(GroupElem.from_indices(ctx, (x,)), datum).signs[0] for x in factors]
+    sign = [stratum_label(GroupElem.from_indices(ctx, (x,))).signs[0] for x in factors]
     seen = [False] * len(g_list)
     classes, labels = [], []
     for start in range(len(g_list)):

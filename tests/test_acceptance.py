@@ -161,9 +161,8 @@ def run_orbit_refinement():
         for label in partition.labels:
             assert vanishing_order_on_stratum(h, label) == n - label.length()
         # constancy of labels is enforced inside orbit_partition(); make it explicit
-        datum = CocharDatum.split(n, p)
         for cls, label in zip(partition.classes, partition.labels):
-            assert all(stratum_label(g, datum) == label for g in cls), (p, k, n)
+            assert all(stratum_label(g) == label for g in cls), (p, k, n)
         # orbit-stabilizer: |class| |Stab_E(rep)| = |E|, the stabilizer counted
         # by brute force over E and |E| in closed form, so a class that merges
         # or splits orbits fails here whatever its label

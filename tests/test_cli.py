@@ -304,22 +304,25 @@ def test_tables_match_one_render_per_row(capsys, command, p, k):
             assert run_cli(capsys, argv) == ((0, expected) if expected else (3, "")), (n, fmt)
 
 
-def test_table_output_file_matches_one_render_per_row(tmp_path, capsys):
-    target = tmp_path / "census.json"
-    code, out = run_cli(capsys, ["census", "--p", "3", "--n", "5", "--format", "json",
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+@pytest.mark.parametrize("command", ["strata-table", "census", "orbits"])
+def test_table_output_file_matches_one_render_per_row(tmp_path, capsys, command, fmt):
+    n = 3 if command == "orbits" else 5  # the orbit scan refuses F_3 from n = 4
+    target = tmp_path / f"table.{fmt}"
+    code, out = run_cli(capsys, [command, "--p", "3", "--n", str(n), "--format", fmt,
                                  "--output", str(target)])
     assert (code, out) == (0, "")
-    assert target.read_text() == oracle_table("census", FieldCtx(3), 5, "json")
+    assert target.read_text() == oracle_table(command, FieldCtx(3), n, fmt)
 
 
-@pytest.mark.parametrize("argv", [["strata-table", "--n", "16"],
-                                  ["census", "--p", "2", "--n", "16"],
-                                  ["orbits", "--n", "5"]],
+@pytest.mark.parametrize("argv, most", [(["strata-table", "--n", "16"], 2 * (16 + 2)),
+                                        (["census", "--p", "2", "--n", "16"], 2 * (16 + 2)),
+                                        (["orbits", "--n", "5"], 1)],
                          ids=["strata-table", "census", "orbits"])
-def test_json_tables_encode_once_per_length(monkeypatch, tmp_path, argv):
-    # the rows' values depend only on the length, so the 2^n rows need
-    # n + 1 encodings and the census frame one more: at most 2(n + 2)
-    n = int(argv[-1])
+def test_json_tables_encode_once_per_length(monkeypatch, tmp_path, argv, most):
+    # the sign tables' values depend only on the length, so their 2^n rows
+    # need n + 1 encodings and the census frame one more: at most 2(n + 2).
+    # orbits encodes its 2^n rows as one list, once
     calls = []
     dumps = json.dumps
 
@@ -329,7 +332,7 @@ def test_json_tables_encode_once_per_length(monkeypatch, tmp_path, argv):
 
     monkeypatch.setattr(json, "dumps", counted)
     assert main(argv + ["--format", "json", "--output", str(tmp_path / "t.json")]) == 0
-    assert 0 < len(calls) <= 2 * (n + 2), len(calls)
+    assert 0 < len(calls) <= most, len(calls)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json"])
@@ -445,9 +448,9 @@ def test_zip_check_refuses_a_conjugate_wedge_above_the_bound(capsys, monkeypatch
                                                              n, code, err):
     # the wedge of n conjugate lines off their Hodge lines has 2^n terms;
     # the check is stubbed, so n = 19 does not pay for them.  A refused zip
-    # places none of its 2n lines of 2n coordinates
+    # builds no subspace of its 2n lines of 2n coordinates
     import hilbhasse.cli as cli_mod
-    import hilbhasse.zips as zips_mod
+    from hilbhasse.linalg import Subspace
     from hilbhasse.zips import ZipReport
 
     def placed(*args):
@@ -455,7 +458,7 @@ def test_zip_check_refuses_a_conjugate_wedge_above_the_bound(capsys, monkeypatch
 
     monkeypatch.setattr(cli_mod, "check_equivalence", lambda z: ZipReport((False,) * z.n, 0))
     if code == 3:
-        monkeypatch.setattr(zips_mod, "Subspace", placed)
+        monkeypatch.setattr(Subspace, "__init__", placed)
     path = tmp_path / "zip.json"
     path.write_text(json.dumps({"p": 2, "n": n, "omega": [[1, 0]] * n, "conj": [[1, 1]] * n}))
     assert main(["zip-check", "--file", str(path)]) == code
@@ -554,8 +557,8 @@ def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     # that varies along every orbit of more than one element
     from hilbhasse.field import FieldCtx
     from hilbhasse.schubert import GroupElem
-    from hilbhasse.weyl import CocharDatum
-    from hilbhasse.zipgroup import enumerate_E, zip_act
+    from hilbhasse.zipgroup import enumerate_E
+    from oracles import zip_act
     from test_golden import FAULTS, label_follows_lower_left as broken
 
     monkeypatch.setattr(*FAULTS["label_follows_lower_left"])
@@ -568,12 +571,11 @@ def test_orbit_label_inconsistency_exits_1(capsys, monkeypatch):
     replay = json.loads(captured.err.split("\t", 1)[1])
     assert (replay["p"], replay["k"], replay["n"]) == (2, 1, 1)
     ctx = FieldCtx(replay["p"], replay["k"])
-    datum = CocharDatum.split(replay["n"], ctx.p)
     members = [GroupElem(FieldCtx(replay["p"], replay["k"]), m["factors"])
                for m in replay["members"]]
     labels = [m["label"] for m in replay["members"]]
     assert len(members) == 2 and labels[0] != labels[1]
-    assert [broken(g, datum).to_string() for g in members] == labels
+    assert [broken(g).to_string() for g in members] == labels
     assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
 
 
@@ -584,8 +586,8 @@ def test_orbit_label_inconsistency_along_the_torus_exits_1(capsys, monkeypatch):
     # (diag(gamma, 1), diag(gamma^p, 1)) sends the top-right entry b to gamma b
     from hilbhasse.field import FieldCtx
     from hilbhasse.schubert import GroupElem
-    from hilbhasse.weyl import CocharDatum
-    from hilbhasse.zipgroup import enumerate_E, zip_act
+    from hilbhasse.zipgroup import enumerate_E
+    from oracles import zip_act
     from test_golden import FAULTS, label_flips_at_top_row_0_1 as broken
 
     monkeypatch.setattr(*FAULTS["label_flips_at_top_row_0_1"])
@@ -597,11 +599,10 @@ def test_orbit_label_inconsistency_along_the_torus_exits_1(capsys, monkeypatch):
     replay = json.loads(captured.err.split("\t", 1)[1])
     assert (replay["p"], replay["k"], replay["n"]) == (3, 1, 1)
     ctx = FieldCtx(replay["p"], replay["k"])
-    datum = CocharDatum.split(replay["n"], ctx.p)
     members = [GroupElem(ctx, m["factors"]) for m in replay["members"]]
     labels = [m["label"] for m in replay["members"]]
     assert len(members) == 2 and labels[0] != labels[1]
-    assert [broken(g, datum).to_string() for g in members] == labels
+    assert [broken(g).to_string() for g in members] == labels
     assert any(zip_act(e, members[0]) == members[1] for e in enumerate_E(ctx, 1))
 
 
@@ -621,9 +622,9 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     real_generators, real_search = zipgroup_mod.zip_group_generators, zipgroup_mod._orbit_search
     real_mul = schubert_mod.mul_2x2
 
-    def counted_label(g, datum):
+    def counted_label(g):
         counts["labels"] += 1
-        return real_label(g, datum)
+        return real_label(g)
 
     def counted_tuples(groups, n):
         for t in real_tuples(groups, n):
@@ -757,7 +758,6 @@ def test_orbits_size_mismatch_exits_1(capsys, monkeypatch, fmt):
     # q^l(w) |B| law.  The table is finished before the stderr line
     from hilbhasse.field import FieldCtx
     from hilbhasse.schubert import GroupElem, stratum_label
-    from hilbhasse.weyl import CocharDatum
     from test_golden import FAULTS
 
     monkeypatch.setattr(*FAULTS["label_flips_at_top_row_0_1"])
@@ -778,8 +778,7 @@ def test_orbits_size_mismatch_exits_1(capsys, monkeypatch, fmt):
     replay = json.loads(err.split("\t", 1)[1])
     assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (2, 1, 1, "+")
     g = GroupElem(FieldCtx(replay["p"], replay["k"]), replay["factors"])
-    datum = CocharDatum.split(replay["n"], replay["p"])
-    assert stratum_label(g, datum).to_string() == replay["w"]
+    assert stratum_label(g).to_string() == replay["w"]
 
 
 def test_orbits_size_mismatch_after_passing_rows(capsys, monkeypatch):
@@ -789,7 +788,6 @@ def test_orbits_size_mismatch_after_passing_rows(capsys, monkeypatch):
     import hilbhasse.cli as cli_mod
     from hilbhasse.field import FieldCtx
     from hilbhasse.schubert import GroupElem, bruhat_word, stratum_label
-    from hilbhasse.weyl import CocharDatum
     real = cli_mod.orbits
 
     def doubled(ctx, n, bound):
@@ -806,7 +804,7 @@ def test_orbits_size_mismatch_after_passing_rows(capsys, monkeypatch):
     assert (replay["p"], replay["k"], replay["n"], replay["w"]) == (3, 1, 2, "+-")
     ctx = FieldCtx(replay["p"], replay["k"])
     g = GroupElem(ctx, replay["factors"])
-    assert stratum_label(g, CocharDatum.split(2, 3)).to_string() == "+-"
+    assert stratum_label(g).to_string() == "+-"
     assert bruhat_word(g).to_string() != "+-"
 
 
@@ -901,16 +899,19 @@ WELL_FORMED = [["verify-equivalence", "--n", "1"], ["strata-table", "--n", "1"],
     *[([argv[0]] + [f"{opt}={value}" for opt, value in zip(argv[1::2], argv[2::2])], 0, [])
       for argv in WELL_FORMED],
     (["orbits", "--fo", "json", "--n", "1"], 0, FULL_TREE),
-    (["orbits", "--n", "1", "--output", "-"], 0, FULL_TREE),
+    (["orbits", "--n", "1", "--output", "-"], 0, []),
+    (["orbits", "--n", "1", "--output"], 2, FULL_TREE),
+    (["orbits", "--p", "-3", "--n", "1"], 2, FULL_TREE),
 ])
 def test_parser_builds_have_closed_form_counts(capsys, monkeypatch, tmp_path, argv, code,
                                                parsers):
     # a well-formed command, with its values as separate words or joined by
-    # "=", is read off its option table and builds no parser; help, an
-    # unknown command, a stray word, an abbreviation and a value that starts
-    # with "-" build the tree's 7 parsers once, and no parser of a command's
-    # own.  No parser outlives its call, so the same call again builds the
-    # same parsers
+    # "=" and a lone "-" among them, is read off its option table and builds
+    # no parser; help, an unknown command, a stray word, an abbreviation, an
+    # option that ends argv with no value and a separate value other than "-"
+    # that starts with "-" build the tree's 7 parsers once, and no parser of
+    # a command's own.  No parser outlives its call, so the same call again
+    # builds the same parsers
     import argparse
 
     import hilbhasse.cli as cli_mod

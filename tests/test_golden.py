@@ -15,6 +15,9 @@ must pass before and after a change).
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -61,18 +64,18 @@ def order_one_too_large_from_length_2(f, w):
     return vanishing_order_on_stratum(f, w) + (w.length() >= 2)
 
 
-def label_follows_lower_left(g, datum):
+def label_follows_lower_left(g):
     # no real orbit carries two labels; this label follows factor 0's
     # bottom-left entry, which a lower unipotent moves along every U-orbit
     return list(all_weyl_elems(g.n))[bool(g.factors[0][1][0])]
 
 
-def label_flips_at_top_row_0_1(g, datum):
+def label_flips_at_top_row_0_1(g):
     # flips the label of each factor whose top row is (0, 1).  That row is
     # fixed along every U-orbit, but the torus pair (diag(gamma, 1),
     # diag(gamma^p, 1)) scales it, so only a T-orbit shows two labels; F_2
     # has no torus pair, so there the broken labels reach the table
-    signs = stratum_label(g, datum).signs
+    signs = stratum_label(g).signs
     return WeylElem(tuple(-s if f[:2] == (0, 1) else s for s, f in zip(signs, g.index_factors)))
 
 
@@ -117,3 +120,24 @@ def test_cli_bytes_match_the_table(capsys, monkeypatch, row):
     captured = capsys.readouterr()
     assert (code, _sha256(captured.out), _sha256(captured.err)) == (
         row["code"], row["stdout"], row["stderr"]), captured.err
+
+
+def test_building_a_row_writes_no_bytecode(tmp_path):
+    # a row built without PYTHONDONTWRITEBYTECODE leaves no __pycache__ under
+    # src/, where a later benchmark's fresh import would read it; the script
+    # and a copy of src/ run from tmp_path, so nothing is written in the tree
+    tests = Path(__file__).parent
+    shutil.copytree(tests.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (tmp_path / "tests").mkdir()
+    for name in ("make_golden_row.py", "test_golden.py", "golden_cli.json"):
+        shutil.copy(tests / name, tmp_path / "tests" / name)
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    env["PYTHONPATH"] = str(tmp_path / "src")
+    row = ROWS[0]
+    run = subprocess.run([sys.executable, str(tmp_path / "tests" / "make_golden_row.py"),
+                          *row["argv"]], capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == row
+    assert list(tmp_path.rglob("__pycache__")) == []

@@ -165,19 +165,19 @@ ROLES = {
     "weyl.Character.__rmul__": "claim: criterion 4's (p - 1) eta, tests/test_acceptance.py",
     "weyl.Character.zero": "value: the zero character, tests/test_weyl.py",
     "weyl.inverse_perm": "claim: criterion 4's sigma^(-1), tests/test_acceptance.py",
+    "weyl._check_perm":
+        "claim: criterion 4's sigma, checked by the datum and galois_act, tests/test_acceptance.py",
+    "weyl.CocharDatum.__init__": "claim: criterion 4's datum, tests/test_acceptance.py",
+    "weyl.CocharDatum.split": "claim: criterion 4's split preset, tests/test_acceptance.py",
     "weyl.CocharDatum.inert": "claim: criterion 4's inert preset, tests/test_acceptance.py",
     "weyl.galois_act": "claim: criterion 4's sigma^(-1) action, tests/test_acceptance.py",
     "weyl.zipflag_pullback": "claim: criterion 4's pullback identity, tests/test_acceptance.py",
-    "zipgroup.zip_act":
-        "claim: the action a g b^(-1) orbits are taken under; tests/test_cli.py replays a "
-        "failure's members through it",
     "zipgroup._by_det":
         "oracle: enumerate_G and enumerate_E group matrices by determinant, tests/oracles.py",
     "zipgroup.enumerate_G":
         "oracle: all of G for tests/oracles.py::enumerated_census and orbit_partition",
     "zipgroup.enumerate_E":
         "claim: criterion 6's orbit-stabilizer count, tests/test_acceptance.py",
-    "zips.line_in_block": "oracle: tests/oracles.py places a zip's lines in F^(2n) with it",
     "zips.HilbertZip.__init__":
         "replay: copies and pickles rebuild a zip through it, tests/test_records.py",
 }

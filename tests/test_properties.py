@@ -16,6 +16,7 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
@@ -33,14 +34,13 @@ from hilbhasse.linalg import Subspace, _wedge_terms, induced_filtration, wedge_o
 from hilbhasse.schubert import (GroupElem, MultiPoly, PointP1n, bruhat_word, hasse_section,
                                 projective_line_reps, stratum_label,
                                 vanishing_order_at_point, vanishing_order_on_stratum)
-from hilbhasse.weyl import CocharDatum, all_weyl_elems
-from hilbhasse.zipgroup import ZipGroupElem, zip_act
-from hilbhasse.zips import (HilbertZip, line_in_block, max_hodge_level, zip_from_json_obj,
-                            zip_to_json_obj)
+from hilbhasse.weyl import WeylElem, all_weyl_elems
+from hilbhasse.zipgroup import ZipGroupElem
+from hilbhasse.zips import HilbertZip, max_hodge_level, zip_from_json_obj, zip_to_json_obj
 from oracles import (block_point_and_sign, chart_order_at_point, chart_order_on_stratum,
-                     cofactor_det, filtration_level, hodge_span, is_rref_basis_of, mat_mul_2x2,
-                     naive_rank, normalized_pair, term_product, two_walk_zip_from_json_obj,
-                     wedge_coords_by_minors)
+                     cofactor_det, filtration_level, hodge_span, is_rref_basis_of,
+                     line_in_block, mat_mul_2x2, naive_rank, normalized_pair, term_product,
+                     two_walk_zip_from_json_obj, wedge_coords_by_minors, zip_act)
 
 PRIMES = [p for p in range(2, TABLE_LIMIT + 1) if all(p % d for d in range(2, p))]
 FIELDS = [(p, k) for p in PRIMES for k in range(1, 9) if p ** k <= TABLE_LIMIT]
@@ -467,9 +467,8 @@ def test_bruhat_word_and_stratum_label_match_matrix_entries(pair):
         assert bruhat_word(g).signs == tuple(1 if not f[0][1] else -1 for f in g.factors)
         # z is the longest element, lifted to [[0, 1], [-1, 0]] in every factor
         s = ((ctx.zero(), ctx.one()), (-ctx.one(), ctx.zero()))
-        datum = CocharDatum.split(g.n, ctx.p)
-        assert GroupElem.weyl_lift(ctx, datum.z).factors == (s,) * g.n
-        label = stratum_label(g, datum)
+        assert GroupElem.weyl_lift(ctx, WeylElem.longest(g.n)).factors == (s,) * g.n
+        label = stratum_label(g)
         assert label.signs == tuple(1 if not mat_mul_2x2(f, s)[0][1] else -1 for f in g.factors)
 
 
@@ -497,8 +496,7 @@ def test_stratum_label_is_constant_along_zip_orbits(case):
     # triangular, so the action keeps the label; the orbit-stabilizer law of
     # criterion 6 checks the orbit sizes, which this cannot see
     e, g = case
-    datum = CocharDatum.split(g.n, g.ctx.p)
-    assert stratum_label(zip_act(e, g), datum) == stratum_label(g, datum)
+    assert stratum_label(zip_act(e, g)) == stratum_label(g)
 
 
 @st.composite
@@ -515,10 +513,9 @@ def test_stratum_label_is_the_tuple_of_one_factor_labels(g):
     # orbits labels each element from a table of its factors' one-factor
     # labels, which rests on z, products and Bruhat signs all being factorwise
     ctx = g.ctx
-    one = CocharDatum.split(1, ctx.p)
-    signs = tuple(stratum_label(GroupElem.from_indices(ctx, (f,)), one).signs[0]
+    signs = tuple(stratum_label(GroupElem.from_indices(ctx, (f,))).signs[0]
                   for f in g.index_factors)
-    assert signs == stratum_label(g, CocharDatum.split(g.n, ctx.p)).signs
+    assert signs == stratum_label(g).signs
 
 
 def as_rows(ctx, m):
@@ -1007,7 +1004,7 @@ def fuzzed_argv(draw):
     -1..4 or none, malformed targets and formats, and a directory or a path
     under a missing directory as --output.  --bound is always passed and at
     most 10,000, so no example runs long; zip-check takes no --bound, and its
-    file is a small zip, the directory or a missing path.  The options come
+    file is a small zip, stdin holding it, the directory or a missing path.  The options come
     in any order, each as --opt=value or as two words, so that a value such
     as -1 or - stands alone where argparse may take it for an option; --p,
     --k, --target, --format and --output are sometimes left out, and one
@@ -1018,7 +1015,7 @@ def fuzzed_argv(draw):
     command = draw(st.sampled_from(COMMANDS))
     options = []  # (option, value, whether it may be left out)
     if command == "zip-check":
-        options.append(("--file", draw(st.sampled_from(["{tmp}/zip.json", "{tmp}",
+        options.append(("--file", draw(st.sampled_from(["{tmp}/zip.json", "-", "{tmp}",
                                                          "{tmp}/none"])), False))
     else:
         p, k = _mostly(draw, st.sampled_from(FIELDS),
@@ -1079,7 +1076,8 @@ def test_every_command_on_fuzzed_argv_keeps_the_exit_code_contract(argv):
 
 def _run_fuzzed(argvs, parse=None):
     """main on each argv in turn, with {tmp} a fresh temporary directory that
-    holds zip.json and ``cli._parse_args`` replaced by ``parse`` if given:
+    holds zip.json, stdin the same zip, and ``cli._parse_args`` replaced by
+    ``parse`` if given:
     (exit code, stdout, stderr, text written to {tmp}/out or None) each, with
     the directory's name written back as {tmp}."""
     # hypothesis refuses function-scoped fixtures such as tmp_path
@@ -1090,7 +1088,8 @@ def _run_fuzzed(argvs, parse=None):
             fh.write(F4_ZIP)
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
-            with redirect_stdout(out), redirect_stderr(err):
+            with redirect_stdout(out), redirect_stderr(err), \
+                    mock.patch.object(sys, "stdin", io.StringIO(F4_ZIP)):
                 try:
                     code = main([arg.replace("{tmp}", tmp) for arg in argv])
                 except SystemExit as exc:  # argparse exits on help and malformed argv
@@ -1123,6 +1122,8 @@ def _run_fuzzed(argvs, parse=None):
 @example(["census", "--n", "2", "--n", "3"])
 @example(["orbits", "--fo", "json", "--n", "1"])
 @example(["orbits", "--p", "-3", "--n", "1"])
+@example(["orbits", "--n", "1", "--output"])
+@example(["zip-check", "--file", "-"])
 def test_every_command_parses_fuzzed_argv_as_the_full_parser_does(argv):
     # main reads a well-formed command off its option table and leaves the
     # rest to argparse's full tree; the full tree alone and the same dispatch

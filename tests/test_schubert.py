@@ -13,8 +13,7 @@ from hilbhasse.schubert import (INFINITE_ORDER, GroupElem, MultiPoly, PointP1n,
                                 monomial_weight, stratum_label,
                                 torus_weight_space, vanishing_order_at_point,
                                 vanishing_order_on_stratum)
-from hilbhasse.weyl import (CocharDatum, WeylElem, all_weyl_elems,
-                            hodge_character, weyl_act)
+from hilbhasse.weyl import WeylElem, all_weyl_elems, hodge_character, weyl_act
 from oracles import chart_order_at_point, mat_mul_2x2
 
 
@@ -161,13 +160,12 @@ def test_bruhat_word_against_brute_force_cells(F2):
 @pytest.mark.parametrize("n", [1, 2])
 def test_stratum_label_of_translated_lifts(p, n):
     ctx = FieldCtx(p)
-    datum = CocharDatum.split(n, p)
-    z_lift = GroupElem.weyl_lift(ctx, datum.z)
+    z_lift = GroupElem.weyl_lift(ctx, WeylElem.longest(n))
     z_inv = z_lift.inverse()
     for w in all_weyl_elems(n):
         g = GroupElem.weyl_lift(ctx, w) * z_inv
-        assert stratum_label(g, datum) == w
-    assert stratum_label(z_inv, datum) == WeylElem.identity(n)
+        assert stratum_label(g) == w
+    assert stratum_label(z_inv) == WeylElem.identity(n)
 
 
 def test_group_elem_validation(F3):
@@ -186,9 +184,6 @@ def test_group_elem_validation(F3):
 
 # (a call on malformed input, its exact message)
 VIOLATIONS = {
-    "label of rank 1 by a rank 2 datum": (
-        lambda: stratum_label(GroupElem(FieldCtx(3), [[[1, 0], [0, 1]]]), CocharDatum.split(2, 3)),
-        "rank mismatch"),
     "section of no factor": (lambda: hasse_section(FieldCtx(2), 0), "need at least one factor"),
     "weight space of no factor": (lambda: torus_weight_space(FieldCtx(2), 0, ((), 0)),
                                   "need at least one factor"),

@@ -22,9 +22,9 @@ from hilbhasse.schubert import (MultiPoly, PointP1n, all_points, hasse_section,
                                 vanishing_order_at_point, vanishing_order_on_stratum)
 from hilbhasse.weyl import WeylElem
 from hilbhasse.zips import (HilbertZip, ZipReport, _block_level, check_equivalence,
-                            enumerate_zips, line_in_block, max_hodge_level, partial_hasse_flags,
+                            enumerate_zips, max_hodge_level, partial_hasse_flags,
                             zip_from_json_obj, zip_to_json_obj)
-from oracles import block_point_and_sign, conj_rows, filtration_level, hodge_span
+from oracles import block_point_and_sign, conj_rows, filtration_level, hodge_span, line_in_block
 from test_acceptance import EQUIVALENCE_SCALE
 
 
