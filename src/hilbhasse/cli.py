@@ -47,11 +47,12 @@ def _open_output(args: argparse.Namespace):
     return nullcontext(sys.stdout) if args.output == "-" else open(args.output, "w")
 
 
-def _emit(args: argparse.Namespace, obj, lines: list[str]):
-    """A single object as sorted JSON, or its tsv lines, to --output."""
-    text = (json.dumps(obj, sort_keys=True) if args.format == "json" else "\n".join(lines)) + "\n"
+def _emit(args: argparse.Namespace, obj, lines):
+    """A single object as sorted JSON, or its tsv lines, to --output: each is
+    a function of no arguments, and only the one --format asks for is called."""
+    text = json.dumps(obj(), sort_keys=True) if args.format == "json" else "\n".join(lines())
     with _open_output(args) as out:
-        out.write(text)
+        out.write(text + "\n")
 
 
 def _stream(args: argparse.Namespace, fields: tuple[str, ...], n: int, by_length,
@@ -109,11 +110,10 @@ def _cmd_verify_equivalence(args: argparse.Namespace) -> int:
         if not report.consistent:
             failures.append((zip_to_json_obj(z), report.to_json_obj()))
     ok = total - len(failures)
-    lines = [f"FAIL\t{json.dumps(z, sort_keys=True)}\t{json.dumps(r, sort_keys=True)}"
-             for z, r in failures]
-    _emit(args, {"total": total, "consistent": ok,
-                 "failures": [{"zip": z, "report": r} for z, r in failures]},
-          lines + [f"{ok}/{total} consistent"])
+    _emit(args, lambda: {"total": total, "consistent": ok,
+                         "failures": [{"zip": z, "report": r} for z, r in failures]},
+          lambda: [f"FAIL\t{json.dumps(z, sort_keys=True)}\t{json.dumps(r, sort_keys=True)}"
+                   for z, r in failures] + [f"{ok}/{total} consistent"])
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
@@ -163,8 +163,8 @@ def _cmd_weight_space(args: argparse.Namespace) -> int:
     target = _parse_target(args.target, args.n)
     basis = torus_weight_space(ctx, args.n, target)
     shown = [str(b) for b in basis]
-    _emit(args, {"dimension": len(basis), "basis": shown},
-          [f"dimension\t{len(basis)}"] + shown)
+    _emit(args, lambda: {"dimension": len(basis), "basis": shown},
+          lambda: [f"dimension\t{len(basis)}"] + shown)
     return EXIT_OK
 
 
@@ -235,9 +235,9 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
     fields = ("w", "length", "cell_size", "orbit_count", "orbit_sizes")
     rows = [(w.to_string(), w.length(), cells[w], len(sizes), sizes)
             for w, sizes in by_label.items()]
-    _emit(args, [dict(zip(fields, row)) for row in rows],
-          ["\t".join(fields)] + [f"{w}\t{length}\t{size}\t{count}\t{','.join(map(str, sizes))}"
-                                 for w, length, size, count, sizes in rows])
+    _emit(args, lambda: [dict(zip(fields, row)) for row in rows],
+          lambda: ["\t".join(fields)] + ["\t".join([*map(str, head), ",".join(map(str, sizes))])
+                                         for *head, sizes in rows])
     if bad is not None:
         # c z^(-1) has stratum label bruhat_word(c), z the longest element as
         # orbits labels with: the first element of the Bruhat cell of w, its
@@ -263,7 +263,8 @@ def _cmd_zip_check(args: argparse.Namespace) -> int:
     except RecursionError:
         raise ValueError("the JSON is nested too deeply") from None
     report = check_equivalence(zip_from_json_obj(obj))
-    _emit(args, report.to_json_obj(), ["flags\thasse_order\tm_max\tconsistent", report.tsv_row()])
+    _emit(args, report.to_json_obj,
+          lambda: ["flags\thasse_order\tm_max\tconsistent", report.tsv_row()])
     return EXIT_OK if report.consistent else EXIT_CHECK_FAILED
 
 

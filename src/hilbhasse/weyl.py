@@ -75,12 +75,14 @@ class WeylElem:
 class Character(FrozenRecord):
     """A torus character (a_1, ..., a_n; c) with sum(a) = c mod 2."""
 
+    __slots__ = ()
     _fields = ("a", "c")
 
-    def __init__(self, a: Sequence[int], c: int):
-        self.__dict__.update(a=tuple(a), c=c)
-        if (sum(self.a) - c) % 2:
-            raise ValueError(f"parity violated: sum(a)={sum(self.a)} vs c={c}")
+    def __new__(cls, a: Sequence[int], c: int):
+        a = tuple(a)
+        if (sum(a) - c) % 2:
+            raise ValueError(f"parity violated: sum(a)={sum(a)} vs c={c}")
+        return tuple.__new__(cls, (a, c))
 
     @property
     def n(self) -> int:
@@ -100,6 +102,8 @@ class Character(FrozenRecord):
         if not isinstance(k, int):
             return NotImplemented
         return Character(tuple(k * x for x in self.a), k * self.c)
+
+    __mul__ = __rmul__  # chi * k is k chi, never the tuple repeated
 
     @classmethod
     def zero(cls, n: int) -> "Character":
@@ -129,14 +133,16 @@ class CocharDatum(FrozenRecord):
     n-cycle for an inert one.
     """
 
+    __slots__ = ()
     _fields = ("n", "p", "sigma", "z")
 
-    def __init__(self, n: int, p: int, sigma: Sequence[int], z: WeylElem):
+    def __new__(cls, n: int, p: int, sigma: Sequence[int], z: WeylElem):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        self.__dict__.update(n=n, p=p, sigma=_check_perm(sigma, n), z=z)
+        sigma = _check_perm(sigma, n)
         if z.n != n:
             raise ValueError("rank mismatch between z and n")
+        return tuple.__new__(cls, (n, p, sigma, z))
 
     @classmethod
     def split(cls, n: int, p: int) -> "CocharDatum":

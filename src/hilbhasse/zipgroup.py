@@ -36,10 +36,10 @@ class ZipGroupElem(FrozenRecord):
     diagonal of each factor of b equal to the entrywise p-th power of the
     diagonal of the matching factor of a."""
 
+    __slots__ = ()
     _fields = ("a", "b")
 
-    def __init__(self, a: GroupElem, b: GroupElem):
-        self.__dict__.update(a=a, b=b)
+    def __new__(cls, a: GroupElem, b: GroupElem):
         if a.n != b.n:
             raise ValueError("factor count mismatch")
         if a.ctx is not b.ctx:
@@ -54,6 +54,7 @@ class ZipGroupElem(FrozenRecord):
             if b00 != frob[a00] or b11 != frob[a11]:
                 raise ValueError(f"diagonal of right factor {i} is not the "
                                  f"Frobenius of the left diagonal")
+        return tuple.__new__(cls, (a, b))
 
 
 def _by_det(ctx: FieldCtx, factors) -> dict[int, list[Factor]]:
@@ -212,7 +213,8 @@ def orbits(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> dict[WeylE
     mul, add = ctx._mul, ctx._add
     pairs = [tuple(zip(e.a.index_factors, e.b.inverse().index_factors))  # (a, b^(-1)) by factor
              for e in zip_group_generators(ctx, n)]
-    gl2 = [f for f in product(range(q), repeat=4) if det_2x2(f, ctx)]
+    rows = list(product(range(q), repeat=2))  # gl2: each (a, b, c, d) with a d != b c, in order
+    gl2 = [r + s for r in rows for s in rows if mul[r[0]][s[1]] != mul[r[1]][s[0]]]
     position = {f: i for i, f in enumerate(gl2)}
     u_moves = []  # factor 0's unipotents on gl2 positions; each is the identity on one side
     for (a, b_inv), *_ in pairs:

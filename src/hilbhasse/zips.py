@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from itertools import product, repeat
-from operator import eq
+from operator import eq, itemgetter
 
 from .errors import DEFAULT_ENUM_BOUND, refuse_above
 from .field import FieldCtx
@@ -27,22 +27,24 @@ from .linalg import induced_filtration, wedge_of_lines  # noqa: F401
 from .record import FrozenRecord
 from .schubert import det_2x2
 
+_new = tuple.__new__  # a record of the given class from its values, unchecked
+
 
 class HilbertZip(FrozenRecord):
     """Block-line zip datum: context, degree, Hodge lines and conjugate
     lines, line i of each the normalized index pair of its point in block i.
 
-    ``enumerate_zips`` stores on each zip the Hodge level it computed from
-    lines equal to the zip's own; ``max_hodge_level`` reads it, or computes
-    the level of a zip built otherwise.  No zip is written after it is built.
+    Past its fields a zip holds the Hodge level ``enumerate_zips`` computed
+    from its lines, or None, for ``max_hodge_level`` to read.
     """
 
+    __slots__ = ()
     _fields = ("ctx", "n", "omega", "conj")
-    _level = None  # not a field: equality, hash and repr ignore it
+    _level = property(itemgetter(4), doc="The stored Hodge level, or None.")
 
-    def __init__(self, ctx: FieldCtx, n: int, omega: Sequence[tuple], conj: Sequence[tuple]):
-        self.__dict__.update(ctx=ctx, n=n, omega=tuple(omega), conj=tuple(conj))
-        for name, pairs in (("omega", self.omega), ("conj", self.conj)):
+    def __new__(cls, ctx: FieldCtx, n: int, omega: Sequence[tuple], conj: Sequence[tuple]):
+        omega, conj = tuple(omega), tuple(conj)
+        for name, pairs in (("omega", omega), ("conj", conj)):
             if len(pairs) != n:
                 raise ValueError(f"{name} must hold {n} lines")
             for i, pair in enumerate(pairs):
@@ -52,15 +54,7 @@ class HilbertZip(FrozenRecord):
                     raise ValueError(f"{name}[{i}] = {pair!r} is not two ints in range({ctx.q})")
                 if pair[0] != 1 and pair != (0, 1):
                     raise ValueError(f"{name}[{i}] = {pair} is not normalized to (1, t) or (0, 1)")
-
-    @classmethod
-    def _of_checked_lines(cls, ctx: FieldCtx, n: int, omega: tuple, conj: tuple,
-                          level: int | None = None) -> "HilbertZip":
-        """The zip of pair tuples the constructor would pass, unchecked, with
-        ``level`` (computed from lines equal to these, or None) stored as given."""
-        z = object.__new__(cls)
-        z.__dict__.update(ctx=ctx, n=n, omega=omega, conj=conj, _level=level)
-        return z
+        return _new(cls, (ctx, n, omega, conj, None))
 
 
 def partial_hasse_flags(z: HilbertZip) -> tuple[bool, ...]:
@@ -80,8 +74,8 @@ def max_hodge_level(z: HilbertZip) -> int:
     induced filtration piece of the Hodge subspace: the wedge is a product
     over blocks, so m is the sum of the block levels.  Returns the level
     ``enumerate_zips`` stored, if any."""
-    if z._level is not None:
-        return z._level
+    if (level := z._level) is not None:
+        return level
     return sum(map(_block_level, repeat(z.ctx), z.omega, z.conj))
 
 
@@ -89,11 +83,11 @@ class ZipReport(FrozenRecord):
     """Per-index flags and the Hodge level; the Hasse order and the
     agreement of the two are derived from them."""
 
-    __slots__ = _fields = ("flags", "m_max")
+    __slots__ = ()
+    _fields = ("flags", "m_max")
 
-    def __init__(self, flags: tuple[bool, ...], m_max: int):
-        _set_flags(self, flags)
-        _set_m_max(self, m_max)
+    def __new__(cls, flags: tuple[bool, ...], m_max: int):
+        return _new(cls, (flags, m_max))
 
     @property
     def hasse_order(self) -> int:
@@ -112,12 +106,9 @@ class ZipReport(FrozenRecord):
         return f"{flag_str}\t{self.hasse_order}\t{self.m_max}\t{int(self.consistent)}"
 
 
-_set_flags, _set_m_max = ZipReport.flags.__set__, ZipReport.m_max.__set__  # the slots' setters
-
-
 def check_equivalence(z: HilbertZip) -> ZipReport:
     """Run both order computations on one zip; the report compares them."""
-    return ZipReport(partial_hasse_flags(z), max_hodge_level(z))
+    return _new(ZipReport, (partial_hasse_flags(z), max_hodge_level(z)))
 
 
 def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> Iterator[HilbertZip]:
@@ -140,8 +131,8 @@ def enumerate_zips(ctx: FieldCtx, n: int, bound: int = DEFAULT_ENUM_BOUND) -> It
     conjs = list(product(lines, repeat=n))
     for choice in product(table, repeat=n):
         omega, level_rows = zip(*choice)
-        for conj, level in zip(conjs, map(sum, product(*level_rows))):
-            yield HilbertZip._of_checked_lines(ctx, n, omega, conj, level)
+        values = zip(repeat(ctx), repeat(n), repeat(omega), conjs, map(sum, product(*level_rows)))
+        yield from map(_new, repeat(HilbertZip), values)  # each zip built in C, unchecked
 
 
 # -- serialization ---------------------------------------------------------------
@@ -214,4 +205,4 @@ def zip_from_json_obj(obj: dict) -> HilbertZip:
     pairs = ctx.lines_of(lines)
     refuse_above(DEFAULT_ENUM_BOUND, "conjugate-wedge expansion", 2, n)
     # _check_lines counted n lines of each kind
-    return HilbertZip._of_checked_lines(ctx, n, pairs[:n], pairs[n:])
+    return _new(HilbertZip, (ctx, n, pairs[:n], pairs[n:], None))

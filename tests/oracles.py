@@ -411,10 +411,11 @@ class OrbitPartition(FrozenRecord):
     """Disjoint orbit classes covering the enumerated group, each with the
     common stratum label of its members."""
 
+    __slots__ = ()
     _fields = ("classes", "labels")
 
-    def __init__(self, classes: tuple[tuple[GroupElem, ...], ...], labels: tuple[WeylElem, ...]):
-        self.__dict__.update(classes=classes, labels=labels)
+    def __new__(cls, classes: tuple[tuple[GroupElem, ...], ...], labels: tuple[WeylElem, ...]):
+        return tuple.__new__(cls, (classes, labels))
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)

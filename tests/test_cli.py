@@ -613,14 +613,17 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     # ids of one determinant (q - 1 orbits of size q^2 and q - 1 of size q
     # per determinant), one generating set, one move-table entry per matrix
     # and unipotent of one factor and per tuple and diagonal pair, no 2x2
-    # matrix product, and G is never enumerated.  census does none of this work
+    # matrix product, and G is never enumerated.  A determinant is taken once
+    # per U-orbit and once per factor of each generator's inverse, never per
+    # matrix.  census does none of this work
     import hilbhasse.cli as cli_mod
     import hilbhasse.schubert as schubert_mod
     import hilbhasse.zipgroup as zipgroup_mod
-    counts = {"labels": 0, "tuples": 0, "generators": 0, "entries": 0, "products": 0}
+    counts = {"labels": 0, "tuples": 0, "generators": 0, "entries": 0, "products": 0,
+              "dets": 0}
     real_label, real_tuples = zipgroup_mod.stratum_label, zipgroup_mod._equal_det_tuples
     real_generators, real_search = zipgroup_mod.zip_group_generators, zipgroup_mod._orbit_search
-    real_mul = schubert_mod.mul_2x2
+    real_mul, real_det = schubert_mod.mul_2x2, schubert_mod.det_2x2
 
     def counted_label(g):
         counts["labels"] += 1
@@ -644,6 +647,10 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
         counts["products"] += 1
         return real_mul(x, y, mul, add)
 
+    def counted_det(f, ctx):
+        counts["dets"] += 1
+        return real_det(f, ctx)
+
     def unexpected(*args, **kwargs):
         raise AssertionError("G enumerated")
 
@@ -652,13 +659,16 @@ def test_orbit_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
     monkeypatch.setattr(zipgroup_mod, "zip_group_generators", counted_generators)
     monkeypatch.setattr(zipgroup_mod, "_orbit_search", counted_search)
     monkeypatch.setattr(schubert_mod, "mul_2x2", counted_mul)
+    monkeypatch.setattr(schubert_mod, "det_2x2", counted_det)
+    monkeypatch.setattr(zipgroup_mod, "det_2x2", counted_det)
     monkeypatch.setattr(cli_mod, "enumerate_G", unexpected)
     monkeypatch.setattr(zipgroup_mod, "enumerate_G", unexpected)
     q = p ** k
     gl2 = (q - 1) * q * (q * q - 1)
     tuples = (q - 1) * (2 * (q - 1)) ** n
     expected = {"labels": gl2, "tuples": tuples, "generators": 1,
-                "entries": 2 * k * gl2 + (q > 2) * (n + 1) * tuples, "products": 0}
+                "entries": 2 * k * gl2 + (q > 2) * (n + 1) * tuples, "products": 0,
+                "dets": 2 * (q - 1) ** 2 + n * zipgroup_mod.generator_count(FieldCtx(p, k), n)}
     for command in ("orbits", "census"):
         code, out, err = _run_in_process(capsys, [command, "--p", str(p), "--k", str(k),
                                                   "--n", str(n)])
@@ -853,6 +863,31 @@ def _run_in_process(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_emit_renders_only_the_format_asked_for(capsys, monkeypatch, fmt):
+    # under the golden fault every zip fails: a json run dumps its one object
+    # once and builds no FAIL line, a tsv run dumps the zip and the report of
+    # each FAIL line and no object.  orbits' json is one dumps, its tsv none
+    from test_golden import FAULTS
+    calls = []
+    real_dumps = json.dumps
+
+    def counted_dumps(*args, **kwargs):
+        calls.append(None)
+        return real_dumps(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.json, "dumps", counted_dumps)
+    monkeypatch.setattr(*FAULTS["every_report_fails"])
+    code, out, err = _run_in_process(capsys, ["verify-equivalence", "--p", "2", "--n", "2",
+                                              "--format", fmt])
+    assert (code, err) == (1, "")
+    assert len(calls) == (1 if fmt == "json" else 2 * 81)
+    assert out.count("FAIL\t") == (0 if fmt == "json" else 81)
+    calls.clear()
+    code, out, err = _run_in_process(capsys, ["orbits", "--p", "3", "--n", "2", "--format", fmt])
+    assert (code, err, len(calls)) == (0, "", int(fmt == "json"))
 
 
 def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):

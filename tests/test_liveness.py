@@ -113,10 +113,9 @@ ROLES = {
     "record.FrozenRecord.__repr__": "value: tests/test_records.py::test_records_are_frozen_values",
     "record.FrozenRecord.__reduce__":
         "replay: copies and pickles go through the constructor, tests/test_records.py",
-    "record.FrozenRecord.__setattr__":
-        "value: tests/test_records.py::test_records_are_frozen_values",
-    "record.FrozenRecord.__delattr__":
-        "value: tests/test_records.py::test_records_are_frozen_values",
+    "record.FrozenRecord.__ne__":
+        "value: a record differs from a plain tuple, "
+        "tests/test_records.py::test_records_are_frozen_values",
     "schubert.MultiPoly.__eq__":
         "claim: criterion 3 compares the weight space with the Hasse section, "
         "tests/test_acceptance.py",
@@ -167,7 +166,7 @@ ROLES = {
     "weyl.inverse_perm": "claim: criterion 4's sigma^(-1), tests/test_acceptance.py",
     "weyl._check_perm":
         "claim: criterion 4's sigma, checked by the datum and galois_act, tests/test_acceptance.py",
-    "weyl.CocharDatum.__init__": "claim: criterion 4's datum, tests/test_acceptance.py",
+    "weyl.CocharDatum.__new__": "claim: criterion 4's datum, tests/test_acceptance.py",
     "weyl.CocharDatum.split": "claim: criterion 4's split preset, tests/test_acceptance.py",
     "weyl.CocharDatum.inert": "claim: criterion 4's inert preset, tests/test_acceptance.py",
     "weyl.galois_act": "claim: criterion 4's sigma^(-1) action, tests/test_acceptance.py",
@@ -178,7 +177,7 @@ ROLES = {
         "oracle: all of G for tests/oracles.py::enumerated_census and orbit_partition",
     "zipgroup.enumerate_E":
         "claim: criterion 6's orbit-stabilizer count, tests/test_acceptance.py",
-    "zips.HilbertZip.__init__":
+    "zips.HilbertZip.__new__":
         "replay: copies and pickles rebuild a zip through it, tests/test_records.py",
 }
 

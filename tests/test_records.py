@@ -1,5 +1,7 @@
 """Value semantics of the package's frozen records: equality, hashing, repr,
-immutability, keyword construction and validation messages."""
+immutability, keyword construction and validation messages.  A record is a
+tuple of its fields, yet equal to no plain tuple and to no record of
+another class."""
 
 import copy
 import pickle
@@ -7,6 +9,7 @@ import pickle
 import pytest
 
 from hilbhasse.field import ContextMismatchError, FieldCtx
+from hilbhasse.record import FrozenRecord
 from hilbhasse.schubert import GroupElem
 from hilbhasse.weyl import Character, CocharDatum, WeylElem
 from hilbhasse.zipgroup import ZipGroupElem
@@ -54,8 +57,15 @@ def test_records_are_frozen_values(name):
     assert not x != y
     assert repr(x) == repr(y) == text
     assert x != cls(**other_fields)
-    assert x != tuple(getattr(x, f) for f in fields)
+    plain = tuple(getattr(x, f) for f in fields)
+    assert x != plain and plain != x and not x == plain and not plain == x
     assert all(x != case[0](**case[1]) for other, case in CASES.items() if other != name)
+    twin = tuple.__new__(type(f"Other{name}", (FrozenRecord,),
+                              {"__slots__": (), "_fields": cls._fields}), x)
+    assert x != twin and twin != x and not x == twin and not twin == x
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        x.other = None
     assert pickle.loads(pickle.dumps(x)) == x
     for field in fields:
         with pytest.raises(AttributeError):
@@ -72,7 +82,7 @@ def test_zip_report_has_no_instance_dict():
 def test_stored_level_is_outside_equality_hash_and_repr():
     _, fields, _, text = CASES["HilbertZip"]
     z = HilbertZip(**fields)
-    seeded = HilbertZip._of_checked_lines(F2, 1, z.omega, z.conj, 0)
+    seeded = tuple.__new__(HilbertZip, (F2, 1, z.omega, z.conj, 0))  # as enumerate_zips builds it
     assert seeded._level == 0 and z._level is None
     assert seeded == z and hash(seeded) == hash(z) and repr(seeded) == text
 

@@ -75,7 +75,9 @@ def test_character_arithmetic():
     chi = Character((1, -1), 2)
     assert chi + chi == Character((2, -2), 4)
     assert -chi == Character((-1, 1), -2)
-    assert 3 * chi == Character((3, -3), 6)
+    assert 3 * chi == chi * 3 == Character((3, -3), 6)
+    with pytest.raises(TypeError):  # a character is a tuple, but no sequence sum applies
+        chi + (1, -1)
     assert chi + -chi == Character.zero(2)
 
 

@@ -5,7 +5,9 @@ import io
 import json
 import re
 import sys
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +267,52 @@ def test_sweep_work_has_closed_form_counts(capsys, monkeypatch, p, k, n):
         assert capsys.readouterr().out.endswith(f"\t{n}\t{n}\t1\n")
         assert counts == {"_block_level": n, "partial_hasse_flags": 1, "max_hodge_level": 1,
                           "_wedge_terms": 0, "__init__": 0, "index_of": int(case == "short")}
+
+
+def sweep_frames(capsys, n):
+    """The Python frames a warm ``verify-equivalence --p 2 --n n`` enters in
+    ``src/``, counted by (module, function name) under ``sys.setprofile``;
+    a generator counts once per resume."""
+    src = Path(zips_mod.__file__).parent
+    argv = ["verify-equivalence", "--p", "2", "--n", str(n)]
+    assert main(argv) == 0  # builds the field, so the counted run finds it built
+    frames = Counter()
+
+    def hook(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and Path(code.co_filename).parent == src:
+            frames[Path(code.co_filename).stem, code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(previous)
+    zips = 3 ** (2 * n)
+    assert (code, capsys.readouterr().out) == (0, f"{zips}/{zips} consistent\n" * 2)
+    return zips, frames
+
+
+def test_sweep_enters_five_python_frames_per_zip(capsys):
+    # the sweep's generator resumes once per zip and once more to end, and
+    # each zip enters check_equivalence, its two computations and the
+    # report's consistent property; zips and reports are built in C by
+    # tuple.__new__, so no record constructor runs.  All other work is the
+    # same at 81 zips as at 729
+    rest = []
+    for n in (2, 3):
+        zips, frames = sweep_frames(capsys, n)
+        per_zip = {key: count for key, count in frames.items() if count >= zips}
+        assert per_zip == {("zips", "enumerate_zips"): zips + 1,
+                           ("zips", "check_equivalence"): zips,
+                           ("zips", "partial_hasse_flags"): zips,
+                           ("zips", "max_hodge_level"): zips,
+                           ("zips", "consistent"): zips}
+        assert not [key for key in frames if key[0] in ("zips", "record")
+                    and key[1] in ("__new__", "__init__", "_of_checked_lines")]
+        rest.append(frames - Counter(per_zip))
+    assert rest[0] == rest[1]
 
 
 @pytest.mark.parametrize("p, k, n", [(2, 1, 8), (3, 1, 4), (2, 2, 3)])
